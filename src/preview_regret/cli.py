@@ -39,7 +39,6 @@ def _write_json(path, doc):
 
 def cmd_rcis(args) -> int:
     from .invariance import max_invariant_set
-    from .polytope import BudgetExceededError
     from .serialize import SCHEMA_VERSION, load_system, polytope_to_json
     from .systems import augment, collaborative, collaborative_augmented
 

@@ -6,7 +6,6 @@ import numpy as np
 
 from .polytope import (
     HPolytope,
-    bounding_box,
     cartesian_product,
     contains,
     erode_rows,
@@ -25,18 +24,12 @@ def _safe_set_of(sys) -> HPolytope:
     return sys.S_xu if isinstance(sys, LinearSystem) else sys.S
 
 
-def _as_box_arrays(box):
-    if box is None:
-        return None
-    return np.asarray(box.lower, dtype=float), np.asarray(box.upper, dtype=float)
-
-
-def pre(sys, X: HPolytope, S: HPolytope | None = None, box=None) -> HPolytope:
+def pre(sys, X: HPolytope, S: HPolytope | None = None) -> HPolytope:
     """One-step backward reachable set of X constrained to the safe set.
 
     {x : exists u with (x,u) in S and A x + B u + E d in X for all d in D};
-    the disturbance erosion is skipped for deterministic systems. `box` is
-    an optional bounding box of S reused as a redundancy prefilter.
+    the disturbance erosion is skipped for deterministic systems. The result
+    is irredundant, whatever the state dimension.
     """
     if S is None:
         S = _safe_set_of(sys)
@@ -53,17 +46,17 @@ def pre(sys, X: HPolytope, S: HPolytope | None = None, box=None) -> HPolytope:
     rows = np.vstack([X.H @ AB, S.H])
     rhs = np.r_[X.h, S.h]
     stacked = HPolytope(rows, rhs)
-    return project(stacked, n, bounded_hint=True, box_hint=_as_box_arrays(box))
+    return project(stacked, n, bounded_hint=True)
 
 
-def pre_k(sys, X: HPolytope, S: HPolytope | None = None, k: int = 1,
-          box=None) -> HPolytope:
-    """k-fold composition of pre with redundancy removal between steps."""
+def pre_k(sys, X: HPolytope, S: HPolytope | None = None,
+          k: int = 1) -> HPolytope:
+    """k-fold composition of pre; every step returns an irredundant set."""
     if k < 0:
         raise ValueError("k must be nonnegative")
     out = X
     for _ in range(k):
-        out = pre(sys, out, S, box=box)
+        out = pre(sys, out, S)
         if out.is_empty():
             return out
     return out
@@ -104,24 +97,19 @@ def max_invariant_set(sys, S: HPolytope | None = None, max_iter: int = 200,
     if S is None:
         S = _safe_set_of(sys)
     n = sys.n
-    sbox = bounding_box(S)
-    X0 = project(HPolytope(S.H, S.h), n, bounded_hint=True,
-                 box_hint=_as_box_arrays(sbox))
+    X0 = project(HPolytope(S.H, S.h), n, bounded_hint=True)
     if start is not None:
         X0 = remove_redundancy(intersect(X0, start), bounded_hint=True)
     if X0.is_empty():
         return HPolytope.empty(n), True
-    xbox = bounding_box(X0)
-    xbox_arrays = _as_box_arrays(xbox)
     X = X0
     for _ in range(max_iter):
         if cancel is not None and cancel():
             return X, False
-        P = pre(sys, X, S, box=sbox)
+        P = pre(sys, X, S)
         if P.is_empty():
             return HPolytope.empty(n), True
-        X_next = remove_redundancy(intersect(P, X0), bounded_hint=True,
-                                   box_hint=xbox_arrays)
+        X_next = remove_redundancy(intersect(P, X0), bounded_hint=True)
         if X_next.is_empty():
             return HPolytope.empty(n), True
         if _subset_within(X, X_next, tol):
@@ -159,8 +147,7 @@ def cmax_p_co(sys: LinearSystem, p: int, C_max_co: HPolytope) -> HPolytope:
         return C_max_co
     co_p = collaborative_augmented(sys, p)
     target = cartesian_product(C_max_co, power_product(sys.D, p))
-    box = bounding_box(co_p.S)
-    return pre_k(co_p, target, k=p, box=box)
+    return pre_k(co_p, target, k=p)
 
 
 def check_contractive(sys: DeterministicSystem, X: HPolytope,
@@ -172,8 +159,7 @@ def check_contractive(sys: DeterministicSystem, X: HPolytope,
         raise ValueError("contraction factor must be in [0, 1]")
     if N < 1:
         raise ValueError("N must be positive")
-    reach = pre_k(sys, scale(X, lam), S, k=N,
-                  box=bounding_box(S if S is not None else sys.S))
+    reach = pre_k(sys, scale(X, lam), S, k=N)
     return contains(reach, X, tol=tol)
 
 

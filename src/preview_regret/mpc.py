@@ -80,7 +80,7 @@ def feasible_domain(sys: LinearSystem, C: HPolytope, p: int,
                 f"escapes in one step: {np.array2string(w, precision=6)}",
                 witness=w)
     co = collaborative(sys)
-    projection = pre_k(co, C, k=p, box=bounding_box(co.S))
+    projection = pre_k(co, C, k=p)
     full = None
     if want_full:
         n_aug = sys.n + p * sys.l
@@ -89,7 +89,7 @@ def feasible_domain(sys: LinearSystem, C: HPolytope, p: int,
                 f"full feasible domain needs dimension {n_aug}")
         sys_p = augment(sys, p)
         target = cartesian_product(C, power_product(sys.D, p))
-        full = pre_k(sys_p, target, k=p, box=bounding_box(sys_p.S_xu))
+        full = pre_k(sys_p, target, k=p)
     return FeasibleDomain(projection=projection, full=full)
 
 

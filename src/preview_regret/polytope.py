@@ -20,7 +20,7 @@ TAU_SET = 1e-6
 TAU_VERT = 1e-9
 ROW_CAP = 10_000
 VERTEX_DIM_CAP = 6
-_DUAL_HULL_MAX_DIM = 6
+_FLAT_RADIUS = 1e-9  # Chebyshev radii within +-_FLAT_RADIUS count as flat
 
 
 class EmptyPolytopeError(ValueError):
@@ -82,7 +82,9 @@ class HPolytope:
 
     @classmethod
     def universe(cls, dim: int) -> "HPolytope":
-        return cls(np.zeros((1, dim)), np.array([1.0]))
+        P = cls(np.zeros((1, dim)), np.array([1.0]))
+        P._empty = False
+        return P
 
     def is_empty(self) -> bool:
         if self._empty is None:
@@ -101,7 +103,15 @@ class HPolytope:
         return bool(np.all(self.H @ x - self.h <= tol * norms))
 
     def chebyshev_center(self):
-        """(center, radius) of a largest inscribed ball; radius capped at 1e9."""
+        """(center, radius) of a largest inscribed ball; radius capped at 1e9.
+
+        Raises EmptyPolytopeError when the set is empty, including when the
+        best radius is negative beyond _FLAT_RADIUS. A flat set (radius near
+        0) returns normally; a radius above _FLAT_RADIUS proves the set
+        nonempty, and both verdicts are cached for is_empty.
+        """
+        if self._empty:
+            raise EmptyPolytopeError("no Chebyshev center: polytope is empty")
         if self._cheby is None:
             n = self.dim
             norms = np.linalg.norm(self.H, axis=1)
@@ -110,9 +120,12 @@ class HPolytope:
             b = np.r_[self.h, 1e9]
             c = np.r_[np.zeros(n), -1.0]
             sol = solve_lp_fast(c, A, b)
-            if not sol.optimal:
+            if not sol.optimal or sol.point[n] < -_FLAT_RADIUS:
+                self._empty = True
                 raise EmptyPolytopeError("no Chebyshev center: polytope is empty")
             self._cheby = (sol.point[:n], float(sol.point[n]))
+            if self._cheby[1] > _FLAT_RADIUS:
+                self._empty = False
         return self._cheby
 
 
@@ -307,25 +320,8 @@ def _support_fast(H, h, d):
     raise EmptyPolytopeError("support of an empty polytope")
 
 
-def _reduce_lp(H, h, box=None):
-    """Keep irredundant rows, certifying each removal with an LP.
-
-    box, when given, is any (lower, upper) pair whose box contains the set.
-    Its 2n axis rows are appended to the system first; with them present,
-    any original row implied by the box alone can be dropped without an LP.
-    """
-    if box is not None:
-        lo, hi = np.asarray(box[0], dtype=float), np.asarray(box[1], dtype=float)
-        n = H.shape[1]
-        norms = np.maximum(np.linalg.norm(H, axis=1), 1e-300)
-        sup_box = np.where(H > 0, H * hi, H * lo).sum(axis=1)
-        keep0 = ~(sup_box <= h + 1e-12 * norms)
-        eye = np.eye(n)
-        H = np.vstack([H[keep0], eye, -eye])
-        h = np.r_[h[keep0], hi, -lo]
-        H, h = _dedupe_rows(H, h)
-        if H is None:
-            return None, None
+def _reduce_lp(H, h):
+    """Keep irredundant rows, certifying each removal with an LP."""
     q = H.shape[0]
     alive = np.ones(q, dtype=bool)
     norms = np.maximum(np.linalg.norm(H, axis=1), 1e-300)
@@ -347,7 +343,13 @@ def _reduce_lp(H, h, box=None):
 
 
 def _reduce_dual_hull(H, h, center):
-    """Facet identification through polar duality around an interior point."""
+    """Facet identification through polar duality around an interior point.
+
+    Row i becomes the point H_i / (h_i - H_i center); the irredundant rows
+    are the vertices of the hull of these points. None when the hull fails
+    or does not hold the origin strictly inside, i.e. the set is unbounded
+    and the hull vertices could include redundant rows.
+    """
     from scipy.spatial import ConvexHull, QhullError
 
     d = h - H @ center
@@ -359,6 +361,8 @@ def _reduce_dual_hull(H, h, center):
     try:
         hull = ConvexHull(pts)
     except QhullError:
+        return None
+    if not np.all(hull.equations[:, -1] < 0):
         return None
     keep = np.sort(hull.vertices)
     return H[keep], h[keep]
@@ -389,13 +393,22 @@ def _reduce_1d(H, h):
     return np.array(rows), np.array(rhs)
 
 
-def remove_redundancy(P: HPolytope, bounded_hint=None, box_hint=None) -> HPolytope:
-    """Same set, irredundant rows.
+def _nonempty(H, h) -> HPolytope:
+    out = HPolytope(H, h)
+    out._empty = False
+    return out
 
-    Full-dimensional bounded sets in low dimension go through a dual convex
-    hull; everything else falls back to per-row LP certificates.
+
+def remove_redundancy(P: HPolytope, bounded_hint=None) -> HPolytope:
+    """Same set, irredundant rows; the result caches its emptiness.
+
+    One Chebyshev LP decides emptiness and gives an interior point. A
+    bounded (bounded_hint) full-dimensional set of any dimension then goes
+    through a dual convex hull around that point. Flat sets, unhinted sets
+    and hull failures fall back to one LP per row; only flat or borderline
+    sets pay a separate phase-1 emptiness LP.
     """
-    if P.is_empty():
+    if P._empty:
         return HPolytope.empty(P.dim)
     Hd, hd = _dedupe_rows(P.H, P.h)
     if Hd is None:
@@ -406,21 +419,18 @@ def remove_redundancy(P: HPolytope, bounded_hint=None, box_hint=None) -> HPolyto
         H1, h1 = _reduce_1d(Hd, hd)
         if H1 is None:
             return HPolytope.empty(1)
-        return HPolytope(H1, h1)
-    work = HPolytope(Hd, hd)
-    if P.dim <= _DUAL_HULL_MAX_DIM and bounded_hint:
-        try:
-            center, radius = work.chebyshev_center()
-        except EmptyPolytopeError:
-            return HPolytope.empty(P.dim)
-        if radius > 1e-9:
-            out = _reduce_dual_hull(Hd, hd, center)
-            if out is not None:
-                return HPolytope(out[0], out[1])
-    Hr, hr = _reduce_lp(Hd, hd, box=box_hint)
-    if Hr is None:
+        return _nonempty(H1, h1)
+    try:
+        center, radius = HPolytope(Hd, hd).chebyshev_center()
+    except EmptyPolytopeError:
         return HPolytope.empty(P.dim)
-    return HPolytope(Hr, hr)
+    if radius <= _FLAT_RADIUS and P.is_empty():
+        return HPolytope.empty(P.dim)
+    if radius > _FLAT_RADIUS and bounded_hint:
+        out = _reduce_dual_hull(Hd, hd, center)
+        if out is not None:
+            return _nonempty(*out)
+    return _nonempty(*_reduce_lp(Hd, hd))
 
 
 # ---------------------------------------------------------------------------
@@ -463,7 +473,7 @@ def _fm_eliminate(H, h, j):
     return H_out / expo[:, None], h_out / expo
 
 
-def project(P: HPolytope, keep: int, bounded_hint=None, box_hint=None,
+def project(P: HPolytope, keep: int, bounded_hint=None,
             row_cap=ROW_CAP) -> HPolytope:
     """Exact orthogonal projection onto the first `keep` coordinates."""
     n = P.dim
@@ -501,16 +511,11 @@ def project(P: HPolytope, keep: int, bounded_hint=None, box_hint=None,
             return HPolytope.empty(keep)
         if Hd.shape[0] == 0:
             Hd, hd = np.zeros((1, len(colmap))), np.array([1.0])
-        box = None
-        if box_hint is not None:
-            lo, hi = box_hint
-            box = (np.asarray(lo)[colmap], np.asarray(hi)[colmap])
-        reduced = remove_redundancy(HPolytope(Hd, hd), bounded_hint=bounded_hint,
-                                    box_hint=box)
+        reduced = remove_redundancy(HPolytope(Hd, hd), bounded_hint=bounded_hint)
         if reduced.is_empty():
             return HPolytope.empty(keep)
         H, h = reduced.H, reduced.h
-    return HPolytope(H, h)
+    return reduced
 
 
 # ---------------------------------------------------------------------------

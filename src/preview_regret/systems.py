@@ -241,11 +241,3 @@ def shift_augmented(P: HPolytope, eq: Equilibrium, n: int, p: int) -> HPolytope:
 
 def collaborative_stabilizable(sys: LinearSystem) -> bool:
     return is_stabilizable(sys.A, np.hstack([sys.B, sys.E]))
-
-
-def safe_state_projection_box(sys_det: DeterministicSystem):
-    """Bounding box of the deterministic system's safe set (reused as a sound
-    prefilter box by the invariance fixed points)."""
-    from .polytope import bounding_box
-
-    return bounding_box(sys_det.S)

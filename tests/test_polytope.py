@@ -167,6 +167,100 @@ def test_remove_redundancy_examples():
     assert set_equal(red, sq, tol=1e-9)
 
 
+def test_chebyshev_center_empty_and_flat():
+    empty = HPolytope([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]],
+                      [0.0, -1.0, 1.0, 1.0])
+    with pytest.raises(EmptyPolytopeError):
+        empty.chebyshev_center()
+    assert empty._empty is True and empty.is_empty()
+
+    strip = HPolytope([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]],
+                      [0.0, 0.0, 1.0, 1.0])
+    _, radius = strip.chebyshev_center()
+    assert abs(radius) <= 1e-9
+    assert not strip.is_empty()
+
+
+def _with_redundant_rows(P, rng, extra=30):
+    """P plus rows implied by its own rows or by its bounding box."""
+    dirs = rng.normal(size=(extra, P.dim))
+    box = bounding_box(P)
+    offs = np.where(dirs > 0, dirs * box.upper, dirs * box.lower).sum(axis=1)
+    loose = rng.uniform(1.0, 1.5, size=P.num_rows)
+    return HPolytope(np.vstack([P.H, dirs, 2.0 * P.H]),
+                     np.r_[P.h, offs + rng.uniform(0.1, 1.0, size=extra),
+                           2.0 * P.h * loose])
+
+
+def _count_lps(monkeypatch):
+    import preview_regret.polytope as poly
+
+    calls = []
+    real = poly.solve_lp_fast
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(poly, "solve_lp_fast", counting)
+    return calls
+
+
+def test_remove_redundancy_8d_one_lp(monkeypatch):
+    from preview_regret.polytope import _reduce_lp
+
+    rng = np.random.default_rng(11)
+    P = _with_redundant_rows(random_polytope(rng, 8, k=40), rng)
+    via_lp = HPolytope(*_reduce_lp(P.H, P.h))
+    calls = _count_lps(monkeypatch)
+    R = remove_redundancy(P, bounded_hint=True)
+    assert len(calls) == 1
+    assert R._empty is False
+    assert R.num_rows == via_lp.num_rows < P.num_rows
+    assert set_equal(R, via_lp, tol=1e-8)
+    assert set_equal(R, P, tol=1e-8)
+
+
+def test_remove_redundancy_flat_7d_uses_lp_fallback(monkeypatch):
+    import preview_regret.polytope as poly
+
+    rng = np.random.default_rng(5)
+    box = unit_box(7)
+    flat = HPolytope(np.vstack([box.H, -np.eye(7)[:1]]),
+                     np.r_[box.h[:7] * np.r_[0.0, np.ones(6)], box.h[7:], 0.0])
+    P = _with_redundant_rows(flat, rng)
+    used = []
+    real = poly._reduce_lp
+
+    def spy(H, h):
+        used.append(1)
+        return real(H, h)
+
+    monkeypatch.setattr(poly, "_reduce_lp", spy)
+    R = remove_redundancy(P, bounded_hint=True)
+    assert used == [1]
+    assert not R.is_empty()
+    assert R.num_rows < P.num_rows
+    assert set_equal(R, flat, tol=1e-8)
+
+
+def test_remove_redundancy_empty_7d():
+    box = unit_box(7)
+    P = HPolytope(np.vstack([box.H, -np.eye(7)[:1]]), np.r_[box.h, -2.0])
+    R = remove_redundancy(P, bounded_hint=True)
+    assert R.is_empty() and R.num_rows == 1 and R.h[0] < 0
+
+
+def test_project_reuses_reduction_emptiness(monkeypatch):
+    rng = np.random.default_rng(2)
+    P = random_polytope(rng, 4, k=12)
+    calls = _count_lps(monkeypatch)
+    out = project(P, 2, bounded_hint=True)
+    # one emptiness LP on the input, one Chebyshev LP per eliminated coordinate
+    assert len(calls) == 1 + 2
+    assert out._empty is False
+
+
 def test_containment_ratio_examples():
     b = unit_box(2)
     assert containment_ratio(b, b) == pytest.approx(1.0, abs=1e-7)
