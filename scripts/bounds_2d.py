@@ -37,7 +37,7 @@ def main():
     assert conv, "the limit set did not converge"
     C_1, conv = max_invariant_set(augment(system, 1), tol=1e-9)
     assert conv
-    proj1 = project(C_1, system.n, bounded_hint=True)
+    proj1 = project(C_1, system.n)
 
     certs = {
         "alg1": algorithm1(system, C_co, C_1, p0=1, proj=proj1),

@@ -9,9 +9,7 @@ error, 3 assumptions unverifiable, 4 budget or iteration limit exceeded.
 import argparse
 import json
 import math
-import os
 import sys as _sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -19,16 +17,6 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_ASSUMPTION = 3
 EXIT_BUDGET = 4
-
-
-def _workers():
-    env = os.environ.get("PREVIEW_REGRET_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return min(4, os.cpu_count() or 1)
 
 
 def _write_json(path, doc):
@@ -98,7 +86,7 @@ def _regret_pipeline(args, system):
     p0 = args.p0
     base = augment(system, p0) if p0 else system
     C_p0, conv_p0 = max_invariant_set(base, tol=args.tol)
-    proj = project(C_p0, system.n, bounded_hint=True) if p0 else C_p0
+    proj = project(C_p0, system.n) if p0 else C_p0
     exact = conv_co and conv_p0
 
     wanted = {"1": ["alg1"], "1r": ["alg1_refined"], "2": ["alg2"],
@@ -132,13 +120,10 @@ def _regret_pipeline(args, system):
         except BudgetExceededError:
             return None
 
-    with ThreadPoolExecutor(max_workers=_workers()) as pool:
-        true_vals = list(pool.map(compute_true, ps))
-
     rows = []
     p_bar = report.p_bar if report is not None else None
-    for p, tv in zip(ps, true_vals):
-        row = {"p": p, "true_dp": tv}
+    for p in ps:
+        row = {"p": p, "true_dp": compute_true(p)}
         for name, col in (("alg1", "bound_alg1"),
                           ("alg1_refined", "bound_alg1_refined"),
                           ("alg2", "bound_alg2")):
@@ -273,21 +258,12 @@ def cmd_mpc(args) -> int:
                                 args.streams, args.seed)
         rng = np.random.default_rng(args.seed)
         cfg = MpcConfig(p=args.p, C=C)
-        tasks = []
+        bad = 0
         for k, stream in enumerate(streams):
             x0, _ = project_point(
                 rng.uniform(-1.0, 1.0, size=system.n), C)
-            tasks.append((k, x0, stream))
-
-        def run(task):
-            k, x0, stream = task
-            return k, simulate_closed_loop(system, cfg, x0, stream,
-                                           T=args.simulate)
-
-        with ThreadPoolExecutor(max_workers=_workers()) as pool:
-            results = list(pool.map(run, tasks))
-        bad = 0
-        for k, log in results:
+            log = simulate_closed_loop(system, cfg, x0, stream,
+                                       T=args.simulate)
             write_trajectory_csv(f"{prefix}_traj_{k:03d}.csv", log,
                                  system.n, system.m, system.l)
             bad += sum(0 if rec["feasible"] else 1 for rec in log)
@@ -353,7 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_reg.add_argument("--kmax", type=int, default=50)
     p_reg.add_argument("--tol", type=float, default=1e-8)
     p_reg.add_argument("--dim-budget", type=int, default=8)
-    p_reg.add_argument("--seed", type=int, default=0)
     p_reg.add_argument("--out", default="regret.csv")
     p_reg.set_defaults(func=cmd_regret)
 

@@ -46,7 +46,7 @@ def pre(sys, X: HPolytope, S: HPolytope | None = None) -> HPolytope:
     rows = np.vstack([X.H @ AB, S.H])
     rhs = np.r_[X.h, S.h]
     stacked = HPolytope(rows, rhs)
-    return project(stacked, n, bounded_hint=True)
+    return project(stacked, n)
 
 
 def pre_k(sys, X: HPolytope, S: HPolytope | None = None,
@@ -97,9 +97,9 @@ def max_invariant_set(sys, S: HPolytope | None = None, max_iter: int = 200,
     if S is None:
         S = _safe_set_of(sys)
     n = sys.n
-    X0 = project(HPolytope(S.H, S.h), n, bounded_hint=True)
+    X0 = project(HPolytope(S.H, S.h), n)
     if start is not None:
-        X0 = remove_redundancy(intersect(X0, start), bounded_hint=True)
+        X0 = remove_redundancy(intersect(X0, start))
     if X0.is_empty():
         return HPolytope.empty(n), True
     X = X0
@@ -109,7 +109,7 @@ def max_invariant_set(sys, S: HPolytope | None = None, max_iter: int = 200,
         P = pre(sys, X, S)
         if P.is_empty():
             return HPolytope.empty(n), True
-        X_next = remove_redundancy(intersect(P, X0), bounded_hint=True)
+        X_next = remove_redundancy(intersect(P, X0))
         if X_next.is_empty():
             return HPolytope.empty(n), True
         if _subset_within(X, X_next, tol):

@@ -10,7 +10,6 @@ import numpy as np
 
 from .solver import (
     INFEASIBLE,
-    OPTIMAL,
     UNBOUNDED,
     solve_lp_fast,
     project_point as _project_point,
@@ -311,15 +310,6 @@ def _dedupe_rows(H, h):
     return Hw[keep], hw[keep]
 
 
-def _support_fast(H, h, d):
-    sol = solve_lp_fast(-d, H, h)
-    if sol.status == OPTIMAL:
-        return -sol.objective, sol.point
-    if sol.status == UNBOUNDED:
-        return np.inf, None
-    raise EmptyPolytopeError("support of an empty polytope")
-
-
 def _reduce_lp(H, h):
     """Keep irredundant rows, certifying each removal with an LP."""
     q = H.shape[0]
@@ -330,11 +320,10 @@ def _reduce_lp(H, h):
         others = others[others != i]
         rows = np.vstack([H[others], H[i][None, :]])
         rhs = np.r_[h[others], h[i] + 1.0 + abs(h[i])]
-        try:
-            val, _ = _support_fast(rows, rhs, H[i])
-        except EmptyPolytopeError:
+        sol = solve_lp_fast(-H[i], rows, rhs)
+        if sol.status == INFEASIBLE:
             break
-        if val <= h[i] + 1e-9 * max(norms[i], 1.0):
+        if sol.optimal and -sol.objective <= h[i] + 1e-9 * max(norms[i], 1.0):
             alive[i] = False
     keep = np.flatnonzero(alive)
     if keep.size == 0:
@@ -352,12 +341,12 @@ def _reduce_dual_hull(H, h, center):
     """
     from scipy.spatial import ConvexHull, QhullError
 
+    if H.shape[0] <= H.shape[1]:
+        return None  # at most n halfspaces never bound a set in R^n
     d = h - H @ center
     if np.any(d <= 1e-12 * np.maximum(np.linalg.norm(H, axis=1), 1.0)):
         return None
     pts = H / d[:, None]
-    if pts.shape[0] <= pts.shape[1] + 1:
-        return H, h
     try:
         hull = ConvexHull(pts)
     except QhullError:
@@ -393,20 +382,22 @@ def _reduce_1d(H, h):
     return np.array(rows), np.array(rhs)
 
 
-def _nonempty(H, h) -> HPolytope:
+def _nonempty(H, h, cheby=None) -> HPolytope:
     out = HPolytope(H, h)
     out._empty = False
+    out._cheby = cheby
     return out
 
 
-def remove_redundancy(P: HPolytope, bounded_hint=None) -> HPolytope:
-    """Same set, irredundant rows; the result caches its emptiness.
+def remove_redundancy(P: HPolytope) -> HPolytope:
+    """Same set, irredundant rows; the result caches its emptiness and its
+    Chebyshev ball.
 
     One Chebyshev LP decides emptiness and gives an interior point. A
-    bounded (bounded_hint) full-dimensional set of any dimension then goes
-    through a dual convex hull around that point. Flat sets, unhinted sets
-    and hull failures fall back to one LP per row; only flat or borderline
-    sets pay a separate phase-1 emptiness LP.
+    full-dimensional set of any dimension then goes through a dual convex
+    hull around that point, which also proves it bounded. Flat sets,
+    unbounded sets and hull failures fall back to one LP per row; only flat
+    or borderline sets pay a separate phase-1 emptiness LP.
     """
     if P._empty:
         return HPolytope.empty(P.dim)
@@ -426,11 +417,11 @@ def remove_redundancy(P: HPolytope, bounded_hint=None) -> HPolytope:
         return HPolytope.empty(P.dim)
     if radius <= _FLAT_RADIUS and P.is_empty():
         return HPolytope.empty(P.dim)
-    if radius > _FLAT_RADIUS and bounded_hint:
+    if radius > _FLAT_RADIUS:
         out = _reduce_dual_hull(Hd, hd, center)
         if out is not None:
-            return _nonempty(*out)
-    return _nonempty(*_reduce_lp(Hd, hd))
+            return _nonempty(*out, (center, radius))
+    return _nonempty(*_reduce_lp(Hd, hd), (center, radius))
 
 
 # ---------------------------------------------------------------------------
@@ -473,15 +464,18 @@ def _fm_eliminate(H, h, j):
     return H_out / expo[:, None], h_out / expo
 
 
-def project(P: HPolytope, keep: int, bounded_hint=None,
-            row_cap=ROW_CAP) -> HPolytope:
-    """Exact orthogonal projection onto the first `keep` coordinates."""
+def project(P: HPolytope, keep: int) -> HPolytope:
+    """Exact orthogonal projection onto the first `keep` coordinates.
+
+    Fourier-Motzkin keeps emptiness, so an empty input is found by the
+    first reduction's Chebyshev LP; no phase-1 LP is spent on the input.
+    """
     n = P.dim
     if keep > n:
         raise ValueError("cannot keep more coordinates than the dimension")
     if keep == n:
         return P
-    if P.is_empty():
+    if P._empty:
         return HPolytope.empty(keep)
     H, h = P.H, P.h
     colmap = list(range(n))  # original coordinate index of each current column
@@ -503,15 +497,15 @@ def project(P: HPolytope, keep: int, bounded_hint=None,
         remaining.remove(colmap[best])
         colmap.pop(best)
         H, h = _fm_eliminate(H, h, best)
-        if H.shape[0] > row_cap:
+        if H.shape[0] > ROW_CAP:
             raise BudgetExceededError(
-                f"Fourier-Motzkin exceeded the {row_cap}-row cap")
+                f"Fourier-Motzkin exceeded the {ROW_CAP}-row cap")
         Hd, hd = _dedupe_rows(H, h)
         if Hd is None:
             return HPolytope.empty(keep)
         if Hd.shape[0] == 0:
             Hd, hd = np.zeros((1, len(colmap))), np.array([1.0])
-        reduced = remove_redundancy(HPolytope(Hd, hd), bounded_hint=bounded_hint)
+        reduced = remove_redundancy(HPolytope(Hd, hd))
         if reduced.is_empty():
             return HPolytope.empty(keep)
         H, h = reduced.H, reduced.h
@@ -727,20 +721,20 @@ def _dedupe_points(pts, tol=TAU_VERT):
     return np.array(out)
 
 
-def vertices(P: HPolytope, dim_cap=VERTEX_DIM_CAP) -> np.ndarray:
+def vertices(P: HPolytope) -> np.ndarray:
     """Exact vertex set of a bounded polytope (deduplicated)."""
     n = P.dim
-    if n > dim_cap:
+    if n > VERTEX_DIM_CAP:
         raise BudgetExceededError(
-            f"vertex enumeration capped at dimension {dim_cap}; "
+            f"vertex enumeration capped at dimension {VERTEX_DIM_CAP}; "
             "use the bounding-box fallback")
-    if P.is_empty():
+    R = remove_redundancy(P)
+    if R.is_empty():
         raise EmptyPolytopeError("empty polytope has no vertices")
     if n == 1:
         return _vertices_1d(P)
-    center, radius = P.chebyshev_center()
+    center, radius = R.chebyshev_center()
     if radius > 1e-9:
-        R = remove_redundancy(P, bounded_hint=True)
         if n == 2:
             out = _vertices_2d_ordered(R.H, R.h)
             if out is not None:

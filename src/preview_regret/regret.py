@@ -155,7 +155,7 @@ def _projection_of(sys, C_max_p0, p0, proj):
         raise ValueError("need the p0 invariant set or its projection")
     if p0 == 0:
         return C_max_p0
-    return project(C_max_p0, sys.n, bounded_hint=True)
+    return project(C_max_p0, sys.n)
 
 
 def _finish_certificate(method, lambda0, gamma, N, lam, r_co, p0, eq,
@@ -294,7 +294,7 @@ def bound_marginal(cert: RegretCertificate, p: int) -> float:
 
 def algorithm3(sys: LinearSystem, C_max_co: HPolytope,
                proj_C_max_p0: HPolytope, p0: int = 0, k_max: int = 50,
-               eq_tol: float = 0.0, with_distances: bool = True,
+               eq_tol: float = 0.0,
                distance_mode: str = "auto") -> ConvergenceReport:
     """Ladder detection of finite-time convergence of the projections.
 
@@ -318,23 +318,20 @@ def algorithm3(sys: LinearSystem, C_max_co: HPolytope,
         ladder.append(nxt)
         if contains(nxt, C_max_co, tol=eq_tol):
             p_bar = p0 + k
-    distances = []
-    if with_distances:
-        if distance_mode == "auto":
-            distance_mode = "exact" if C_max_co.dim <= 6 else "box"
-        if distance_mode == "exact":
-            anchors = vertices(C_max_co)
-        elif distance_mode == "box":
-            from .polytope import bounding_box
+    if distance_mode == "auto":
+        distance_mode = "exact" if C_max_co.dim <= 6 else "box"
+    if distance_mode == "exact":
+        anchors = vertices(C_max_co)
+    elif distance_mode == "box":
+        from .polytope import bounding_box
 
-            anchors = bounding_box(C_max_co).corners()
-        else:
-            raise ValueError(f"unknown distance mode {distance_mode!r}")
-        from .solver import project_point
+        anchors = bounding_box(C_max_co).corners()
+    else:
+        raise ValueError(f"unknown distance mode {distance_mode!r}")
+    from .solver import project_point
 
-        for C_k in ladder:
-            d = max(float(project_point(v, C_k)[1]) for v in anchors)
-            distances.append(d)
+    distances = [max(float(project_point(v, C_k)[1]) for v in anchors)
+                 for C_k in ladder]
     return ConvergenceReport(p_bar=p_bar, ladder=ladder, distances=distances,
                              k_max=k_max)
 
@@ -384,7 +381,7 @@ def true_dp(sys: LinearSystem, p: int, C_max_co: HPolytope,
     if C_p.is_empty():
         return hausdorff_nested(HPolytope.empty(sys.n), C_max_co)
     if sys.n == 1 or n_aug <= 4:
-        proj = project(C_p, sys.n, bounded_hint=True)
+        proj = project(C_p, sys.n)
         return hausdorff_nested(proj, C_max_co)
     verts = vertices(C_max_co)
     return max(_distance_to_lifted_projection(v, C_p, sys.n) for v in verts)
@@ -401,4 +398,4 @@ def proj_cmax_p(sys: LinearSystem, p: int, tol: float = 1e-8,
         raise BudgetExceededError("fixed point did not converge")
     if p == 0 or C.is_empty():
         return C if p == 0 else HPolytope.empty(sys.n)
-    return project(C, sys.n, bounded_hint=True)
+    return project(C, sys.n)

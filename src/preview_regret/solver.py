@@ -34,38 +34,6 @@ class NotStabilizableError(ValueError):
 
 
 @dataclass
-class LpProblem:
-    cost: np.ndarray
-    A_ub: np.ndarray | None = None
-    b_ub: np.ndarray | None = None
-    A_eq: np.ndarray | None = None
-    b_eq: np.ndarray | None = None
-
-    def __post_init__(self):
-        self.cost = np.atleast_1d(np.asarray(self.cost, dtype=float))
-        n = self.cost.shape[0]
-        for attr in ("A_ub", "A_eq"):
-            A = getattr(self, attr)
-            if A is not None:
-                A = np.atleast_2d(np.asarray(A, dtype=float))
-                if A.shape[1] != n:
-                    raise ValueError(f"{attr} has {A.shape[1]} columns, expected {n}")
-                setattr(self, attr, A)
-        for Aattr, battr in (("A_ub", "b_ub"), ("A_eq", "b_eq")):
-            A, b = getattr(self, Aattr), getattr(self, battr)
-            if (A is None) != (b is None):
-                raise ValueError(f"{Aattr} and {battr} must be given together")
-            if b is not None:
-                b = np.atleast_1d(np.asarray(b, dtype=float))
-                if b.shape[0] != A.shape[0]:
-                    raise ValueError(f"{battr} length does not match {Aattr}")
-                setattr(self, battr, b)
-        for arr in (self.cost, self.A_ub, self.b_ub, self.A_eq, self.b_eq):
-            if arr is not None and not np.all(np.isfinite(arr)):
-                raise ValueError("LP data must be finite")
-
-
-@dataclass
 class LpSolution:
     status: str
     point: np.ndarray | None = None
@@ -264,28 +232,16 @@ def _simplex(c, A_ub, b_ub, A_eq, b_eq, maxiter=None, nonneg=None):
     return OPTIMAL, x, float(c @ x)
 
 
-def solve_lp(problem: LpProblem) -> LpSolution:
-    """Solve a dense LP; statuses are reported, never silently collapsed.
-
-    Small problems go through the in-house two-phase simplex; large ones,
-    and any solve the simplex flags as numerically stuck, use HiGHS.
-    """
-    c = problem.cost
-    A_ub, b_ub = problem.A_ub, problem.b_ub
-    A_eq, b_eq = problem.A_eq, problem.b_eq
-    n = c.shape[0]
-    m = (0 if A_ub is None else A_ub.shape[0]) + (0 if A_eq is None else A_eq.shape[0])
-    if n <= 60 and m <= 400:
-        status, x, obj = _simplex(c, A_ub, b_ub, A_eq, b_eq)
-        if status != "stall":
-            return LpSolution(status, x, obj)
-    status, x, obj = _scipy_lp(c, A_ub, b_ub, A_eq, b_eq)
-    return LpSolution(status, x, obj)
-
-
 def solve_lp_fast(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None,
                   nonneg=None) -> LpSolution:
-    """solve_lp without the dataclass validation overhead (hot paths)."""
+    """Solve min c'x s.t. A_ub x <= b_ub, A_eq x = b_eq; the one LP entry point.
+
+    Variables are free unless flagged in the boolean mask nonneg. Arrays
+    must be float and consistent in shape; they are not validated. Statuses
+    are reported, never silently collapsed. Small problems go through the
+    in-house two-phase simplex; large ones, and any solve the simplex flags
+    as numerically stuck, use HiGHS.
+    """
     c = np.asarray(c, dtype=float)
     n = c.shape[0]
     m = (0 if A_ub is None else A_ub.shape[0]) + (0 if A_eq is None else A_eq.shape[0])

@@ -99,7 +99,7 @@ def test_criterion_1_analytic_spine(spine_1d):
         for p in range(1, 7):
             Cp, conv = max_invariant_set(augment(sys, p), tol=1e-11)
             assert conv
-            proj = project(Cp, 1, bounded_hint=True)
+            proj = project(Cp, 1)
             r = oracle.proj_radius(p)
             assert support(proj, [1.0]) == pytest.approx(r, abs=1e-9)
             assert -support(proj, [-1.0]) == pytest.approx(-r, abs=1e-9)
@@ -141,7 +141,7 @@ def test_criterion_3_soundness_sweep():
             assert conv, f"seed {seed}: limit set did not converge"
             C_1, conv = max_invariant_set(augment(sys, 1), tol=1e-9)
             assert conv
-            proj1 = project(C_1, 2, bounded_hint=True)
+            proj1 = project(C_1, 2)
             certs = [
                 algorithm1(sys, C_co, C_1, p0=1, proj=proj1),
                 algorithm1(sys, C_co, C_1, p0=1, proj=proj1, refine=True),
@@ -243,7 +243,7 @@ def test_criterion_5_ladder_certification(spine_1d):
             assert conv
             c12, conv = max_invariant_set(augment(s2, 1), tol=1e-9)
             assert conv
-            p2 = project(c12, 2, bounded_hint=True)
+            p2 = project(c12, 2)
             rep2 = algorithm3(s2, cco2, p2, p0=1, k_max=30, eq_tol=1e-9)
             if math.isfinite(rep2.p_bar):
                 finite_found += 1
@@ -272,11 +272,11 @@ def test_criterion_6_mpc():
         # both routes to the feasible-domain projection agree
         for p in (1, 2):
             dom = feasible_domain(sys, C, p=p, want_full=True)
-            proj_full = project(dom.full, sys.n, bounded_hint=True)
+            proj_full = project(dom.full, sys.n)
             assert set_equal(proj_full, dom.projection, tol=1e-6)
             Cp, conv = max_invariant_set(augment(sys, p), tol=1e-9)
             assert conv
-            proj_cmax = project(Cp, sys.n, bounded_hint=True)
+            proj_cmax = project(Cp, sys.n)
             assert contains(proj_cmax, dom.projection, tol=1e-6)
             assert contains(C_co, proj_cmax, tol=1e-6)
 

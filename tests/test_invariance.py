@@ -186,11 +186,9 @@ def test_proj_ladder_lemma():
     C_co, _ = max_invariant_set(co, tol=1e-10)
     from preview_regret.polytope import project
 
-    proj1 = project(max_invariant_set(augment(s, 1), tol=1e-10)[0], 1,
-                    bounded_hint=True)
+    proj1 = project(max_invariant_set(augment(s, 1), tol=1e-10)[0], 1)
     for k in (1, 2):
         stepped = pre_k(co, proj1, k=k)
-        projk = project(max_invariant_set(augment(s, 1 + k), tol=1e-10)[0], 1,
-                        bounded_hint=True)
+        projk = project(max_invariant_set(augment(s, 1 + k), tol=1e-10)[0], 1)
         assert contains(projk, stepped, tol=1e-8)
         assert contains(C_co, projk, tol=1e-8)

@@ -66,7 +66,7 @@ def test_full_domain_projection_identity(setup_2d):
     for p in (1, 2):
         dom = feasible_domain(sys, C, p=p, want_full=True)
         assert dom.full is not None
-        proj_of_full = project(dom.full, sys.n, bounded_hint=True)
+        proj_of_full = project(dom.full, sys.n)
         assert set_equal(proj_of_full, dom.projection, tol=1e-7)
 
 
@@ -84,7 +84,7 @@ def test_domain_sandwich(setup_2d):
         dom = feasible_domain(sys, C, p=p)
         Cp, conv = max_invariant_set(augment(sys, p), tol=1e-9)
         assert conv
-        proj_cmax = project(Cp, sys.n, bounded_hint=True)
+        proj_cmax = project(Cp, sys.n)
         assert contains(proj_cmax, dom.projection, tol=1e-7)
         assert contains(C_co, proj_cmax, tol=1e-7)
 
@@ -204,7 +204,7 @@ def test_max_rcis_mode(spine_1d):
     Cp, conv = max_invariant_set(augment(sys, p), tol=1e-10)
     assert conv
     cfg = MpcConfig(p=p, C=C, rfc="max_rcis", cmax_p=Cp)
-    dom_proj = project(Cp, 1, bounded_hint=True)
+    dom_proj = project(Cp, 1)
     edge = support(dom_proj, [1.0]) - 1e-6
     # the +edge of the projection is only feasible with all-favorable previews
     _, _, feasible = mpc_step(sys, cfg, [edge], [[-0.5], [-0.5]])

@@ -8,6 +8,7 @@ from preview_regret.polytope import (
     HPolytope,
     NormalFormError,
     UnboundedError,
+    _reduce_lp,
     affine_preimage,
     bounding_box,
     cartesian_product,
@@ -85,7 +86,7 @@ def test_product_projection_roundtrip():
     Q = interval(-0.5, 2.0)
     PQ = cartesian_product(P, Q)
     assert PQ.dim == 3
-    back = project(PQ, 2, bounded_hint=True)
+    back = project(PQ, 2)
     assert set_equal(back, P, tol=1e-9)
 
 
@@ -131,7 +132,7 @@ def test_erode_examples():
 
 def test_project_simplex_to_segment():
     P = HPolytope([[1.0, 1.0], [-1.0, 0.0], [0.0, -1.0]], [1.0, 0.0, 0.0])
-    out = project(P, 1, bounded_hint=True)
+    out = project(P, 1)
     assert support(out, [1.0]) == pytest.approx(1.0)
     assert -support(out, [-1.0]) == pytest.approx(0.0)
 
@@ -141,7 +142,7 @@ def test_project_rotated_square_matches_vertex_oracle():
     R = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
     sq = unit_box(2)
     rot = affine_preimage(sq, R.T)  # rotate the square by theta
-    proj = project(rot, 1, bounded_hint=True)
+    proj = project(rot, 1)
     vs = vertices(rot)
     lo, hi = vs[:, 0].min(), vs[:, 0].max()
     assert -support(proj, [-1.0]) == pytest.approx(lo, abs=1e-9)
@@ -162,7 +163,7 @@ def test_remove_redundancy_examples():
     offs = np.abs(cuts).sum(axis=1) * (1.0 + rng.uniform(0.1, 2.0, size=10))
     sq = unit_box(2)
     fat = HPolytope(np.vstack([sq.H, cuts]), np.r_[sq.h, offs])
-    red = remove_redundancy(fat, bounded_hint=True)
+    red = remove_redundancy(fat)
     assert red.num_rows == 4
     assert set_equal(red, sq, tol=1e-9)
 
@@ -207,13 +208,11 @@ def _count_lps(monkeypatch):
 
 
 def test_remove_redundancy_8d_one_lp(monkeypatch):
-    from preview_regret.polytope import _reduce_lp
-
     rng = np.random.default_rng(11)
     P = _with_redundant_rows(random_polytope(rng, 8, k=40), rng)
     via_lp = HPolytope(*_reduce_lp(P.H, P.h))
     calls = _count_lps(monkeypatch)
-    R = remove_redundancy(P, bounded_hint=True)
+    R = remove_redundancy(P)
     assert len(calls) == 1
     assert R._empty is False
     assert R.num_rows == via_lp.num_rows < P.num_rows
@@ -237,7 +236,7 @@ def test_remove_redundancy_flat_7d_uses_lp_fallback(monkeypatch):
         return real(H, h)
 
     monkeypatch.setattr(poly, "_reduce_lp", spy)
-    R = remove_redundancy(P, bounded_hint=True)
+    R = remove_redundancy(P)
     assert used == [1]
     assert not R.is_empty()
     assert R.num_rows < P.num_rows
@@ -247,7 +246,7 @@ def test_remove_redundancy_flat_7d_uses_lp_fallback(monkeypatch):
 def test_remove_redundancy_empty_7d():
     box = unit_box(7)
     P = HPolytope(np.vstack([box.H, -np.eye(7)[:1]]), np.r_[box.h, -2.0])
-    R = remove_redundancy(P, bounded_hint=True)
+    R = remove_redundancy(P)
     assert R.is_empty() and R.num_rows == 1 and R.h[0] < 0
 
 
@@ -255,10 +254,38 @@ def test_project_reuses_reduction_emptiness(monkeypatch):
     rng = np.random.default_rng(2)
     P = random_polytope(rng, 4, k=12)
     calls = _count_lps(monkeypatch)
-    out = project(P, 2, bounded_hint=True)
-    # one emptiness LP on the input, one Chebyshev LP per eliminated coordinate
-    assert len(calls) == 1 + 2
+    out = project(P, 2)
+    # one Chebyshev LP per eliminated coordinate, none on the input
+    assert len(calls) == 2
     assert out._empty is False
+
+
+def test_vertices_one_lp(monkeypatch):
+    calls = _count_lps(monkeypatch)
+    V = vertices(unit_box(3))
+    assert len(calls) == 1
+    assert V.shape == (8, 3)
+    assert np.allclose(np.abs(V), 1.0)
+
+
+@pytest.mark.parametrize("H, h", [
+    # half-plane, with a parallel looser copy
+    ([[1.0, 0.0], [2.0, 0.0]], [1.0, 3.0]),
+    # wedge with two implied rows
+    ([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, 2.0]], [1.0, 1.0, 3.0, 5.0]),
+    # slab, with a parallel looser copy
+    ([[1.0, 0.0], [-1.0, 0.0], [2.0, 0.0]], [1.0, 1.0, 5.0]),
+    # unbounded with n + 1 rows, one of them implied
+    ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 1.0, 1.0]],
+     [1.0, 1.0, 1.0, 5.0]),
+])
+def test_remove_redundancy_unbounded_matches_lp(H, h):
+    P = HPolytope(H, h)
+    H_lp, h_lp = _reduce_lp(P.H, P.h)
+    R = remove_redundancy(P)
+    assert R._empty is False
+    assert R.num_rows < P.num_rows
+    assert np.array_equal(R.H, H_lp) and np.array_equal(R.h, h_lp)
 
 
 def test_containment_ratio_examples():
@@ -300,7 +327,7 @@ def test_containment_ratio_projected_conservative():
     for _ in range(5):
         P2 = random_polytope(rng, 3, k=6)
         P1 = random_polytope(rng, 2, k=5)
-        proj = project(P2, 2, bounded_hint=True)
+        proj = project(P2, 2)
         r_enc = containment_ratio_projected(P1, P2)
         r_exact = containment_ratio(P1, proj)
         assert r_enc >= r_exact - 1e-7
@@ -330,7 +357,7 @@ def test_vertices_examples():
     assert sorted(v[0] for v in V1) == [-2.0, 3.5]
 
     rng = np.random.default_rng(5)
-    P = remove_redundancy(random_polytope(rng, 2), bounded_hint=True)
+    P = remove_redundancy(random_polytope(rng, 2))
     V = vertices(P)
     assert V.shape[0] == P.num_rows  # 2D facet/vertex duality
 
@@ -418,7 +445,7 @@ def test_scale_shrinks_origin_interior(P, lam):
 @given(polytopes())
 def test_project_product_roundtrip(P):
     Q = interval(-0.7, 0.4)
-    back = project(cartesian_product(P, Q), P.dim, bounded_hint=True)
+    back = project(cartesian_product(P, Q), P.dim)
     assert set_equal(back, P, tol=1e-7)
 
 
@@ -433,9 +460,9 @@ def test_erode_zero_disturbance_identity(P):
 @settings(max_examples=15, deadline=None)
 @given(polytopes())
 def test_remove_redundancy_preserves_set(P):
-    R = remove_redundancy(P, bounded_hint=True)
+    R = remove_redundancy(P)
     assert set_equal(R, P, tol=1e-8)
-    R2 = remove_redundancy(P)  # LP path
+    R2 = HPolytope(*_reduce_lp(P.H, P.h))  # LP path
     assert set_equal(R2, P, tol=1e-8)
 
 
@@ -444,11 +471,9 @@ def test_remove_redundancy_preserves_set(P):
 def test_hausdorff_triangle_inequality(seed):
     rng = np.random.default_rng(seed)
     base = random_polytope(rng, 2)
-    A = remove_redundancy(base, bounded_hint=True)
-    B = remove_redundancy(HPolytope(A.H, A.h * rng.uniform(1.2, 1.8)),
-                          bounded_hint=True)
-    C = remove_redundancy(HPolytope(A.H, B.h * rng.uniform(1.2, 1.8)),
-                          bounded_hint=True)
+    A = remove_redundancy(base)
+    B = remove_redundancy(HPolytope(A.H, A.h * rng.uniform(1.2, 1.8)))
+    C = remove_redundancy(HPolytope(A.H, B.h * rng.uniform(1.2, 1.8)))
     dab = hausdorff_nested(A, B)
     dbc = hausdorff_nested(B, C)
     dac = hausdorff_nested(A, C)

@@ -75,7 +75,7 @@ def test_lambda0_method_ordering():
         assert conv
         from preview_regret.polytope import project
 
-        proj1 = project(C_1, 2, bounded_hint=True)
+        proj1 = project(C_1, 2)
         from preview_regret.systems import equilibrium_margin_at_zero
 
         eps = equilibrium_margin_at_zero(sys, proj1)
@@ -134,7 +134,7 @@ def test_algorithm2_larger_N_coarser_faster():
     C_1, _ = max_invariant_set(augment(sys, 1), tol=1e-9)
     from preview_regret.polytope import project
 
-    proj1 = project(C_1, 2, bounded_hint=True)
+    proj1 = project(C_1, 2)
     g = []
     for N in (2, 4, 8):
         cert = algorithm2(sys, C_co, proj=proj1, p0=1, N=N)
@@ -349,7 +349,7 @@ def test_lemma2_ladder_2d():
     for p in (1, 2, 3):
         Cp, conv = max_invariant_set(augment(sys, p), tol=1e-9)
         assert conv
-        proj[p] = project(Cp, 2, bounded_hint=True)
+        proj[p] = project(Cp, 2)
     co = collaborative(sys)
     for k in (1, 2):
         stepped = pre_k(co, proj[1], k=k)

@@ -7,7 +7,6 @@ from preview_regret.solver import (
     INFEASIBLE,
     OPTIMAL,
     UNBOUNDED,
-    LpProblem,
     NotPositiveDefiniteError,
     NotStabilizableError,
     cholesky,
@@ -16,7 +15,6 @@ from preview_regret.solver import (
     is_stabilizable,
     project_point,
     solve_dare,
-    solve_lp,
     solve_lp_fast,
     solve_qp,
     spectral_radius,
@@ -24,14 +22,14 @@ from preview_regret.solver import (
 
 
 def test_lp_single_active_constraint():
-    sol = solve_lp(LpProblem(cost=[1.0], A_ub=[[-1.0]], b_ub=[-1.0]))
+    sol = solve_lp_fast([1.0], np.array([[-1.0]]), np.array([-1.0]))
     assert sol.status == OPTIMAL
     assert sol.point[0] == pytest.approx(1.0, abs=1e-9)
     assert sol.objective == pytest.approx(1.0, abs=1e-9)
 
 
 def test_lp_contradictory_bounds_infeasible():
-    sol = solve_lp(LpProblem(cost=[1.0], A_ub=[[1.0], [-1.0]], b_ub=[-1.0, -1.0]))
+    sol = solve_lp_fast([1.0], np.array([[1.0], [-1.0]]), np.array([-1.0, -1.0]))
     assert sol.status == INFEASIBLE
     assert sol.point is None
 
@@ -42,14 +40,14 @@ def test_lp_box_vertex():
     best = min(-(c[0] + c[1]) for c in corners)
     A = np.vstack([np.eye(2), -np.eye(2)])
     b = np.array([1.0, 1.0, 0.0, 0.0])
-    sol = solve_lp(LpProblem(cost=[-1.0, -1.0], A_ub=A, b_ub=b))
+    sol = solve_lp_fast([-1.0, -1.0], A, b)
     assert sol.status == OPTIMAL
     assert sol.objective == pytest.approx(best, abs=1e-9)
     assert np.allclose(sol.point, [1.0, 1.0], atol=1e-9)
 
 
 def test_lp_unbounded():
-    sol = solve_lp(LpProblem(cost=[-1.0], A_ub=[[-1.0]], b_ub=[0.0]))
+    sol = solve_lp_fast([-1.0], np.array([[-1.0]]), np.array([0.0]))
     assert sol.status == UNBOUNDED
 
 
@@ -209,13 +207,3 @@ def test_controllability_helpers():
     assert is_stabilizable([[0.5, 0.0], [0.0, 2.0]], [[0.0], [1.0]])
     assert not is_stabilizable([[0.5, 0.0], [0.0, 2.0]], [[1.0], [0.0]])
 
-
-def test_lp_problem_validation():
-    with pytest.raises(ValueError):
-        LpProblem(cost=[1.0, 2.0], A_ub=[[1.0]], b_ub=[1.0])  # width mismatch
-    with pytest.raises(ValueError):
-        LpProblem(cost=[1.0], A_ub=[[1.0]], b_ub=[1.0, 2.0])  # length mismatch
-    with pytest.raises(ValueError):
-        LpProblem(cost=[np.inf], A_ub=[[1.0]], b_ub=[1.0])
-    with pytest.raises(ValueError):
-        LpProblem(cost=[1.0], A_ub=[[1.0]])  # rhs missing
