@@ -134,7 +134,7 @@ def _regret_pipeline(args, system):
         if p_bar is not None:
             row["p_bar"] = float(p_bar)
         rows.append(row)
-    return certs, report, failures, rows, exact
+    return certs, report, failures, rows
 
 
 def cmd_regret(args) -> int:
@@ -148,7 +148,7 @@ def cmd_regret(args) -> int:
 
     system = load_system(args.system)
     try:
-        certs, report, failures, rows, exact = _regret_pipeline(args, system)
+        certs, report, failures, rows = _regret_pipeline(args, system)
     except AssumptionError as exc:
         print(f"assumptions unverifiable: {exc}", file=_sys.stderr)
         return EXIT_ASSUMPTION
@@ -157,11 +157,7 @@ def cmd_regret(args) -> int:
     stem = args.out[:-4] if args.out.endswith(".csv") else args.out
     for name, cert in certs.items():
         path = f"{stem}_{name}.cert.json"
-        doc = certificate_to_json(cert)
-        if not exact:
-            doc["note"] = ("limit set is an outer approximation; bounds are "
-                           "heuristic, not certified")
-        _write_json(path, doc)
+        _write_json(path, certificate_to_json(cert))
         if cert.ellipsoid is not None:
             from .serialize import ellipsoid_to_json
 
@@ -183,7 +179,7 @@ def cmd_regret(args) -> int:
 
 
 def cmd_mpc(args) -> int:
-    from .invariance import max_invariant_set, pre_k
+    from .invariance import max_invariant_set
     from .mpc import (
         MpcConfig,
         TerminalSetError,
@@ -191,8 +187,8 @@ def cmd_mpc(args) -> int:
         simulate_closed_loop,
         terminal_set_certificate,
     )
-    from .polytope import BudgetExceededError, hausdorff_nested
-    from .regret import bound_dp
+    from .polytope import VERTEX_DIM_CAP
+    from .regret import algorithm3, bound_dp
     from .serialize import (
         SCHEMA_VERSION,
         certificate_to_json,
@@ -213,6 +209,10 @@ def cmd_mpc(args) -> int:
             print("error: the system has no robust invariant set in the safe "
                   "set; cannot pick a terminal set", file=_sys.stderr)
             return EXIT_ASSUMPTION
+        if not conv:
+            print("warning: iteration limit hit; the result is an outer "
+                  "approximation", file=_sys.stderr)
+            return EXIT_BUDGET
     else:
         with open(args.terminal) as fh:
             C = polytope_from_json(json.load(fh), "terminal")
@@ -231,25 +231,24 @@ def cmd_mpc(args) -> int:
 
     C_co, conv_co = max_invariant_set(collaborative(system), tol=args.tol)
     try:
-        cert = terminal_set_certificate(system, C, C_max_co=C_co, tol=args.tol)
+        cert = terminal_set_certificate(system, C, C_co, cmax_exact=conv_co)
     except AssumptionError as exc:
         print(f"assumptions unverifiable: {exc}", file=_sys.stderr)
         return EXIT_ASSUMPTION
     _write_json(f"{prefix}_cert.json", certificate_to_json(cert))
 
-    co = collaborative(system)
+    p_max = max(args.p, args.curve_max)
+    # above the cap the ladder distances would be box-corner upper bounds,
+    # not measurements, so the column stays blank there
+    gaps = None
+    if system.n <= VERTEX_DIM_CAP:
+        gaps = algorithm3(system, C_co, C, p0=0, k_max=p_max).distances
     curve = []
-    ladder = C
-    verts = None
-    for p in range(0, max(args.p, args.curve_max) + 1):
+    for p in range(0, p_max + 1):
         rowdoc = {"p": p, "bound_dp": bound_dp(cert, p)}
-        if p > 0:
-            ladder = pre_k(co, ladder, k=1)
-        if system.n <= 6:
-            try:
-                rowdoc["measured_gap"] = hausdorff_nested(ladder, C_co)
-            except (ValueError, BudgetExceededError):
-                pass
+        if gaps is not None:
+            # the ladder stops once it contains the limit set
+            rowdoc["measured_gap"] = gaps[p] if p < len(gaps) else 0.0
         curve.append(rowdoc)
     write_bound_curve_csv(f"{prefix}_bounds.csv", curve)
 

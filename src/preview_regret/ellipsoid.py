@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .polytope import HPolytope, bounding_box, vertices
+from .polytope import HPolytope, hull_points
 from .solver import (
     NotStabilizableError,
     SolverError,
@@ -166,18 +166,14 @@ def max_c0(ell: ContractiveEllipsoid, S_xu: HPolytope, D: HPolytope) -> float:
     return float(max(c0, 0.0))
 
 
-def min_c_out(C_max_co: HPolytope, Q, mode="exact") -> float:
-    """Smallest (exact) or certified (box) c with C_max_co inside E(c)."""
+def min_c_out(C_max_co: HPolytope, Q) -> float:
+    """Smallest c with C_max_co inside E(c); above VERTEX_DIM_CAP dimensions
+    a certified upper bound from bounding-box corners."""
     Q = np.atleast_2d(np.asarray(Q, dtype=float))
     Qi = np.linalg.inv(Q)
     if not C_max_co.contains_point(np.zeros(C_max_co.dim)):
         raise ValueError("expected the origin inside the invariant set")
-    if mode == "exact":
-        V = vertices(C_max_co)
-    elif mode == "box":
-        V = bounding_box(C_max_co).corners()
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    V = hull_points(C_max_co)
     vals = np.einsum("ij,jk,ik->i", V, Qi, V)
     return float(np.sqrt(np.max(vals)))
 

@@ -86,26 +86,20 @@ def _subset_within(X_old: HPolytope, X_new: HPolytope, tol) -> bool:
 
 
 def max_invariant_set(sys, S: HPolytope | None = None, max_iter: int = 200,
-                      tol: float = TAU_SET, start: HPolytope | None = None,
-                      cancel=None):
+                      tol: float = TAU_SET):
     """Maximal (robust) controlled invariant set by the outside-in iteration.
 
     Returns (C, converged). Every iterate contains the maximal set, so a
-    non-converged result is a certified outer approximation. `start` may
-    supply any known outer approximation to shorten the run.
+    non-converged result is a certified outer approximation.
     """
     if S is None:
         S = _safe_set_of(sys)
     n = sys.n
     X0 = project(HPolytope(S.H, S.h), n)
-    if start is not None:
-        X0 = remove_redundancy(intersect(X0, start))
     if X0.is_empty():
         return HPolytope.empty(n), True
     X = X0
     for _ in range(max_iter):
-        if cancel is not None and cancel():
-            return X, False
         P = pre(sys, X, S)
         if P.is_empty():
             return HPolytope.empty(n), True

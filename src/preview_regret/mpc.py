@@ -61,24 +61,23 @@ class FeasibleDomain:
 
 
 def feasible_domain(sys: LinearSystem, C: HPolytope, p: int,
-                    want_full: bool = False, check_invariant: bool = True,
-                    tol: float = 1e-7) -> FeasibleDomain:
+                    want_full: bool = False) -> FeasibleDomain:
     """Initial conditions (x0, previews) admitting a feasible MPC solution.
 
     The state-space projection is the p-step backward reachable set of C
     under the collaborative dynamics, which never touches the augmented
     space; the full domain is the p-step backward set of C x D^p for the
-    augmented system and is only built within the dimension budget.
+    augmented system and is only built within the dimension budget. Raises
+    TerminalSetError unless C is robustly invariant.
     """
     if p < 1:
         raise ValueError("the preview horizon must be at least 1")
-    if check_invariant:
-        w = rcis_violation_witness(sys, C, tol=tol)
-        if w is not None:
-            raise TerminalSetError(
-                "terminal set is not robustly invariant; a state of C "
-                f"escapes in one step: {np.array2string(w, precision=6)}",
-                witness=w)
+    w = rcis_violation_witness(sys, C, tol=1e-7)
+    if w is not None:
+        raise TerminalSetError(
+            "terminal set is not robustly invariant; a state of C "
+            f"escapes in one step: {np.array2string(w, precision=6)}",
+            witness=w)
     co = collaborative(sys)
     projection = pre_k(co, C, k=p)
     full = None
@@ -94,25 +93,21 @@ def feasible_domain(sys: LinearSystem, C: HPolytope, p: int,
 
 
 def terminal_set_certificate(sys: LinearSystem, C: HPolytope,
-                             N: int | None = None,
-                             C_max_co: HPolytope | None = None,
-                             tol: float = 1e-8) -> RegretCertificate:
+                             C_max_co: HPolytope, N: int | None = None,
+                             cmax_exact: bool = True) -> RegretCertificate:
     """Decay certificate for the gap between the feasible-domain projection
     and the infinite-preview limit, anchored on the terminal set.
 
     Uses the controllable-system method when it applies, else the two-phase
     schedule; either way the p0 projection is replaced by C itself.
+    cmax_exact says whether C_max_co is the converged limit set rather than
+    an outer approximation of it.
     """
-    from .invariance import max_invariant_set
-
-    converged = True
-    if C_max_co is None:
-        C_max_co, converged = max_invariant_set(collaborative(sys), tol=tol)
     try:
         return algorithm2(sys, C_max_co, proj=C, p0=0, N=N,
-                          cmax_exact=converged)
+                          cmax_exact=cmax_exact)
     except NotControllableError:
-        return algorithm1(sys, C_max_co, proj=C, p0=0, cmax_exact=converged)
+        return algorithm1(sys, C_max_co, proj=C, p0=0, cmax_exact=cmax_exact)
 
 
 def _stack_mpc_qp(sys: LinearSystem, cfg: MpcConfig, x0, preview):

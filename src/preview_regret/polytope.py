@@ -745,20 +745,23 @@ def vertices(P: HPolytope) -> np.ndarray:
     return _dedupe_points(_vertices_combinatorial(P))
 
 
-def radius_from_origin(P: HPolytope, mode="exact") -> float:
-    """Radius of the smallest origin-centered ball containing P."""
+def hull_points(P: HPolytope) -> np.ndarray:
+    """Points whose convex hull contains P: its exact vertices up to
+    VERTEX_DIM_CAP dimensions, the corners of its bounding box above."""
+    if P.dim <= VERTEX_DIM_CAP:
+        return vertices(P)
+    return bounding_box(P).corners()
+
+
+def radius_from_origin(P: HPolytope) -> float:
+    """Radius of the smallest origin-centered ball containing P; above
+    VERTEX_DIM_CAP dimensions an upper bound from bounding-box corners."""
     if not P.contains_point(np.zeros(P.dim)):
         raise ValueError("radius_from_origin expects the origin inside P")
-    if mode == "exact":
-        V = vertices(P)
-        return float(np.max(np.linalg.norm(V, axis=1)))
-    if mode == "box":
-        b = bounding_box(P)
-        return float(np.sqrt(np.sum(np.maximum(b.lower ** 2, b.upper ** 2))))
-    raise ValueError(f"unknown mode {mode!r}")
+    return float(np.max(np.linalg.norm(hull_points(P), axis=1)))
 
 
-def hausdorff_nested(X: HPolytope, Y: HPolytope, containment_tol=1e-7) -> float:
+def hausdorff_nested(X: HPolytope, Y: HPolytope) -> float:
     """Hausdorff distance for nested polytopes X ⊆ Y (2-norm, exact).
 
     Equals the largest distance from a vertex of the outer set to the inner
@@ -766,7 +769,7 @@ def hausdorff_nested(X: HPolytope, Y: HPolytope, containment_tol=1e-7) -> float:
     """
     if X.dim != Y.dim:
         raise ValueError("dimension mismatch")
-    if not contains(Y, X, tol=containment_tol):
+    if not contains(Y, X, tol=1e-7):
         raise ValueError("hausdorff_nested requires X ⊆ Y")
     best = 0.0
     for v in vertices(Y):

@@ -19,13 +19,14 @@ from .polytope import (
     containment_ratio_projected,
     contains,
     hausdorff_nested,
+    hull_points,
     project,
     radius_from_origin,
     scale,
     unit_box,
     vertices,
 )
-from .solver import is_controllable, solve_qp
+from .solver import is_controllable, project_point, solve_qp
 from .systems import (
     AssumptionError,
     Equilibrium,
@@ -176,7 +177,7 @@ def _finish_certificate(method, lambda0, gamma, N, lam, r_co, p0, eq,
 def algorithm1(sys: LinearSystem, C_max_co: HPolytope,
                C_max_p0: HPolytope | None = None, p0: int = 0,
                refine: bool = False, proj: HPolytope | None = None,
-               cmax_exact: bool = True, verify: bool = True) -> RegretCertificate:
+               cmax_exact: bool = True) -> RegretCertificate:
     """Two-phase decay certificate from a contractive-ellipsoid schedule.
 
     Needs a forced equilibrium interior to both the safe set and the p0
@@ -200,8 +201,7 @@ def algorithm1(sys: LinearSystem, C_max_co: HPolytope,
     if c0 <= 0.0:
         raise AssumptionError("contractive ellipsoid has no room inside the "
                               "safe set at the chosen equilibrium")
-    mode = "exact" if C_co_s.dim <= 6 else "box"
-    c_out = min_c_out(C_co_s, ell.Q, mode)
+    c_out = min_c_out(C_co_s, ell.Q)
     params = contraction_params(c0, c_out, ell.lam_a)
     gamma, N, lam = params.gamma, params.N, params.lam
     method = "alg1"
@@ -213,11 +213,9 @@ def algorithm1(sys: LinearSystem, C_max_co: HPolytope,
         lam = lam * gamma / gamma_star
         gamma = gamma_star
         method = "alg1_refined"
-    verified = None
-    if verify:
-        verified = check_contractive(co_s, scale(C_co_s, gamma), N=N, lam=lam,
-                                     tol=1e-7)
-    r_co = radius_from_origin(C_co_s, mode)
+    verified = check_contractive(co_s, scale(C_co_s, gamma), N=N, lam=lam,
+                                 tol=1e-7)
+    r_co = radius_from_origin(C_co_s)
     cert = _finish_certificate(method, lambda0, gamma, N, lam, r_co, p0, eq,
                                cmax_exact, verified)
     cert.ellipsoid = ell
@@ -264,7 +262,7 @@ def algorithm2(sys: LinearSystem, C_max_co: HPolytope,
         raise ValueError(
             "the N-step backward set of the origin is degenerate; "
             "choose N >= the state dimension") from exc
-    r_co = radius_from_origin(C_co_s, "exact" if C_co_s.dim <= 6 else "box")
+    r_co = radius_from_origin(C_co_s)
     return _finish_certificate("alg2", lambda0, gamma_max, N, 0.0, r_co, p0,
                                eq, cmax_exact, None)
 
@@ -294,8 +292,7 @@ def bound_marginal(cert: RegretCertificate, p: int) -> float:
 
 def algorithm3(sys: LinearSystem, C_max_co: HPolytope,
                proj_C_max_p0: HPolytope, p0: int = 0, k_max: int = 50,
-               eq_tol: float = 0.0,
-               distance_mode: str = "auto") -> ConvergenceReport:
+               eq_tol: float = 0.0) -> ConvergenceReport:
     """Ladder detection of finite-time convergence of the projections.
 
     Iterates one-step backward reachable sets of the p0 projection under the
@@ -318,18 +315,7 @@ def algorithm3(sys: LinearSystem, C_max_co: HPolytope,
         ladder.append(nxt)
         if contains(nxt, C_max_co, tol=eq_tol):
             p_bar = p0 + k
-    if distance_mode == "auto":
-        distance_mode = "exact" if C_max_co.dim <= 6 else "box"
-    if distance_mode == "exact":
-        anchors = vertices(C_max_co)
-    elif distance_mode == "box":
-        from .polytope import bounding_box
-
-        anchors = bounding_box(C_max_co).corners()
-    else:
-        raise ValueError(f"unknown distance mode {distance_mode!r}")
-    from .solver import project_point
-
+    anchors = hull_points(C_max_co)
     distances = [max(float(project_point(v, C_k)[1]) for v in anchors)
                  for C_k in ladder]
     return ConvergenceReport(p_bar=p_bar, ladder=ladder, distances=distances,
@@ -356,8 +342,7 @@ def _distance_to_lifted_projection(v, C_aug: HPolytope, n: int, reg=1e-13):
 
 
 def true_dp(sys: LinearSystem, p: int, C_max_co: HPolytope,
-            tol: float = 1e-8, dim_budget: int = TRUE_DP_DIM_BUDGET,
-            max_iter: int = 400) -> float:
+            tol: float = 1e-8, dim_budget: int = TRUE_DP_DIM_BUDGET) -> float:
     """The actual safety regret at horizon p, by direct computation.
 
     Builds the maximal invariant set of the p-preview system (up to the
@@ -371,11 +356,11 @@ def true_dp(sys: LinearSystem, p: int, C_max_co: HPolytope,
         raise BudgetExceededError(
             f"true regret at p={p} needs dimension {n_aug} > budget {dim_budget}")
     if p == 0:
-        C_p, conv = max_invariant_set(sys, tol=tol, max_iter=max_iter)
+        C_p, conv = max_invariant_set(sys, tol=tol, max_iter=400)
         if not conv:
             raise BudgetExceededError("fixed point did not converge")
         return hausdorff_nested(C_p, C_max_co)
-    C_p, conv = max_invariant_set(augment(sys, p), tol=tol, max_iter=max_iter)
+    C_p, conv = max_invariant_set(augment(sys, p), tol=tol, max_iter=400)
     if not conv:
         raise BudgetExceededError("fixed point did not converge")
     if C_p.is_empty():
@@ -387,13 +372,10 @@ def true_dp(sys: LinearSystem, p: int, C_max_co: HPolytope,
     return max(_distance_to_lifted_projection(v, C_p, sys.n) for v in verts)
 
 
-def proj_cmax_p(sys: LinearSystem, p: int, tol: float = 1e-8,
-                max_iter: int = 400) -> HPolytope:
+def proj_cmax_p(sys: LinearSystem, p: int, tol: float = 1e-8) -> HPolytope:
     """State-space projection of the maximal p-preview invariant set."""
-    if p == 0:
-        C, conv = max_invariant_set(sys, tol=tol, max_iter=max_iter)
-    else:
-        C, conv = max_invariant_set(augment(sys, p), tol=tol, max_iter=max_iter)
+    C, conv = max_invariant_set(augment(sys, p) if p else sys, tol=tol,
+                                max_iter=400)
     if not conv:
         raise BudgetExceededError("fixed point did not converge")
     if p == 0 or C.is_empty():

@@ -124,7 +124,7 @@ def equilibrium_to_json(eq: Equilibrium) -> dict:
 
 
 def certificate_to_json(cert: RegretCertificate) -> dict:
-    return {
+    doc = {
         "schema": SCHEMA_VERSION,
         "method": cert.method,
         "lambda0": cert.lambda0,
@@ -140,6 +140,10 @@ def certificate_to_json(cert: RegretCertificate) -> dict:
         "cmax_exact": cert.cmax_exact,
         "contractive_verified": cert.contractive_verified,
     }
+    if not cert.cmax_exact:
+        doc["note"] = ("limit set is an outer approximation; bounds are "
+                       "heuristic, not certified")
+    return doc
 
 
 def certificate_from_json(obj) -> RegretCertificate:

@@ -62,7 +62,7 @@ def _scipy_lp(c, A_ub, b_ub, A_eq, b_eq, nonneg=None):
     raise SolverError(f"LP backend failed: {res.message}")
 
 
-def _simplex(c, A_ub, b_ub, A_eq, b_eq, maxiter=None, nonneg=None):
+def _simplex(c, A_ub, b_ub, A_eq, b_eq, nonneg=None):
     """Two-phase dense tableau simplex; free variables are split x = u - v.
 
     Dantzig pricing, switching to Bland's rule after a run of degenerate
@@ -129,9 +129,6 @@ def _simplex(c, A_ub, b_ub, A_eq, b_eq, maxiter=None, nonneg=None):
             basis[i] = slack_col[i]
     art_cols = np.array(art_cols, dtype=np.intp)
 
-    if maxiter is None:
-        maxiter = 100 * (m + ncols)
-
     cost2 = np.zeros(ncols)
     cost2[:n] = c
     cost2[n:nx] = -c[free_idx]
@@ -143,7 +140,7 @@ def _simplex(c, A_ub, b_ub, A_eq, b_eq, maxiter=None, nonneg=None):
         obj = float(cost[basis] @ T[:, -1])
         stall = 0
         bland = False
-        for _ in range(maxiter):
+        for _ in range(100 * (m + ncols)):
             r = np.where(allowed, red, np.inf)
             if bland:
                 cand = np.flatnonzero(r < -_COSTTOL)
@@ -253,12 +250,11 @@ def solve_lp_fast(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None,
     return LpSolution(status, x, obj)
 
 
-def solve_qp(G, c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, x0=None,
-             maxiter=None):
+def solve_qp(G, c, A_ub=None, b_ub=None, A_eq=None, b_eq=None):
     """Strictly convex QP  min 1/2 x'Gx + c'x  by a primal active-set method.
 
     Equalities stay in the working set permanently. A feasible start is
-    found with a phase-1 LP when x0 is not supplied. Returns (x, status).
+    found with a phase-1 LP. Returns (x, status).
     """
     G = np.atleast_2d(np.asarray(G, dtype=float))
     c = np.atleast_1d(np.asarray(c, dtype=float))
@@ -277,21 +273,15 @@ def solve_qp(G, c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, x0=None,
         b_eq = np.atleast_1d(np.asarray(b_eq, dtype=float))
     m_ub, m_eq = A_ub.shape[0], A_eq.shape[0]
 
-    if x0 is None:
-        sol = solve_lp_fast(np.zeros(n), A_ub, b_ub, A_eq if m_eq else None,
-                            b_eq if m_eq else None)
-        if not sol.optimal:
-            return None, sol.status
-        x = sol.point.copy()
-    else:
-        x = np.asarray(x0, dtype=float).copy()
+    sol = solve_lp_fast(np.zeros(n), A_ub, b_ub, A_eq if m_eq else None,
+                        b_eq if m_eq else None)
+    if not sol.optimal:
+        return None, sol.status
+    x = sol.point.copy()
 
     ftol = 1e-9 * (1.0 + float(np.max(np.abs(b_ub), initial=0.0)))
     work = list(np.flatnonzero(A_ub @ x - b_ub >= -ftol))
-    if maxiter is None:
-        maxiter = 50 * (n + m_ub + m_eq + 1)
-
-    for _ in range(maxiter):
+    for _ in range(50 * (n + m_ub + m_eq + 1)):
         W = np.vstack([A_eq, A_ub[work]]) if (m_eq or work) else np.zeros((0, n))
         g = G @ x + c
         # Null-space step: minimize the quadratic on {p : W p = 0}.

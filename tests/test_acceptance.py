@@ -298,7 +298,7 @@ def test_criterion_6_mpc():
         assert infeasible == 0
 
         # terminal-anchored certificate dominates the measured gap
-        cert = terminal_set_certificate(sys, C, C_max_co=C_co, tol=1e-9)
+        cert = terminal_set_certificate(sys, C, C_max_co=C_co)
         co = collaborative(sys)
         ladder = C
         for p in range(1, 7):

@@ -206,10 +206,87 @@ def test_cli_mpc(system_file, tmp_path):
     with open(tmp_path / "mpc_bounds.csv") as fh:
         rows = list(csv.DictReader(fh))
     assert float(rows[1]["bound_dp"]) == pytest.approx(0.5, abs=1e-8)
+    _, oracle = build_1d()
+    assert [int(r["p"]) for r in rows] == list(range(11))
+    for r in rows:
+        assert float(r["measured_gap"]) == pytest.approx(
+            oracle.dp(int(r["p"])), abs=1e-7)
     with open(tmp_path / "mpc_traj_000.csv") as fh:
         traj = list(csv.DictReader(fh))
     assert len(traj) == 10
     assert all(r["feasible"] == "1" for r in traj)
+
+
+def test_cli_mpc_gap_is_zero_past_convergence(tmp_path):
+    from preview_regret.polytope import Box, interval
+    from preview_regret.systems import LinearSystem
+
+    S = Box(np.array([-2.0, -1.0]), np.array([2.0, 1.0])).to_polytope()
+    stable = LinearSystem([[0.5]], [[1.0]], [[0.0]], interval(-0.1, 0.1), S)
+    path = tmp_path / "stable.json"
+    path.write_text(json.dumps(system_to_json(stable)))
+    term = tmp_path / "terminal.json"
+    term.write_text(json.dumps(polytope_to_json(interval(-0.5, 0.5))))
+    rc = main(["mpc", str(path), "--terminal", str(term), "--p", "1",
+               "--out", str(tmp_path / "m")])
+    assert rc == 0
+    with open(tmp_path / "m_bounds.csv") as fh:
+        gaps = [float(r["measured_gap"]) for r in csv.DictReader(fh)]
+    # the ladder from the terminal set reaches the limit [-2, 2] in one step
+    assert gaps[0] == pytest.approx(1.5, abs=1e-9)
+    assert gaps[1:] == [0.0] * 10
+
+
+def test_cli_mpc_leaves_gap_blank_above_vertex_cap(system_file, tmp_path,
+                                                   monkeypatch):
+    import preview_regret.polytope as polytope
+
+    monkeypatch.setattr(polytope, "VERTEX_DIM_CAP", 0)
+    rc = main(["mpc", str(system_file), "--p", "1", "--curve-max", "2",
+               "--out", str(tmp_path / "m")])
+    assert rc == 0
+    with open(tmp_path / "m_bounds.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 3
+    assert all(r["measured_gap"] == "" and r["bound_dp"] for r in rows)
+
+
+def _unconverged(monkeypatch, kind):
+    """Make max_invariant_set report an iteration limit on systems of `kind`."""
+    import preview_regret.invariance as invariance
+
+    real = invariance.max_invariant_set
+
+    def fake(sys, *args, **kwargs):
+        C, conv = real(sys, *args, **kwargs)
+        return C, conv and not isinstance(sys, kind)
+
+    monkeypatch.setattr(invariance, "max_invariant_set", fake)
+
+
+def test_cli_mpc_marks_unconverged_limit_set(system_file, tmp_path,
+                                             monkeypatch):
+    from preview_regret.systems import DeterministicSystem
+
+    _unconverged(monkeypatch, DeterministicSystem)
+    rc = main(["mpc", str(system_file), "--p", "1", "--curve-max", "2",
+               "--out", str(tmp_path / "m")])
+    assert rc == 0
+    cert = json.loads((tmp_path / "m_cert.json").read_text())
+    assert cert["cmax_exact"] is False
+    assert "outer approximation" in cert["note"]
+
+
+def test_cli_mpc_auto_terminal_unconverged(system_file, tmp_path, monkeypatch,
+                                           capsys):
+    from preview_regret.systems import LinearSystem
+
+    _unconverged(monkeypatch, LinearSystem)
+    rc = main(["mpc", str(system_file), "--p", "1",
+               "--out", str(tmp_path / "m")])
+    assert rc == 4
+    assert "iteration limit hit" in capsys.readouterr().err
+    assert not (tmp_path / "m_cert.json").exists()
 
 
 def test_cli_mpc_rejects_bad_terminal(system_file, tmp_path):

@@ -98,19 +98,22 @@ def test_max_c0_boundary_sampling_oracle():
             pytest.fail("c0 is not maximal: inflated boundary stayed feasible")
 
 
-def test_min_c_out_modes():
-    Q = np.eye(2)
+def test_min_c_out_modes(monkeypatch):
+    import preview_regret.polytope as polytope
+
     box = unit_box(2)
-    assert min_c_out(box, Q, "exact") == pytest.approx(np.sqrt(2.0))
-    assert min_c_out(box, Q, "box") == pytest.approx(np.sqrt(2.0))
+    assert min_c_out(box, np.eye(2)) == pytest.approx(np.sqrt(2.0))
     rng = np.random.default_rng(0)
+    P2 = Box(np.array([-1.2, -0.7]), np.array([1.2, 0.7])).to_polytope()
+    Qs = []
     for _ in range(4):
         M = rng.normal(size=(2, 2))
-        Q = M @ M.T + 0.5 * np.eye(2)
-        P = interval(-1.2, 1.2)
-        P2 = Box(np.array([-1.2, -0.7]), np.array([1.2, 0.7])).to_polytope()
-        assert min_c_out(P2, Q, "box") >= min_c_out(P2, Q, "exact") - 1e-9
-        del P
+        Qs.append(M @ M.T + 0.5 * np.eye(2))
+    exact = [min_c_out(P2, Q) for Q in Qs]
+    monkeypatch.setattr(polytope, "VERTEX_DIM_CAP", 0)  # bounding-box corners
+    assert min_c_out(box, np.eye(2)) == pytest.approx(np.sqrt(2.0))
+    for Q, c in zip(Qs, exact):
+        assert min_c_out(P2, Q) >= c - 1e-9
 
 
 def test_contraction_params_examples():
@@ -139,7 +142,7 @@ def test_schedule_certifies_contractiveness_1d():
     assert conv
     ell = find_contractive_ellipsoid(s)
     c0 = max_c0(ell, s.S_xu, s.D)
-    c_out = min_c_out(C_co, ell.Q, "exact")
+    c_out = min_c_out(C_co, ell.Q)
     params = contraction_params(c0, c_out, ell.lam_a)
     assert params.lam < 1.0
     assert check_contractive(co, scale(C_co, params.gamma), N=params.N,

@@ -377,13 +377,34 @@ def test_bounding_box():
     assert np.allclose(bbp.lower, 0) and np.allclose(bbp.upper, 0)
 
 
-def test_radius_modes():
-    assert radius_from_origin(unit_box(2), "exact") == pytest.approx(np.sqrt(2))
-    assert radius_from_origin(interval(-1.5, 1.5), "exact") == pytest.approx(1.5)
+def test_radius_modes(monkeypatch):
+    import preview_regret.polytope as polytope
+
+    assert radius_from_origin(unit_box(2)) == pytest.approx(np.sqrt(2))
+    assert radius_from_origin(interval(-1.5, 1.5)) == pytest.approx(1.5)
     rng = np.random.default_rng(9)
-    for _ in range(4):
-        P = random_polytope(rng, 2)
-        assert radius_from_origin(P, "box") >= radius_from_origin(P, "exact") - 1e-9
+    polys = [random_polytope(rng, 2) for _ in range(4)]
+    exact = [radius_from_origin(P) for P in polys]
+    monkeypatch.setattr(polytope, "VERTEX_DIM_CAP", 0)  # bounding-box corners
+    for P, r in zip(polys, exact):
+        assert radius_from_origin(P) >= r - 1e-9
+
+
+def test_hull_points_above_the_cap_are_box_corners():
+    from itertools import product
+
+    from preview_regret.polytope import BudgetExceededError, hull_points
+
+    signs = np.array(list(product([-1.0, 1.0], repeat=7)))
+    cross = HPolytope(signs, np.ones(128))  # |x|_1 <= 1, vertices +-e_i
+    pts = hull_points(cross)
+    assert pts.shape == (128, 7)
+    assert {tuple(p) for p in pts} == {tuple(s) for s in signs}
+    r = radius_from_origin(cross)
+    assert r == pytest.approx(np.sqrt(7.0))
+    assert r >= 1.0  # the exact radius
+    with pytest.raises(BudgetExceededError):
+        vertices(cross)
 
 
 def test_hausdorff_examples():
