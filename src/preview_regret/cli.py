@@ -86,6 +86,9 @@ def _regret_pipeline(args, system):
     p0 = args.p0
     base = augment(system, p0) if p0 else system
     C_p0, conv_p0 = max_invariant_set(base, tol=args.tol)
+    if C_p0.is_empty():
+        raise AssumptionError(f"the {p0}-preview system has an empty maximal "
+                              "invariant set; try a larger --p0")
     proj = project(C_p0, system.n) if p0 else C_p0
     exact = conv_co and conv_p0
 

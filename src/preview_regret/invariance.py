@@ -9,10 +9,8 @@ from .polytope import (
     cartesian_product,
     contains,
     erode_rows,
-    intersect,
     power_product,
     project,
-    remove_redundancy,
     scale,
     support,
     TAU_SET,
@@ -40,9 +38,7 @@ def pre(sys, X: HPolytope, S: HPolytope | None = None) -> HPolytope:
         return HPolytope.empty(n)
     if isinstance(sys, LinearSystem):
         X = erode_rows(X, sys.E, sys.D)
-        AB = np.hstack([sys.A, sys.B])
-    else:
-        AB = np.hstack([sys.A, sys.B])
+    AB = np.hstack([sys.A, sys.B])
     rows = np.vstack([X.H @ AB, S.H])
     rhs = np.r_[X.h, S.h]
     stacked = HPolytope(rows, rhs)
@@ -89,21 +85,20 @@ def max_invariant_set(sys, S: HPolytope | None = None, max_iter: int = 200,
                       tol: float = TAU_SET):
     """Maximal (robust) controlled invariant set by the outside-in iteration.
 
-    Returns (C, converged). Every iterate contains the maximal set, so a
+    Returns (C, converged). The iterates X_{k+1} = pre(X_k) start at
+    X_0 = proj_x(S) and need no intersection with X_0: pre already keeps
+    (x, u) in S, so pre(X) ⊆ proj_x(S) for every X, and by monotonicity the
+    iterates are nested. Every iterate contains the maximal set, so a
     non-converged result is a certified outer approximation.
     """
     if S is None:
         S = _safe_set_of(sys)
     n = sys.n
-    X0 = project(HPolytope(S.H, S.h), n)
-    if X0.is_empty():
+    X = project(HPolytope(S.H, S.h), n)
+    if X.is_empty():
         return HPolytope.empty(n), True
-    X = X0
     for _ in range(max_iter):
-        P = pre(sys, X, S)
-        if P.is_empty():
-            return HPolytope.empty(n), True
-        X_next = remove_redundancy(intersect(P, X0))
+        X_next = pre(sys, X, S)
         if X_next.is_empty():
             return HPolytope.empty(n), True
         if _subset_within(X, X_next, tol):

@@ -24,7 +24,7 @@ FULL_DOMAIN_DIM_BUDGET = 8
 
 
 class TerminalSetError(ValueError):
-    """The requested terminal set is not controlled invariant."""
+    """The requested terminal set is empty or not controlled invariant."""
 
     def __init__(self, message, witness=None):
         super().__init__(message)
@@ -68,10 +68,12 @@ def feasible_domain(sys: LinearSystem, C: HPolytope, p: int,
     under the collaborative dynamics, which never touches the augmented
     space; the full domain is the p-step backward set of C x D^p for the
     augmented system and is only built within the dimension budget. Raises
-    TerminalSetError unless C is robustly invariant.
+    TerminalSetError unless C is nonempty and robustly invariant.
     """
     if p < 1:
         raise ValueError("the preview horizon must be at least 1")
+    if C.is_empty():
+        raise TerminalSetError("terminal set is empty")
     w = rcis_violation_witness(sys, C, tol=1e-7)
     if w is not None:
         raise TerminalSetError(

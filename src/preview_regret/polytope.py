@@ -467,8 +467,10 @@ def _fm_eliminate(H, h, j):
 def project(P: HPolytope, keep: int) -> HPolytope:
     """Exact orthogonal projection onto the first `keep` coordinates.
 
-    Fourier-Motzkin keeps emptiness, so an empty input is found by the
-    first reduction's Chebyshev LP; no phase-1 LP is spent on the input.
+    Each eliminated coordinate costs one remove_redundancy, which also
+    drops the duplicate rows that Fourier-Motzkin generates. Fourier-Motzkin
+    keeps emptiness, so an empty input is found by the first reduction's
+    Chebyshev LP; no phase-1 LP is spent on the input.
     """
     n = P.dim
     if keep > n:
@@ -500,12 +502,7 @@ def project(P: HPolytope, keep: int) -> HPolytope:
         if H.shape[0] > ROW_CAP:
             raise BudgetExceededError(
                 f"Fourier-Motzkin exceeded the {ROW_CAP}-row cap")
-        Hd, hd = _dedupe_rows(H, h)
-        if Hd is None:
-            return HPolytope.empty(keep)
-        if Hd.shape[0] == 0:
-            Hd, hd = np.zeros((1, len(colmap))), np.array([1.0])
-        reduced = remove_redundancy(HPolytope(Hd, hd))
+        reduced = remove_redundancy(HPolytope(H, h))
         if reduced.is_empty():
             return HPolytope.empty(keep)
         H, h = reduced.H, reduced.h
@@ -646,9 +643,12 @@ def bounding_box(P: HPolytope) -> Box:
     return Box(lo, hi)
 
 
-def _vertices_1d(P):
-    hi = support(P, np.ones(1))
-    lo = -support(P, -np.ones(1))
+def _vertices_1d(R):
+    """Endpoints of a nonempty 1-D set reduced by _reduce_1d, whose rows
+    are x <= hi then -x <= -lo; a bounded set has both."""
+    if R.num_rows != 2:
+        raise UnboundedError("polytope is unbounded along the requested direction")
+    hi, lo = R.h[0], -R.h[1]
     if abs(hi - lo) <= TAU_VERT * max(1.0, abs(hi)):
         return np.array([[lo]])
     return np.array([[lo], [hi]])
@@ -732,7 +732,7 @@ def vertices(P: HPolytope) -> np.ndarray:
     if R.is_empty():
         raise EmptyPolytopeError("empty polytope has no vertices")
     if n == 1:
-        return _vertices_1d(P)
+        return _vertices_1d(R)
     center, radius = R.chebyshev_center()
     if radius > 1e-9:
         if n == 2:

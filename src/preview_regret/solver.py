@@ -9,8 +9,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-TAU_FEAS = 1e-8
-TAU_OBJ = 1e-7
 TAU_DARE = 1e-10
 
 _PIVTOL = 1e-9

@@ -192,6 +192,28 @@ def test_cli_regret_assumption_exit(tmp_path):
     assert rc == 3
 
 
+def test_cli_regret_empty_p0_set(tmp_path, capsys):
+    # a^(p-1) * ubar < dbar at p = 1: the 1-preview set is empty, p = 2 is not
+    sys, oracle = build_1d(ubar=0.4, dbar=0.5)
+    path = tmp_path / "sys.json"
+    path.write_text(json.dumps(system_to_json(sys)))
+    out = tmp_path / "curve.csv"
+    rc = main(["regret", str(path), "--p-max", "4", "--out", str(out)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "1-preview system has an empty maximal invariant set" in err
+    assert "Traceback" not in err
+    rc = main(["regret", str(path), "--p0", "2", "--p-max", "4",
+               "--out", str(out)])
+    assert rc == 0
+    with open(out) as fh:
+        rows = list(csv.DictReader(fh))
+    assert [int(r["p"]) for r in rows] == [2, 3, 4]
+    for row in rows:
+        assert float(row["true_dp"]) == pytest.approx(
+            oracle.dp(int(row["p"])), abs=1e-8)
+
+
 def test_cli_mpc(system_file, tmp_path):
     prefix = tmp_path / "mpc"
     rc = main(["mpc", str(system_file), "--terminal", "auto", "--p", "1",
@@ -295,6 +317,16 @@ def test_cli_mpc_rejects_bad_terminal(system_file, tmp_path):
     rc = main(["mpc", str(system_file), "--terminal", str(bad), "--p", "1",
                "--out", str(tmp_path / "m")])
     assert rc == 2
+
+
+def test_cli_mpc_rejects_empty_terminal(system_file, tmp_path, capsys):
+    empty = tmp_path / "terminal.json"
+    empty.write_text(json.dumps({"H": [[1.0], [-1.0]], "h": [-1.0, 0.5]}))
+    rc = main(["mpc", str(system_file), "--terminal", str(empty), "--p", "1",
+               "--out", str(tmp_path / "m")])
+    assert rc == 2
+    assert "terminal set is empty" in capsys.readouterr().err
+    assert not (tmp_path / "m_domain.json").exists()
 
 
 def test_cli_demo(capsys):

@@ -192,3 +192,50 @@ def test_proj_ladder_lemma():
         projk = project(max_invariant_set(augment(s, 1 + k), tol=1e-10)[0], 1)
         assert contains(projk, stepped, tol=1e-8)
         assert contains(C_co, projk, tol=1e-8)
+
+
+@pytest.mark.parametrize("which", ["1d", "2d_p2"])
+def test_max_invariant_set_one_reduction_per_eliminated_input(which,
+                                                              monkeypatch):
+    # the fixed point reduces once per eliminated input coordinate: m for
+    # proj_x(S) and m for every pre step, with no reduction of its own
+    import preview_regret.invariance as inv
+    import preview_regret.polytope as poly
+    from preview_regret.models import build_1d, build_2d_random
+
+    s = build_1d()[0] if which == "1d" else augment(build_2d_random(0), 2)
+    reductions, pres = [], []
+
+    def counting(real, log):
+        def wrapped(*args, **kwargs):
+            log.append(1)
+            return real(*args, **kwargs)
+        return wrapped
+
+    for mod in (poly, inv):  # a direct import in invariance counts too
+        if hasattr(mod, "remove_redundancy"):
+            monkeypatch.setattr(mod, "remove_redundancy",
+                                counting(mod.remove_redundancy, reductions))
+    monkeypatch.setattr(inv, "pre", counting(inv.pre, pres))
+    C, conv = max_invariant_set(s, tol=1e-9)
+    assert conv and not C.is_empty()
+    assert len(pres) >= 2
+    assert len(reductions) == s.m * (len(pres) + 1)
+
+
+def test_pre_stays_inside_state_projection_of_safe_set():
+    # pre(X) ⊆ proj_x(S) for any X: why the fixed point needs no
+    # intersection with its starting set
+    from preview_regret.models import build_1d, build_2d_random
+    from preview_regret.polytope import project
+
+    rng = np.random.default_rng(0)
+    systems = [build_1d()[0], build_2d_random(0), build_2d_random(3),
+               augment(build_2d_random(1), 1)]
+    for s in systems:
+        X0 = project(s.S_xu, s.n)
+        for _ in range(5):
+            c = rng.uniform(-2.0, 2.0, size=s.n)
+            w = rng.uniform(0.1, 4.0, size=s.n)
+            X = Box(c - w, c + w).to_polytope()
+            assert contains(X0, pre(s, X, s.S_xu), tol=1e-9)

@@ -268,6 +268,15 @@ def test_vertices_one_lp(monkeypatch):
     assert np.allclose(np.abs(V), 1.0)
 
 
+def test_vertices_1d_without_lps(monkeypatch):
+    calls = _count_lps(monkeypatch)
+    assert np.array_equal(vertices(interval(-2.0, 3.0)), [[-2.0], [3.0]])
+    assert np.array_equal(vertices(interval(1.5, 1.5)), [[1.5]])
+    assert len(calls) == 0
+    with pytest.raises(UnboundedError):  # the half-line x <= 1
+        vertices(HPolytope(np.array([[1.0], [2.0]]), np.array([1.0, 4.0])))
+
+
 @pytest.mark.parametrize("H, h", [
     # half-plane, with a parallel looser copy
     ([[1.0, 0.0], [2.0, 0.0]], [1.0, 3.0]),
