@@ -71,6 +71,7 @@ def _regret_pipeline(args, system):
     from .polytope import BudgetExceededError, project
     from .regret import (
         NotControllableError,
+        _preview_gap,
         algorithm1,
         algorithm2,
         algorithm3,
@@ -118,6 +119,10 @@ def _regret_pipeline(args, system):
 
     def compute_true(p):
         try:
+            # the p0 fixed point is already done; over the dimension
+            # budget, true_dp raises before it would compute one
+            if p == p0 and conv_p0 and base.n <= args.dim_budget:
+                return _preview_gap(system, p, C_p0, C_co)
             return true_dp(system, p, C_co, tol=args.tol,
                            dim_budget=args.dim_budget)
         except BudgetExceededError:

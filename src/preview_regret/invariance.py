@@ -9,11 +9,12 @@ from .polytope import (
     cartesian_product,
     contains,
     erode_rows,
+    first_violation,
     power_product,
     project,
     scale,
-    support,
     TAU_SET,
+    _supports_within,
 )
 from .systems import DeterministicSystem, LinearSystem
 
@@ -58,27 +59,10 @@ def pre_k(sys, X: HPolytope, S: HPolytope | None = None,
     return out
 
 
-def _row_key(H, norms):
-    return [np.round(H[i] / norms[i], 10).tobytes() for i in range(H.shape[0])]
-
-
 def _subset_within(X_old: HPolytope, X_new: HPolytope, tol) -> bool:
-    """X_old ⊆ X_new within tol; row matching first, support LPs as needed."""
-    norms_new = np.maximum(np.linalg.norm(X_new.H, axis=1), 1e-300)
-    norms_old = np.maximum(np.linalg.norm(X_old.H, axis=1), 1e-300)
-    old_best: dict[bytes, float] = {}
-    for key, hv in zip(_row_key(X_old.H, norms_old), X_old.h / norms_old):
-        if key not in old_best or hv < old_best[key]:
-            old_best[key] = hv
-    keys_new = _row_key(X_new.H, norms_new)
-    for i in range(X_new.num_rows):
-        bound = X_new.h[i] / norms_new[i]
-        cheap = old_best.get(keys_new[i])
-        if cheap is not None and cheap <= bound + tol:
-            continue
-        if support(X_old, X_new.H[i]) > X_new.h[i] + tol * norms_new[i]:
-            return False
-    return True
+    """X_old ⊆ X_new within tol times each row norm of X_new."""
+    norms = np.linalg.norm(X_new.H, axis=1)
+    return _supports_within(X_old, X_new.H, X_new.h + tol * norms)
 
 
 def max_invariant_set(sys, S: HPolytope | None = None, max_iter: int = 200,
@@ -114,16 +98,10 @@ def is_rcis(sys, C: HPolytope, S: HPolytope | None = None, tol=TAU_SET) -> bool:
 
 def rcis_violation_witness(sys, C: HPolytope, S: HPolytope | None = None,
                            tol=TAU_SET):
-    """None if C is an RCIS, else a point of C that cannot stay in C."""
+    """None if C is an RCIS, else a point of C that cannot stay in C: the
+    maximiser over C of the first violated row of Pre(C)."""
     P = pre(sys, C, S)
-    norms = np.maximum(np.linalg.norm(P.H, axis=1), 1e-300)
-    for i in range(P.num_rows):
-        from .solver import solve_lp_fast
-
-        sol = solve_lp_fast(-P.H[i], C.H, C.h)
-        if sol.optimal and -sol.objective > P.h[i] + tol * norms[i]:
-            return sol.point
-    return None
+    return first_violation(C, P.H, P.h + tol * np.linalg.norm(P.H, axis=1))
 
 
 def cmax_p_co(sys: LinearSystem, p: int, C_max_co: HPolytope) -> HPolytope:

@@ -19,6 +19,7 @@ TAU_SET = 1e-6
 TAU_VERT = 1e-9
 ROW_CAP = 10_000
 VERTEX_DIM_CAP = 6
+_VERT_TOL = 1e-12  # relative accuracy a cached vertex list is checked to
 _FLAT_RADIUS = 1e-9  # Chebyshev radii within +-_FLAT_RADIUS count as flat
 
 
@@ -39,9 +40,15 @@ class BudgetExceededError(RuntimeError):
 
 
 class HPolytope:
-    """Convex polytope {x : Hx <= h}; the universal set carrier."""
+    """Convex polytope {x : Hx <= h}; the universal set carrier.
 
-    __slots__ = ("H", "h", "_empty", "_cheby")
+    A set reduced through the dual hull, or given one by
+    cache_vertex_list, also carries its vertex list (`_verts`, a vertex may
+    repeat up to round-off), which support-type readers use instead of an
+    LP.
+    """
+
+    __slots__ = ("H", "h", "_empty", "_cheby", "_verts")
 
     def __init__(self, H, h):
         H = np.atleast_2d(np.asarray(H, dtype=float))
@@ -56,6 +63,7 @@ class HPolytope:
         self.h = h
         self._empty = None
         self._cheby = None
+        self._verts = None
 
     @property
     def dim(self) -> int:
@@ -228,6 +236,12 @@ def support(P: HPolytope, direction) -> float:
         if P.is_empty():
             raise EmptyPolytopeError("support of an empty polytope")
         return 0.0
+    if P._verts is not None:
+        return float(np.max(P._verts @ d))
+    return _support_lp(P, d)
+
+
+def _support_lp(P: HPolytope, d) -> float:
     sol = solve_lp_fast(-d, P.H, P.h)
     if sol.status == UNBOUNDED:
         raise UnboundedError("polytope is unbounded along the requested direction")
@@ -236,43 +250,69 @@ def support(P: HPolytope, direction) -> float:
     return -sol.objective
 
 
+def _supports_within(Q: HPolytope, H, bound) -> bool:
+    """sup over Q of H_i x <= bound_i for every row i of H.
+
+    One product with Q's vertex list settles every row whose vertex support
+    clears its bound by more than the list's round-off; the other rows, and
+    every row when Q has no list, take a support LP.
+    """
+    rows = range(H.shape[0])
+    if Q._verts is not None:
+        s = np.max(Q._verts @ H.T, axis=0)
+        slack = (_VERT_TOL * np.linalg.norm(H, axis=1)
+                 * max(1.0, np.max(np.abs(Q._verts))))
+        if np.any(s > bound + slack):
+            return False
+        rows = np.flatnonzero(s >= bound - slack)
+    for i in rows:
+        try:
+            if _support_lp(Q, H[i]) > bound[i]:
+                return False
+        except UnboundedError:
+            return False
+    return True
+
+
+def first_violation(Q: HPolytope, H, bound):
+    """None if sup over Q of H_i x <= bound_i for every row i of H, else a
+    maximiser over Q of the first row that breaks its bound: a listed
+    vertex when Q has a vertex list, else the optimum of one LP per row."""
+    if Q._verts is not None:
+        vals = Q._verts @ H.T
+        bad = np.flatnonzero(np.max(vals, axis=0) > bound)
+        return Q._verts[np.argmax(vals[:, bad[0]])].copy() if bad.size else None
+    for i in range(H.shape[0]):
+        sol = solve_lp_fast(-H[i], Q.H, Q.h)
+        if sol.optimal and -sol.objective > bound[i]:
+            return sol.point
+    return None
+
+
 def erode_rows(P: HPolytope, E, D: HPolytope) -> HPolytope:
     """Rowwise worst-case tightening: h_i - sup_{d in D} (H_i E) d.
 
-    The result may be empty. D must be nonempty and bounded.
+    One product with D's vertex list when it has one (see
+    cache_vertex_list), else one support LP per row. The result may be
+    empty. D must be nonempty and bounded.
     """
     E = np.atleast_2d(np.asarray(E, dtype=float))
     dirs = P.H @ E
-    h = P.h.copy()
-    seen: dict[bytes, float] = {}
-    for i in range(dirs.shape[0]):
-        row = dirs[i]
-        if not np.any(row):
-            continue
-        key = row.tobytes()
-        val = seen.get(key)
-        if val is None:
-            val = support(D, row)
-            seen[key] = val
-        h[i] -= val
-    return HPolytope(P.H.copy(), h)
+    if D._verts is not None:
+        worst = np.max(dirs @ D._verts.T, axis=1)
+    else:
+        worst = np.array([support(D, row) for row in dirs])
+    return HPolytope(P.H.copy(), P.h - worst)
 
 
 def contains(P: HPolytope, Q: HPolytope, tol=TAU_SET) -> bool:
-    """Q ⊆ P, checked by support LPs over Q against every row of P."""
+    """Q ⊆ P, checked row by row of P (see _supports_within)."""
     if P.dim != Q.dim:
         raise ValueError("dimension mismatch in containment check")
     if Q.is_empty():
         return True
-    norms = np.maximum(np.linalg.norm(P.H, axis=1), 1e-300)
-    for i in range(P.num_rows):
-        try:
-            s = support(Q, P.H[i])
-        except UnboundedError:
-            return False
-        if s > P.h[i] + tol * max(norms[i], 1.0):
-            return False
-    return True
+    norms = np.linalg.norm(P.H, axis=1)
+    return _supports_within(Q, P.H, P.h + tol * np.maximum(norms, 1.0))
 
 
 def set_equal(P: HPolytope, Q: HPolytope, tol=TAU_SET) -> bool:
@@ -290,11 +330,9 @@ def _dedupe_rows(H, h):
     original (unscaled) ones.
     """
     norms = np.linalg.norm(H, axis=1)
-    keep_trivial = []
     work = norms > 1e-14
-    if np.any(~work):
-        if np.any(h[~work] < -1e-12):
-            return None, None  # infeasible zero row
+    if np.any(h[~work] < -1e-12):
+        return None, None  # infeasible zero row
     Hw, hw, nw = H[work], h[work], norms[work]
     if Hw.shape[0] == 0:
         return np.zeros((0, H.shape[1])), np.zeros(0)
@@ -331,13 +369,41 @@ def _reduce_lp(H, h):
     return H[keep], h[keep]
 
 
+def _hull_vertices(equations, center, H, h):
+    """Primal vertices from the facets of the dual hull, or None.
+
+    Facet a.y + b <= 0 of the hull is the vertex center - a / b. Qhull
+    triangulates, so a degenerate vertex appears once per simplex, with
+    the same hyperplane; those copies are dropped, in Qhull's order. The
+    list is kept only if every vertex satisfies every row within
+    1e-12*scale and is active on at least n rows within 1e-9*scale: a
+    point off the boundary would make supports too small.
+    """
+    # copies are bitwise equal; a bytewise unique costs about a quarter of
+    # np.unique(axis=0) on these small arrays, which runs once per reduction
+    equations = np.ascontiguousarray(equations)
+    rows = equations.view(np.dtype((np.void, equations[0].nbytes)))
+    equations = equations[np.sort(np.unique(rows, return_index=True)[1])]
+    V = center - equations[:, :-1] / equations[:, -1:]
+    scale = np.linalg.norm(H, axis=1) * max(1.0, np.max(np.abs(V)))
+    slack = V @ H.T
+    slack -= h
+    slack /= scale
+    if np.max(slack) > _VERT_TOL:
+        return None
+    if np.min(np.count_nonzero(slack >= -1e-9, axis=1)) < H.shape[1]:
+        return None
+    return V
+
+
 def _reduce_dual_hull(H, h, center):
     """Facet identification through polar duality around an interior point.
 
     Row i becomes the point H_i / (h_i - H_i center); the irredundant rows
-    are the vertices of the hull of these points. None when the hull fails
-    or does not hold the origin strictly inside, i.e. the set is unbounded
-    and the hull vertices could include redundant rows.
+    are the vertices of the hull of these points, and its facets are the
+    vertices of the set. Returns (H, h, vertex list or None); None when the
+    hull fails or does not hold the origin strictly inside, i.e. the set is
+    unbounded and the hull vertices could include redundant rows.
     """
     from scipy.spatial import ConvexHull, QhullError
 
@@ -354,7 +420,8 @@ def _reduce_dual_hull(H, h, center):
     if not np.all(hull.equations[:, -1] < 0):
         return None
     keep = np.sort(hull.vertices)
-    return H[keep], h[keep]
+    Hk, hk = H[keep], h[keep]
+    return Hk, hk, _hull_vertices(hull.equations, center, Hk, hk)
 
 
 def _reduce_1d(H, h):
@@ -382,10 +449,11 @@ def _reduce_1d(H, h):
     return np.array(rows), np.array(rhs)
 
 
-def _nonempty(H, h, cheby=None) -> HPolytope:
+def _nonempty(H, h, verts=None, cheby=None) -> HPolytope:
     out = HPolytope(H, h)
     out._empty = False
     out._cheby = cheby
+    out._verts = verts
     return out
 
 
@@ -395,9 +463,10 @@ def remove_redundancy(P: HPolytope) -> HPolytope:
 
     One Chebyshev LP decides emptiness and gives an interior point. A
     full-dimensional set of any dimension then goes through a dual convex
-    hull around that point, which also proves it bounded. Flat sets,
-    unbounded sets and hull failures fall back to one LP per row; only flat
-    or borderline sets pay a separate phase-1 emptiness LP.
+    hull around that point, which also proves it bounded and gives its
+    checked vertex list. Flat sets, unbounded sets and hull failures fall
+    back to one LP per row and carry no vertex list; only flat or
+    borderline sets pay a separate phase-1 emptiness LP.
     """
     if P._empty:
         return HPolytope.empty(P.dim)
@@ -420,8 +489,22 @@ def remove_redundancy(P: HPolytope) -> HPolytope:
     if radius > _FLAT_RADIUS:
         out = _reduce_dual_hull(Hd, hd, center)
         if out is not None:
-            return _nonempty(*out, (center, radius))
-    return _nonempty(*_reduce_lp(Hd, hd), (center, radius))
+            return _nonempty(*out, cheby=(center, radius))
+    return _nonempty(*_reduce_lp(Hd, hd), cheby=(center, radius))
+
+
+def cache_vertex_list(P: HPolytope) -> None:
+    """Give P the vertex list of its reduced form: the two ends of a
+    bounded interval, or the list a dual-hull reduction kept after its
+    check. Other sets (flat, unbounded, empty, or a list that failed the
+    check) stay without one."""
+    if P._verts is not None:
+        return
+    R = remove_redundancy(P)
+    if P.dim == 1 and R.num_rows == 2:  # rows x <= hi and -x <= -lo
+        P._verts = np.array([[-R.h[1]], [R.h[0]]])
+    else:
+        P._verts = R._verts
 
 
 # ---------------------------------------------------------------------------
@@ -654,29 +737,6 @@ def _vertices_1d(R):
     return np.array([[lo], [hi]])
 
 
-def _vertices_2d_ordered(H, h):
-    """Vertices of a full-dimensional irredundant 2D polytope, ccw by facet."""
-    ang = np.arctan2(H[:, 1], H[:, 0])
-    order = np.argsort(ang)
-    Hs, hs = H[order], h[order]
-    q = Hs.shape[0]
-    verts = []
-    for i in range(q):
-        j = (i + 1) % q
-        A = np.vstack([Hs[i], Hs[j]])
-        det = np.linalg.det(A)
-        if abs(det) < 1e-12 * max(np.abs(A).max(), 1.0) ** 2:
-            return None
-        v = np.linalg.solve(A, np.array([hs[i], hs[j]]))
-        verts.append(v)
-    verts = np.array(verts)
-    norms = np.maximum(np.linalg.norm(H, axis=1), 1e-300)
-    feas = np.all(H @ verts.T - h[:, None] <= 1e-7 * norms[:, None], axis=0)
-    if not np.all(feas):
-        return None
-    return verts
-
-
 def _vertices_qhull(P, center):
     from scipy.spatial import HalfspaceIntersection, QhullError
 
@@ -712,37 +772,45 @@ def _vertices_combinatorial(P):
 
 
 def _dedupe_points(pts, tol=TAU_VERT):
-    if pts.shape[0] == 0:
-        return pts
-    out = []
-    for p in pts:
-        if not any(np.linalg.norm(p - q) <= tol * (1.0 + np.linalg.norm(q)) for q in out):
-            out.append(p)
-    return np.array(out)
+    """Distinct rows of pts: p repeats q when |p - q| <= tol * (1 + |q|)."""
+    pts = np.unique(pts, axis=0)
+    keep = []
+    for i, p in enumerate(pts):
+        kept = pts[keep]
+        gap = np.linalg.norm(kept - p, axis=1)
+        if np.all(gap > tol * (1.0 + np.linalg.norm(kept, axis=1))):
+            keep.append(i)
+    return pts[keep]
 
 
 def vertices(P: HPolytope) -> np.ndarray:
-    """Exact vertex set of a bounded polytope (deduplicated)."""
+    """Exact vertex set of a bounded polytope (deduplicated).
+
+    Reads the vertex list of P or of its reduced form. A bounded set
+    without one goes through Qhull's halfspace intersection when it is
+    full-dimensional, else through basic-solution enumeration.
+    """
     n = P.dim
     if n > VERTEX_DIM_CAP:
         raise BudgetExceededError(
             f"vertex enumeration capped at dimension {VERTEX_DIM_CAP}; "
             "use the bounding-box fallback")
+    if P._verts is not None:
+        return _dedupe_points(P._verts)
     R = remove_redundancy(P)
     if R.is_empty():
         raise EmptyPolytopeError("empty polytope has no vertices")
     if n == 1:
         return _vertices_1d(R)
+    if R._verts is not None:
+        return _dedupe_points(R._verts)
+    bounding_box(R)  # raises UnboundedError
     center, radius = R.chebyshev_center()
-    if radius > 1e-9:
-        if n == 2:
-            out = _vertices_2d_ordered(R.H, R.h)
-            if out is not None:
-                return _dedupe_points(out)
+    if radius > _FLAT_RADIUS:
         out = _vertices_qhull(R, center)
         if out is not None:
             return _dedupe_points(out)
-    return _dedupe_points(_vertices_combinatorial(P))
+    return _dedupe_points(_vertices_combinatorial(R))
 
 
 def hull_points(P: HPolytope) -> np.ndarray:

@@ -341,43 +341,53 @@ def _distance_to_lifted_projection(v, C_aug: HPolytope, n: int, reg=1e-13):
     return float(np.linalg.norm(z[:n] - v))
 
 
+def _cmax_p(sys: LinearSystem, p: int, tol: float) -> HPolytope:
+    """Maximal invariant set of the p-preview system, converged or raising."""
+    C, conv = max_invariant_set(augment(sys, p) if p else sys, tol=tol,
+                                max_iter=400)
+    if not conv:
+        raise BudgetExceededError("fixed point did not converge")
+    return C
+
+
+def _preview_gap(sys: LinearSystem, p: int, C_p: HPolytope,
+                 C_max_co: HPolytope) -> float:
+    """Hausdorff gap between the state-space projection of C_p, the maximal
+    p-preview invariant set, and the limit set.
+
+    Exact low-dimensional cases go through a real projection; larger ones
+    measure vertex distances in the lifted space. An empty C_p has no gap
+    to measure and raises AssumptionError.
+    """
+    if C_p.is_empty():
+        raise AssumptionError(f"the {p}-preview system has an empty maximal "
+                              "invariant set; its regret is not defined")
+    if p == 0:
+        return hausdorff_nested(C_p, C_max_co)
+    if sys.n == 1 or C_p.dim <= 4:
+        return hausdorff_nested(project(C_p, sys.n), C_max_co)
+    verts = vertices(C_max_co)
+    return max(_distance_to_lifted_projection(v, C_p, sys.n) for v in verts)
+
+
 def true_dp(sys: LinearSystem, p: int, C_max_co: HPolytope,
             tol: float = 1e-8, dim_budget: int = TRUE_DP_DIM_BUDGET) -> float:
     """The actual safety regret at horizon p, by direct computation.
 
     Builds the maximal invariant set of the p-preview system (up to the
     fixed-point tolerance), then measures the Hausdorff gap between its
-    state-space projection and the limit set. Exact low-dimensional cases go
-    through a real projection; larger ones measure vertex distances in the
-    lifted space.
+    state-space projection and the limit set (see _preview_gap).
     """
     n_aug = sys.n + p * sys.l
     if n_aug > dim_budget:
         raise BudgetExceededError(
             f"true regret at p={p} needs dimension {n_aug} > budget {dim_budget}")
-    if p == 0:
-        C_p, conv = max_invariant_set(sys, tol=tol, max_iter=400)
-        if not conv:
-            raise BudgetExceededError("fixed point did not converge")
-        return hausdorff_nested(C_p, C_max_co)
-    C_p, conv = max_invariant_set(augment(sys, p), tol=tol, max_iter=400)
-    if not conv:
-        raise BudgetExceededError("fixed point did not converge")
-    if C_p.is_empty():
-        return hausdorff_nested(HPolytope.empty(sys.n), C_max_co)
-    if sys.n == 1 or n_aug <= 4:
-        proj = project(C_p, sys.n)
-        return hausdorff_nested(proj, C_max_co)
-    verts = vertices(C_max_co)
-    return max(_distance_to_lifted_projection(v, C_p, sys.n) for v in verts)
+    return _preview_gap(sys, p, _cmax_p(sys, p, tol), C_max_co)
 
 
 def proj_cmax_p(sys: LinearSystem, p: int, tol: float = 1e-8) -> HPolytope:
     """State-space projection of the maximal p-preview invariant set."""
-    C, conv = max_invariant_set(augment(sys, p) if p else sys, tol=tol,
-                                max_iter=400)
-    if not conv:
-        raise BudgetExceededError("fixed point did not converge")
+    C = _cmax_p(sys, p, tol)
     if p == 0 or C.is_empty():
         return C if p == 0 else HPolytope.empty(sys.n)
     return project(C, sys.n)

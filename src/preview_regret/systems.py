@@ -13,6 +13,7 @@ import numpy as np
 
 from .polytope import (
     HPolytope,
+    cache_vertex_list,
     cartesian_product,
     max_inscribed_ball_at,
     translate,
@@ -47,6 +48,7 @@ class LinearSystem:
             raise ValueError("disturbance set dimension does not match E")
         if self.S_xu.dim != n + self.B.shape[1]:
             raise ValueError("safe set must live in state-input space")
+        cache_vertex_list(self.D)  # every backward step erodes by D
 
     @property
     def n(self) -> int:

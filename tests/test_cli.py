@@ -214,6 +214,38 @@ def test_cli_regret_empty_p0_set(tmp_path, capsys):
             oracle.dp(int(row["p"])), abs=1e-8)
 
 
+@pytest.mark.parametrize("p0", [0, 1])
+def test_cli_regret_reuses_the_p0_fixed_point(p0, system_file, tmp_path,
+                                              monkeypatch):
+    # one fixed point for C_co, one for C_p0 (whose gap is then measured
+    # directly) and one per horizon above p0
+    import preview_regret.invariance as inv
+    import preview_regret.regret as reg
+
+    calls = []
+    real = inv.max_invariant_set
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    for mod in (inv, reg):
+        monkeypatch.setattr(mod, "max_invariant_set", counting)
+    out = tmp_path / "curve.csv"
+    p_max = 4
+    rc = main(["regret", str(system_file), "--p0", str(p0), "--p-max",
+               str(p_max), "--out", str(out)])
+    assert rc == 0
+    assert len(calls) == 2 + (p_max - p0)
+    oracle = build_1d()[1]
+    with open(out) as fh:
+        rows = list(csv.DictReader(fh))
+    assert [int(r["p"]) for r in rows] == list(range(p0, p_max + 1))
+    for row in rows:
+        assert float(row["true_dp"]) == pytest.approx(
+            oracle.dp(int(row["p"])), abs=1e-8)
+
+
 def test_cli_mpc(system_file, tmp_path):
     prefix = tmp_path / "mpc"
     rc = main(["mpc", str(system_file), "--terminal", "auto", "--p", "1",

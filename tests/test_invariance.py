@@ -117,6 +117,33 @@ def test_rcis_witness():
     assert rcis_violation_witness(s, good, tol=1e-9) is None
 
 
+def test_rcis_witness_reads_the_vertex_list(monkeypatch):
+    import preview_regret.invariance as inv
+    import preview_regret.polytope as poly
+    from preview_regret.models import build_2d_random
+    from preview_regret.polytope import remove_redundancy
+
+    s = build_2d_random(1)
+    C, conv = max_invariant_set(s, tol=1e-9)
+    assert conv
+    big = remove_redundancy(scale(C, 1.5))  # larger than the maximal set
+    assert big._verts is not None
+    P = pre(s, big)
+    lps = []
+    real = poly.solve_lp_fast
+    with monkeypatch.context() as mp:  # count the witness's own LPs only
+        mp.setattr(inv, "pre", lambda *a, **k: P)
+        mp.setattr(poly, "solve_lp_fast",
+                   lambda *a, **k: lps.append(1) or real(*a, **k))
+        w = rcis_violation_witness(s, big)
+    assert lps == []
+    assert w is not None and big.contains_point(w)
+    assert not P.contains_point(w, tol=1e-7)
+    assert any(np.allclose(w, v) for v in big._verts)
+    assert rcis_violation_witness(s, HPolytope(big.H, big.h)) is not None
+    assert rcis_violation_witness(s, C, tol=1e-7) is None
+
+
 def test_cmax_p_co_1d_closed_form():
     s = sys_1d()
     C_co, _ = max_invariant_set(collaborative(s), tol=1e-10)
@@ -221,6 +248,34 @@ def test_max_invariant_set_one_reduction_per_eliminated_input(which,
     assert conv and not C.is_empty()
     assert len(pres) >= 2
     assert len(reductions) == s.m * (len(pres) + 1)
+
+
+def test_max_invariant_set_one_lp_per_reduction(monkeypatch):
+    # the erosion by D and the convergence test read vertex lists, so the
+    # only LPs left are the reductions' Chebyshev LPs
+    import preview_regret.polytope as poly
+    from preview_regret.models import build_2d_random
+
+    s = build_2d_random(1)
+    lps, supports, reductions = [], [], []
+
+    def counting(real, log):
+        def wrapped(*args, **kwargs):
+            log.append(1)
+            return real(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(poly, "solve_lp_fast",
+                        counting(poly.solve_lp_fast, lps))
+    monkeypatch.setattr(poly, "_support_lp",
+                        counting(poly._support_lp, supports))
+    monkeypatch.setattr(poly, "remove_redundancy",
+                        counting(poly.remove_redundancy, reductions))
+    C, conv = max_invariant_set(s)
+    assert conv and not C.is_empty() and C._verts is not None
+    assert len(reductions) >= 2
+    assert len(lps) == len(reductions)
+    assert supports == []
 
 
 def test_pre_stays_inside_state_projection_of_safe_set():

@@ -9,6 +9,7 @@ from preview_regret.polytope import (
     NormalFormError,
     UnboundedError,
     _reduce_lp,
+    _support_lp,
     affine_preimage,
     bounding_box,
     cartesian_product,
@@ -295,6 +296,126 @@ def test_remove_redundancy_unbounded_matches_lp(H, h):
     assert R._empty is False
     assert R.num_rows < P.num_rows
     assert np.array_equal(R.H, H_lp) and np.array_equal(R.h, h_lp)
+
+
+def _weakly_redundant_shape(kind, n, rng):
+    """A bounded full-dimensional set plus n supporting rows, each touching
+    it: random cuts of a box; a skewed cross-polytope, each of whose 2n
+    vertices lies on 2^(n-1) facets; or a box with rows through a corner."""
+    if kind == "cuts":
+        P = random_polytope(rng, n, k=3 * n)
+    elif kind == "cross":
+        from itertools import product
+
+        signs = np.array(list(product([-1.0, 1.0], repeat=n)))
+        A = np.eye(n) + 0.2 * rng.normal(size=(n, n))
+        P = HPolytope(signs @ np.linalg.inv(A), np.ones(2 ** n))
+    else:
+        a = rng.uniform(0.1, 1.0, size=(n, n))
+        box = unit_box(n)
+        P = HPolytope(np.vstack([box.H, a]), np.r_[box.h, a.sum(axis=1)])
+    dirs = rng.normal(size=(n, n))
+    offs = [_support_lp(P, d) for d in dirs]
+    return HPolytope(np.vstack([P.H, dirs]), np.r_[P.h, offs])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=2, max_value=8),
+       st.sampled_from(["cuts", "cross", "corner"]),
+       st.integers(min_value=0, max_value=10_000))
+def test_vertex_supports_match_lp_supports(n, kind, seed):
+    if kind == "cross":
+        n = min(n, 6)  # 2^n rows
+    rng = np.random.default_rng(seed)
+    P = _weakly_redundant_shape(kind, n, rng)
+    R = remove_redundancy(P)
+    assert R._verts is not None and R._verts.flags.c_contiguous
+    assert R._verts.shape[1] == n
+    for d in np.vstack([rng.normal(size=(10, n)), P.H]):
+        want = _support_lp(P, d)
+        assert abs(support(R, d) - want) <= 1e-9 * max(1.0, abs(want))
+    assert contains(P, R, tol=1e-9) and contains(R, P, tol=1e-9)
+
+
+def _skewed_hull(factor):
+    """ConvexHull with every facet offset scaled by factor: the vertices
+    move out of the set (factor < 1) or into it (factor > 1)."""
+    from scipy.spatial import ConvexHull
+
+    class Skewed(ConvexHull):
+        def __init__(self, points):
+            super().__init__(points)
+            self.equations = self.equations * np.r_[np.ones(self.ndim), factor]
+
+    return Skewed
+
+
+@pytest.mark.parametrize("factor", [1.0 - 1e-6, 1.0 + 1e-6])
+def test_vertex_list_failing_its_check_falls_back_to_lps(factor, monkeypatch):
+    import scipy.spatial
+
+    rng = np.random.default_rng(4)
+    P = random_polytope(rng, 4, k=12)
+    good = remove_redundancy(P)
+    assert good._verts is not None
+    monkeypatch.setattr(scipy.spatial, "ConvexHull", _skewed_hull(factor))
+    R = remove_redundancy(P)
+    assert R._verts is None
+    assert np.array_equal(R.H, good.H) and np.array_equal(R.h, good.h)
+    calls = _count_lps(monkeypatch)
+    dirs = rng.normal(size=(5, 4))
+    for d in dirs:
+        assert support(R, d) == pytest.approx(support(good, d), abs=1e-9)
+    assert len(calls) == len(dirs)
+
+
+def test_vertices_without_a_list_go_through_qhull(monkeypatch):
+    # 80 tangent planes of the unit sphere: too many rows for basic-solution
+    # enumeration, so a full-dimensional set whose list failed its check
+    # needs the halfspace intersection
+    import scipy.spatial
+
+    rng = np.random.default_rng(5)
+    dirs = rng.normal(size=(80, 3))
+    P = HPolytope(dirs / np.linalg.norm(dirs, axis=1, keepdims=True),
+                  np.ones(80))
+    want = vertices(P)
+    monkeypatch.setattr(scipy.spatial, "ConvexHull", _skewed_hull(1.0 - 1e-6))
+    assert remove_redundancy(P)._verts is None
+    got = vertices(P)
+    assert got.shape == want.shape
+    gap = np.linalg.norm(got[:, None, :] - want[None, :, :], axis=2)
+    assert np.max(np.min(gap, axis=1)) <= 1e-9
+
+
+def test_cache_vertex_list():
+    from preview_regret.polytope import cache_vertex_list
+
+    D = HPolytope([[2.0], [-1.0], [1.0]], [1.0, 0.25, 3.0])  # [-0.25, 0.5]
+    cache_vertex_list(D)
+    assert np.array_equal(D._verts, [[-0.25], [0.5]])
+    assert support(D, [-4.0]) == 1.0
+    box = unit_box(3)
+    cache_vertex_list(box)
+    assert box._verts.shape == (8, 3)
+    assert {tuple(v) for v in np.round(box._verts, 12)} == \
+        {tuple(c) for c in Box(-np.ones(3), np.ones(3)).corners()}
+    for no_list in (HPolytope([[1.0]], [2.0]),  # a half-line
+                    HPolytope([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0],
+                               [0.0, -1.0]], [1.0, 1.0, 0.0, 0.0])):  # flat
+        cache_vertex_list(no_list)
+        assert no_list._verts is None
+
+
+def test_degenerate_vertex_copies_dropped():
+    from itertools import product
+
+    signs = np.array(list(product([-1.0, 1.0], repeat=5)))
+    cross = HPolytope(signs, np.ones(32))  # vertices +-e_i, 16 facets each
+    R = remove_redundancy(cross)
+    assert R._verts.shape == (10, 5)
+    assert {tuple(v) for v in np.round(R._verts, 12)} == \
+        {tuple(s * e) for s in (-1.0, 1.0) for e in np.eye(5)}
 
 
 def test_containment_ratio_examples():

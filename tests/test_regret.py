@@ -361,3 +361,14 @@ def test_outer_bounds_nest_with_anchor_horizon(spine):
             co_part, power_product(sys.D, tail))
     assert contains(outer[0], outer[1], tol=1e-8)
     assert contains(outer[1], outer[2], tol=1e-8)
+
+
+@pytest.mark.parametrize("p", [0, 1])
+def test_true_dp_empty_preview_set_raises_assumption_error(p):
+    # a^(p-1) * ubar < dbar: the maximal sets at p = 0 and p = 1 are empty
+    sys, _ = build_1d(ubar=0.4, dbar=0.5)
+    C_co, conv = max_invariant_set(collaborative(sys), tol=1e-10)
+    assert conv and not C_co.is_empty()
+    with pytest.raises(AssumptionError,
+                       match=f"the {p}-preview system has an empty"):
+        true_dp(sys, p, C_co)
