@@ -195,7 +195,6 @@ def cmd_mpc(args) -> int:
         simulate_closed_loop,
         terminal_set_certificate,
     )
-    from .polytope import VERTEX_DIM_CAP
     from .regret import algorithm3, bound_dp
     from .serialize import (
         SCHEMA_VERSION,
@@ -246,18 +245,11 @@ def cmd_mpc(args) -> int:
     _write_json(f"{prefix}_cert.json", certificate_to_json(cert))
 
     p_max = max(args.p, args.curve_max)
-    # above the cap the ladder distances would be box-corner upper bounds,
-    # not measurements, so the column stays blank there
-    gaps = None
-    if system.n <= VERTEX_DIM_CAP:
-        gaps = algorithm3(system, C_co, C, p0=0, k_max=p_max).distances
-    curve = []
-    for p in range(0, p_max + 1):
-        rowdoc = {"p": p, "bound_dp": bound_dp(cert, p)}
-        if gaps is not None:
-            # the ladder stops once it contains the limit set
-            rowdoc["measured_gap"] = gaps[p] if p < len(gaps) else 0.0
-        curve.append(rowdoc)
+    gaps = algorithm3(system, C_co, C, p0=0, k_max=p_max).distances
+    # the ladder stops once it contains the limit set
+    curve = [{"p": p, "bound_dp": bound_dp(cert, p),
+              "measured_gap": gaps[p] if p < len(gaps) else 0.0}
+             for p in range(0, p_max + 1)]
     write_bound_curve_csv(f"{prefix}_bounds.csv", curve)
 
     if args.simulate > 0:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .polytope import HPolytope, hull_points
+from .polytope import HPolytope, vertices
 from .solver import (
     NotStabilizableError,
     SolverError,
@@ -167,13 +167,12 @@ def max_c0(ell: ContractiveEllipsoid, S_xu: HPolytope, D: HPolytope) -> float:
 
 
 def min_c_out(C_max_co: HPolytope, Q) -> float:
-    """Smallest c with C_max_co inside E(c); above VERTEX_DIM_CAP dimensions
-    a certified upper bound from bounding-box corners."""
+    """Smallest c with C_max_co inside E(c), read off its vertices."""
     Q = np.atleast_2d(np.asarray(Q, dtype=float))
     Qi = np.linalg.inv(Q)
     if not C_max_co.contains_point(np.zeros(C_max_co.dim)):
         raise ValueError("expected the origin inside the invariant set")
-    V = hull_points(C_max_co)
+    V = vertices(C_max_co)
     vals = np.einsum("ij,jk,ik->i", V, Qi, V)
     return float(np.sqrt(np.max(vals)))
 

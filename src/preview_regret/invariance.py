@@ -14,7 +14,6 @@ from .polytope import (
     project,
     scale,
     TAU_SET,
-    _supports_within,
 )
 from .systems import DeterministicSystem, LinearSystem
 
@@ -62,7 +61,7 @@ def pre_k(sys, X: HPolytope, S: HPolytope | None = None,
 def _subset_within(X_old: HPolytope, X_new: HPolytope, tol) -> bool:
     """X_old ⊆ X_new within tol times each row norm of X_new."""
     norms = np.linalg.norm(X_new.H, axis=1)
-    return _supports_within(X_old, X_new.H, X_new.h + tol * norms)
+    return first_violation(X_old, X_new.H, X_new.h + tol * norms) is None
 
 
 def max_invariant_set(sys, S: HPolytope | None = None, max_iter: int = 200,
@@ -98,8 +97,8 @@ def is_rcis(sys, C: HPolytope, S: HPolytope | None = None, tol=TAU_SET) -> bool:
 
 def rcis_violation_witness(sys, C: HPolytope, S: HPolytope | None = None,
                            tol=TAU_SET):
-    """None if C is an RCIS, else a point of C that cannot stay in C: the
-    maximiser over C of the first violated row of Pre(C)."""
+    """None if C is an RCIS, else a point of C that cannot stay in C: one
+    that breaks a row of Pre(C) (see first_violation)."""
     P = pre(sys, C, S)
     return first_violation(C, P.H, P.h + tol * np.linalg.norm(P.H, axis=1))
 

@@ -10,6 +10,7 @@ from .invariance import pre_k, rcis_violation_witness
 from .polytope import (
     BudgetExceededError,
     HPolytope,
+    UnboundedError,
     bounding_box,
     cartesian_product,
     power_product,
@@ -24,7 +25,8 @@ FULL_DOMAIN_DIM_BUDGET = 8
 
 
 class TerminalSetError(ValueError):
-    """The requested terminal set is empty or not controlled invariant."""
+    """The requested terminal set is empty, unbounded or not controlled
+    invariant."""
 
     def __init__(self, message, witness=None):
         super().__init__(message)
@@ -68,12 +70,16 @@ def feasible_domain(sys: LinearSystem, C: HPolytope, p: int,
     under the collaborative dynamics, which never touches the augmented
     space; the full domain is the p-step backward set of C x D^p for the
     augmented system and is only built within the dimension budget. Raises
-    TerminalSetError unless C is nonempty and robustly invariant.
+    TerminalSetError unless C is nonempty, bounded and robustly invariant.
     """
     if p < 1:
         raise ValueError("the preview horizon must be at least 1")
     if C.is_empty():
         raise TerminalSetError("terminal set is empty")
+    try:
+        bounding_box(C)
+    except UnboundedError:
+        raise TerminalSetError("terminal set is unbounded") from None
     w = rcis_violation_witness(sys, C, tol=1e-7)
     if w is not None:
         raise TerminalSetError(

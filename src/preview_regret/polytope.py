@@ -18,7 +18,6 @@ from .solver import (
 TAU_SET = 1e-6
 TAU_VERT = 1e-9
 ROW_CAP = 10_000
-VERTEX_DIM_CAP = 6
 _VERT_TOL = 1e-12  # relative accuracy a cached vertex list is checked to
 _FLAT_RADIUS = 1e-9  # Chebyshev radii within +-_FLAT_RADIUS count as flat
 
@@ -160,14 +159,6 @@ class Box:
         eye = np.eye(n)
         return HPolytope(np.vstack([eye, -eye]), np.r_[self.upper, -self.lower])
 
-    def corners(self) -> np.ndarray:
-        n = self.dim
-        out = np.empty((2 ** n, n))
-        for i in range(2 ** n):
-            bits = [(i >> k) & 1 for k in range(n)]
-            out[i] = np.where(bits, self.upper, self.lower)
-        return out
-
 
 def unit_box(n: int) -> HPolytope:
     """The hypercube [-1, 1]^n."""
@@ -250,41 +241,35 @@ def _support_lp(P: HPolytope, d) -> float:
     return -sol.objective
 
 
-def _supports_within(Q: HPolytope, H, bound) -> bool:
-    """sup over Q of H_i x <= bound_i for every row i of H.
+def first_violation(Q: HPolytope, H, bound):
+    """None if sup over Q of H_i x <= bound_i for every row i of H, else a
+    point of Q that breaks one of these bounds.
 
     One product with Q's vertex list settles every row whose vertex support
-    clears its bound by more than the list's round-off; the other rows, and
-    every row when Q has no list, take a support LP.
+    clears its bound by more than the list's round-off, and a row beyond
+    that band returns its best listed vertex. The other rows, and every row
+    when Q has no list, take a support LP. A row unbounded over Q breaks
+    its bound; a second LP capped past the bound gives its point. An empty
+    Q breaks nothing.
     """
     rows = range(H.shape[0])
     if Q._verts is not None:
-        s = np.max(Q._verts @ H.T, axis=0)
+        vals = Q._verts @ H.T
+        s = np.max(vals, axis=0)
         slack = (_VERT_TOL * np.linalg.norm(H, axis=1)
                  * max(1.0, np.max(np.abs(Q._verts))))
-        if np.any(s > bound + slack):
-            return False
+        bad = np.flatnonzero(s > bound + slack)
+        if bad.size:
+            return Q._verts[np.argmax(vals[:, bad[0]])].copy()
         rows = np.flatnonzero(s >= bound - slack)
     for i in rows:
-        try:
-            if _support_lp(Q, H[i]) > bound[i]:
-                return False
-        except UnboundedError:
-            return False
-    return True
-
-
-def first_violation(Q: HPolytope, H, bound):
-    """None if sup over Q of H_i x <= bound_i for every row i of H, else a
-    maximiser over Q of the first row that breaks its bound: a listed
-    vertex when Q has a vertex list, else the optimum of one LP per row."""
-    if Q._verts is not None:
-        vals = Q._verts @ H.T
-        bad = np.flatnonzero(np.max(vals, axis=0) > bound)
-        return Q._verts[np.argmax(vals[:, bad[0]])].copy() if bad.size else None
-    for i in range(H.shape[0]):
         sol = solve_lp_fast(-H[i], Q.H, Q.h)
-        if sol.optimal and -sol.objective > bound[i]:
+        if sol.status == UNBOUNDED:
+            cap = bound[i] + 1.0 + abs(bound[i])
+            sol = solve_lp_fast(-H[i], np.vstack([Q.H, H[i]]), np.r_[Q.h, cap])
+        if sol.status == INFEASIBLE:
+            return None
+        if -sol.objective > bound[i]:
             return sol.point
     return None
 
@@ -306,13 +291,13 @@ def erode_rows(P: HPolytope, E, D: HPolytope) -> HPolytope:
 
 
 def contains(P: HPolytope, Q: HPolytope, tol=TAU_SET) -> bool:
-    """Q ⊆ P, checked row by row of P (see _supports_within)."""
+    """Q ⊆ P, checked row by row of P (see first_violation)."""
     if P.dim != Q.dim:
         raise ValueError("dimension mismatch in containment check")
     if Q.is_empty():
         return True
     norms = np.linalg.norm(P.H, axis=1)
-    return _supports_within(Q, P.H, P.h + tol * np.maximum(norms, 1.0))
+    return first_violation(Q, P.H, P.h + tol * np.maximum(norms, 1.0)) is None
 
 
 def set_equal(P: HPolytope, Q: HPolytope, tol=TAU_SET) -> bool:
@@ -461,7 +446,9 @@ def remove_redundancy(P: HPolytope) -> HPolytope:
     """Same set, irredundant rows; the result caches its emptiness and its
     Chebyshev ball.
 
-    One Chebyshev LP decides emptiness and gives an interior point. A
+    A 1-D set is an interval, read off its rows with no LP; a bounded one
+    carries its two ends as its vertex list. Otherwise one Chebyshev LP
+    decides emptiness and gives an interior point. A
     full-dimensional set of any dimension then goes through a dual convex
     hull around that point, which also proves it bounded and gives its
     checked vertex list. Flat sets, unbounded sets and hull failures fall
@@ -479,7 +466,8 @@ def remove_redundancy(P: HPolytope) -> HPolytope:
         H1, h1 = _reduce_1d(Hd, hd)
         if H1 is None:
             return HPolytope.empty(1)
-        return _nonempty(H1, h1)
+        ends = np.array([[-h1[1]], [h1[0]]]) if len(h1) == 2 else None
+        return _nonempty(H1, h1, ends)
     try:
         center, radius = HPolytope(Hd, hd).chebyshev_center()
     except EmptyPolytopeError:
@@ -494,17 +482,10 @@ def remove_redundancy(P: HPolytope) -> HPolytope:
 
 
 def cache_vertex_list(P: HPolytope) -> None:
-    """Give P the vertex list of its reduced form: the two ends of a
-    bounded interval, or the list a dual-hull reduction kept after its
-    check. Other sets (flat, unbounded, empty, or a list that failed the
-    check) stay without one."""
-    if P._verts is not None:
-        return
-    R = remove_redundancy(P)
-    if P.dim == 1 and R.num_rows == 2:  # rows x <= hi and -x <= -lo
-        P._verts = np.array([[-R.h[1]], [R.h[0]]])
-    else:
-        P._verts = R._verts
+    """Give P the vertex list of its reduced form (see remove_redundancy).
+    Other sets (flat, unbounded, empty, or a list that failed the check)
+    stay without one."""
+    P._verts = remove_redundancy(P)._verts
 
 
 # ---------------------------------------------------------------------------
@@ -726,17 +707,6 @@ def bounding_box(P: HPolytope) -> Box:
     return Box(lo, hi)
 
 
-def _vertices_1d(R):
-    """Endpoints of a nonempty 1-D set reduced by _reduce_1d, whose rows
-    are x <= hi then -x <= -lo; a bounded set has both."""
-    if R.num_rows != 2:
-        raise UnboundedError("polytope is unbounded along the requested direction")
-    hi, lo = R.h[0], -R.h[1]
-    if abs(hi - lo) <= TAU_VERT * max(1.0, abs(hi)):
-        return np.array([[lo]])
-    return np.array([[lo], [hi]])
-
-
 def _vertices_qhull(P, center):
     from scipy.spatial import HalfspaceIntersection, QhullError
 
@@ -786,22 +756,15 @@ def _dedupe_points(pts, tol=TAU_VERT):
 def vertices(P: HPolytope) -> np.ndarray:
     """Exact vertex set of a bounded polytope (deduplicated).
 
-    Reads the vertex list of P or of its reduced form. A bounded set
-    without one goes through Qhull's halfspace intersection when it is
-    full-dimensional, else through basic-solution enumeration.
+    Reads the vertex list of P or of its reduced form, in any dimension. A
+    bounded set without one goes through Qhull's halfspace intersection
+    when it is full-dimensional, else through basic-solution enumeration.
     """
-    n = P.dim
-    if n > VERTEX_DIM_CAP:
-        raise BudgetExceededError(
-            f"vertex enumeration capped at dimension {VERTEX_DIM_CAP}; "
-            "use the bounding-box fallback")
     if P._verts is not None:
         return _dedupe_points(P._verts)
     R = remove_redundancy(P)
     if R.is_empty():
         raise EmptyPolytopeError("empty polytope has no vertices")
-    if n == 1:
-        return _vertices_1d(R)
     if R._verts is not None:
         return _dedupe_points(R._verts)
     bounding_box(R)  # raises UnboundedError
@@ -813,20 +776,12 @@ def vertices(P: HPolytope) -> np.ndarray:
     return _dedupe_points(_vertices_combinatorial(R))
 
 
-def hull_points(P: HPolytope) -> np.ndarray:
-    """Points whose convex hull contains P: its exact vertices up to
-    VERTEX_DIM_CAP dimensions, the corners of its bounding box above."""
-    if P.dim <= VERTEX_DIM_CAP:
-        return vertices(P)
-    return bounding_box(P).corners()
-
-
 def radius_from_origin(P: HPolytope) -> float:
-    """Radius of the smallest origin-centered ball containing P; above
-    VERTEX_DIM_CAP dimensions an upper bound from bounding-box corners."""
+    """Radius of the smallest origin-centered ball containing P, read off
+    its vertices."""
     if not P.contains_point(np.zeros(P.dim)):
         raise ValueError("radius_from_origin expects the origin inside P")
-    return float(np.max(np.linalg.norm(hull_points(P), axis=1)))
+    return float(np.max(np.linalg.norm(vertices(P), axis=1)))
 
 
 def hausdorff_nested(X: HPolytope, Y: HPolytope) -> float:

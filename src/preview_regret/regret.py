@@ -19,14 +19,13 @@ from .polytope import (
     containment_ratio_projected,
     contains,
     hausdorff_nested,
-    hull_points,
     project,
     radius_from_origin,
     scale,
     unit_box,
     vertices,
 )
-from .solver import is_controllable, project_point, solve_qp
+from .solver import is_controllable, project_point
 from .systems import (
     AssumptionError,
     Equilibrium,
@@ -299,9 +298,8 @@ def algorithm3(sys: LinearSystem, C_max_co: HPolytope,
     collaborative dynamics. Set equality against the limit is declared only
     when support gaps close within eq_tol (default: exactly), so a finite
     result is a certificate and an infinite one is merely inconclusive. The
-    ladder distances are valid regret upper bounds at matching horizons;
-    above the vertex-enumeration dimension cap they are measured from the
-    limit set's bounding-box corners, which only over-estimates.
+    ladder distances are valid regret upper bounds at matching horizons,
+    measured from the limit set's vertices.
     """
     co = collaborative(sys)
     ladder = [proj_C_max_p0]
@@ -315,30 +313,11 @@ def algorithm3(sys: LinearSystem, C_max_co: HPolytope,
         ladder.append(nxt)
         if contains(nxt, C_max_co, tol=eq_tol):
             p_bar = p0 + k
-    anchors = hull_points(C_max_co)
+    anchors = vertices(C_max_co)
     distances = [max(float(project_point(v, C_k)[1]) for v in anchors)
                  for C_k in ladder]
     return ConvergenceReport(p_bar=p_bar, ladder=ladder, distances=distances,
                              k_max=k_max)
-
-
-def _distance_to_lifted_projection(v, C_aug: HPolytope, n: int, reg=1e-13):
-    """Distance from v to the first-n projection of C_aug, without projecting.
-
-    Solves min |v - z_{1:n}|^2 + reg*|z_{n:}|^2 over z in C_aug; the tiny
-    regularizer keeps the quadratic strictly convex and perturbs the distance
-    by O(sqrt(reg)).
-    """
-    dim = C_aug.dim
-    G = np.zeros((dim, dim))
-    G[:n, :n] = np.eye(n)
-    G[n:, n:] = reg * np.eye(dim - n)
-    c = np.zeros(dim)
-    c[:n] = -np.asarray(v, dtype=float)
-    z, status = solve_qp(2.0 * G, 2.0 * c, A_ub=C_aug.H, b_ub=C_aug.h)
-    if z is None:
-        raise ValueError("lifted set is empty")
-    return float(np.linalg.norm(z[:n] - v))
 
 
 def _cmax_p(sys: LinearSystem, p: int, tol: float) -> HPolytope:
@@ -355,19 +334,14 @@ def _preview_gap(sys: LinearSystem, p: int, C_p: HPolytope,
     """Hausdorff gap between the state-space projection of C_p, the maximal
     p-preview invariant set, and the limit set.
 
-    Exact low-dimensional cases go through a real projection; larger ones
-    measure vertex distances in the lifted space. An empty C_p has no gap
-    to measure and raises AssumptionError.
+    The projection is exact (Fourier-Motzkin) at every p, and the gap is
+    the largest distance from a vertex of the limit set to it. An empty C_p
+    has no gap to measure and raises AssumptionError.
     """
     if C_p.is_empty():
         raise AssumptionError(f"the {p}-preview system has an empty maximal "
                               "invariant set; its regret is not defined")
-    if p == 0:
-        return hausdorff_nested(C_p, C_max_co)
-    if sys.n == 1 or C_p.dim <= 4:
-        return hausdorff_nested(project(C_p, sys.n), C_max_co)
-    verts = vertices(C_max_co)
-    return max(_distance_to_lifted_projection(v, C_p, sys.n) for v in verts)
+    return hausdorff_nested(project(C_p, sys.n), C_max_co)
 
 
 def true_dp(sys: LinearSystem, p: int, C_max_co: HPolytope,

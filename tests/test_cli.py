@@ -291,20 +291,6 @@ def test_cli_mpc_gap_is_zero_past_convergence(tmp_path):
     assert gaps[1:] == [0.0] * 10
 
 
-def test_cli_mpc_leaves_gap_blank_above_vertex_cap(system_file, tmp_path,
-                                                   monkeypatch):
-    import preview_regret.polytope as polytope
-
-    monkeypatch.setattr(polytope, "VERTEX_DIM_CAP", 0)
-    rc = main(["mpc", str(system_file), "--p", "1", "--curve-max", "2",
-               "--out", str(tmp_path / "m")])
-    assert rc == 0
-    with open(tmp_path / "m_bounds.csv") as fh:
-        rows = list(csv.DictReader(fh))
-    assert len(rows) == 3
-    assert all(r["measured_gap"] == "" and r["bound_dp"] for r in rows)
-
-
 def _unconverged(monkeypatch, kind):
     """Make max_invariant_set report an iteration limit on systems of `kind`."""
     import preview_regret.invariance as invariance
@@ -359,6 +345,17 @@ def test_cli_mpc_rejects_empty_terminal(system_file, tmp_path, capsys):
     assert rc == 2
     assert "terminal set is empty" in capsys.readouterr().err
     assert not (tmp_path / "m_domain.json").exists()
+
+
+def test_cli_mpc_rejects_unbounded_terminal(system_file, tmp_path, capsys):
+    half_line = tmp_path / "terminal.json"
+    half_line.write_text(json.dumps({"H": [[1.0]], "h": [0.5]}))
+    rc = main(["mpc", str(system_file), "--terminal", str(half_line),
+               "--p", "1", "--out", str(tmp_path / "m")])
+    assert rc == 2
+    assert "terminal set is unbounded" in capsys.readouterr().err
+    assert not (tmp_path / "m_domain.json").exists()
+    assert not (tmp_path / "m_cert.json").exists()
 
 
 def test_cli_demo(capsys):

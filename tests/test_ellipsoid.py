@@ -98,9 +98,7 @@ def test_max_c0_boundary_sampling_oracle():
             pytest.fail("c0 is not maximal: inflated boundary stayed feasible")
 
 
-def test_min_c_out_modes(monkeypatch):
-    import preview_regret.polytope as polytope
-
+def test_min_c_out_modes():
     box = unit_box(2)
     assert min_c_out(box, np.eye(2)) == pytest.approx(np.sqrt(2.0))
     rng = np.random.default_rng(0)
@@ -109,11 +107,11 @@ def test_min_c_out_modes(monkeypatch):
     for _ in range(4):
         M = rng.normal(size=(2, 2))
         Qs.append(M @ M.T + 0.5 * np.eye(2))
-    exact = [min_c_out(P2, Q) for Q in Qs]
-    monkeypatch.setattr(polytope, "VERTEX_DIM_CAP", 0)  # bounding-box corners
-    assert min_c_out(box, np.eye(2)) == pytest.approx(np.sqrt(2.0))
-    for Q, c in zip(Qs, exact):
-        assert min_c_out(P2, Q) >= c - 1e-9
+    corners = np.array([[x, y] for x in (-1.2, 1.2) for y in (-0.7, 0.7)])
+    for Q in Qs:  # oracle: the box's corners are its vertices
+        want = np.sqrt(np.max(np.einsum("ij,jk,ik->i", corners,
+                                        np.linalg.inv(Q), corners)))
+        assert min_c_out(P2, Q) == pytest.approx(want, rel=1e-12)
 
 
 def test_contraction_params_examples():

@@ -115,6 +115,12 @@ def test_rcis_witness():
     assert w is not None
     good = interval(-0.5, 0.5)
     assert rcis_violation_witness(s, good, tol=1e-9) is None
+    # a row unbounded over the set breaks its bound
+    half_line = HPolytope([[1.0]], [0.5])
+    assert not is_rcis(s, half_line)
+    w = rcis_violation_witness(s, half_line)
+    assert w is not None and half_line.contains_point(w)
+    assert not pre(s, half_line).contains_point(w, tol=1e-7)
 
 
 def test_rcis_witness_reads_the_vertex_list(monkeypatch):

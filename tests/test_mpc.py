@@ -14,6 +14,7 @@ from preview_regret.mpc import (
     terminal_set_certificate,
 )
 from preview_regret.polytope import (
+    HPolytope,
     contains,
     hausdorff_nested,
     interval,
@@ -59,6 +60,8 @@ def test_feasible_domain_rejects_non_invariant(spine_1d):
     with pytest.raises(TerminalSetError) as err:
         feasible_domain(sys, interval(-3.0, 3.0), p=1)
     assert err.value.witness is not None
+    with pytest.raises(TerminalSetError, match="unbounded"):
+        feasible_domain(sys, HPolytope([[1.0]], [0.5]), p=1)  # x <= 0.5
 
 
 def test_full_domain_projection_identity(setup_2d):

@@ -1,9 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from preview_regret.polytope import (
-    Box,
     EmptyPolytopeError,
     HPolytope,
     NormalFormError,
@@ -273,6 +274,11 @@ def test_vertices_1d_without_lps(monkeypatch):
     calls = _count_lps(monkeypatch)
     assert np.array_equal(vertices(interval(-2.0, 3.0)), [[-2.0], [3.0]])
     assert np.array_equal(vertices(interval(1.5, 1.5)), [[1.5]])
+    # the reduction of a bounded interval carries its two ends
+    inner = remove_redundancy(interval(-2.0, 3.0))
+    outer = remove_redundancy(interval(-2.5, 3.5))
+    assert np.array_equal(inner._verts, [[-2.0], [3.0]])
+    assert contains(outer, inner) and not contains(inner, outer)
     assert len(calls) == 0
     with pytest.raises(UnboundedError):  # the half-line x <= 1
         vertices(HPolytope(np.array([[1.0], [2.0]]), np.array([1.0, 4.0])))
@@ -399,7 +405,7 @@ def test_cache_vertex_list():
     cache_vertex_list(box)
     assert box._verts.shape == (8, 3)
     assert {tuple(v) for v in np.round(box._verts, 12)} == \
-        {tuple(c) for c in Box(-np.ones(3), np.ones(3)).corners()}
+        set(itertools.product([-1.0, 1.0], repeat=3))
     for no_list in (HPolytope([[1.0]], [2.0]),  # a half-line
                     HPolytope([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0],
                                [0.0, -1.0]], [1.0, 1.0, 0.0, 0.0])):  # flat
@@ -507,34 +513,30 @@ def test_bounding_box():
     assert np.allclose(bbp.lower, 0) and np.allclose(bbp.upper, 0)
 
 
-def test_radius_modes(monkeypatch):
-    import preview_regret.polytope as polytope
+def test_radius_modes():
+    from preview_regret.polytope import _vertices_combinatorial
 
     assert radius_from_origin(unit_box(2)) == pytest.approx(np.sqrt(2))
     assert radius_from_origin(interval(-1.5, 1.5)) == pytest.approx(1.5)
     rng = np.random.default_rng(9)
-    polys = [random_polytope(rng, 2) for _ in range(4)]
-    exact = [radius_from_origin(P) for P in polys]
-    monkeypatch.setattr(polytope, "VERTEX_DIM_CAP", 0)  # bounding-box corners
-    for P, r in zip(polys, exact):
-        assert radius_from_origin(P) >= r - 1e-9
+    for P in (random_polytope(rng, 2) for _ in range(4)):
+        # oracle: basic-solution enumeration, which reads no vertex list
+        V = _vertices_combinatorial(P)
+        assert radius_from_origin(P) == pytest.approx(
+            np.max(np.linalg.norm(V, axis=1)), abs=1e-9)
 
 
-def test_hull_points_above_the_cap_are_box_corners():
-    from itertools import product
+def test_vertices_of_the_7d_cross_polytope():
+    from preview_regret.ellipsoid import min_c_out
 
-    from preview_regret.polytope import BudgetExceededError, hull_points
-
-    signs = np.array(list(product([-1.0, 1.0], repeat=7)))
+    signs = np.array(list(itertools.product([-1.0, 1.0], repeat=7)))
     cross = HPolytope(signs, np.ones(128))  # |x|_1 <= 1, vertices +-e_i
-    pts = hull_points(cross)
-    assert pts.shape == (128, 7)
-    assert {tuple(p) for p in pts} == {tuple(s) for s in signs}
-    r = radius_from_origin(cross)
-    assert r == pytest.approx(np.sqrt(7.0))
-    assert r >= 1.0  # the exact radius
-    with pytest.raises(BudgetExceededError):
-        vertices(cross)
+    V = vertices(cross)
+    assert V.shape == (14, 7)
+    assert {tuple(v) for v in np.round(V, 12)} == \
+        {tuple(e) for e in np.vstack([np.eye(7), -np.eye(7)])}
+    assert radius_from_origin(cross) == pytest.approx(1.0, abs=1e-12)
+    assert min_c_out(cross, np.eye(7)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_hausdorff_examples():

@@ -207,6 +207,16 @@ def test_true_dp_1d(spine):
             oracle.dp(p), abs=1e-9)
 
 
+def test_true_dp_2d_gap_is_exact_past_convergence():
+    # from p = 3 the projection equals the limit set; a projected gap reads
+    # 0 up to round-off, where a regularised lifted QP read about 6e-14
+    sys = build_2d_random(1)
+    C_co, conv = max_invariant_set(collaborative(sys), tol=1e-9)
+    assert conv
+    for p in range(3, 7):
+        assert true_dp(sys, p, C_co) < 1e-15
+
+
 def test_true_dp_budget():
     from preview_regret.polytope import BudgetExceededError
 
@@ -312,18 +322,6 @@ def test_algorithm2_zero_initial_factor_still_decays():
     vals = [bound_dp(cert, p) for p in range(0, 25)]
     assert vals[-1] < 1e-2
     assert all(b - 1e-12 <= a for a, b in zip(vals, vals[1:]))
-
-
-def test_algorithm3_box_distance_mode_overestimates(spine, monkeypatch):
-    import preview_regret.polytope as polytope
-
-    sys, oracle, C_co, _ = spine
-    proj1 = proj_cmax_p(sys, 1, tol=1e-10)
-    exact = algorithm3(sys, C_co, proj1, p0=1, k_max=5)
-    monkeypatch.setattr(polytope, "VERTEX_DIM_CAP", 0)  # bounding-box corners
-    boxed = algorithm3(sys, C_co, proj1, p0=1, k_max=5)
-    for de, db in zip(exact.distances, boxed.distances):
-        assert db >= de - 1e-12
 
 
 def test_lemma2_ladder_2d():
