@@ -40,11 +40,10 @@ def main():
     proj1 = project(C_1, system.n)
 
     certs = {
-        "alg1": algorithm1(system, C_co, C_1, p0=1, proj=proj1),
-        "alg1_refined": algorithm1(system, C_co, C_1, p0=1, proj=proj1,
-                                   refine=True),
-        "alg2_N1": algorithm2(system, C_co, proj=proj1, p0=1, N=1),
-        f"alg2_N{args.N_coarse}": algorithm2(system, C_co, proj=proj1, p0=1,
+        "alg1": algorithm1(system, C_co, proj1, p0=1),
+        "alg1_refined": algorithm1(system, C_co, proj1, p0=1, refine=True),
+        "alg2_N1": algorithm2(system, C_co, proj1, p0=1, N=1),
+        f"alg2_N{args.N_coarse}": algorithm2(system, C_co, proj1, p0=1,
                                              N=args.N_coarse),
     }
     ladder = algorithm3(system, C_co, proj1, p0=1, k_max=args.p_max)

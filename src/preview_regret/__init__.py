@@ -7,7 +7,6 @@ from .polytope import (
     Box,
     HPolytope,
     containment_ratio,
-    containment_ratio_projected,
     hausdorff_nested,
     interval,
     project,
@@ -67,9 +66,8 @@ from .models import build_1d, build_2d_random, build_template
 __version__ = "0.1.0"
 
 __all__ = [
-    "Box", "HPolytope", "containment_ratio", "containment_ratio_projected",
-    "hausdorff_nested", "interval", "project", "remove_redundancy",
-    "unit_box", "vertices",
+    "Box", "HPolytope", "containment_ratio", "hausdorff_nested", "interval",
+    "project", "remove_redundancy", "unit_box", "vertices",
     "DeterministicSystem", "Equilibrium", "LinearSystem", "augment",
     "collaborative", "collaborative_augmented", "find_forced_equilibrium",
     "shift_origin",

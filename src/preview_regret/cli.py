@@ -90,7 +90,7 @@ def _regret_pipeline(args, system):
     if C_p0.is_empty():
         raise AssumptionError(f"the {p0}-preview system has an empty maximal "
                               "invariant set; try a larger --p0")
-    proj = project(C_p0, system.n) if p0 else C_p0
+    proj = project(C_p0, system.n)
     exact = conv_co and conv_p0
 
     wanted = {"1": ["alg1"], "1r": ["alg1_refined"], "2": ["alg2"],
@@ -102,13 +102,13 @@ def _regret_pipeline(args, system):
     for name in wanted:
         try:
             if name == "alg1":
-                certs[name] = algorithm1(system, C_co, C_p0, p0=p0, proj=proj,
+                certs[name] = algorithm1(system, C_co, proj, p0=p0,
                                          cmax_exact=exact)
             elif name == "alg1_refined":
-                certs[name] = algorithm1(system, C_co, C_p0, p0=p0, proj=proj,
+                certs[name] = algorithm1(system, C_co, proj, p0=p0,
                                          refine=True, cmax_exact=exact)
             elif name == "alg2":
-                certs[name] = algorithm2(system, C_co, C_p0, p0=p0, proj=proj,
+                certs[name] = algorithm2(system, C_co, proj, p0=p0,
                                          N=args.N, cmax_exact=exact)
             elif name == "alg3":
                 report = algorithm3(system, C_co, proj, p0=p0, k_max=args.kmax)
@@ -119,10 +119,10 @@ def _regret_pipeline(args, system):
 
     def compute_true(p):
         try:
-            # the p0 fixed point is already done; over the dimension
-            # budget, true_dp raises before it would compute one
+            # the p0 set is already projected; over the dimension
+            # budget, true_dp raises before it would compute a fixed point
             if p == p0 and conv_p0 and base.n <= args.dim_budget:
-                return _preview_gap(system, p, C_p0, C_co)
+                return _preview_gap(p, proj, C_co)
             return true_dp(system, p, C_co, tol=args.tol,
                            dim_budget=args.dim_budget)
         except BudgetExceededError:
@@ -286,7 +286,7 @@ def cmd_demo_1d(args) -> int:
     print(f"limit set radius: computed {r:.12f}  closed form "
           f"{oracle.cmax_co_radius():.12f}")
     proj1 = proj_cmax_p(system, 1, tol=1e-10)
-    cert = algorithm2(system, C_co, proj=proj1, p0=1, N=1)
+    cert = algorithm2(system, C_co, proj1, p0=1, N=1)
     print(f"certificate: lambda0={cert.lambda0:.6f} gamma={cert.gamma:.6f}")
     report = algorithm3(system, C_co, proj1, p0=1, k_max=10)
     print(" p |   true d_p   |  certified bound |  ladder")

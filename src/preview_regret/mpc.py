@@ -112,10 +112,9 @@ def terminal_set_certificate(sys: LinearSystem, C: HPolytope,
     an outer approximation of it.
     """
     try:
-        return algorithm2(sys, C_max_co, proj=C, p0=0, N=N,
-                          cmax_exact=cmax_exact)
+        return algorithm2(sys, C_max_co, C, N=N, cmax_exact=cmax_exact)
     except NotControllableError:
-        return algorithm1(sys, C_max_co, proj=C, p0=0, cmax_exact=cmax_exact)
+        return algorithm1(sys, C_max_co, C, cmax_exact=cmax_exact)
 
 
 def _stack_mpc_qp(sys: LinearSystem, cfg: MpcConfig, x0, preview):

@@ -609,69 +609,6 @@ def containment_ratio(P1: HPolytope, P2: HPolytope) -> float:
     return float(sol.objective)
 
 
-def containment_ratio_projected(P1: HPolytope, P2: HPolytope) -> float:
-    """Upper bound on the minimal r with P1 ⊆ r * Proj(P2).
-
-    Certificate LP over (r, Gamma, beta, Lambda); infeasibility means "no
-    certificate" and is reported as +inf, not as proof of non-containment.
-    """
-    n, npz = P1.dim, P2.dim
-    if npz < n:
-        raise ValueError("the lifted set must live in at least dim(P1)")
-    if not P2.in_normal_form:
-        raise NormalFormError("projected containment needs h > 0 on the lifted set")
-    H1, h1 = P1.H, P1.h
-    H2, h2 = P2.H, P2.h
-    q1, q2 = H1.shape[0], H2.shape[0]
-    # variables: r (1), Gamma (npz*n row-major), beta (npz), Lambda (q2*q1)
-    ir = 0
-    ig = 1
-    ib = ig + npz * n
-    il = ib + npz
-    nv = il + q2 * q1
-    rows_eq = []
-    rhs_eq = []
-    # Lambda H1 = H2 Gamma  (q2 x n)
-    for i in range(q2):
-        for k in range(n):
-            row = np.zeros(nv)
-            row[il + i * q1:il + (i + 1) * q1] = H1[:, k]
-            for s in range(npz):
-                row[ig + s * n + k] -= H2[i, s]
-            rows_eq.append(row)
-            rhs_eq.append(0.0)
-    # P Gamma = I and P beta = 0 (P keeps the first n coordinates)
-    for kk in range(n):
-        for k in range(n):
-            row = np.zeros(nv)
-            row[ig + kk * n + k] = 1.0
-            rows_eq.append(row)
-            rhs_eq.append(1.0 if kk == k else 0.0)
-    for kk in range(n):
-        row = np.zeros(nv)
-        row[ib + kk] = 1.0
-        rows_eq.append(row)
-        rhs_eq.append(0.0)
-    # Lambda h1 <= r h2 + H2 beta
-    A_ub = np.zeros((q2, nv))
-    for i in range(q2):
-        A_ub[i, il + i * q1:il + (i + 1) * q1] = h1
-        A_ub[i, ir] = -h2[i]
-        A_ub[i, ib:ib + npz] = -H2[i]
-    c = np.zeros(nv)
-    c[ir] = 1.0
-    nonneg = np.zeros(nv, dtype=bool)
-    nonneg[il:] = True
-    nonneg[ir] = True
-    sol = solve_lp_fast(c, A_ub, np.zeros(q2), np.vstack(rows_eq),
-                        np.asarray(rhs_eq), nonneg=nonneg)
-    if sol.status == INFEASIBLE:
-        return np.inf
-    if not sol.optimal:
-        raise ValueError(f"projected containment LP returned {sol.status}")
-    return float(sol.objective)
-
-
 def max_inscribed_ball_at(P: HPolytope, center) -> float:
     """Largest eps with center + eps*B(n) ⊆ P (sup-norm ball), 0 if outside."""
     center = np.asarray(center, dtype=float)

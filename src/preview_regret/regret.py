@@ -16,13 +16,11 @@ from .polytope import (
     HPolytope,
     NormalFormError,
     containment_ratio,
-    containment_ratio_projected,
     contains,
     hausdorff_nested,
     project,
     radius_from_origin,
     scale,
-    unit_box,
     vertices,
 )
 from .solver import is_controllable, project_point
@@ -34,7 +32,6 @@ from .systems import (
     collaborative,
     equilibrium_margin_at_zero,
     find_forced_equilibrium,
-    shift_augmented,
     shift_origin,
     shift_polytope,
 )
@@ -100,62 +97,39 @@ def k0_of(lambda0: float, gamma: float, lam: float):
     return max(0, math.ceil(val))
 
 
-def estimate_lambda0(C_max_co: HPolytope, C_max_p0_or_proj: HPolytope,
-                     method: str = "exact", eps_star: float | None = None) -> float:
-    """Largest lambda with lambda * C_max_co inside the p0 projection.
+def estimate_lambda0(C_max_co: HPolytope, proj: HPolytope) -> float:
+    """Largest lambda <= 1 with lambda * C_max_co inside the p0 projection.
 
-    baseline: eps_star / r with r the ratio of C_max_co into the unit box --
-    guaranteed positive whenever eps_star is, but often loose. exact: the
-    containment LP against the projection itself. encoded: the projection-free
-    certificate LP against the lifted set (a lower estimate).
+    One containment LP into the projection; proj must contain the origin in
+    its interior.
     """
-    if method == "baseline":
-        if eps_star is None:
-            raise ValueError("baseline estimate needs the equilibrium margin")
-        if eps_star <= 0.0:
-            return 0.0
-        r = containment_ratio(C_max_co, unit_box(C_max_co.dim))
-        return float(min(1.0, eps_star / r))
-    if method == "exact":
-        r = containment_ratio(C_max_co, C_max_p0_or_proj)
-        return float(min(1.0, 1.0 / r))
-    if method == "encoded":
-        r = containment_ratio_projected(C_max_co, C_max_p0_or_proj)
-        if not np.isfinite(r) or r <= 0.0:
-            return 0.0
-        return float(min(1.0, 1.0 / r))
-    raise ValueError(f"unknown method {method!r}")
+    return float(min(1.0, 1.0 / containment_ratio(C_max_co, proj)))
 
 
-def _shift_problem(sys, proj, C_max_p0, p0, require_interior_projection):
+def _shift_problem(sys, proj, C_max_co, require_interior_projection):
     """Steps shared by the certification methods: find a forced equilibrium
-    with the needed interiority, then move the origin onto it."""
+    with the needed interiority, then move the origin onto it.
+
+    Returns the shifted system, p0 projection and limit set, and the
+    equilibrium.
+    """
     eps0 = equilibrium_margin_at_zero(sys, proj, require_interior_projection)
     if eps0 > 0.0:
         eq = Equilibrium(np.zeros(sys.n), np.zeros(sys.m), np.zeros(sys.l),
                          margin=eps0)
-        return sys, proj, C_max_p0, eq
-    eq = find_forced_equilibrium(sys, proj, require_interior_projection)
-    if eq.margin <= 1e-12:
-        raise AssumptionError(
-            "forced equilibrium exists only on the constraint boundary; "
-            "the interiority assumptions cannot be verified")
-    sys_s = shift_origin(sys, eq)
-    proj_s = shift_polytope(proj, eq.x_e)
-    C_p0_s = None
-    if C_max_p0 is not None:
-        C_p0_s = shift_augmented(C_max_p0, eq, sys.n, p0)
-    return sys_s, proj_s, C_p0_s, eq
-
-
-def _projection_of(sys, C_max_p0, p0, proj):
-    if proj is not None:
-        return proj
-    if C_max_p0 is None:
-        raise ValueError("need the p0 invariant set or its projection")
-    if p0 == 0:
-        return C_max_p0
-    return project(C_max_p0, sys.n)
+        sys_s, proj_s = sys, proj
+    else:
+        eq = find_forced_equilibrium(sys, proj, require_interior_projection)
+        if eq.margin <= 1e-12:
+            raise AssumptionError(
+                "forced equilibrium exists only on the constraint boundary; "
+                "the interiority assumptions cannot be verified")
+        sys_s = shift_origin(sys, eq)
+        proj_s = shift_polytope(proj, eq.x_e)
+    C_co_s = shift_polytope(C_max_co, eq.x_e)
+    if not C_co_s.in_normal_form:
+        raise AssumptionError("equilibrium is not interior to the limit set")
+    return sys_s, proj_s, C_co_s, eq
 
 
 def _finish_certificate(method, lambda0, gamma, N, lam, r_co, p0, eq,
@@ -173,26 +147,20 @@ def _finish_certificate(method, lambda0, gamma, N, lam, r_co, p0, eq,
                              contractive_verified=verified)
 
 
-def algorithm1(sys: LinearSystem, C_max_co: HPolytope,
-               C_max_p0: HPolytope | None = None, p0: int = 0,
-               refine: bool = False, proj: HPolytope | None = None,
+def algorithm1(sys: LinearSystem, C_max_co: HPolytope, proj: HPolytope,
+               p0: int = 0, refine: bool = False,
                cmax_exact: bool = True) -> RegretCertificate:
     """Two-phase decay certificate from a contractive-ellipsoid schedule.
 
-    Needs a forced equilibrium interior to both the safe set and the p0
-    projection. With refine=True (and an exact C_max_co) the schedule is
-    re-anchored on the N-step backward reachable set, which never loosens
-    the bound.
+    proj is the state-space projection of the maximal p0-preview invariant
+    set. Needs a forced equilibrium interior to both the safe set and proj;
+    lambda0 is then the containment LP of the limit set into proj. With
+    refine=True (and an exact C_max_co) the schedule is re-anchored on the
+    N-step backward reachable set, which never loosens the bound.
     """
-    proj = _projection_of(sys, C_max_p0, p0, proj)
-    sys_s, proj_s, C_p0_s, eq = _shift_problem(
-        sys, proj, C_max_p0, p0, require_interior_projection=True)
-    C_co_s = shift_polytope(C_max_co, eq.x_e)
-    if not C_co_s.in_normal_form:
-        raise AssumptionError("equilibrium is not interior to the limit set")
-
-    lambda0 = estimate_lambda0(C_co_s, None, "baseline", eps_star=eq.margin)
-    lambda0 = max(lambda0, estimate_lambda0(C_co_s, proj_s, "exact"))
+    sys_s, proj_s, C_co_s, eq = _shift_problem(
+        sys, proj, C_max_co, require_interior_projection=True)
+    lambda0 = estimate_lambda0(C_co_s, proj_s)
 
     co_s = collaborative(sys_s)
     ell = find_contractive_ellipsoid(sys_s)
@@ -221,11 +189,13 @@ def algorithm1(sys: LinearSystem, C_max_co: HPolytope,
     return cert
 
 
-def algorithm2(sys: LinearSystem, C_max_co: HPolytope,
-               C_max_p0: HPolytope | None = None, p0: int = 0,
-               N: int | None = None, proj: HPolytope | None = None,
+def algorithm2(sys: LinearSystem, C_max_co: HPolytope, proj: HPolytope,
+               p0: int = 0, N: int | None = None,
                cmax_exact: bool = True) -> RegretCertificate:
     """Single-phase certificate for controllable collaborative systems.
+
+    proj is the state-space projection of the maximal p0-preview invariant
+    set; it only has to contain the equilibrium.
 
     gamma_max is the largest scaling of the limit set inside the N-step
     backward reachable set of the origin; N >= n guarantees it is positive.
@@ -238,15 +208,10 @@ def algorithm2(sys: LinearSystem, C_max_co: HPolytope,
         N = sys.n
     if N < 1:
         raise ValueError("N must be positive")
-    proj = _projection_of(sys, C_max_p0, p0, proj)
-    sys_s, proj_s, C_p0_s, eq = _shift_problem(
-        sys, proj, C_max_p0, p0, require_interior_projection=False)
-    C_co_s = shift_polytope(C_max_co, eq.x_e)
-    if not C_co_s.in_normal_form:
-        raise AssumptionError("equilibrium is not interior to the limit set")
-
+    sys_s, proj_s, C_co_s, eq = _shift_problem(
+        sys, proj, C_max_co, require_interior_projection=False)
     try:
-        lambda0 = estimate_lambda0(C_co_s, proj_s, "exact")
+        lambda0 = estimate_lambda0(C_co_s, proj_s)
     except NormalFormError:
         # the equilibrium may sit on the projection's boundary here; the
         # decay survives a vanishing initial factor
@@ -290,7 +255,7 @@ def bound_marginal(cert: RegretCertificate, p: int) -> float:
 
 
 def algorithm3(sys: LinearSystem, C_max_co: HPolytope,
-               proj_C_max_p0: HPolytope, p0: int = 0, k_max: int = 50,
+               proj: HPolytope, p0: int = 0, k_max: int = 50,
                eq_tol: float = 0.0) -> ConvergenceReport:
     """Ladder detection of finite-time convergence of the projections.
 
@@ -302,7 +267,7 @@ def algorithm3(sys: LinearSystem, C_max_co: HPolytope,
     measured from the limit set's vertices.
     """
     co = collaborative(sys)
-    ladder = [proj_C_max_p0]
+    ladder = [proj]
     p_bar = math.inf
     if contains(ladder[0], C_max_co, tol=eq_tol):
         p_bar = p0
@@ -320,28 +285,17 @@ def algorithm3(sys: LinearSystem, C_max_co: HPolytope,
                              k_max=k_max)
 
 
-def _cmax_p(sys: LinearSystem, p: int, tol: float) -> HPolytope:
-    """Maximal invariant set of the p-preview system, converged or raising."""
-    C, conv = max_invariant_set(augment(sys, p) if p else sys, tol=tol,
-                                max_iter=400)
-    if not conv:
-        raise BudgetExceededError("fixed point did not converge")
-    return C
-
-
-def _preview_gap(sys: LinearSystem, p: int, C_p: HPolytope,
-                 C_max_co: HPolytope) -> float:
-    """Hausdorff gap between the state-space projection of C_p, the maximal
+def _preview_gap(p: int, proj: HPolytope, C_max_co: HPolytope) -> float:
+    """Hausdorff gap between proj, the state-space projection of the maximal
     p-preview invariant set, and the limit set.
 
-    The projection is exact (Fourier-Motzkin) at every p, and the gap is
-    the largest distance from a vertex of the limit set to it. An empty C_p
-    has no gap to measure and raises AssumptionError.
+    The gap is the largest distance from a vertex of the limit set to proj.
+    An empty proj has no gap to measure and raises AssumptionError.
     """
-    if C_p.is_empty():
+    if proj.is_empty():
         raise AssumptionError(f"the {p}-preview system has an empty maximal "
                               "invariant set; its regret is not defined")
-    return hausdorff_nested(project(C_p, sys.n), C_max_co)
+    return hausdorff_nested(proj, C_max_co)
 
 
 def true_dp(sys: LinearSystem, p: int, C_max_co: HPolytope,
@@ -349,19 +303,24 @@ def true_dp(sys: LinearSystem, p: int, C_max_co: HPolytope,
     """The actual safety regret at horizon p, by direct computation.
 
     Builds the maximal invariant set of the p-preview system (up to the
-    fixed-point tolerance), then measures the Hausdorff gap between its
-    state-space projection and the limit set (see _preview_gap).
+    fixed-point tolerance), projects it exactly (Fourier-Motzkin), then
+    measures the Hausdorff gap to the limit set (see _preview_gap).
     """
     n_aug = sys.n + p * sys.l
     if n_aug > dim_budget:
         raise BudgetExceededError(
             f"true regret at p={p} needs dimension {n_aug} > budget {dim_budget}")
-    return _preview_gap(sys, p, _cmax_p(sys, p, tol), C_max_co)
+    return _preview_gap(p, proj_cmax_p(sys, p, tol), C_max_co)
 
 
 def proj_cmax_p(sys: LinearSystem, p: int, tol: float = 1e-8) -> HPolytope:
-    """State-space projection of the maximal p-preview invariant set."""
-    C = _cmax_p(sys, p, tol)
-    if p == 0 or C.is_empty():
-        return C if p == 0 else HPolytope.empty(sys.n)
+    """State-space projection of the maximal p-preview invariant set.
+
+    The fixed point must converge within 400 iterations, else
+    BudgetExceededError.
+    """
+    C, conv = max_invariant_set(augment(sys, p) if p else sys, tol=tol,
+                                max_iter=400)
+    if not conv:
+        raise BudgetExceededError("fixed point did not converge")
     return project(C, sys.n)

@@ -401,7 +401,9 @@ def solve_dare(A, B, Q, R, max_iter=10_000, tol=TAU_DARE) -> np.ndarray:
     """Stabilizing solution of the discrete algebraic Riccati equation.
 
     scipy's direct solver is tried first; a fixed-point iteration on the
-    Riccati recursion is the fallback. Residual is checked either way.
+    Riccati recursion is the fallback. Residual is checked either way. An
+    iterate that overflows cannot converge, so it ends the fallback at once
+    with SolverError.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.atleast_2d(np.asarray(B, dtype=float))
@@ -418,17 +420,21 @@ def solve_dare(A, B, Q, R, max_iter=10_000, tol=TAU_DARE) -> np.ndarray:
         except (np.linalg.LinAlgError, ValueError):
             pass
     P = Q.copy()
-    for _ in range(max_iter):
-        S = A.T @ P @ B
-        M = R + B.T @ P @ B
-        P_next = A.T @ P @ A - S @ np.linalg.solve(M, S.T) + Q
-        P_next = 0.5 * (P_next + P_next.T)
-        if np.max(np.abs(P_next - P)) <= tol * (1.0 + np.max(np.abs(P_next))):
-            P = P_next
-            break
-        P = P_next
-    else:
-        raise SolverError("DARE iteration did not converge")
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for _ in range(max_iter):
+                S = A.T @ P @ B
+                M = R + B.T @ P @ B
+                P_next = A.T @ P @ A - S @ np.linalg.solve(M, S.T) + Q
+                P_next = 0.5 * (P_next + P_next.T)
+                step = np.max(np.abs(P_next - P))
+                P = P_next
+                if step <= tol * (1.0 + np.max(np.abs(P))):
+                    break
+            else:
+                raise SolverError("DARE iteration did not converge")
+    except FloatingPointError as exc:
+        raise SolverError("DARE iteration diverged") from exc
     if dare_residual(A, B, Q, R, P) > 1e-8 * (scale + np.max(np.abs(P))):
         raise SolverError("DARE residual too large")
     return P

@@ -18,7 +18,7 @@ from .polytope import (
     max_inscribed_ball_at,
     translate,
 )
-from .solver import INFEASIBLE, is_stabilizable, solve_lp_fast
+from .solver import INFEASIBLE, solve_lp_fast
 
 
 class AssumptionError(RuntimeError):
@@ -98,11 +98,6 @@ class Equilibrium:
     u_e: np.ndarray
     d_e: np.ndarray
     margin: float = 0.0
-
-    def is_zero(self, tol=0.0) -> bool:
-        return (np.max(np.abs(self.x_e), initial=0.0) <= tol
-                and np.max(np.abs(self.u_e), initial=0.0) <= tol
-                and np.max(np.abs(self.d_e), initial=0.0) <= tol)
 
 
 def augment(sys: LinearSystem, p: int) -> LinearSystem:
@@ -231,15 +226,3 @@ def shift_polytope(P: HPolytope, x_e) -> HPolytope:
     """Shift a state-space set by -x_e (companion to shift_origin)."""
     return translate(P, -np.asarray(x_e, dtype=float))
 
-
-def shift_augmented(P: HPolytope, eq: Equilibrium, n: int, p: int) -> HPolytope:
-    """Shift a (x, d_1..d_p)-space set to equilibrium coordinates."""
-    l = eq.d_e.shape[0]
-    t = np.r_[eq.x_e, np.tile(eq.d_e, p)]
-    if P.dim != n + p * l:
-        raise ValueError("set does not live in the augmented state space")
-    return translate(P, -t)
-
-
-def collaborative_stabilizable(sys: LinearSystem) -> bool:
-    return is_stabilizable(sys.A, np.hstack([sys.B, sys.E]))

@@ -116,7 +116,7 @@ def test_criterion_2_alg2_exactness(spine_1d):
         t0 = time.time()
         C_1, conv = max_invariant_set(augment(sys, 1), tol=1e-11)
         assert conv
-        cert = algorithm2(sys, C_co, C_1, p0=1, N=1)
+        cert = algorithm2(sys, C_co, project(C_1, sys.n), p0=1, N=1)
         assert cert.gamma == pytest.approx(0.5, abs=1e-9)        # 1 - 1/a
         assert cert.lambda0 == pytest.approx(2.0 / 3.0, abs=1e-9)
         for p in range(1, 11):
@@ -143,10 +143,10 @@ def test_criterion_3_soundness_sweep():
             assert conv
             proj1 = project(C_1, 2)
             certs = [
-                algorithm1(sys, C_co, C_1, p0=1, proj=proj1),
-                algorithm1(sys, C_co, C_1, p0=1, proj=proj1, refine=True),
-                algorithm2(sys, C_co, C_1, p0=1, proj=proj1, N=2),
-                algorithm2(sys, C_co, C_1, p0=1, proj=proj1, N=8),
+                algorithm1(sys, C_co, proj1, p0=1),
+                algorithm1(sys, C_co, proj1, p0=1, refine=True),
+                algorithm2(sys, C_co, proj1, p0=1, N=2),
+                algorithm2(sys, C_co, proj1, p0=1, N=8),
             ]
             plain, refined = certs[0], certs[1]
             for p in range(1, 30):

@@ -9,6 +9,7 @@ from preview_regret.ellipsoid import (
     min_c_out,
 )
 from preview_regret.invariance import check_contractive, max_invariant_set
+from preview_regret.models import build_template
 from preview_regret.polytope import (
     Box,
     interval,
@@ -51,6 +52,19 @@ def test_certificate_always_valid():
             continue
         assert ell.certificate_gap(s.A, s.B, s.E) <= 1e-8
         assert ell.lam_a < 1.0
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning",
+                            "ignore::scipy.linalg.LinAlgWarning")
+def test_biped_rate_search_stops_diverging_dare():
+    # rates below the reachable one make the Riccati fallback diverge; the
+    # overflowing iterate must end that trial as SolverError, not run on.
+    # LinAlgWarning (a RuntimeWarning) is the Lyapunov solve's conditioning
+    # note, not an overflow.
+    s = build_template("biped")[0]
+    ell = find_contractive_ellipsoid(s)
+    assert ell.certificate_gap(s.A, s.B, s.E) <= 1e-8
+    assert ell.lam_a < 1.0
 
 
 def test_rejects_nonstabilizable():

@@ -5,7 +5,8 @@ from preview_regret.invariance import max_invariant_set
 from preview_regret.models import build_1d, build_2d_random, build_template
 from preview_regret.polytope import set_equal, support
 from preview_regret.regret import algorithm2, algorithm3, bound_dp, true_dp
-from preview_regret.systems import collaborative, collaborative_stabilizable
+from preview_regret.solver import is_stabilizable
+from preview_regret.systems import collaborative
 from preview_regret.mpc import feasible_domain
 
 
@@ -86,13 +87,13 @@ def test_build_2d_origin_interior():
     for seed in range(6):
         s = build_2d_random(seed)
         assert max_inscribed_ball_at(s.S_xu, np.zeros(3)) >= 1.0 - 1e-12
-        assert collaborative_stabilizable(s)
+        assert is_stabilizable(s.A, np.hstack([s.B, s.E]))
 
 
 def test_templates_well_formed():
     for name in ("lane_keeping", "biped", "wind_turbine"):
         sys, provenance = build_template(name)
-        assert collaborative_stabilizable(sys)
+        assert is_stabilizable(sys.A, np.hstack([sys.B, sys.E]))
         from preview_regret.polytope import bounding_box
 
         bounding_box(sys.S_xu)  # raises if not compact

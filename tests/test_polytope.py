@@ -15,7 +15,6 @@ from preview_regret.polytope import (
     bounding_box,
     cartesian_product,
     containment_ratio,
-    containment_ratio_projected,
     contains,
     erode_rows,
     hausdorff_nested,
@@ -436,44 +435,6 @@ def test_containment_ratio_requires_normal_form():
     shifted = translate(unit_box(2), [5.0, 0.0])  # origin outside
     with pytest.raises(NormalFormError):
         containment_ratio(unit_box(2), shifted)
-
-
-def test_containment_ratio_projected_product_lift():
-    P = diamond2d()
-    D = interval(-0.3, 0.3)
-    lifted = cartesian_product(P, D)
-    r = containment_ratio_projected(P, lifted)
-    assert r == pytest.approx(1.0, abs=1e-7)
-
-
-def test_containment_ratio_projected_1d_preview_set():
-    # lifted set {|d| <= 0.5, |x + d/2| <= 0.75} projects to [-1, 1]
-    H = np.array([[0.0, 1.0], [0.0, -1.0], [1.0, 0.5], [-1.0, -0.5]])
-    h = np.array([0.5, 0.5, 0.75, 0.75])
-    lifted = HPolytope(H, h)
-    cmax_co = interval(-1.5, 1.5)
-    r = containment_ratio_projected(cmax_co, lifted)
-    lam0 = 1.0 / r
-    assert lam0 <= 2.0 / 3.0 + 1e-7
-    assert lam0 == pytest.approx(2.0 / 3.0, abs=1e-6)
-
-
-def test_containment_ratio_projected_conservative():
-    rng = np.random.default_rng(11)
-    for _ in range(5):
-        P2 = random_polytope(rng, 3, k=6)
-        P1 = random_polytope(rng, 2, k=5)
-        proj = project(P2, 2)
-        r_enc = containment_ratio_projected(P1, P2)
-        r_exact = containment_ratio(P1, proj)
-        assert r_enc >= r_exact - 1e-7
-
-
-def test_containment_ratio_projected_strictly_larger_inner():
-    lifted = cartesian_product(interval(-1, 1), interval(-1, 1))
-    wide = interval(-2, 2)
-    r = containment_ratio_projected(wide, lifted)
-    assert r >= 2.0 - 1e-7
 
 
 def test_max_inscribed_ball():

@@ -8,7 +8,9 @@ from preview_regret.models import build_1d, build_2d_random
 from preview_regret.polytope import (
     Box,
     HPolytope,
+    containment_ratio,
     interval,
+    project,
     set_equal,
     support,
     unit_box,
@@ -30,6 +32,7 @@ from preview_regret.systems import (
     LinearSystem,
     augment,
     collaborative,
+    equilibrium_margin_at_zero,
 )
 
 
@@ -40,7 +43,7 @@ def spine():
     assert conv
     C_1, conv = max_invariant_set(augment(sys, 1), tol=1e-11)
     assert conv
-    return sys, oracle, C_co, C_1
+    return sys, oracle, C_co, project(C_1, sys.n)
 
 
 def test_k0_examples():
@@ -53,43 +56,39 @@ def test_k0_examples():
 
 def test_lambda0_identical_sets(spine):
     _, _, C_co, _ = spine
-    assert estimate_lambda0(C_co, C_co, "exact") == pytest.approx(1.0, abs=1e-9)
+    assert estimate_lambda0(C_co, C_co) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_lambda0_1d_closed_form(spine):
-    sys, oracle, C_co, C_1 = spine
+    sys, oracle, C_co, _ = spine
     proj1 = proj_cmax_p(sys, 1, tol=1e-11)
-    lam0 = estimate_lambda0(C_co, proj1, "exact")
+    lam0 = estimate_lambda0(C_co, proj1)
     assert lam0 == pytest.approx(2.0 / 3.0, abs=1e-9)
-    lam0_enc = estimate_lambda0(C_co, C_1, "encoded")
-    assert lam0_enc <= 2.0 / 3.0 + 1e-8
-    assert lam0_enc > 0.0
 
 
-def test_lambda0_method_ordering():
+def test_lambda0_method_ordering(spine):
+    # eps * B(n) lies inside the projection, so the containment LP into the
+    # projection is never below the margin bound eps / r(C_co, B(n))
+    sys_1d, _, C_co_1d, proj1_1d = spine
+    cases = [(sys_1d, C_co_1d, proj1_1d)]
     for seed in (0, 1, 2):
         sys = build_2d_random(seed)
         C_co, conv = max_invariant_set(collaborative(sys), tol=1e-9)
         assert conv
         C_1, conv = max_invariant_set(augment(sys, 1), tol=1e-9)
         assert conv
-        from preview_regret.polytope import project
-
-        proj1 = project(C_1, 2)
-        from preview_regret.systems import equilibrium_margin_at_zero
-
+        cases.append((sys, C_co, project(C_1, 2)))
+    for sys, C_co, proj1 in cases:
         eps = equilibrium_margin_at_zero(sys, proj1)
-        base = estimate_lambda0(C_co, proj1, "baseline", eps_star=eps)
-        enc = estimate_lambda0(C_co, C_1, "encoded")
-        exact = estimate_lambda0(C_co, proj1, "exact")
-        assert base <= exact + 1e-7
-        assert enc <= exact + 1e-7
-        assert base > 0.0
+        margin_bound = eps / containment_ratio(C_co, unit_box(sys.n))
+        lam0 = estimate_lambda0(C_co, proj1)
+        assert lam0 >= margin_bound - 1e-9
+        assert lam0 > 0.0
 
 
 def test_algorithm2_1d_exact(spine):
-    sys, oracle, C_co, C_1 = spine
-    cert = algorithm2(sys, C_co, C_1, p0=1, N=1)
+    sys, oracle, C_co, proj1 = spine
+    cert = algorithm2(sys, C_co, proj1, p0=1, N=1)
     assert cert.method == "alg2"
     assert cert.gamma == pytest.approx(0.5, abs=1e-9)       # 1 - 1/a
     assert cert.lambda0 == pytest.approx(2.0 / 3.0, abs=1e-9)
@@ -143,8 +142,8 @@ def test_algorithm2_larger_N_coarser_faster():
 
 
 def test_algorithm1_1d_sound(spine):
-    sys, oracle, C_co, C_1 = spine
-    cert = algorithm1(sys, C_co, C_1, p0=1)
+    sys, oracle, C_co, proj1 = spine
+    cert = algorithm1(sys, C_co, proj1, p0=1)
     assert cert.method == "alg1"
     assert cert.contractive_verified
     assert 0 < cert.lambda0 <= 1.0
@@ -154,9 +153,9 @@ def test_algorithm1_1d_sound(spine):
 
 
 def test_algorithm1_refined_never_looser(spine):
-    sys, oracle, C_co, C_1 = spine
-    plain = algorithm1(sys, C_co, C_1, p0=1)
-    refined = algorithm1(sys, C_co, C_1, p0=1, refine=True)
+    sys, oracle, C_co, proj1 = spine
+    plain = algorithm1(sys, C_co, proj1, p0=1)
+    refined = algorithm1(sys, C_co, proj1, p0=1, refine=True)
     assert refined.method == "alg1_refined"
     assert refined.contractive_verified
     assert refined.gamma >= plain.gamma - 1e-12
@@ -177,10 +176,10 @@ def test_algorithm1_assumption_failure():
 
 
 def test_bound_dp_monotone_and_vanishing(spine):
-    sys, oracle, C_co, C_1 = spine
-    for cert in (algorithm1(sys, C_co, C_1, p0=1),
-                 algorithm1(sys, C_co, C_1, p0=1, refine=True),
-                 algorithm2(sys, C_co, C_1, p0=1, N=1)):
+    sys, oracle, C_co, proj1 = spine
+    for cert in (algorithm1(sys, C_co, proj1, p0=1),
+                 algorithm1(sys, C_co, proj1, p0=1, refine=True),
+                 algorithm2(sys, C_co, proj1, p0=1, N=1)):
         vals = [bound_dp(cert, p) for p in range(1, 40)]
         for i in range(len(vals) - cert.N):
             assert vals[i + cert.N] <= vals[i] + 1e-12
@@ -190,8 +189,8 @@ def test_bound_dp_monotone_and_vanishing(spine):
 
 
 def test_bound_marginal(spine):
-    sys, oracle, C_co, C_1 = spine
-    cert = algorithm2(sys, C_co, C_1, p0=1, N=1)
+    sys, oracle, C_co, proj1 = spine
+    cert = algorithm2(sys, C_co, proj1, p0=1, N=1)
     # c = 1/3, a = 1/2, r_co = 1.5 at p = 2 -> c(1+a)a * r_co = 0.375
     assert bound_marginal(cert, 2) == pytest.approx(0.375, abs=1e-9)
     for p in range(1, 12):
@@ -284,11 +283,11 @@ def test_algorithm3_finite_convergence_certified():
 
 
 def test_ladder_dominates_certificates(spine):
-    sys, oracle, C_co, C_1 = spine
+    sys, oracle, C_co, _ = spine
     proj1 = proj_cmax_p(sys, 1, tol=1e-11)
     report = algorithm3(sys, C_co, proj1, p0=1, k_max=10)
-    a1 = algorithm1(sys, C_co, C_1, p0=1)
-    a2 = algorithm2(sys, C_co, C_1, p0=1, N=1)
+    a1 = algorithm1(sys, C_co, proj1, p0=1)
+    a2 = algorithm2(sys, C_co, proj1, p0=1, N=1)
     for k, d in enumerate(report.distances):
         p = 1 + k
         assert d <= bound_dp(a1, p) + 1e-9
@@ -301,9 +300,10 @@ def test_soundness_2d_single_seed():
     assert conv
     C_1, conv = max_invariant_set(augment(sys, 1), tol=1e-9)
     assert conv
-    certs = [algorithm1(sys, C_co, C_1, p0=1),
-             algorithm1(sys, C_co, C_1, p0=1, refine=True),
-             algorithm2(sys, C_co, C_1, p0=1, N=2)]
+    proj1 = project(C_1, 2)
+    certs = [algorithm1(sys, C_co, proj1, p0=1),
+             algorithm1(sys, C_co, proj1, p0=1, refine=True),
+             algorithm2(sys, C_co, proj1, p0=1, N=2)]
     for p in range(1, 5):
         actual = true_dp(sys, p, C_co, tol=1e-8)
         for cert in certs:
