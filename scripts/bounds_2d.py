@@ -19,6 +19,7 @@ from preview_regret import (
     collaborative,
     max_invariant_set,
     project,
+    refine_certificate,
     true_dp,
 )
 
@@ -39,9 +40,10 @@ def main():
     assert conv
     proj1 = project(C_1, system.n)
 
+    alg1 = algorithm1(system, C_co, proj1, p0=1)
     certs = {
-        "alg1": algorithm1(system, C_co, proj1, p0=1),
-        "alg1_refined": algorithm1(system, C_co, proj1, p0=1, refine=True),
+        "alg1": alg1,
+        "alg1_refined": refine_certificate(system, C_co, alg1),
         "alg2_N1": algorithm2(system, C_co, proj1, p0=1, N=1),
         f"alg2_N{args.N_coarse}": algorithm2(system, C_co, proj1, p0=1,
                                              N=args.N_coarse),

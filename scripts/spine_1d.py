@@ -16,6 +16,7 @@ from preview_regret import (
     collaborative,
     max_invariant_set,
     proj_cmax_p,
+    refine_certificate,
     true_dp,
 )
 
@@ -32,7 +33,7 @@ def main():
     proj1 = proj_cmax_p(system, 1, tol=1e-11)
 
     a1 = algorithm1(system, C_co, proj=proj1, p0=1)
-    a1r = algorithm1(system, C_co, proj=proj1, p0=1, refine=True)
+    a1r = refine_certificate(system, C_co, a1)
     a2 = algorithm2(system, C_co, proj=proj1, p0=1, N=1)
     ladder = algorithm3(system, C_co, proj1, p0=1, k_max=args.p_max)
 

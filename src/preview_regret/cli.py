@@ -76,6 +76,7 @@ def _regret_pipeline(args, system):
         algorithm2,
         algorithm3,
         bound_dp,
+        refine_certificate,
         true_dp,
     )
     from .systems import AssumptionError, augment, collaborative
@@ -105,8 +106,12 @@ def _regret_pipeline(args, system):
                 certs[name] = algorithm1(system, C_co, proj, p0=p0,
                                          cmax_exact=exact)
             elif name == "alg1_refined":
-                certs[name] = algorithm1(system, C_co, proj, p0=p0,
-                                         refine=True, cmax_exact=exact)
+                if "alg1" in failures:
+                    failures[name] = failures["alg1"]
+                    continue
+                plain = certs["alg1"] if "alg1" in certs else algorithm1(
+                    system, C_co, proj, p0=p0, cmax_exact=exact)
+                certs[name] = refine_certificate(system, C_co, plain)
             elif name == "alg2":
                 certs[name] = algorithm2(system, C_co, proj, p0=p0,
                                          N=args.N, cmax_exact=exact)
@@ -137,8 +142,10 @@ def _regret_pipeline(args, system):
                           ("alg2", "bound_alg2")):
             if name in certs:
                 row[col] = bound_dp(certs[name], p)
-        if report is not None and 0 <= p - p0 < len(report.distances):
+        if report is not None and p - p0 < len(report.distances):
             row["bound_alg3"] = report.distances[p - p0]
+        elif report is not None and math.isfinite(p_bar):
+            row["bound_alg3"] = 0.0  # the ladder closed: no gap from p_bar on
         if p_bar is not None:
             row["p_bar"] = float(p_bar)
         rows.append(row)

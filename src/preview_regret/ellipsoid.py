@@ -22,7 +22,7 @@ from .solver import (
     solve_dlyap,
     spectral_radius,
 )
-from .systems import DeterministicSystem, LinearSystem, collaborative
+from .systems import LinearSystem
 
 BISECTION_FLOOR = 1e-3
 BISECTION_ITERS = 40
@@ -64,22 +64,14 @@ class ContractionParams:
     c_out: float
 
 
-def find_contractive_ellipsoid(sys, floor=BISECTION_FLOOR,
-                               iters=BISECTION_ITERS) -> ContractiveEllipsoid:
-    """Smallest-rate contractive ellipsoid found by bisection.
-
-    Accepts a LinearSystem (its collaborative form is used) or a
-    DeterministicSystem paired with the input split (m, l) stored in the
-    matrices' widths. The returned lam_a upper-bounds the optimal rate.
+def find_contractive_ellipsoid(sys: LinearSystem) -> ContractiveEllipsoid:
+    """Smallest-rate contractive ellipsoid of the collaborative system
+    (inputs u and d), found by bisection over [BISECTION_FLOOR, 1) in
+    BISECTION_ITERS steps. The returned lam_a upper-bounds the optimal rate.
     """
-    if isinstance(sys, LinearSystem):
-        A = sys.A
-        Bc = np.hstack([sys.B, sys.E])
-        m = sys.m
-    else:
-        A = sys.A
-        Bc = sys.B
-        m = sys.m  # no split known: R2 comes out empty
+    A = sys.A
+    Bc = np.hstack([sys.B, sys.E])
+    m = sys.m
     n = A.shape[0]
     if not is_stabilizable(A, Bc):
         raise NotStabilizableError("collaborative system is not stabilizable")
@@ -92,10 +84,8 @@ def find_contractive_ellipsoid(sys, floor=BISECTION_FLOOR,
             return K_zero  # open loop already meets the rate
         At = A / rho
         Bt = Bc / rho
-        if not is_stabilizable(At, Bt):
-            return None
         try:
-            P = solve_dare(At, Bt, np.eye(n), np.eye(Bt.shape[1]), max_iter=3000)
+            P = solve_dare(At, Bt, np.eye(n), np.eye(Bt.shape[1]))
         except (NotStabilizableError, SolverError, np.linalg.LinAlgError):
             return None
         K = dare_gain(At, Bt, np.eye(Bt.shape[1]), P)
@@ -109,12 +99,12 @@ def find_contractive_ellipsoid(sys, floor=BISECTION_FLOOR,
         raise NotStabilizableError(
             "no contraction certificate below rate 1; system too marginal")
     rho_best = hi
-    lo = floor
+    lo = BISECTION_FLOOR
     K_floor = try_rate(lo)
     if K_floor is not None:
         rho_best, K_best = lo, K_floor
     else:
-        for _ in range(iters):
+        for _ in range(BISECTION_ITERS):
             mid = 0.5 * (lo + rho_best)
             K_mid = try_rate(mid)
             if K_mid is not None:

@@ -45,14 +45,13 @@ def pre(sys, X: HPolytope, S: HPolytope | None = None) -> HPolytope:
     return project(stacked, n)
 
 
-def pre_k(sys, X: HPolytope, S: HPolytope | None = None,
-          k: int = 1) -> HPolytope:
+def pre_k(sys, X: HPolytope, k: int = 1) -> HPolytope:
     """k-fold composition of pre; every step returns an irredundant set."""
     if k < 0:
         raise ValueError("k must be nonnegative")
     out = X
     for _ in range(k):
-        out = pre(sys, out, S)
+        out = pre(sys, out)
         if out.is_empty():
             return out
     return out
@@ -64,8 +63,7 @@ def _subset_within(X_old: HPolytope, X_new: HPolytope, tol) -> bool:
     return first_violation(X_old, X_new.H, X_new.h + tol * norms) is None
 
 
-def max_invariant_set(sys, S: HPolytope | None = None, max_iter: int = 200,
-                      tol: float = TAU_SET):
+def max_invariant_set(sys, max_iter: int = 200, tol: float = TAU_SET):
     """Maximal (robust) controlled invariant set by the outside-in iteration.
 
     Returns (C, converged). The iterates X_{k+1} = pre(X_k) start at
@@ -74,14 +72,13 @@ def max_invariant_set(sys, S: HPolytope | None = None, max_iter: int = 200,
     iterates are nested. Every iterate contains the maximal set, so a
     non-converged result is a certified outer approximation.
     """
-    if S is None:
-        S = _safe_set_of(sys)
+    S = _safe_set_of(sys)
     n = sys.n
     X = project(HPolytope(S.H, S.h), n)
     if X.is_empty():
         return HPolytope.empty(n), True
     for _ in range(max_iter):
-        X_next = pre(sys, X, S)
+        X_next = pre(sys, X)
         if X_next.is_empty():
             return HPolytope.empty(n), True
         if _subset_within(X, X_next, tol):
@@ -90,16 +87,15 @@ def max_invariant_set(sys, S: HPolytope | None = None, max_iter: int = 200,
     return X, False
 
 
-def is_rcis(sys, C: HPolytope, S: HPolytope | None = None, tol=TAU_SET) -> bool:
-    """C is (robust) controlled invariant in S: C ⊆ Pre(C, S)."""
-    return contains(pre(sys, C, S), C, tol=tol)
+def is_rcis(sys, C: HPolytope, tol=TAU_SET) -> bool:
+    """C is (robust) controlled invariant in the safe set: C ⊆ Pre(C)."""
+    return contains(pre(sys, C), C, tol=tol)
 
 
-def rcis_violation_witness(sys, C: HPolytope, S: HPolytope | None = None,
-                           tol=TAU_SET):
+def rcis_violation_witness(sys, C: HPolytope, tol=TAU_SET):
     """None if C is an RCIS, else a point of C that cannot stay in C: one
     that breaks a row of Pre(C) (see first_violation)."""
-    P = pre(sys, C, S)
+    P = pre(sys, C)
     return first_violation(C, P.H, P.h + tol * np.linalg.norm(P.H, axis=1))
 
 
@@ -116,16 +112,15 @@ def cmax_p_co(sys: LinearSystem, p: int, C_max_co: HPolytope) -> HPolytope:
     return pre_k(co_p, target, k=p)
 
 
-def check_contractive(sys: DeterministicSystem, X: HPolytope,
-                      S: HPolytope | None = None, N: int = 1,
+def check_contractive(sys: DeterministicSystem, X: HPolytope, N: int = 1,
                       lam: float = 1.0, tol=TAU_SET) -> bool:
-    """X ⊆ Pre^N(lam * X, S): X can be steered into its lam-scaled copy in
+    """X ⊆ Pre^N(lam * X): X can be steered into its lam-scaled copy in
     N safe steps."""
     if not (0.0 <= lam <= 1.0):
         raise ValueError("contraction factor must be in [0, 1]")
     if N < 1:
         raise ValueError("N must be positive")
-    reach = pre_k(sys, scale(X, lam), S, k=N)
+    reach = pre_k(sys, scale(X, lam), k=N)
     return contains(reach, X, tol=tol)
 
 

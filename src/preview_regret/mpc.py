@@ -35,7 +35,8 @@ class TerminalSetError(ValueError):
 
 @dataclass
 class MpcConfig:
-    """Preview MPC setup: horizon, terminal set and quadratic stage weights.
+    """Preview MPC setup: horizon and terminal set; the quadratic stage
+    weights are the identity.
 
     rfc selects the recursive-feasibility constraint: "terminal_set" forces
     the final predicted state into C; "max_rcis" keeps the successor
@@ -45,15 +46,8 @@ class MpcConfig:
 
     p: int
     C: HPolytope
-    Q_s: np.ndarray | None = None
-    R_s: np.ndarray | None = None
     rfc: str | None = "terminal_set"
     cmax_p: HPolytope | None = None
-
-    def weights(self, n, m):
-        Q = np.eye(n) if self.Q_s is None else np.atleast_2d(np.asarray(self.Q_s))
-        R = np.eye(m) if self.R_s is None else np.atleast_2d(np.asarray(self.R_s))
-        return Q, R
 
 
 @dataclass
@@ -183,12 +177,7 @@ def _stack_mpc_qp(sys: LinearSystem, cfg: MpcConfig, x0, preview):
     elif cfg.rfc is not None:
         raise ValueError(f"unknown rfc mode {cfg.rfc!r}")
 
-    Q, R = cfg.weights(n, m)
-    G = np.zeros((nz, nz))
-    for t in range(1, p + 1):
-        G[xi(t), xi(t)] = Q
-    for t in range(p):
-        G[ui(t), ui(t)] = R
+    G = np.eye(nz)  # identity stage weights on every x_t and u_t
     return G, np.vstack(blocks), np.concatenate(rhss), A_eq, b_eq
 
 
@@ -247,7 +236,6 @@ def simulate_closed_loop(sys: LinearSystem, cfg: MpcConfig, x0, stream,
     if stream.shape[0] < T + cfg.p:
         raise ValueError("disturbance stream shorter than T + p")
     x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
-    Q, R = cfg.weights(sys.n, sys.m)
     log = []
     for t in range(T):
         window = stream[t:t + cfg.p]
@@ -256,7 +244,7 @@ def simulate_closed_loop(sys: LinearSystem, cfg: MpcConfig, x0, stream,
             log.append({"t": t, "x": x.copy(), "u": None, "d": stream[t].copy(),
                         "feasible": False, "cost": np.nan})
             break
-        cost = float(x @ Q @ x + u0 @ R @ u0)
+        cost = float(x @ x + u0 @ u0)
         log.append({"t": t, "x": x.copy(), "u": u0.copy(),
                     "d": stream[t].copy(), "feasible": True, "cost": cost})
         x = sys.step(x, u0, stream[t])

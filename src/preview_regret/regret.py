@@ -5,7 +5,7 @@ convergence.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -49,8 +49,10 @@ class RegretCertificate:
 
     The bound is piecewise in j = floor((p - p0) / N): an initial phase
     driven by (lambda0, lam) up to k0, then geometric decay with base a and
-    coefficient c. Certificates from the controllable-system method have
-    lam = 0, k0 = 0, a = 1 - gamma and c = 1 - lambda0.
+    coefficient c. k0, a and c are derived from (lambda0, gamma, lam), so a
+    certificate stores only its inputs. Certificates from the
+    controllable-system method have lam = 0, k0 = 0, a = 1 - gamma and
+    c = 1 - lambda0.
     """
 
     method: str
@@ -58,15 +60,30 @@ class RegretCertificate:
     gamma: float
     N: int
     lam: float
-    k0: float  # may be math.inf when lambda0 == 0
-    a: float
-    c: float
     r_co: float
     p0: int
     shift: Equilibrium
     cmax_exact: bool = True
     contractive_verified: bool | None = None
     ellipsoid: object | None = field(default=None, repr=False)  # audit trail
+
+    @property
+    def k0(self):
+        """Length of the initial phase (see k0_of)."""
+        return k0_of(self.lambda0, self.gamma, self.lam)
+
+    @property
+    def a(self) -> float:
+        return (1.0 - self.gamma) / (1.0 - self.gamma * self.lam)
+
+    @property
+    def c(self) -> float:
+        k0 = self.k0
+        if math.isinf(k0):
+            return 1.0
+        if k0:
+            return (1.0 - self.lambda0 / self.lam ** k0) * self.a ** (-k0)
+        return 1.0 - self.lambda0
 
 
 @dataclass
@@ -77,10 +94,6 @@ class ConvergenceReport:
     ladder: list
     distances: list
     k_max: int
-
-    @property
-    def converged(self) -> bool:
-        return math.isfinite(self.p_bar)
 
 
 def k0_of(lambda0: float, gamma: float, lam: float):
@@ -132,61 +145,58 @@ def _shift_problem(sys, proj, C_max_co, require_interior_projection):
     return sys_s, proj_s, C_co_s, eq
 
 
-def _finish_certificate(method, lambda0, gamma, N, lam, r_co, p0, eq,
-                        cmax_exact, verified):
-    k0 = k0_of(lambda0, gamma, lam)
-    a = (1.0 - gamma) / (1.0 - gamma * lam)
-    if math.isinf(k0):
-        c = 1.0
-    else:
-        c = (1.0 - lambda0 / lam ** k0) * a ** (-k0) if k0 else (1.0 - lambda0)
-    return RegretCertificate(method=method, lambda0=float(lambda0),
-                             gamma=float(gamma), N=int(N), lam=float(lam),
-                             k0=k0, a=float(a), c=float(c), r_co=float(r_co),
-                             p0=int(p0), shift=eq, cmax_exact=cmax_exact,
-                             contractive_verified=verified)
-
-
 def algorithm1(sys: LinearSystem, C_max_co: HPolytope, proj: HPolytope,
-               p0: int = 0, refine: bool = False,
-               cmax_exact: bool = True) -> RegretCertificate:
+               p0: int = 0, cmax_exact: bool = True) -> RegretCertificate:
     """Two-phase decay certificate from a contractive-ellipsoid schedule.
 
     proj is the state-space projection of the maximal p0-preview invariant
     set. Needs a forced equilibrium interior to both the safe set and proj;
-    lambda0 is then the containment LP of the limit set into proj. With
-    refine=True (and an exact C_max_co) the schedule is re-anchored on the
-    N-step backward reachable set, which never loosens the bound.
+    lambda0 is then the containment LP of the limit set into proj. See
+    refine_certificate for the re-anchored schedule.
     """
     sys_s, proj_s, C_co_s, eq = _shift_problem(
         sys, proj, C_max_co, require_interior_projection=True)
     lambda0 = estimate_lambda0(C_co_s, proj_s)
 
-    co_s = collaborative(sys_s)
     ell = find_contractive_ellipsoid(sys_s)
     c0 = max_c0(ell, sys_s.S_xu, sys_s.D)
     if c0 <= 0.0:
         raise AssumptionError("contractive ellipsoid has no room inside the "
                               "safe set at the chosen equilibrium")
-    c_out = min_c_out(C_co_s, ell.Q)
-    params = contraction_params(c0, c_out, ell.lam_a)
-    gamma, N, lam = params.gamma, params.N, params.lam
-    method = "alg1"
-    if refine:
-        if not cmax_exact:
-            raise AssumptionError("refinement needs an exact limit set")
-        C_N = pre_k(co_s, scale(C_co_s, lam * gamma), k=N)
-        gamma_star = min(1.0, 1.0 / containment_ratio(C_co_s, C_N))
-        lam = lam * gamma / gamma_star
-        gamma = gamma_star
-        method = "alg1_refined"
-    verified = check_contractive(co_s, scale(C_co_s, gamma), N=N, lam=lam,
-                                 tol=1e-7)
-    r_co = radius_from_origin(C_co_s)
-    cert = _finish_certificate(method, lambda0, gamma, N, lam, r_co, p0, eq,
-                               cmax_exact, verified)
-    cert.ellipsoid = ell
-    return cert
+    params = contraction_params(c0, min_c_out(C_co_s, ell.Q), ell.lam_a)
+    verified = check_contractive(collaborative(sys_s),
+                                 scale(C_co_s, params.gamma), N=params.N,
+                                 lam=params.lam, tol=1e-7)
+    return RegretCertificate(
+        method="alg1", lambda0=float(lambda0), gamma=params.gamma,
+        N=params.N, lam=params.lam, r_co=float(radius_from_origin(C_co_s)),
+        p0=int(p0), shift=eq, cmax_exact=cmax_exact,
+        contractive_verified=verified, ellipsoid=ell)
+
+
+def refine_certificate(sys: LinearSystem, C_max_co: HPolytope,
+                       cert: RegretCertificate) -> RegretCertificate:
+    """Re-anchor a plain Algorithm-1 certificate on the N-step backward set.
+
+    gamma becomes the largest scaling of the limit set inside
+    C_N = Pre^N(lam * gamma * C_max_co), and lam is rescaled so that
+    lam * gamma is unchanged; this never loosens the bound. lambda0, N,
+    r_co, p0, the shift and the ellipsoid carry over from cert. Needs an
+    exact limit set (cert.cmax_exact).
+    """
+    if cert.method != "alg1":
+        raise ValueError("only a plain alg1 certificate can be refined")
+    if not cert.cmax_exact:
+        raise AssumptionError("refinement needs an exact limit set")
+    co_s = collaborative(shift_origin(sys, cert.shift))
+    C_co_s = shift_polytope(C_max_co, cert.shift.x_e)
+    C_N = pre_k(co_s, scale(C_co_s, cert.lam * cert.gamma), k=cert.N)
+    gamma = float(min(1.0, 1.0 / containment_ratio(C_co_s, C_N)))
+    lam = cert.lam * cert.gamma / gamma
+    verified = check_contractive(co_s, scale(C_co_s, gamma), N=cert.N,
+                                 lam=lam, tol=1e-7)
+    return replace(cert, method="alg1_refined", gamma=gamma, lam=lam,
+                   contractive_verified=verified)
 
 
 def algorithm2(sys: LinearSystem, C_max_co: HPolytope, proj: HPolytope,
@@ -226,9 +236,10 @@ def algorithm2(sys: LinearSystem, C_max_co: HPolytope, proj: HPolytope,
         raise ValueError(
             "the N-step backward set of the origin is degenerate; "
             "choose N >= the state dimension") from exc
-    r_co = radius_from_origin(C_co_s)
-    return _finish_certificate("alg2", lambda0, gamma_max, N, 0.0, r_co, p0,
-                               eq, cmax_exact, None)
+    return RegretCertificate(
+        method="alg2", lambda0=float(lambda0), gamma=float(gamma_max),
+        N=int(N), lam=0.0, r_co=float(radius_from_origin(C_co_s)),
+        p0=int(p0), shift=eq, cmax_exact=cmax_exact)
 
 
 def bound_dp(cert: RegretCertificate, p: int) -> float:

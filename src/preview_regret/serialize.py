@@ -147,20 +147,20 @@ def certificate_to_json(cert: RegretCertificate) -> dict:
 
 
 def certificate_from_json(obj) -> RegretCertificate:
+    """Certificate from its document. The stored k0, a and c are not read:
+    the certificate derives them from lambda0, gamma and lambda."""
     _require(isinstance(obj, dict), "certificate", "expected a JSON object")
-    for key in ("method", "lambda0", "gamma", "N", "lambda", "a", "c",
-                "r_co", "p0", "shift"):
+    for key in ("method", "lambda0", "gamma", "N", "lambda", "r_co", "p0",
+                "shift"):
         _require(key in obj, "certificate", f"missing field {key!r}")
     sh = obj["shift"]
     eq = Equilibrium(np.asarray(sh["x_e"], dtype=float),
                      np.asarray(sh["u_e"], dtype=float),
                      np.asarray(sh["d_e"], dtype=float),
                      float(sh.get("margin", 0.0)))
-    k0 = obj.get("k0")
     return RegretCertificate(
         method=obj["method"], lambda0=float(obj["lambda0"]),
         gamma=float(obj["gamma"]), N=int(obj["N"]), lam=float(obj["lambda"]),
-        k0=math.inf if k0 is None else k0, a=float(obj["a"]), c=float(obj["c"]),
         r_co=float(obj["r_co"]), p0=int(obj["p0"]), shift=eq,
         cmax_exact=bool(obj.get("cmax_exact", True)),
         contractive_verified=obj.get("contractive_verified"))

@@ -1,7 +1,6 @@
 """Dense numeric kernel: LPs, strictly convex QPs, Riccati/Lyapunov solves.
 
-All routines are pure functions of their inputs and safe to call from
-concurrent workers.
+All routines are pure functions of their inputs.
 """
 
 from dataclasses import dataclass
@@ -10,6 +9,7 @@ import numpy as np
 import scipy.linalg
 
 TAU_DARE = 1e-10
+DARE_MAX_ITER = 3000
 
 _PIVTOL = 1e-9
 _COSTTOL = 1e-9
@@ -367,27 +367,27 @@ def cholesky(Q) -> np.ndarray:
         raise NotPositiveDefiniteError("matrix is not positive definite") from exc
 
 
-def is_stabilizable(A, B, tol=1e-9) -> bool:
+def is_stabilizable(A, B) -> bool:
     """PBH test on the eigenvalues at or outside the unit circle."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.atleast_2d(np.asarray(B, dtype=float))
     n = A.shape[0]
     for lam in np.linalg.eigvals(A):
-        if abs(lam) >= 1.0 - tol:
+        if abs(lam) >= 1.0 - 1e-9:
             M = np.hstack([A - lam * np.eye(n), B])
             if np.linalg.matrix_rank(M, tol=1e-9) < n:
                 return False
     return True
 
 
-def is_controllable(A, B, tol=1e-9) -> bool:
+def is_controllable(A, B) -> bool:
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.atleast_2d(np.asarray(B, dtype=float))
     n = A.shape[0]
     blocks = [B]
     for _ in range(n - 1):
         blocks.append(A @ blocks[-1])
-    return np.linalg.matrix_rank(np.hstack(blocks), tol=tol) == n
+    return np.linalg.matrix_rank(np.hstack(blocks), tol=1e-9) == n
 
 
 def dare_residual(A, B, Q, R, P) -> float:
@@ -397,13 +397,13 @@ def dare_residual(A, B, Q, R, P) -> float:
     return float(np.max(np.abs(res)))
 
 
-def solve_dare(A, B, Q, R, max_iter=10_000, tol=TAU_DARE) -> np.ndarray:
+def solve_dare(A, B, Q, R) -> np.ndarray:
     """Stabilizing solution of the discrete algebraic Riccati equation.
 
     scipy's direct solver is tried first; a fixed-point iteration on the
-    Riccati recursion is the fallback. Residual is checked either way. An
-    iterate that overflows cannot converge, so it ends the fallback at once
-    with SolverError.
+    Riccati recursion (at most DARE_MAX_ITER steps) is the fallback.
+    Residual is checked either way. An iterate that overflows cannot
+    converge, so it ends the fallback at once with SolverError.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.atleast_2d(np.asarray(B, dtype=float))
@@ -415,21 +415,22 @@ def solve_dare(A, B, Q, R, max_iter=10_000, tol=TAU_DARE) -> np.ndarray:
     if B.shape[1] > 0 and np.max(np.abs(B)) > 0:
         try:
             P = scipy.linalg.solve_discrete_are(A, B, Q, R)
-            if dare_residual(A, B, Q, R, P) <= tol * (scale + np.max(np.abs(P))):
+            res = dare_residual(A, B, Q, R, P)
+            if res <= TAU_DARE * (scale + np.max(np.abs(P))):
                 return P
         except (np.linalg.LinAlgError, ValueError):
             pass
     P = Q.copy()
     try:
         with np.errstate(over="raise", invalid="raise"):
-            for _ in range(max_iter):
+            for _ in range(DARE_MAX_ITER):
                 S = A.T @ P @ B
                 M = R + B.T @ P @ B
                 P_next = A.T @ P @ A - S @ np.linalg.solve(M, S.T) + Q
                 P_next = 0.5 * (P_next + P_next.T)
                 step = np.max(np.abs(P_next - P))
                 P = P_next
-                if step <= tol * (1.0 + np.max(np.abs(P))):
+                if step <= TAU_DARE * (1.0 + np.max(np.abs(P))):
                     break
             else:
                 raise SolverError("DARE iteration did not converge")

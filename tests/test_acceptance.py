@@ -50,6 +50,7 @@ from preview_regret.regret import (
     algorithm2,
     algorithm3,
     bound_dp,
+    refine_certificate,
     true_dp,
 )
 from preview_regret.systems import (
@@ -142,13 +143,14 @@ def test_criterion_3_soundness_sweep():
             C_1, conv = max_invariant_set(augment(sys, 1), tol=1e-9)
             assert conv
             proj1 = project(C_1, 2)
+            plain = algorithm1(sys, C_co, proj1, p0=1)
             certs = [
-                algorithm1(sys, C_co, proj1, p0=1),
-                algorithm1(sys, C_co, proj1, p0=1, refine=True),
+                plain,
+                refine_certificate(sys, C_co, plain),
                 algorithm2(sys, C_co, proj1, p0=1, N=2),
                 algorithm2(sys, C_co, proj1, p0=1, N=8),
             ]
-            plain, refined = certs[0], certs[1]
+            refined = certs[1]
             for p in range(1, 30):
                 assert bound_dp(refined, p) <= bound_dp(plain, p) + 1e-9, \
                     f"seed {seed}: refinement loosened the bound at p={p}"

@@ -64,17 +64,30 @@ def test_schema_errors_are_precise():
 def test_certificate_roundtrip():
     eq = Equilibrium(np.zeros(1), np.zeros(1), np.zeros(1), 0.5)
     cert = RegretCertificate(method="alg2", lambda0=2 / 3, gamma=0.5, N=1,
-                             lam=0.0, k0=0, a=0.5, c=1 / 3, r_co=1.5, p0=1,
-                             shift=eq)
+                             lam=0.0, r_co=1.5, p0=1, shift=eq)
     back = certificate_from_json(certificate_to_json(cert))
     for p in range(1, 8):
         assert bound_dp(back, p) == pytest.approx(bound_dp(cert, p))
     inf_cert = RegretCertificate(method="alg1", lambda0=0.0, gamma=0.5, N=1,
-                                 lam=0.5, k0=math.inf, a=0.5, c=1.0,
-                                 r_co=1.0, p0=0, shift=eq)
+                                 lam=0.5, r_co=1.0, p0=0, shift=eq)
     doc = certificate_to_json(inf_cert)
     assert doc["k0"] is None
     assert math.isinf(certificate_from_json(doc).k0)
+
+
+def test_loaded_certificate_derives_its_schedule(system_file, tmp_path):
+    out = tmp_path / "c.csv"
+    assert main(["regret", str(system_file), "--p-max", "2", "--alg", "all",
+                 "--out", str(out)]) == 0
+    for name in ("alg1", "alg1_refined", "alg2"):
+        doc = json.loads((tmp_path / f"c_{name}.cert.json").read_text())
+        back = certificate_from_json(doc)
+        assert (back.k0, back.a, back.c) == (doc["k0"], doc["a"], doc["c"])
+        # stored copies are neither needed nor trusted
+        tampered = {k: v for k, v in doc.items() if k not in ("k0", "c")}
+        tampered["a"] = 0.5
+        again = certificate_from_json(tampered)
+        assert (again.k0, again.a, again.c) == (back.k0, back.a, back.c)
 
 
 def test_cli_rcis(system_file, tmp_path):
@@ -244,6 +257,71 @@ def test_cli_regret_reuses_the_p0_fixed_point(p0, system_file, tmp_path,
     for row in rows:
         assert float(row["true_dp"]) == pytest.approx(
             oracle.dp(int(row["p"])), abs=1e-8)
+
+
+def test_cli_regret_refined_certificate_is_one_path(system_file, tmp_path,
+                                                    monkeypatch):
+    # the refined certificate re-anchors the plain one, so each run makes
+    # one ellipsoid search, counted at regret's binding
+    import preview_regret.regret as reg
+    from preview_regret.invariance import max_invariant_set
+    from preview_regret.polytope import project
+    from preview_regret.regret import algorithm1, refine_certificate
+    from preview_regret.serialize import load_system
+    from preview_regret.systems import augment, collaborative
+
+    calls = []
+    real = reg.find_contractive_ellipsoid
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(reg, "find_contractive_ellipsoid", counting)
+    docs = {}
+    for alg in ("all", "1r"):
+        calls.clear()
+        out = tmp_path / f"{alg}.csv"
+        assert main(["regret", str(system_file), "--p-max", "2", "--alg", alg,
+                     "--out", str(out)]) == 0
+        assert len(calls) == 1
+        docs[alg] = [(tmp_path / f"{alg}_alg1_refined.{kind}.json").read_text()
+                     for kind in ("cert", "ellipsoid")]
+    assert docs["1r"] == docs["all"]
+    system = load_system(system_file)
+    C_co, _ = max_invariant_set(collaborative(system), tol=1e-8)
+    proj = project(max_invariant_set(augment(system, 1), tol=1e-8)[0], 1)
+    cert = refine_certificate(system, C_co,
+                              algorithm1(system, C_co, proj, p0=1))
+    assert json.loads(json.dumps(certificate_to_json(cert))) == \
+        json.loads(docs["all"][0])
+
+
+def test_cli_regret_ladder_gap_is_zero_past_convergence(system_file,
+                                                        tmp_path):
+    from preview_regret.polytope import Box, interval
+    from preview_regret.systems import LinearSystem
+
+    S = Box(np.array([-2.0, -1.0]), np.array([2.0, 1.0])).to_polytope()
+    stable = LinearSystem([[0.5]], [[1.0]], [[1.0]], interval(-0.1, 0.1), S)
+    path = tmp_path / "stable.json"
+    path.write_text(json.dumps(system_to_json(stable)))
+    out = tmp_path / "curve.csv"
+    rc = main(["regret", str(path), "--p0", "0", "--p-max", "4",
+               "--out", str(out)])
+    assert rc == 0
+    with open(out) as fh:
+        rows = list(csv.DictReader(fh))
+    # the ladder closes at p_bar = 0, so the gap is zero at every horizon
+    assert [r["p_bar"] for r in rows] == ["0.0"] * 5
+    assert [r["bound_alg3"] for r in rows] == ["0.0"] * 5
+    # a ladder cut off by --kmax says nothing past its last rung
+    rc = main(["regret", str(system_file), "--p-max", "5", "--alg", "3",
+               "--kmax", "2", "--out", str(out)])
+    assert rc == 0
+    with open(out) as fh:
+        cells = [r["bound_alg3"] for r in csv.DictReader(fh)]
+    assert all(cells[:3]) and cells[3:] == ["", ""]
 
 
 def test_cli_mpc(system_file, tmp_path):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from preview_regret.regret import (
     estimate_lambda0,
     k0_of,
     proj_cmax_p,
+    refine_certificate,
     true_dp,
 )
 from preview_regret.systems import (
@@ -155,7 +157,7 @@ def test_algorithm1_1d_sound(spine):
 def test_algorithm1_refined_never_looser(spine):
     sys, oracle, C_co, proj1 = spine
     plain = algorithm1(sys, C_co, proj1, p0=1)
-    refined = algorithm1(sys, C_co, proj1, p0=1, refine=True)
+    refined = refine_certificate(sys, C_co, plain)
     assert refined.method == "alg1_refined"
     assert refined.contractive_verified
     assert refined.gamma >= plain.gamma - 1e-12
@@ -163,6 +165,15 @@ def test_algorithm1_refined_never_looser(spine):
     for p in range(1, 20):
         assert bound_dp(refined, p) <= bound_dp(plain, p) + 1e-9
         assert oracle.dp(p) <= bound_dp(refined, p) + 1e-9
+
+
+def test_refine_certificate_needs_an_exact_plain_certificate(spine):
+    sys, _, C_co, proj1 = spine
+    plain = algorithm1(sys, C_co, proj1, p0=1)
+    with pytest.raises(AssumptionError, match="exact limit set"):
+        refine_certificate(sys, C_co, replace(plain, cmax_exact=False))
+    with pytest.raises(ValueError, match="plain alg1"):
+        refine_certificate(sys, C_co, refine_certificate(sys, C_co, plain))
 
 
 def test_algorithm1_assumption_failure():
@@ -177,8 +188,9 @@ def test_algorithm1_assumption_failure():
 
 def test_bound_dp_monotone_and_vanishing(spine):
     sys, oracle, C_co, proj1 = spine
-    for cert in (algorithm1(sys, C_co, proj1, p0=1),
-                 algorithm1(sys, C_co, proj1, p0=1, refine=True),
+    plain = algorithm1(sys, C_co, proj1, p0=1)
+    for cert in (plain,
+                 refine_certificate(sys, C_co, plain),
                  algorithm2(sys, C_co, proj1, p0=1, N=1)):
         vals = [bound_dp(cert, p) for p in range(1, 40)]
         for i in range(len(vals) - cert.N):
@@ -301,8 +313,9 @@ def test_soundness_2d_single_seed():
     C_1, conv = max_invariant_set(augment(sys, 1), tol=1e-9)
     assert conv
     proj1 = project(C_1, 2)
-    certs = [algorithm1(sys, C_co, proj1, p0=1),
-             algorithm1(sys, C_co, proj1, p0=1, refine=True),
+    plain = algorithm1(sys, C_co, proj1, p0=1)
+    certs = [plain,
+             refine_certificate(sys, C_co, plain),
              algorithm2(sys, C_co, proj1, p0=1, N=2)]
     for p in range(1, 5):
         actual = true_dp(sys, p, C_co, tol=1e-8)
