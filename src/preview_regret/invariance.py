@@ -27,7 +27,9 @@ def pre(sys, X: HPolytope, S: HPolytope | None = None) -> HPolytope:
 
     {x : exists u with (x,u) in S and A x + B u + E d in X for all d in D};
     the disturbance erosion is skipped for deterministic systems. The result
-    is irredundant, whatever the state dimension.
+    is irredundant, whatever the state dimension. X's ball is offered to the
+    reduction after the last elimination (see project): in a fixed point the
+    previous iterate's center is usually well inside the next one.
     """
     if S is None:
         S = _safe_set_of(sys)
@@ -36,12 +38,14 @@ def pre(sys, X: HPolytope, S: HPolytope | None = None) -> HPolytope:
         raise ValueError("target set must live in the state space")
     if X.is_empty():
         return HPolytope.empty(n)
+    ball = X._cheby
     if isinstance(sys, LinearSystem):
         X = erode_rows(X, sys.E, sys.D)
     AB = np.hstack([sys.A, sys.B])
     rows = np.vstack([X.H @ AB, S.H])
     rhs = np.r_[X.h, S.h]
     stacked = HPolytope(rows, rhs)
+    stacked._offer = ball
     return project(stacked, n)
 
 

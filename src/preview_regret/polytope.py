@@ -44,10 +44,14 @@ class HPolytope:
     A set reduced through the dual hull, or given one by
     cache_vertex_list, also carries its vertex list (`_verts`, a vertex may
     repeat up to round-off), which support-type readers use instead of an
-    LP.
+    LP. A reduced set carries the inscribed ball (`_cheby`) its reduction
+    used as interior point, which the next reduction of the set or of its
+    projection checks and reuses (see remove_redundancy). A set stacked in
+    (x, u) for a projection may hold, in `_offer`, a ball in the kept
+    coordinates that project offers to its last reduction.
     """
 
-    __slots__ = ("H", "h", "_empty", "_cheby", "_verts")
+    __slots__ = ("H", "h", "_empty", "_cheby", "_verts", "_offer")
 
     def __init__(self, H, h):
         H = np.atleast_2d(np.asarray(H, dtype=float))
@@ -63,6 +67,7 @@ class HPolytope:
         self._empty = None
         self._cheby = None
         self._verts = None
+        self._offer = None
 
     @property
     def dim(self) -> int:
@@ -109,12 +114,15 @@ class HPolytope:
         return bool(np.all(self.H @ x - self.h <= tol * norms))
 
     def chebyshev_center(self):
-        """(center, radius) of a largest inscribed ball; radius capped at 1e9.
+        """(center, radius) of an inscribed ball; radius capped at 1e9.
 
-        Raises EmptyPolytopeError when the set is empty, including when the
-        best radius is negative beyond _FLAT_RADIUS. A flat set (radius near
-        0) returns normally; a radius above _FLAT_RADIUS proves the set
-        nonempty, and both verdicts are cached for is_empty.
+        The ball is a largest one when this call solves for it (one LP). A
+        reduced set returns the checked ball its reduction used, which may
+        be smaller (see remove_redundancy). Raises EmptyPolytopeError when
+        the set is empty, including when the best radius is negative beyond
+        _FLAT_RADIUS. A flat set (radius near 0) returns normally; a radius
+        above _FLAT_RADIUS proves the set nonempty, and both verdicts are
+        cached for is_empty.
         """
         if self._empty:
             raise EmptyPolytopeError("no Chebyshev center: polytope is empty")
@@ -434,6 +442,24 @@ def _reduce_1d(H, h):
     return np.array(rows), np.array(rhs)
 
 
+def _carried_ball(H, h, ball):
+    """ball = (center, radius) re-measured on the rows (H, h), or None.
+
+    The new radius is the distance from the center to the nearest row. The
+    ball is kept when that radius exceeds _FLAT_RADIUS, which puts the
+    center strictly inside, and is at least half the recorded one, so the
+    dual hull around it stays about as well conditioned as around the
+    Chebyshev center.
+    """
+    if ball is None:
+        return None
+    center, radius = ball
+    r = float(np.min((h - H @ center) / np.linalg.norm(H, axis=1)))
+    if r > _FLAT_RADIUS and r >= 0.5 * radius:
+        return center, r
+    return None
+
+
 def _nonempty(H, h, verts=None, cheby=None) -> HPolytope:
     out = HPolytope(H, h)
     out._empty = False
@@ -443,12 +469,15 @@ def _nonempty(H, h, verts=None, cheby=None) -> HPolytope:
 
 
 def remove_redundancy(P: HPolytope) -> HPolytope:
-    """Same set, irredundant rows; the result caches its emptiness and its
-    Chebyshev ball.
+    """Same set, irredundant rows; the result caches its emptiness and the
+    ball it used as interior point.
 
     A 1-D set is an interval, read off its rows with no LP; a bounded one
-    carries its two ends as its vertex list. Otherwise one Chebyshev LP
-    decides emptiness and gives an interior point. A
+    carries its two ends as its vertex list. Otherwise the interior point
+    is the ball P carries (`_cheby`: handed over by project, or cached by
+    an earlier reduction or chebyshev_center) when one matrix product
+    confirms it (see _carried_ball); else one Chebyshev LP decides
+    emptiness and gives it. A
     full-dimensional set of any dimension then goes through a dual convex
     hull around that point, which also proves it bounded and gives its
     checked vertex list. Flat sets, unbounded sets and hull failures fall
@@ -468,10 +497,13 @@ def remove_redundancy(P: HPolytope) -> HPolytope:
             return HPolytope.empty(1)
         ends = np.array([[-h1[1]], [h1[0]]]) if len(h1) == 2 else None
         return _nonempty(H1, h1, ends)
-    try:
-        center, radius = HPolytope(Hd, hd).chebyshev_center()
-    except EmptyPolytopeError:
-        return HPolytope.empty(P.dim)
+    ball = _carried_ball(Hd, hd, P._cheby)
+    if ball is None:
+        try:
+            ball = HPolytope(Hd, hd).chebyshev_center()
+        except EmptyPolytopeError:
+            return HPolytope.empty(P.dim)
+    center, radius = ball
     if radius <= _FLAT_RADIUS and P.is_empty():
         return HPolytope.empty(P.dim)
     if radius > _FLAT_RADIUS:
@@ -535,6 +567,13 @@ def project(P: HPolytope, keep: int) -> HPolytope:
     drops the duplicate rows that Fourier-Motzkin generates. Fourier-Motzkin
     keeps emptiness, so an empty input is found by the first reduction's
     Chebyshev LP; no phase-1 LP is spent on the input.
+
+    A ball inside a set projects to a ball of the same radius inside its
+    projection, so each elimination hands its input's ball (P's own, then
+    each reduction's) to its output with the eliminated coordinate dropped,
+    and the reduction reuses it as interior point instead of solving the
+    Chebyshev LP. The last elimination takes P's `_offer` when it has no
+    such ball.
     """
     n = P.dim
     if keep > n:
@@ -543,7 +582,7 @@ def project(P: HPolytope, keep: int) -> HPolytope:
         return P
     if P._empty:
         return HPolytope.empty(keep)
-    H, h = P.H, P.h
+    H, h, ball = P.H, P.h, P._cheby
     colmap = list(range(n))  # original coordinate index of each current column
     remaining = list(range(keep, n))
     while remaining:
@@ -566,10 +605,15 @@ def project(P: HPolytope, keep: int) -> HPolytope:
         if H.shape[0] > ROW_CAP:
             raise BudgetExceededError(
                 f"Fourier-Motzkin exceeded the {ROW_CAP}-row cap")
-        reduced = remove_redundancy(HPolytope(H, h))
+        fm = HPolytope(H, h)
+        if ball is not None:
+            fm._cheby = (np.delete(ball[0], best), ball[1])
+        elif not remaining:
+            fm._cheby = P._offer
+        reduced = remove_redundancy(fm)
         if reduced.is_empty():
             return HPolytope.empty(keep)
-        H, h = reduced.H, reduced.h
+        H, h, ball = reduced.H, reduced.h, reduced._cheby
     return reduced
 
 

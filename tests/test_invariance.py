@@ -257,8 +257,11 @@ def test_max_invariant_set_one_reduction_per_eliminated_input(which,
 
 
 def test_max_invariant_set_one_lp_per_reduction(monkeypatch):
-    # the erosion by D and the convergence test read vertex lists, so the
-    # only LPs left are the reductions' Chebyshev LPs
+    # the erosion by D and the convergence test read vertex lists, and each
+    # backward step reuses the previous iterate's ball as interior point,
+    # so the only LPs left are two Chebyshev LPs: the reduction of
+    # X_0 = proj_x(S), and that of X_1, in which X_0's center (radius 1.79)
+    # keeps a radius of only 0.79, under half
     import preview_regret.polytope as poly
     from preview_regret.models import build_2d_random
 
@@ -280,8 +283,51 @@ def test_max_invariant_set_one_lp_per_reduction(monkeypatch):
     C, conv = max_invariant_set(s)
     assert conv and not C.is_empty() and C._verts is not None
     assert len(reductions) >= 2
-    assert len(lps) == len(reductions)
+    assert len(lps) == 2
     assert supports == []
+
+
+def _count_calls(mp, module, name):
+    calls = []
+    real = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    mp.setattr(module, name, counting)
+    return calls
+
+
+def test_project_of_a_reduced_set_solves_no_lp(monkeypatch):
+    # the maximal set carries its ball, and each elimination hands it on
+    import preview_regret.polytope as poly
+    from preview_regret.models import build_2d_random
+    from preview_regret.polytope import project
+
+    C, conv = max_invariant_set(augment(build_2d_random(1), 3))
+    assert conv and C._cheby is not None
+    calls = _count_calls(monkeypatch, poly, "solve_lp_fast")
+    out = project(C, 2)
+    assert calls == []
+    bare = project(HPolytope(C.H, C.h), 2)
+    assert len(calls) == 1  # only the first elimination solves for a ball
+    assert set_equal(out, bare)
+
+
+def test_wind_turbine_fixed_point_never_reaches_highs(monkeypatch):
+    # the largest reductions the package makes: 400+ rows went to HiGHS
+    # when each one solved its own Chebyshev LP
+    import preview_regret.polytope as poly
+    import preview_regret.solver as solver
+    from preview_regret.models import build_template
+
+    highs = _count_calls(monkeypatch, solver, "_scipy_lp")
+    calls = _count_calls(monkeypatch, poly, "solve_lp_fast")
+    C, conv = max_invariant_set(augment(build_template("wind_turbine")[0], 4))
+    assert conv and not C.is_empty()
+    assert highs == []
+    assert len(calls) == 1
 
 
 def test_pre_stays_inside_state_projection_of_safe_set():

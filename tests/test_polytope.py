@@ -8,6 +8,7 @@ from preview_regret.polytope import (
     EmptyPolytopeError,
     HPolytope,
     NormalFormError,
+    TAU_SET,
     UnboundedError,
     _reduce_lp,
     _support_lp,
@@ -256,9 +257,57 @@ def test_project_reuses_reduction_emptiness(monkeypatch):
     P = random_polytope(rng, 4, k=12)
     calls = _count_lps(monkeypatch)
     out = project(P, 2)
-    # one Chebyshev LP per eliminated coordinate, none on the input
-    assert len(calls) == 2
+    # one Chebyshev LP, on the first eliminated coordinate: the second
+    # reduction reuses that ball with the coordinate dropped; none on the
+    # input
+    assert len(calls) == 1
     assert out._empty is False
+
+
+def _reduced_with(P, ball):
+    Q = HPolytope(P.H, P.h)
+    Q._cheby = ball
+    return remove_redundancy(Q)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=2, max_value=8),
+       st.integers(min_value=0, max_value=10_000))
+def test_carried_ball_reduces_like_the_lp_center(n, seed):
+    rng = np.random.default_rng(seed)
+    P = _with_redundant_rows(random_polytope(rng, n, k=3 * n), rng)
+    center, radius = HPolytope(P.H, P.h).chebyshev_center()
+    u = rng.normal(size=n)
+    u /= np.linalg.norm(u)
+    norms = np.linalg.norm(P.H, axis=1)
+    near = np.argmin((P.h - P.H @ center) / norms)
+    to_facet = (P.h[near] - P.H[near] @ center) / norms[near] ** 2 * P.H[near]
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _count_lps(mp)
+        by_lp = remove_redundancy(HPolytope(P.H, P.h))
+        assert len(calls) == 1
+        # off the LP center, at least half the radius from every row
+        carried = _reduced_with(P, (center + 0.3 * radius * u, radius))
+        assert len(calls) == 1
+        for bad in (center + to_facet,  # on a facet
+                    center + 0.75 * to_facet,  # a quarter of the radius
+                    center + 4.0 * to_facet):  # outside
+            fallback = _reduced_with(P, (bad, radius))
+            assert np.array_equal(fallback.H, by_lp.H)
+            assert np.array_equal(fallback.h, by_lp.h)
+        assert len(calls) == 4
+    assert set_equal(carried, by_lp, tol=TAU_SET)
+    for R in (carried, by_lp):
+        assert R._verts is not None
+        scale_ = norms * max(1.0, np.max(np.abs(R._verts)))
+        assert np.max((R._verts @ P.H.T - P.h) / scale_) <= 1e-12
+    # the two sides differ only in weakly redundant rows
+    for A, B in ((carried, by_lp), (by_lp, carried)):
+        kept = {row.tobytes() for row in np.c_[B.H, B.h]}
+        plain = HPolytope(B.H, B.h)
+        for a, b in zip(A.H, A.h):
+            if np.r_[a, b].tobytes() not in kept:
+                assert _support_lp(plain, a) - b <= 1e-12 * np.linalg.norm(a)
 
 
 def test_vertices_one_lp(monkeypatch):
