@@ -18,7 +18,7 @@ from .polytope import (
     support,
 )
 from .regret import NotControllableError, RegretCertificate, algorithm1, algorithm2
-from .solver import INFEASIBLE, solve_qp
+from .solver import solve_qp
 from .systems import LinearSystem, augment, collaborative
 
 FULL_DOMAIN_DIM_BUDGET = 8
@@ -191,12 +191,9 @@ def mpc_step(sys: LinearSystem, cfg: MpcConfig, x0, preview):
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     preview = np.atleast_2d(np.asarray(preview, dtype=float).reshape(cfg.p, sys.l))
     G, A_ub, b_ub, A_eq, b_eq = _stack_mpc_qp(sys, cfg, x0, preview)
-    z, status = solve_qp(2.0 * G + 1e-12 * np.eye(G.shape[0]),
-                         np.zeros(G.shape[0]), A_ub, b_ub, A_eq, b_eq)
+    z, _ = solve_qp(2.0 * G, np.zeros(G.shape[0]), A_ub, b_ub, A_eq, b_eq)
     if z is None:
-        if status == INFEASIBLE:
-            return None, None, False
-        raise RuntimeError(f"MPC QP failed with status {status}")
+        return None, None, False
     n, m, p = sys.n, sys.m, cfg.p
     xs = z[:p * n].reshape(p, n)
     us = z[p * n:].reshape(p, m)

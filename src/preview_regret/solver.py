@@ -249,99 +249,94 @@ def solve_lp_fast(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None,
 
 
 def solve_qp(G, c, A_ub=None, b_ub=None, A_eq=None, b_eq=None):
-    """Strictly convex QP  min 1/2 x'Gx + c'x  by a primal active-set method.
+    """Strictly convex QP  min 1/2 x'Gx + c'x  s.t. A_ub x <= b_ub, A_eq x = b_eq.
 
-    Equalities stay in the working set permanently. A feasible start is
-    found with a phase-1 LP. Returns (x, status).
+    Dual active-set method (Goldfarb & Idnani, Math. Prog. 27, 1983), no LP
+    inside: from the minimiser on the equalities it adds the most violated
+    row (a_i x - b_i > 1e-12 * max(|a_i|, 1)) one at a time and drops an
+    active row whose multiplier would turn negative. Returns (x, OPTIMAL),
+    or (None, INFEASIBLE) when a violated row depends on active rows none of
+    which can be dropped. A G that is not positive definite, dependent
+    equalities or a failed residual check raise SolverError.
     """
     G = np.atleast_2d(np.asarray(G, dtype=float))
     c = np.atleast_1d(np.asarray(c, dtype=float))
     n = c.shape[0]
-    if A_ub is None:
-        A_ub = np.zeros((0, n))
-        b_ub = np.zeros(0)
-    else:
-        A_ub = np.atleast_2d(np.asarray(A_ub, dtype=float))
-        b_ub = np.atleast_1d(np.asarray(b_ub, dtype=float))
-    if A_eq is None:
-        A_eq = np.zeros((0, n))
-        b_eq = np.zeros(0)
-    else:
-        A_eq = np.atleast_2d(np.asarray(A_eq, dtype=float))
-        b_eq = np.atleast_1d(np.asarray(b_eq, dtype=float))
-    m_ub, m_eq = A_ub.shape[0], A_eq.shape[0]
 
-    sol = solve_lp_fast(np.zeros(n), A_ub, b_ub, A_eq if m_eq else None,
-                        b_eq if m_eq else None)
-    if not sol.optimal:
-        return None, sol.status
-    x = sol.point.copy()
+    def block(A_, b_):
+        if A_ is None:
+            return np.zeros((0, n)), np.zeros(0)
+        return (np.atleast_2d(np.asarray(A_, dtype=float)),
+                np.atleast_1d(np.asarray(b_, dtype=float)))
 
-    ftol = 1e-9 * (1.0 + float(np.max(np.abs(b_ub), initial=0.0)))
-    work = list(np.flatnonzero(A_ub @ x - b_ub >= -ftol))
-    for _ in range(50 * (n + m_ub + m_eq + 1)):
-        W = np.vstack([A_eq, A_ub[work]]) if (m_eq or work) else np.zeros((0, n))
-        g = G @ x + c
-        # Null-space step: minimize the quadratic on {p : W p = 0}.
-        if W.shape[0]:
-            Z = scipy.linalg.null_space(W)
-        else:
-            Z = np.eye(n)
-        if Z.shape[1]:
-            H = Z.T @ G @ Z
-            rhs = -(Z.T @ g)
-            try:
-                pz = np.linalg.solve(H, rhs)
-            except np.linalg.LinAlgError:
-                pz = np.linalg.lstsq(H, rhs, rcond=None)[0]
-            p = Z @ pz
-        else:
-            p = np.zeros(n)
-
-        if np.max(np.abs(p), initial=0.0) <= 1e-11 * (1.0 + np.max(np.abs(x))):
-            if not work:
-                return x, OPTIMAL
-            lam = np.linalg.lstsq(W.T, -g, rcond=None)[0]
-            lam_ub = lam[m_eq:]
-            if lam_ub.size == 0 or np.min(lam_ub) >= -1e-9:
-                return x, OPTIMAL
-            drop = int(np.argmin(lam_ub))
-            work.pop(drop)
-            continue
-
-        mask = np.ones(m_ub, dtype=bool)
-        mask[work] = False
-        Ap = A_ub[mask] @ p
-        resid = b_ub[mask] - A_ub[mask] @ x
-        idx = np.flatnonzero(mask)
-        blocking = Ap > 1e-12
-        alpha = 1.0
-        hit = -1
-        if np.any(blocking):
-            steps = resid[blocking] / Ap[blocking]
-            k = int(np.argmin(steps))
-            if steps[k] < alpha:
-                alpha = max(steps[k], 0.0)
-                hit = int(idx[np.flatnonzero(blocking)[k]])
-        x = x + alpha * p
-        if hit >= 0:
-            work.append(hit)
-    raise SolverError("active-set QP did not converge")
+    (A_eq, b_eq), (A_ub, b_ub) = block(A_eq, b_eq), block(A_ub, b_ub)
+    m_eq = A_eq.shape[0]
+    A = np.vstack([A_eq, A_ub])
+    b = np.concatenate([b_eq, b_ub])
+    try:
+        L = np.linalg.cholesky(G)
+    except np.linalg.LinAlgError as exc:
+        raise SolverError("QP Hessian is not positive definite") from exc
+    # x = J y turns the objective into 1/2 |y + J'c|^2; M holds the rows in y
+    J = np.linalg.inv(L).T
+    M = A @ J
+    scale = np.maximum(np.linalg.norm(A, axis=1), 1.0)
+    W = list(range(m_eq))  # active rows: the equalities, then inequalities
+    y = -(J.T @ c)
+    if m_eq:
+        Q, R = np.linalg.qr(M[W].T)
+        if np.any(np.abs(np.diag(R)) <= 1e-12 * np.linalg.norm(M[W], axis=1)):
+            raise SolverError("QP equality constraints are dependent")
+        y = y - Q @ np.linalg.solve(R.T, M[W] @ y - b[W])
+    x = J @ y
+    mu = np.zeros(0)  # multipliers of the active inequalities W[m_eq:]
+    for _ in range(50 * (n + b.shape[0] + 1)):
+        res = (A @ x - b) / scale
+        res[:m_eq] = np.abs(res[:m_eq])
+        viol = res.copy()
+        viol[W] = -np.inf
+        q = int(np.argmax(viol)) if viol.size else -1
+        if q < 0 or viol[q] <= 1e-12:
+            # active rows may miss by the rounding of their own terms
+            slack = 1e-12 * (1.0 + (np.abs(A) @ np.abs(x) + np.abs(b)) / scale)
+            if np.any(res > slack):
+                raise SolverError("QP solution fails its residual check")
+            return x, OPTIMAL
+        t_q = 0.0
+        while True:
+            k = len(W)
+            Q, R = np.linalg.qr(M[W].T, mode="complete")
+            w = Q.T @ M[q]
+            r = -np.linalg.solve(R[:k], w[:k])[m_eq:]
+            dependent = np.linalg.norm(w[k:]) <= 1e-12 * np.linalg.norm(M[q])
+            t_add = np.inf if dependent else (A[q] @ x - b[q]) / (w[k:] @ w[k:])
+            t_drop, j = min(((-mu[i] / r[i], i) for i in range(k - m_eq) if r[i] < 0),
+                            default=(np.inf, -1))
+            if dependent and j < 0:
+                return None, INFEASIBLE
+            t = min(t_add, t_drop)
+            x = x - t * (J @ (Q[:, k:] @ w[k:]))
+            mu = mu + t * r
+            t_q += t
+            if t_add <= t_drop:
+                W.append(q)
+                mu = np.append(mu, t_q)
+                break
+            W.pop(m_eq + j)
+            mu = np.delete(mu, j)
+    raise SolverError("dual active-set QP did not converge")
 
 
 def project_point(point, P):
     """Euclidean projection of a point onto a polytope.
 
-    Returns (closest, distance); distance is 0 iff the point is feasible.
+    Returns (closest, distance); a point that violates no row by more than
+    1e-12 * max(|H_i|, 1) is its own projection, at distance exactly 0.
     """
     from .polytope import EmptyPolytopeError
 
     point = np.atleast_1d(np.asarray(point, dtype=float))
-    H, h = P.H, P.h
-    norms = np.linalg.norm(H, axis=1)
-    if np.all(H @ point - h <= 1e-12 * np.maximum(norms, 1.0)):
-        return point.copy(), 0.0
-    x, status = solve_qp(np.eye(point.shape[0]), -point, A_ub=H, b_ub=h)
+    x, status = solve_qp(np.eye(point.shape[0]), -point, A_ub=P.H, b_ub=P.h)
     if x is None:
         raise EmptyPolytopeError("cannot project onto an empty polytope")
     return x, float(np.linalg.norm(x - point))

@@ -9,6 +9,7 @@ from preview_regret.solver import (
     UNBOUNDED,
     NotPositiveDefiniteError,
     NotStabilizableError,
+    SolverError,
     cholesky,
     dare_residual,
     is_controllable,
@@ -100,9 +101,10 @@ def test_project_point_empty():
 def test_project_point_box_clamp_oracle(seed):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, 5))
-    lo = rng.normal(size=n)
-    hi = lo + np.abs(rng.normal(size=n)) + 0.1
-    pt = rng.normal(size=n) * 3.0
+    unit = 10.0 ** int(rng.integers(0, 7))  # the residual check must scale with the data
+    lo = rng.normal(size=n) * unit
+    hi = lo + (np.abs(rng.normal(size=n)) + 0.1) * unit
+    pt = rng.normal(size=n) * 3.0 * unit
     H = np.vstack([np.eye(n), -np.eye(n)])
     h = np.r_[hi, -lo]
     closest, dist = project_point(pt, HPolytope(H, h))
@@ -137,6 +139,91 @@ def test_qp_equality_constrained():
                          A_eq=[[1.0, 1.0]], b_eq=[1.0])
     assert status == OPTIMAL
     assert np.allclose(x, [0.0, 1.0], atol=1e-9)
+
+
+def test_qp_paths_solve_no_lp(monkeypatch):
+    from preview_regret import solver
+    from preview_regret.invariance import max_invariant_set
+    from preview_regret.models import build_template
+    from preview_regret.mpc import MpcConfig, mpc_step
+
+    sys = build_template("wind_turbine")[0]
+    C, converged = max_invariant_set(sys, tol=1e-9)
+    assert converged
+    center, _ = C.chebyshev_center()
+    preview = np.array([[0.1], [-0.2], [0.0], [0.3]])
+    assert all(sys.D.contains_point(d) for d in preview)
+
+    def no_lp(*args, **kwargs):
+        raise AssertionError("the QP path solved an LP")
+
+    monkeypatch.setattr(solver, "solve_lp_fast", no_lp)
+    test_project_point_inside()
+    test_project_point_corner()
+    test_project_point_empty()
+    test_qp_equality_constrained()
+    _, (xs, us), feasible = mpc_step(sys, MpcConfig(p=4, C=C), center, preview)
+    assert feasible
+    x = center
+    for t in range(4):
+        x = sys.step(x, us[t], preview[t])
+        assert np.allclose(xs[t], x, atol=1e-9)
+    assert np.all(C.H @ xs[-1] <= C.h + 1e-9)
+
+
+def test_qp_rejects_what_it_cannot_solve():
+    with pytest.raises(SolverError):  # dependent equalities
+        solve_qp(np.eye(2), np.zeros(2), A_eq=[[1.0, 1.0], [2.0, 2.0]], b_eq=[1.0, 2.0])
+    with pytest.raises(SolverError):  # indefinite Hessian
+        solve_qp([[1.0, 2.0], [2.0, 1.0]], np.zeros(2))
+
+
+def _brute_force_qp(G, c, A, b, Aeq, beq):
+    """Optimal objective by enumerating active sets that satisfy KKT, or
+    None when no active set does (the QP is infeasible)."""
+    n, m_eq = c.shape[0], Aeq.shape[0]
+    best = None
+    for mask in range(1 << A.shape[0]):
+        S = [i for i in range(A.shape[0]) if mask >> i & 1]
+        N = np.vstack([Aeq, A[S]])
+        if np.linalg.matrix_rank(N) < N.shape[0]:
+            continue
+        K = np.block([[G, N.T], [N, np.zeros((N.shape[0], N.shape[0]))]])
+        sol = np.linalg.solve(K, np.r_[-c, beq, b[S]])
+        x, mu = sol[:n], sol[n + m_eq:]
+        if np.all(A @ x <= b + 1e-9) and np.all(mu >= -1e-9):
+            obj = 0.5 * x @ G @ x + c @ x
+            assert best is None or abs(obj - best) <= 1e-9
+            best = obj
+    return best
+
+
+def test_qp_matches_active_set_enumeration():
+    statuses = []
+    for seed in range(300):
+        rng = np.random.default_rng([7, seed])
+        n = int(rng.integers(1, 5))
+        m = int(rng.integers(0, 9))
+        m_eq = int(rng.integers(0, min(2, n) + 1))
+        F = rng.normal(size=(n, n))
+        G = F @ F.T + 0.1 * np.eye(n)
+        c = rng.normal(size=n)
+        A = rng.normal(size=(m, n))
+        b = rng.normal(size=m) + rng.uniform(-1.0, 2.0)
+        Aeq = rng.normal(size=(m_eq, n))
+        beq = rng.normal(size=m_eq)
+        expect = _brute_force_qp(G, c, A, b, Aeq, beq)
+        x, status = solve_qp(G, c, A, b, Aeq if m_eq else None,
+                             beq if m_eq else None)
+        statuses.append(status)
+        if expect is None:
+            assert status == INFEASIBLE and x is None
+        else:
+            assert status == OPTIMAL
+            # relative too: nearly parallel equalities give objectives of 1e5
+            assert 0.5 * x @ G @ x + c @ x == pytest.approx(expect, rel=1e-9, abs=1e-9)
+    assert statuses.count(INFEASIBLE) >= 30
+    assert statuses.count(OPTIMAL) >= 150
 
 
 def test_dare_zero_dynamics():
