@@ -246,7 +246,8 @@ def cmd_mpc(args) -> int:
     C_co, conv_co = max_invariant_set(collaborative(system), tol=args.tol)
     try:
         cert = terminal_set_certificate(system, C, C_co, cmax_exact=conv_co)
-    except AssumptionError as exc:
+    except (AssumptionError, ValueError) as exc:
+        # as in regret, where these leave a method "not certified"
         print(f"assumptions unverifiable: {exc}", file=_sys.stderr)
         return EXIT_ASSUMPTION
     _write_json(f"{prefix}_cert.json", certificate_to_json(cert))

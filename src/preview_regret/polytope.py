@@ -42,13 +42,14 @@ class HPolytope:
     """Convex polytope {x : Hx <= h}; the universal set carrier.
 
     A set reduced through the dual hull, or given one by
-    cache_vertex_list, also carries its vertex list (`_verts`, a vertex may
-    repeat up to round-off), which support-type readers use instead of an
-    LP. A reduced set carries the inscribed ball (`_cheby`) its reduction
-    used as interior point, which the next reduction of the set or of its
-    projection checks and reuses (see remove_redundancy). A set stacked in
-    (x, u) for a projection may hold, in `_offer`, a ball in the kept
-    coordinates that project offers to its last reduction.
+    cache_vertex_list, translate or scale, also carries its vertex list
+    (`_verts`, a vertex may repeat up to round-off), which support-type
+    readers use instead of an LP. A reduced set carries the inscribed ball
+    (`_cheby`) its reduction used as interior point, which the next
+    reduction of the set or of its projection checks and reuses (see
+    remove_redundancy). A set stacked in (x, u) for a projection may hold,
+    in `_offer`, a ball in the kept coordinates that project offers to its
+    last reduction.
     """
 
     __slots__ = ("H", "h", "_empty", "_cheby", "_verts", "_offer")
@@ -188,16 +189,26 @@ def intersect(P: HPolytope, Q: HPolytope) -> HPolytope:
 
 
 def scale(P: HPolytope, lam: float) -> HPolytope:
-    """lam * P for lam >= 0 (for lam = 0 the input must be bounded)."""
+    """lam * P for lam >= 0 (for lam = 0 the input must be bounded).
+
+    A vertex list V of P becomes lam * V, and the set stays nonempty.
+    """
     if lam < 0:
         raise ValueError("scale factor must be nonnegative")
-    return HPolytope(P.H.copy(), lam * P.h)
+    out = HPolytope(P.H.copy(), lam * P.h)
+    if P._verts is not None:
+        out._verts, out._empty = lam * P._verts, False
+    return out
 
 
 def translate(P: HPolytope, t) -> HPolytope:
-    """{x + t : x in P}."""
+    """{x + t : x in P}. A vertex list V of P becomes V + t, and the set
+    stays nonempty."""
     t = np.asarray(t, dtype=float)
-    return HPolytope(P.H.copy(), P.h + P.H @ t)
+    out = HPolytope(P.H.copy(), P.h + P.H @ t)
+    if P._verts is not None:
+        out._verts, out._empty = P._verts + t, False
+    return out
 
 
 def cartesian_product(P: HPolytope, Q: HPolytope) -> HPolytope:
@@ -231,12 +242,12 @@ def affine_preimage(P: HPolytope, M, v=None) -> HPolytope:
 def support(P: HPolytope, direction) -> float:
     """sup over P of <direction, x>; raises on empty P or unbounded direction."""
     d = np.asarray(direction, dtype=float)
+    if P._verts is not None:
+        return float(np.max(P._verts @ d))
     if not np.any(d):
         if P.is_empty():
             raise EmptyPolytopeError("support of an empty polytope")
         return 0.0
-    if P._verts is not None:
-        return float(np.max(P._verts @ d))
     return _support_lp(P, d)
 
 
@@ -514,10 +525,11 @@ def remove_redundancy(P: HPolytope) -> HPolytope:
 
 
 def cache_vertex_list(P: HPolytope) -> None:
-    """Give P the vertex list of its reduced form (see remove_redundancy).
-    Other sets (flat, unbounded, empty, or a list that failed the check)
-    stay without one."""
-    P._verts = remove_redundancy(P)._verts
+    """Give P the vertex list of its reduced form (see remove_redundancy),
+    unless it already has one. Other sets (flat, unbounded, empty, or a
+    list that failed the check) stay without one."""
+    if P._verts is None:
+        P._verts = remove_redundancy(P)._verts
 
 
 # ---------------------------------------------------------------------------
@@ -622,35 +634,18 @@ def project(P: HPolytope, keep: int) -> HPolytope:
 
 
 def containment_ratio(P1: HPolytope, P2: HPolytope) -> float:
-    """Minimal r >= 0 with P1 ⊆ r P2, through the multiplier-matrix LP.
+    """Minimal r >= 0 with P1 ⊆ r P2: max_i support(P1, a_i) / b_i over the
+    rows a_i x <= b_i of P2 (the LP-dual form of the multiplier program).
 
-    P2 must be in origin-interior normal form (h > 0); P1 nonempty, bounded.
+    P2 must be in origin-interior normal form (h > 0); P1 nonempty and
+    bounded. With P1's vertex list (see cache_vertex_list) this is one
+    matrix product per row; without it, one support LP per row.
     """
     if P1.dim != P2.dim:
         raise ValueError("dimension mismatch")
     if not P2.in_normal_form:
         raise NormalFormError("containment_ratio needs h > 0 for the outer set")
-    H1, h1 = P1.H, P1.h
-    H2, h2 = P2.H, P2.h
-    q1, q2, n = H1.shape[0], H2.shape[0], P1.dim
-    nv = q2 * q1 + 1  # vec(Lambda) row-major, then r
-    A_eq = np.zeros((q2 * n, nv))
-    b_eq = np.empty(q2 * n)
-    for i in range(q2):
-        A_eq[i * n:(i + 1) * n, i * q1:(i + 1) * q1] = H1.T
-        b_eq[i * n:(i + 1) * n] = H2[i]
-    A_ub = np.zeros((q2, nv))
-    for i in range(q2):
-        A_ub[i, i * q1:(i + 1) * q1] = h1
-        A_ub[i, -1] = -h2[i]
-    c = np.zeros(nv)
-    c[-1] = 1.0
-    nonneg = np.ones(nv, dtype=bool)  # r >= 0 is harmless: minimal r is >= 0
-    sol = solve_lp_fast(c, A_ub, np.zeros(q2), A_eq, b_eq, nonneg=nonneg)
-    if not sol.optimal:
-        raise ValueError(f"containment LP returned {sol.status}; "
-                         "is the inner set bounded and nonempty?")
-    return float(sol.objective)
+    return max(0.0, max(support(P1, a) / b for a, b in zip(P2.H, P2.h)))
 
 
 def max_inscribed_ball_at(P: HPolytope, center) -> float:
@@ -688,20 +683,6 @@ def bounding_box(P: HPolytope) -> Box:
     return Box(lo, hi)
 
 
-def _vertices_qhull(P, center):
-    from scipy.spatial import HalfspaceIntersection, QhullError
-
-    norms = np.linalg.norm(P.H, axis=1)
-    good = norms > 1e-14
-    halfspaces = np.hstack([P.H[good] / norms[good, None],
-                            -(P.h[good] / norms[good])[:, None]])
-    try:
-        hs = HalfspaceIntersection(halfspaces, center)
-    except QhullError:
-        return None
-    return hs.intersections
-
-
 def _vertices_combinatorial(P):
     """Basic-solution enumeration; exact but exponential, for degenerate sets."""
     from itertools import combinations
@@ -737,9 +718,10 @@ def _dedupe_points(pts, tol=TAU_VERT):
 def vertices(P: HPolytope) -> np.ndarray:
     """Exact vertex set of a bounded polytope (deduplicated).
 
-    Reads the vertex list of P or of its reduced form, in any dimension. A
-    bounded set without one goes through Qhull's halfspace intersection
-    when it is full-dimensional, else through basic-solution enumeration.
+    Reads the checked vertex list of P or of its reduced form, in any
+    dimension. A bounded set without one (flat, or a list that failed its
+    check) goes through basic-solution enumeration, which checks each
+    vertex and raises BudgetExceededError above 60 rows.
     """
     if P._verts is not None:
         return _dedupe_points(P._verts)
@@ -749,11 +731,6 @@ def vertices(P: HPolytope) -> np.ndarray:
     if R._verts is not None:
         return _dedupe_points(R._verts)
     bounding_box(R)  # raises UnboundedError
-    center, radius = R.chebyshev_center()
-    if radius > _FLAT_RADIUS:
-        out = _vertices_qhull(R, center)
-        if out is not None:
-            return _dedupe_points(out)
     return _dedupe_points(_vertices_combinatorial(R))
 
 

@@ -113,8 +113,8 @@ def k0_of(lambda0: float, gamma: float, lam: float):
 def estimate_lambda0(C_max_co: HPolytope, proj: HPolytope) -> float:
     """Largest lambda <= 1 with lambda * C_max_co inside the p0 projection.
 
-    One containment LP into the projection; proj must contain the origin in
-    its interior.
+    The containment ratio of C_max_co into the projection, read off
+    C_max_co's vertex list; proj must contain the origin in its interior.
     """
     return float(min(1.0, 1.0 / containment_ratio(C_max_co, proj)))
 
@@ -151,7 +151,7 @@ def algorithm1(sys: LinearSystem, C_max_co: HPolytope, proj: HPolytope,
 
     proj is the state-space projection of the maximal p0-preview invariant
     set. Needs a forced equilibrium interior to both the safe set and proj;
-    lambda0 is then the containment LP of the limit set into proj. See
+    lambda0 is then the containment ratio of the limit set into proj. See
     refine_certificate for the re-anchored schedule.
     """
     sys_s, proj_s, C_co_s, eq = _shift_problem(

@@ -99,13 +99,20 @@ def load_system(path) -> LinearSystem:
                 f"{exc.msg}") from exc
     sys = system_from_json(obj)
     # compactness is a working assumption of every algorithm downstream
-    from .polytope import UnboundedError, bounding_box, cache_vertex_list
+    from .polytope import (
+        EmptyPolytopeError,
+        UnboundedError,
+        bounding_box,
+        cache_vertex_list,
+    )
 
     for name, P in (("D", sys.D), ("S_xu", sys.S_xu)):
         # a checked vertex list proves P bounded and answers every support
         cache_vertex_list(P)
         try:
             bounding_box(P)
+        except EmptyPolytopeError as exc:
+            raise SchemaError(f"{name} must be a nonempty polytope") from exc
         except UnboundedError as exc:
             raise SchemaError(f"{name} must be a bounded polytope") from exc
     return sys

@@ -500,3 +500,43 @@ def test_cli_rejects_unbounded_safe_set(tmp_path):
     path.write_text(json.dumps(doc))
     rc = main(["rcis", str(path), "--out", str(tmp_path / "o.json")])
     assert rc == 2
+
+
+@pytest.mark.parametrize("name", ["D", "S_xu"])
+@pytest.mark.parametrize("command", ["rcis", "regret", "mpc"])
+def test_cli_rejects_an_empty_input_set(name, command, tmp_path, capsys):
+    doc = system_to_json(build_1d()[0])
+    n = len(doc[name]["H"][0])
+    doc[name]["H"] = [[1.0] + [0.0] * (n - 1), [-1.0] + [0.0] * (n - 1)]
+    doc[name]["h"] = [-0.5, -0.5]  # x <= -0.5 and x >= 0.5
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps(doc))
+    rc = main([command, str(path), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"{name} must be a nonempty polytope" in err
+    assert "Traceback" not in err
+
+
+def test_cli_mpc_exits_3_on_a_non_stabilizable_system(tmp_path, capsys):
+    # x1 <- 2 x1 whatever u and d do: neither method can certify
+    doc = {
+        "schema": 1,
+        "A": [[2.0, 0.0], [0.0, 0.5]], "B": [[0.0], [1.0]],
+        "E": [[0.0], [1.0]],
+        "D": {"H": [[1.0], [-1.0]], "h": [0.1, 0.1]},
+        "S_xu": {"H": np.vstack([np.eye(3), -np.eye(3)]).tolist(),
+                 "h": [1.0] * 6},
+    }
+    path = tmp_path / "sys.json"
+    path.write_text(json.dumps(doc))
+    rc = main(["mpc", str(path), "--out", str(tmp_path / "m")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "assumptions unverifiable: collaborative system is not " \
+        "stabilizable" in err
+    assert not (tmp_path / "m_cert.json").exists()
+    rc = main(["regret", str(path), "--p-max", "2",
+               "--out", str(tmp_path / "r.csv")])
+    assert rc == 0
+    assert "alg1: not certified" in capsys.readouterr().err

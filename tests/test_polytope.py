@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from preview_regret.polytope import (
+    BudgetExceededError,
     EmptyPolytopeError,
     HPolytope,
     NormalFormError,
@@ -423,28 +424,39 @@ def test_vertex_list_failing_its_check_falls_back_to_lps(factor, monkeypatch):
     assert len(calls) == len(dirs)
 
 
-def test_vertices_without_a_list_go_through_qhull(monkeypatch):
-    # 80 tangent planes of the unit sphere: too many rows for basic-solution
-    # enumeration, so a full-dimensional set whose list failed its check
-    # needs the halfspace intersection
+def test_a_list_that_failed_its_check_is_never_replaced_unchecked(monkeypatch):
+    # tangent planes of the unit sphere, whose lists fail their check: up to
+    # 60 rows basic-solution enumeration gives (and checks) the vertices;
+    # above 60 rows vertices gives up rather than read an unchecked list
     import scipy.spatial
 
     rng = np.random.default_rng(5)
-    dirs = rng.normal(size=(80, 3))
-    P = HPolytope(dirs / np.linalg.norm(dirs, axis=1, keepdims=True),
-                  np.ones(80))
-    want = vertices(P)
+
+    def tangent_planes(k):
+        dirs = rng.normal(size=(k, 3))
+        return HPolytope(dirs / np.linalg.norm(dirs, axis=1, keepdims=True),
+                         np.ones(k))
+
+    few, many = tangent_planes(40), tangent_planes(80)
+    want = vertices(few)
     monkeypatch.setattr(scipy.spatial, "ConvexHull", _skewed_hull(1.0 - 1e-6))
-    assert remove_redundancy(P)._verts is None
-    got = vertices(P)
+    assert remove_redundancy(few)._verts is None
+    got = vertices(few)
     assert got.shape == want.shape
     gap = np.linalg.norm(got[:, None, :] - want[None, :, :], axis=2)
     assert np.max(np.min(gap, axis=1)) <= 1e-9
+    assert remove_redundancy(many)._verts is None
+    with pytest.raises(BudgetExceededError):
+        vertices(many)
 
 
 def test_cache_vertex_list():
     from preview_regret.polytope import cache_vertex_list
 
+    listed = translate(remove_redundancy(unit_box(2)), [0.5, 0.0])
+    kept = listed._verts
+    cache_vertex_list(listed)  # a set with a list keeps it
+    assert kept is not None and listed._verts is kept
     D = HPolytope([[2.0], [-1.0], [1.0]], [1.0, 0.25, 3.0])  # [-0.25, 0.5]
     cache_vertex_list(D)
     assert np.array_equal(D._verts, [[-0.25], [0.5]])
@@ -478,6 +490,62 @@ def test_containment_ratio_examples():
     big = scale(unit_box(2), 2.0)
     assert containment_ratio(big, b) == pytest.approx(2.0, abs=1e-7)
     assert containment_ratio(diamond2d(), b) == pytest.approx(1.0, abs=1e-7)
+
+
+def _multiplier_lp_ratio(P1, P2):
+    """Reference: min r over Lambda >= 0 with Lambda H1 = H2 and
+    Lambda h1 <= r h2, the lifted LP (q1 q2 + 1 variables), by HiGHS."""
+    from scipy.optimize import linprog
+
+    H1, h1, H2, h2 = P1.H, P1.h, P2.H, P2.h
+    q1, q2, n = H1.shape[0], H2.shape[0], P1.dim
+    nv = q2 * q1 + 1  # vec(Lambda) row-major, then r
+    A_eq = np.zeros((q2 * n, nv))
+    A_ub = np.zeros((q2, nv))
+    for i in range(q2):
+        A_eq[i * n:(i + 1) * n, i * q1:(i + 1) * q1] = H1.T
+        A_ub[i, i * q1:(i + 1) * q1] = h1
+        A_ub[i, -1] = -h2[i]
+    c = np.zeros(nv)
+    c[-1] = 1.0
+    res = linprog(c, A_ub=A_ub, b_ub=np.zeros(q2), A_eq=A_eq,
+                  b_eq=H2.reshape(-1), bounds=(0, None), method="highs")
+    assert res.status == 0
+    return res.fun
+
+
+def _assert_list_passes_its_check(P):
+    """The checks _hull_vertices puts on a list, on P's own rows."""
+    V = P._verts
+    scale_ = np.linalg.norm(P.H, axis=1) * max(1.0, np.max(np.abs(V)))
+    slack = (V @ P.H.T - P.h) / scale_
+    assert np.max(slack) <= 1e-12
+    assert np.min(np.count_nonzero(slack >= -1e-9, axis=1)) >= P.dim
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=2, max_value=6),
+       st.sampled_from(["rows", "list", "translate", "scale"]),
+       st.integers(min_value=0, max_value=10_000))
+def test_containment_ratio_matches_the_multiplier_lp(n, kind, seed):
+    rng = np.random.default_rng(seed)
+    outer = random_polytope(rng, n, k=2 * n)
+    inner = random_polytope(rng, n, k=2 * n, radius=2.0)
+    if kind != "rows":  # rows alone: one support LP per row of outer
+        inner = remove_redundancy(inner)
+    if kind == "translate":
+        inner = translate(inner, rng.uniform(-0.5, 0.5, size=n))
+    elif kind == "scale":
+        inner = scale(inner, rng.uniform(0.1, 3.0))
+    want = _multiplier_lp_ratio(inner, outer)
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _count_lps(mp)
+        got = containment_ratio(inner, outer)
+    assert abs(got - want) <= 1e-9 * want
+    if kind != "rows":
+        assert inner._verts is not None and inner._empty is False
+        assert calls == []
+        _assert_list_passes_its_check(inner)
 
 
 def test_containment_ratio_requires_normal_form():

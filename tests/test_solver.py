@@ -171,6 +171,27 @@ def test_qp_paths_solve_no_lp(monkeypatch):
     assert np.all(C.H @ xs[-1] <= C.h + 1e-9)
 
 
+def test_lp_over_400_rows_goes_through_highs_once(monkeypatch):
+    # 500 tangent lines of the unit circle: the Chebyshev LP has 501 rows,
+    # past the dense simplex, and is the one route left to HiGHS
+    from preview_regret import solver
+
+    calls = []
+    real = solver._scipy_lp
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "_scipy_lp", counting)
+    t = np.linspace(0.0, 2.0 * np.pi, 500, endpoint=False)
+    P = HPolytope(np.c_[np.cos(t), np.sin(t)], np.ones(500))
+    center, radius = P.chebyshev_center()
+    assert len(calls) == 1
+    assert radius == pytest.approx(1.0, abs=1e-9)
+    assert np.max(np.abs(center)) <= 1e-9
+
+
 def test_qp_rejects_what_it_cannot_solve():
     with pytest.raises(SolverError):  # dependent equalities
         solve_qp(np.eye(2), np.zeros(2), A_eq=[[1.0, 1.0], [2.0, 2.0]], b_eq=[1.0, 2.0])
