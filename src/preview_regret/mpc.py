@@ -111,50 +111,37 @@ def terminal_set_certificate(sys: LinearSystem, C: HPolytope,
         return algorithm1(sys, C_max_co, C, cmax_exact=cmax_exact)
 
 
-def _stack_mpc_qp(sys: LinearSystem, cfg: MpcConfig, x0, preview):
+def _condensed_qp(sys: LinearSystem, cfg: MpcConfig, x0, preview):
+    """The horizon-p QP over the inputs u = (u_0, .., u_{p-1}) alone.
+
+    The dynamics are substituted: x_t = Gam[t] u + f[t] for t = 0..p, with
+    f the free response to x0 and the previews. Minimising the identity
+    stage cost |x_1..x_p|^2 + |u|^2 is then  1/2 u'Gu + c'u  with
+    G = 2(I + Gam'Gam) and c = 2 Gam'f. The rows are S_xu on (x_t, u_t) for
+    t = 0..p-1, then the recursive-feasibility rows: C on x_p, or the
+    maximal augmented set on the successor state x_1. Returns
+    (G, c, A_ub, b_ub, Gam, f).
+    """
     n, m, p = sys.n, sys.m, cfg.p
-    nz = p * (n + m)
-
-    def xi(t):  # x_t for t = 1..p
-        return slice((t - 1) * n, t * n)
-
-    def ui(t):  # u_t for t = 0..p-1
-        return slice(p * n + t * m, p * n + (t + 1) * m)
-
-    A_eq = np.zeros((p * n, nz))
-    b_eq = np.zeros(p * n)
+    Gam = np.zeros((p + 1, n, p * m))
+    f = np.empty((p + 1, n))
+    f[0] = x0
     for t in range(1, p + 1):
-        rows = slice((t - 1) * n, t * n)
-        A_eq[rows, xi(t)] = np.eye(n)
-        A_eq[rows, ui(t - 1)] = -sys.B
-        d_prev = np.asarray(preview[t - 1], dtype=float)
-        rhs = sys.E @ d_prev
-        if t == 1:
-            rhs = rhs + sys.A @ x0
-        else:
-            A_eq[rows, xi(t - 1)] = -sys.A
-        b_eq[rows] = rhs
+        Gam[t] = sys.A @ Gam[t - 1]
+        Gam[t, :, (t - 1) * m:t * m] = sys.B
+        f[t] = sys.A @ f[t - 1] + sys.E @ preview[t - 1]
 
     Hs, hs = sys.S_xu.H, sys.S_xu.h
     Hx, Hu = Hs[:, :n], Hs[:, n:]
-    blocks = []
-    rhss = []
-    for t in range(1, p + 1):  # (x_{t-1}, u_{t-1}) in S_xu
-        block = np.zeros((Hs.shape[0], nz))
-        block[:, ui(t - 1)] = Hu
-        r = hs.copy()
-        if t == 1:
-            r = r - Hx @ x0
-        else:
-            block[:, xi(t - 1)] = Hx
-        blocks.append(block)
-        rhss.append(r)
+    rows = Hx @ Gam[:p]  # (x_t, u_t) in S_xu for t = 0..p-1
+    for t in range(p):
+        rows[t, :, t * m:(t + 1) * m] += Hu
+    blocks = [rows.reshape(-1, p * m)]
+    rhss = [(hs - f[:p] @ Hx.T).ravel()]
 
     if cfg.rfc == "terminal_set":
-        block = np.zeros((cfg.C.num_rows, nz))
-        block[:, xi(p)] = cfg.C.H
-        blocks.append(block)
-        rhss.append(cfg.C.h)
+        blocks.append(cfg.C.H @ Gam[p])
+        rhss.append(cfg.C.h - cfg.C.H @ f[p])
     elif cfg.rfc == "max_rcis":
         if cfg.cmax_p is None:
             raise ValueError("max_rcis mode needs the maximal augmented set")
@@ -162,41 +149,41 @@ def _stack_mpc_qp(sys: LinearSystem, cfg: MpcConfig, x0, preview):
         Hc, hc = cfg.cmax_p.H, cfg.cmax_p.h
         # successor augmented state: (x_1, d_1, .., d_{p-1}, d_next) with the
         # known previews filled in and the unseen slot taken worst case
-        block = np.zeros((Hc.shape[0], nz))
-        block[:, xi(1)] = Hc[:, :n]
-        r = hc.copy()
+        r = hc - Hc[:, :n] @ f[1]
         for i in range(1, p):
             cols = Hc[:, n + (i - 1) * l: n + i * l]
-            r = r - cols @ np.asarray(preview[i], dtype=float)
+            r = r - cols @ preview[i]
         tail = Hc[:, n + (p - 1) * l:]
         for j in range(Hc.shape[0]):
             if np.any(tail[j]):
                 r[j] -= support(sys.D, tail[j])
-        blocks.append(block)
+        blocks.append(Hc[:, :n] @ Gam[1])
         rhss.append(r)
     elif cfg.rfc is not None:
         raise ValueError(f"unknown rfc mode {cfg.rfc!r}")
 
-    G = np.eye(nz)  # identity stage weights on every x_t and u_t
-    return G, np.vstack(blocks), np.concatenate(rhss), A_eq, b_eq
+    X = Gam[1:].reshape(p * n, p * m)
+    G = 2.0 * (np.eye(p * m) + X.T @ X)
+    c = 2.0 * (X.T @ f[1:].ravel())
+    return G, c, np.vstack(blocks), np.concatenate(rhss), Gam, f
 
 
 def mpc_step(sys: LinearSystem, cfg: MpcConfig, x0, preview):
-    """One receding-horizon solve.
+    """One receding-horizon solve of the condensed QP (no equality rows).
 
-    Returns (u0, predicted (xs, us), feasible). Infeasibility of the
-    quadratic program is reported through the flag, never as an exception;
-    genuine solver failures still raise.
+    Returns (u0, predicted (xs, us), feasible), with xs = x_1..x_p from the
+    dynamics substituted in `_condensed_qp`. Infeasibility of the quadratic
+    program is reported through the flag, never as an exception; genuine
+    solver failures still raise.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     preview = np.atleast_2d(np.asarray(preview, dtype=float).reshape(cfg.p, sys.l))
-    G, A_ub, b_ub, A_eq, b_eq = _stack_mpc_qp(sys, cfg, x0, preview)
-    z, _ = solve_qp(2.0 * G, np.zeros(G.shape[0]), A_ub, b_ub, A_eq, b_eq)
-    if z is None:
+    G, c, A_ub, b_ub, Gam, f = _condensed_qp(sys, cfg, x0, preview)
+    u, _ = solve_qp(G, c, A_ub, b_ub)
+    if u is None:
         return None, None, False
-    n, m, p = sys.n, sys.m, cfg.p
-    xs = z[:p * n].reshape(p, n)
-    us = z[p * n:].reshape(p, m)
+    xs = Gam[1:] @ u + f[1:]
+    us = u.reshape(cfg.p, sys.m)
     return us[0], (xs, us), True
 
 

@@ -248,31 +248,26 @@ def solve_lp_fast(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None,
     return LpSolution(status, x, obj)
 
 
-def solve_qp(G, c, A_ub=None, b_ub=None, A_eq=None, b_eq=None):
-    """Strictly convex QP  min 1/2 x'Gx + c'x  s.t. A_ub x <= b_ub, A_eq x = b_eq.
+def solve_qp(G, c, A_ub=None, b_ub=None):
+    """Strictly convex QP  min 1/2 x'Gx + c'x  s.t. A_ub x <= b_ub.
 
+    Inequalities only; callers substitute any equalities away first.
     Dual active-set method (Goldfarb & Idnani, Math. Prog. 27, 1983), no LP
-    inside: from the minimiser on the equalities it adds the most violated
-    row (a_i x - b_i > 1e-12 * max(|a_i|, 1)) one at a time and drops an
-    active row whose multiplier would turn negative. Returns (x, OPTIMAL),
-    or (None, INFEASIBLE) when a violated row depends on active rows none of
-    which can be dropped. A G that is not positive definite, dependent
-    equalities or a failed residual check raise SolverError.
+    inside: from the unconstrained minimiser it adds the most violated row
+    (a_i x - b_i > 1e-12 * max(|a_i|, 1)) one at a time and drops an active
+    row whose multiplier would turn negative. Returns (x, OPTIMAL), or
+    (None, INFEASIBLE) when a violated row depends on active rows none of
+    which can be dropped. A G that is not positive definite or a failed
+    residual check raise SolverError.
     """
     G = np.atleast_2d(np.asarray(G, dtype=float))
     c = np.atleast_1d(np.asarray(c, dtype=float))
     n = c.shape[0]
-
-    def block(A_, b_):
-        if A_ is None:
-            return np.zeros((0, n)), np.zeros(0)
-        return (np.atleast_2d(np.asarray(A_, dtype=float)),
-                np.atleast_1d(np.asarray(b_, dtype=float)))
-
-    (A_eq, b_eq), (A_ub, b_ub) = block(A_eq, b_eq), block(A_ub, b_ub)
-    m_eq = A_eq.shape[0]
-    A = np.vstack([A_eq, A_ub])
-    b = np.concatenate([b_eq, b_ub])
+    if A_ub is None:
+        A, b = np.zeros((0, n)), np.zeros(0)
+    else:
+        A = np.atleast_2d(np.asarray(A_ub, dtype=float))
+        b = np.atleast_1d(np.asarray(b_ub, dtype=float))
     try:
         L = np.linalg.cholesky(G)
     except np.linalg.LinAlgError as exc:
@@ -281,18 +276,11 @@ def solve_qp(G, c, A_ub=None, b_ub=None, A_eq=None, b_eq=None):
     J = np.linalg.inv(L).T
     M = A @ J
     scale = np.maximum(np.linalg.norm(A, axis=1), 1.0)
-    W = list(range(m_eq))  # active rows: the equalities, then inequalities
-    y = -(J.T @ c)
-    if m_eq:
-        Q, R = np.linalg.qr(M[W].T)
-        if np.any(np.abs(np.diag(R)) <= 1e-12 * np.linalg.norm(M[W], axis=1)):
-            raise SolverError("QP equality constraints are dependent")
-        y = y - Q @ np.linalg.solve(R.T, M[W] @ y - b[W])
-    x = J @ y
-    mu = np.zeros(0)  # multipliers of the active inequalities W[m_eq:]
+    W = []  # active rows
+    x = J @ -(J.T @ c)
+    mu = np.zeros(0)  # multipliers of the active rows
     for _ in range(50 * (n + b.shape[0] + 1)):
         res = (A @ x - b) / scale
-        res[:m_eq] = np.abs(res[:m_eq])
         viol = res.copy()
         viol[W] = -np.inf
         q = int(np.argmax(viol)) if viol.size else -1
@@ -307,10 +295,10 @@ def solve_qp(G, c, A_ub=None, b_ub=None, A_eq=None, b_eq=None):
             k = len(W)
             Q, R = np.linalg.qr(M[W].T, mode="complete")
             w = Q.T @ M[q]
-            r = -np.linalg.solve(R[:k], w[:k])[m_eq:]
+            r = -np.linalg.solve(R[:k], w[:k])
             dependent = np.linalg.norm(w[k:]) <= 1e-12 * np.linalg.norm(M[q])
             t_add = np.inf if dependent else (A[q] @ x - b[q]) / (w[k:] @ w[k:])
-            t_drop, j = min(((-mu[i] / r[i], i) for i in range(k - m_eq) if r[i] < 0),
+            t_drop, j = min(((-mu[i] / r[i], i) for i in range(k) if r[i] < 0),
                             default=(np.inf, -1))
             if dependent and j < 0:
                 return None, INFEASIBLE
@@ -322,7 +310,7 @@ def solve_qp(G, c, A_ub=None, b_ub=None, A_eq=None, b_eq=None):
                 W.append(q)
                 mu = np.append(mu, t_q)
                 break
-            W.pop(m_eq + j)
+            W.pop(j)
             mu = np.delete(mu, j)
     raise SolverError("dual active-set QP did not converge")
 
@@ -330,12 +318,16 @@ def solve_qp(G, c, A_ub=None, b_ub=None, A_eq=None, b_eq=None):
 def project_point(point, P):
     """Euclidean projection of a point onto a polytope.
 
-    Returns (closest, distance); a point that violates no row by more than
-    1e-12 * max(|H_i|, 1) is its own projection, at distance exactly 0.
+    Returns (closest, distance). A point that violates no row by more than
+    1e-12 * max(|H_i|, 1), solve_qp's own test, is its own projection at
+    distance exactly 0, returned as a copy without setting up the QP.
     """
     from .polytope import EmptyPolytopeError
 
     point = np.atleast_1d(np.asarray(point, dtype=float))
+    scale = np.maximum(np.linalg.norm(P.H, axis=1), 1.0)
+    if np.all((P.H @ point - P.h) / scale <= 1e-12):
+        return point.copy(), 0.0
     x, status = solve_qp(np.eye(point.shape[0]), -point, A_ub=P.H, b_ub=P.h)
     if x is None:
         raise EmptyPolytopeError("cannot project onto an empty polytope")

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
+from preview_regret import mpc
 from preview_regret.invariance import max_invariant_set, pre_k
-from preview_regret.models import build_1d, build_2d_random
+from preview_regret.models import build_1d, build_2d_random, build_template
 from preview_regret.mpc import (
     FULL_DOMAIN_DIM_BUDGET,
     MpcConfig,
@@ -15,6 +17,7 @@ from preview_regret.mpc import (
 )
 from preview_regret.polytope import (
     HPolytope,
+    bounding_box,
     contains,
     hausdorff_nested,
     interval,
@@ -23,6 +26,7 @@ from preview_regret.polytope import (
     support,
 )
 from preview_regret.regret import bound_dp
+from preview_regret.solver import solve_qp
 from preview_regret.systems import augment, collaborative
 
 
@@ -223,3 +227,88 @@ def test_full_domain_is_invariant_for_augmented_system(spine_1d):
     for p in (1, 2):
         dom = feasible_domain(sys, C, p=p, want_full=True)
         assert is_rcis(augment(sys, p), dom.full, tol=1e-7)
+
+
+def _stacked_mpc_step(sys, cfg, x0, preview):
+    """Oracle: the QP over z = (x_1..x_p, u_0..u_{p-1}) with the dynamics
+    as p*n equality rows, which a null-space basis eliminates before
+    solve_qp. Returns (u0, (xs, us), feasible) like mpc_step."""
+    n, m, l, p = sys.n, sys.m, sys.l, cfg.p
+    I = np.eye(p * (n + m))
+    # x_t = X[t] z + off[t] and u_t = U[t] z
+    X = [0.0 * I[:n]] + [I[t * n:(t + 1) * n] for t in range(p)]
+    U = [I[p * n + t * m:p * n + (t + 1) * m] for t in range(p)]
+    off = [np.asarray(x0, dtype=float)] + [np.zeros(n)] * p
+    A_eq = np.vstack([X[t + 1] - sys.A @ X[t] - sys.B @ U[t] for t in range(p)])
+    b_eq = np.concatenate([sys.A @ off[t] + sys.E @ preview[t] for t in range(p)])
+    Hs, hs = sys.S_xu.H, sys.S_xu.h
+    Hx, Hu = Hs[:, :n], Hs[:, n:]
+    rows = [Hx @ X[t] + Hu @ U[t] for t in range(p)]
+    rhs = [hs - Hx @ off[t] for t in range(p)]
+    if cfg.rfc == "terminal_set":
+        rows.append(cfg.C.H @ X[p])
+        rhs.append(cfg.C.h)
+    elif cfg.rfc == "max_rcis":
+        Hc, r = cfg.cmax_p.H, cfg.cmax_p.h.copy()
+        for i in range(1, p):
+            r = r - Hc[:, n + (i - 1) * l:n + i * l] @ preview[i]
+        r = r - np.array([support(sys.D, a) if np.any(a) else 0.0
+                          for a in Hc[:, n + (p - 1) * l:]])
+        rows.append(Hc[:, :n] @ X[1])
+        rhs.append(r)
+    A_ub, b_ub = np.vstack(rows), np.concatenate(rhs)
+    z0 = np.linalg.lstsq(A_eq, b_eq, rcond=None)[0]
+    N = scipy.linalg.null_space(A_eq)
+    v, _ = solve_qp(2.0 * N.T @ N, 2.0 * N.T @ z0, A_ub @ N, b_ub - A_ub @ z0)
+    if v is None:
+        return None, None, False
+    z = z0 + N @ v
+    us = z[p * n:].reshape(p, m)
+    return us[0], (z[:p * n].reshape(p, n), us), True
+
+
+def _oracle_cases():
+    """(system, cfg) for every rfc mode on the 1-D model (p = 1, 2),
+    build_2d_random(1) (p = 2) and wind turbine (p = 4)."""
+    for sys, ps in ((build_1d()[0], (1, 2)), (build_2d_random(1), (2,)),
+                    (build_template("wind_turbine")[0], (4,))):
+        C, conv = max_invariant_set(sys, tol=1e-9)
+        assert conv and not C.is_empty()
+        for p in ps:
+            Cp, conv = max_invariant_set(augment(sys, p), tol=1e-9)
+            assert conv
+            yield sys, MpcConfig(p=p, C=C)
+            yield sys, MpcConfig(p=p, C=C, rfc="max_rcis", cmax_p=Cp)
+            yield sys, MpcConfig(p=p, C=C, rfc=None)
+
+
+def test_condensed_step_matches_the_stacked_qp(monkeypatch):
+    passed = []
+
+    def inequalities_only(*args, **kwargs):
+        assert len(args) == 4 and not kwargs  # G, c, A_ub, b_ub
+        passed.append(1)
+        return solve_qp(*args)
+
+    monkeypatch.setattr(mpc, "solve_qp", inequalities_only)
+    rng = np.random.default_rng(13)
+    outcomes = {}
+    for sys, cfg in _oracle_cases():
+        box = bounding_box(cfg.C)
+        for k in range(40):
+            # every other start is drawn from three times the terminal
+            # set's box, where many are infeasible
+            w = (1.0, 3.0)[k % 2]
+            x0 = rng.uniform(w * box.lower, w * box.upper)
+            preview = sample_disturbances(sys.D, cfg.p, rng)
+            u0, pred, feasible = mpc_step(sys, cfg, x0, preview)
+            e_u0, e_pred, e_feasible = _stacked_mpc_step(sys, cfg, x0, preview)
+            assert feasible == e_feasible
+            outcomes.setdefault(cfg.rfc, []).append(feasible)
+            if feasible:
+                assert np.max(np.abs(u0 - e_u0)) <= 1e-9
+                assert np.max(np.abs(pred[0] - e_pred[0])) <= 1e-9
+                assert np.max(np.abs(pred[1] - e_pred[1])) <= 1e-9
+    assert len(passed) == 12 * 40
+    for flags in outcomes.values():  # each mode sees both outcomes
+        assert 0.2 * len(flags) <= sum(flags) <= 0.9 * len(flags)

@@ -133,12 +133,31 @@ def test_project_point_supporting_hyperplane(seed):
         assert (pt - closest) @ (y - closest) <= 1e-7 * (1.0 + dist)
 
 
-def test_qp_equality_constrained():
-    # min (x-1)^2 + (y-2)^2 s.t. x + y = 1  ->  x* = 0, y* = 1
-    x, status = solve_qp(2 * np.eye(2), np.array([-2.0, -4.0]),
-                         A_eq=[[1.0, 1.0]], b_eq=[1.0])
-    assert status == OPTIMAL
-    assert np.allclose(x, [0.0, 1.0], atol=1e-9)
+def test_project_point_at_zero_distance_sets_up_no_qp(monkeypatch):
+    from preview_regret import solver
+
+    rng = np.random.default_rng(11)
+    dirs = rng.normal(size=(12, 3)) * 10.0 ** rng.integers(-2, 3, size=(12, 1))
+    P = HPolytope(dirs, rng.uniform(0.5, 2.0, size=12))
+    scale = np.maximum(np.linalg.norm(P.H, axis=1), 1.0)
+    points = [np.zeros(3), P.chebyshev_center()[0]]
+    for i in range(3):  # on a facet, then just inside solve_qp's tolerance
+        on = P.h[i] / (P.H[i] @ P.H[i]) * P.H[i]
+        if np.all((P.H @ on - P.h) / scale <= 1e-12):
+            points += [on, on + 5e-13 * scale[i] * P.H[i] / (P.H[i] @ P.H[i])]
+    assert len(points) > 2
+    # the QP solver returns such a start point bit for bit
+    expect = [solve_qp(np.eye(3), -pt, P.H, P.h)[0] for pt in points]
+
+    def no_qp(*args, **kwargs):
+        raise AssertionError("a zero-distance projection set up a QP")
+
+    monkeypatch.setattr(solver, "solve_qp", no_qp)
+    for pt, x in zip(points, expect):
+        closest, dist = project_point(pt, P)
+        assert dist == 0.0
+        assert closest is not pt
+        assert np.array_equal(closest, pt) and np.array_equal(closest, x)
 
 
 def test_qp_paths_solve_no_lp(monkeypatch):
@@ -161,7 +180,6 @@ def test_qp_paths_solve_no_lp(monkeypatch):
     test_project_point_inside()
     test_project_point_corner()
     test_project_point_empty()
-    test_qp_equality_constrained()
     _, (xs, us), feasible = mpc_step(sys, MpcConfig(p=4, C=C), center, preview)
     assert feasible
     x = center
@@ -193,25 +211,23 @@ def test_lp_over_400_rows_goes_through_highs_once(monkeypatch):
 
 
 def test_qp_rejects_what_it_cannot_solve():
-    with pytest.raises(SolverError):  # dependent equalities
-        solve_qp(np.eye(2), np.zeros(2), A_eq=[[1.0, 1.0], [2.0, 2.0]], b_eq=[1.0, 2.0])
     with pytest.raises(SolverError):  # indefinite Hessian
         solve_qp([[1.0, 2.0], [2.0, 1.0]], np.zeros(2))
 
 
-def _brute_force_qp(G, c, A, b, Aeq, beq):
+def _brute_force_qp(G, c, A, b):
     """Optimal objective by enumerating active sets that satisfy KKT, or
     None when no active set does (the QP is infeasible)."""
-    n, m_eq = c.shape[0], Aeq.shape[0]
+    n = c.shape[0]
     best = None
     for mask in range(1 << A.shape[0]):
         S = [i for i in range(A.shape[0]) if mask >> i & 1]
-        N = np.vstack([Aeq, A[S]])
+        N = A[S]
         if np.linalg.matrix_rank(N) < N.shape[0]:
             continue
         K = np.block([[G, N.T], [N, np.zeros((N.shape[0], N.shape[0]))]])
-        sol = np.linalg.solve(K, np.r_[-c, beq, b[S]])
-        x, mu = sol[:n], sol[n + m_eq:]
+        sol = np.linalg.solve(K, np.r_[-c, b[S]])
+        x, mu = sol[:n], sol[n:]
         if np.all(A @ x <= b + 1e-9) and np.all(mu >= -1e-9):
             obj = 0.5 * x @ G @ x + c @ x
             assert best is None or abs(obj - best) <= 1e-9
@@ -225,23 +241,18 @@ def test_qp_matches_active_set_enumeration():
         rng = np.random.default_rng([7, seed])
         n = int(rng.integers(1, 5))
         m = int(rng.integers(0, 9))
-        m_eq = int(rng.integers(0, min(2, n) + 1))
         F = rng.normal(size=(n, n))
         G = F @ F.T + 0.1 * np.eye(n)
         c = rng.normal(size=n)
         A = rng.normal(size=(m, n))
         b = rng.normal(size=m) + rng.uniform(-1.0, 2.0)
-        Aeq = rng.normal(size=(m_eq, n))
-        beq = rng.normal(size=m_eq)
-        expect = _brute_force_qp(G, c, A, b, Aeq, beq)
-        x, status = solve_qp(G, c, A, b, Aeq if m_eq else None,
-                             beq if m_eq else None)
+        expect = _brute_force_qp(G, c, A, b)
+        x, status = solve_qp(G, c, A, b)
         statuses.append(status)
         if expect is None:
             assert status == INFEASIBLE and x is None
         else:
             assert status == OPTIMAL
-            # relative too: nearly parallel equalities give objectives of 1e5
             assert 0.5 * x @ G @ x + c @ x == pytest.approx(expect, rel=1e-9, abs=1e-9)
     assert statuses.count(INFEASIBLE) >= 30
     assert statuses.count(OPTIMAL) >= 150
