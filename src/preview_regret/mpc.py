@@ -2,7 +2,8 @@
 their convergence certificates, and a closed-loop simulator.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,12 +43,19 @@ class MpcConfig:
     the final predicted state into C; "max_rcis" keeps the successor
     augmented state inside cmax_p for every next disturbance; None drops the
     constraint (ablation only, recursive feasibility is then forfeit).
+
+    The config and the system are treated as immutable values, as HPolytope
+    is: mpc_step keeps the horizon QP built from them on the config and
+    rebuilds it only when sys or a field is rebound to another object, never
+    when an array is modified in place.
     """
 
     p: int
     C: HPolytope
     rfc: str | None = "terminal_set"
     cmax_p: HPolytope | None = None
+    _horizon: "_Horizon | None" = field(default=None, init=False,
+                                        compare=False, repr=False)
 
 
 @dataclass
@@ -111,25 +119,52 @@ def terminal_set_certificate(sys: LinearSystem, C: HPolytope,
         return algorithm1(sys, C_max_co, C, cmax_exact=cmax_exact)
 
 
-def _condensed_qp(sys: LinearSystem, cfg: MpcConfig, x0, preview):
-    """The horizon-p QP over the inputs u = (u_0, .., u_{p-1}) alone.
-
-    The dynamics are substituted: x_t = Gam[t] u + f[t] for t = 0..p, with
-    f the free response to x0 and the previews. Minimising the identity
-    stage cost |x_1..x_p|^2 + |u|^2 is then  1/2 u'Gu + c'u  with
-    G = 2(I + Gam'Gam) and c = 2 Gam'f. The rows are S_xu on (x_t, u_t) for
-    t = 0..p-1, then the recursive-feasibility rows: C on x_p, or the
-    maximal augmented set on the successor state x_1. Returns
-    (G, c, A_ub, b_ub, Gam, f).
+class _Horizon(NamedTuple):
+    """The horizon-p QP of one (system, config) in whitened coordinates y,
+    with z = (x0, d_0, .., d_{p-1}): minimise 1/2 |y|^2 + (c_map z)'y
+    subject to A y <= b0 + b_map z; then u = u_map y and the predicted
+    states are x_map y + f_map z. key holds the inputs it was built from.
     """
-    n, m, p = sys.n, sys.m, cfg.p
+
+    key: tuple
+    eye: np.ndarray
+    c_map: np.ndarray
+    A: np.ndarray
+    b0: np.ndarray
+    b_map: np.ndarray
+    u_map: np.ndarray
+    x_map: np.ndarray
+    f_map: np.ndarray
+
+
+def _horizon_key(sys: LinearSystem, cfg: MpcConfig) -> tuple:
+    return (sys, cfg.p, cfg.C, cfg.rfc, cfg.cmax_p)
+
+
+def _condensed_qp(sys: LinearSystem, cfg: MpcConfig) -> _Horizon:
+    """The horizon-p QP over the inputs u = (u_0, .., u_{p-1}) alone, built
+    once per (system, config): nothing here depends on x0 or the previews.
+
+    The dynamics are substituted: x_t = Gam[t] u + F[t] z for t = 0..p, with
+    F[t] z the free response to z = (x0, previews). Minimising the identity
+    stage cost |x_1..x_p|^2 + |u|^2 is then  1/2 u'Gu + c'u  with
+    G = 2(I + Gam'Gam) and c = 2 Gam'F z. The rows are S_xu on (x_t, u_t)
+    for t = 0..p-1, then the recursive-feasibility rows: C on x_p, or the
+    maximal augmented set on the successor state x_1 with the unseen
+    preview slot taken worst case. With G = LL' and u = L^-T y the Hessian
+    becomes the identity, so each step only evaluates the affine maps in z
+    and solves (see mpc_step).
+    """
+    n, m, l, p = sys.n, sys.m, sys.l, cfg.p
+    nz = n + p * l
     Gam = np.zeros((p + 1, n, p * m))
-    f = np.empty((p + 1, n))
-    f[0] = x0
+    F = np.zeros((p + 1, n, nz))
+    F[0, :, :n] = np.eye(n)
     for t in range(1, p + 1):
         Gam[t] = sys.A @ Gam[t - 1]
         Gam[t, :, (t - 1) * m:t * m] = sys.B
-        f[t] = sys.A @ f[t - 1] + sys.E @ preview[t - 1]
+        F[t] = sys.A @ F[t - 1]
+        F[t, :, n + (t - 1) * l:n + t * l] += sys.E
 
     Hs, hs = sys.S_xu.H, sys.S_xu.h
     Hx, Hu = Hs[:, :n], Hs[:, n:]
@@ -137,53 +172,62 @@ def _condensed_qp(sys: LinearSystem, cfg: MpcConfig, x0, preview):
     for t in range(p):
         rows[t, :, t * m:(t + 1) * m] += Hu
     blocks = [rows.reshape(-1, p * m)]
-    rhss = [(hs - f[:p] @ Hx.T).ravel()]
+    offsets = [np.tile(hs, p)]
+    maps = [-(Hx @ F[:p]).reshape(-1, nz)]
 
     if cfg.rfc == "terminal_set":
         blocks.append(cfg.C.H @ Gam[p])
-        rhss.append(cfg.C.h - cfg.C.H @ f[p])
+        offsets.append(cfg.C.h)
+        maps.append(-cfg.C.H @ F[p])
     elif cfg.rfc == "max_rcis":
         if cfg.cmax_p is None:
             raise ValueError("max_rcis mode needs the maximal augmented set")
-        l = sys.l
         Hc, hc = cfg.cmax_p.H, cfg.cmax_p.h
         # successor augmented state: (x_1, d_1, .., d_{p-1}, d_next) with the
         # known previews filled in and the unseen slot taken worst case
-        r = hc - Hc[:, :n] @ f[1]
-        for i in range(1, p):
-            cols = Hc[:, n + (i - 1) * l: n + i * l]
-            r = r - cols @ preview[i]
+        b_map = -Hc[:, :n] @ F[1]
+        b_map[:, n + l:] -= Hc[:, n:n + (p - 1) * l]
         tail = Hc[:, n + (p - 1) * l:]
-        for j in range(Hc.shape[0]):
-            if np.any(tail[j]):
-                r[j] -= support(sys.D, tail[j])
+        worst = np.array([support(sys.D, a) if np.any(a) else 0.0
+                          for a in tail])
         blocks.append(Hc[:, :n] @ Gam[1])
-        rhss.append(r)
+        offsets.append(hc - worst)
+        maps.append(b_map)
     elif cfg.rfc is not None:
         raise ValueError(f"unknown rfc mode {cfg.rfc!r}")
 
     X = Gam[1:].reshape(p * n, p * m)
-    G = 2.0 * (np.eye(p * m) + X.T @ X)
-    c = 2.0 * (X.T @ f[1:].ravel())
-    return G, c, np.vstack(blocks), np.concatenate(rhss), Gam, f
+    F1 = F[1:].reshape(p * n, nz)
+    L = np.linalg.cholesky(2.0 * (np.eye(p * m) + X.T @ X))
+    J = np.linalg.inv(L).T
+    return _Horizon(
+        key=_horizon_key(sys, cfg), eye=np.eye(p * m),
+        c_map=2.0 * (J.T @ (X.T @ F1)), A=np.vstack(blocks) @ J,
+        b0=np.concatenate(offsets), b_map=np.vstack(maps), u_map=J,
+        x_map=X @ J, f_map=F1)
 
 
 def mpc_step(sys: LinearSystem, cfg: MpcConfig, x0, preview):
     """One receding-horizon solve of the condensed QP (no equality rows).
 
-    Returns (u0, predicted (xs, us), feasible), with xs = x_1..x_p from the
-    dynamics substituted in `_condensed_qp`. Infeasibility of the quadratic
-    program is reported through the flag, never as an exception; genuine
-    solver failures still raise.
+    The QP's fixed part comes from `_condensed_qp`, kept on cfg and rebuilt
+    only when sys or a field of cfg is rebound; a step evaluates its affine
+    maps in (x0, preview) and makes one solve_qp call. Returns (u0,
+    predicted (xs, us), feasible), with xs = x_1..x_p. Infeasibility of the
+    quadratic program is reported through the flag, never as an exception;
+    genuine solver failures still raise.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     preview = np.atleast_2d(np.asarray(preview, dtype=float).reshape(cfg.p, sys.l))
-    G, c, A_ub, b_ub, Gam, f = _condensed_qp(sys, cfg, x0, preview)
-    u, _ = solve_qp(G, c, A_ub, b_ub)
-    if u is None:
+    qp, key = cfg._horizon, _horizon_key(sys, cfg)
+    if qp is None or any(a is not b for a, b in zip(qp.key, key)):
+        qp = cfg._horizon = _condensed_qp(sys, cfg)
+    z = np.concatenate([x0, preview.ravel()])
+    y, _ = solve_qp(qp.eye, qp.c_map @ z, qp.A, qp.b0 + qp.b_map @ z)
+    if y is None:
         return None, None, False
-    xs = Gam[1:] @ u + f[1:]
-    us = u.reshape(cfg.p, sys.m)
+    xs = (qp.x_map @ y + qp.f_map @ z).reshape(cfg.p, sys.n)
+    us = (qp.u_map @ y).reshape(cfg.p, sys.m)
     return us[0], (xs, us), True
 
 

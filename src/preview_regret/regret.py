@@ -265,6 +265,12 @@ def bound_marginal(cert: RegretCertificate, p: int) -> float:
     return bound_dp(cert, p) + bound_dp(cert, p + cert.N)
 
 
+def _ladder_key(X: HPolytope) -> tuple:
+    """What pre reads of X, as bytes: rows, offsets and carried ball."""
+    ball = None if X._cheby is None else (X._cheby[0].tobytes(), X._cheby[1])
+    return X.H.shape, X.H.tobytes(), X.h.tobytes(), ball
+
+
 def algorithm3(sys: LinearSystem, C_max_co: HPolytope,
                proj: HPolytope, p0: int = 0, k_max: int = 50,
                eq_tol: float = 0.0) -> ConvergenceReport:
@@ -276,9 +282,15 @@ def algorithm3(sys: LinearSystem, C_max_co: HPolytope,
     result is a certificate and an infinite one is merely inconclusive. The
     ladder distances are valid regret upper bounds at matching horizons,
     measured from the limit set's vertices.
+
+    pre reads only a set's rows, offsets and carried ball, so once a ladder
+    set repeats an earlier one byte for byte the ladder cycles from there
+    without closing (every set of the cycle failed its check); the rest is
+    filled by reference, and each distinct set is measured once.
     """
     co = collaborative(sys)
     ladder = [proj]
+    seen = {_ladder_key(proj): 0}
     p_bar = math.inf
     if contains(ladder[0], C_max_co, tol=eq_tol):
         p_bar = p0
@@ -286,12 +298,19 @@ def algorithm3(sys: LinearSystem, C_max_co: HPolytope,
     while k < k_max and math.isinf(p_bar):
         k += 1
         nxt = pre(co, ladder[-1])
+        j = seen.setdefault(_ladder_key(nxt), k)
+        if j < k:
+            ladder += [ladder[j + i % (k - j)] for i in range(k_max - k + 1)]
+            break
         ladder.append(nxt)
         if contains(nxt, C_max_co, tol=eq_tol):
             p_bar = p0 + k
     anchors = vertices(C_max_co)
-    distances = [max(float(project_point(v, C_k)[1]) for v in anchors)
-                 for C_k in ladder]
+    far = {}
+    for C_k in ladder:
+        if id(C_k) not in far:
+            far[id(C_k)] = max(float(project_point(v, C_k)[1]) for v in anchors)
+    distances = [far[id(C_k)] for C_k in ladder]
     return ConvergenceReport(p_bar=p_bar, ladder=ladder, distances=distances,
                              k_max=k_max)
 

@@ -227,6 +227,24 @@ def _simplex(c, A_ub, b_ub, A_eq, b_eq, nonneg=None):
     return OPTIMAL, x, float(c @ x)
 
 
+def _lp_residual(x, A_ub, b_ub, A_eq, b_eq, nonneg):
+    """Largest violation at x of a row, an equality or a sign constraint,
+    each divided by 1 + |a|.|x| + |b|, the size of the terms whose rounding
+    it may show.
+    """
+    worst = 0.0
+    ax = np.abs(x)
+    if A_ub is not None and A_ub.shape[0]:
+        res = (A_ub @ x - b_ub) / (1.0 + np.abs(A_ub) @ ax + np.abs(b_ub))
+        worst = max(worst, float(np.max(res)))
+    if A_eq is not None and A_eq.shape[0]:
+        res = np.abs(A_eq @ x - b_eq) / (1.0 + np.abs(A_eq) @ ax + np.abs(b_eq))
+        worst = max(worst, float(np.max(res)))
+    if nonneg is not None and np.any(nonneg):
+        worst = max(worst, float(np.max(-x[nonneg] / (1.0 + ax[nonneg]))))
+    return worst
+
+
 def solve_lp_fast(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None,
                   nonneg=None) -> LpSolution:
     """Solve min c'x s.t. A_ub x <= b_ub, A_eq x = b_eq; the one LP entry point.
@@ -235,13 +253,17 @@ def solve_lp_fast(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None,
     must be float and consistent in shape; they are not validated. Statuses
     are reported, never silently collapsed. Small problems go through the
     in-house two-phase simplex; large ones, and any solve the simplex flags
-    as numerically stuck, use HiGHS.
+    as numerically stuck or whose optimal point fails the residual check
+    (see _lp_residual), use HiGHS.
     """
     c = np.asarray(c, dtype=float)
     n = c.shape[0]
     m = (0 if A_ub is None else A_ub.shape[0]) + (0 if A_eq is None else A_eq.shape[0])
     if n <= 60 and m <= 400:
         status, x, obj = _simplex(c, A_ub, b_ub, A_eq, b_eq, nonneg=nonneg)
+        if status == OPTIMAL and _lp_residual(x, A_ub, b_ub, A_eq, b_eq,
+                                              nonneg) > 1e-9:
+            status = "stall"
         if status != "stall":
             return LpSolution(status, x, obj)
     status, x, obj = _scipy_lp(c, A_ub, b_ub, A_eq, b_eq, nonneg=nonneg)

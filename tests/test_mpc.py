@@ -22,12 +22,14 @@ from preview_regret.polytope import (
     hausdorff_nested,
     interval,
     project,
+    scale,
     set_equal,
     support,
+    vertices,
 )
 from preview_regret.regret import bound_dp
 from preview_regret.solver import solve_qp
-from preview_regret.systems import augment, collaborative
+from preview_regret.systems import LinearSystem, augment, collaborative
 
 
 @pytest.fixture(scope="module")
@@ -312,3 +314,93 @@ def test_condensed_step_matches_the_stacked_qp(monkeypatch):
     assert len(passed) == 12 * 40
     for flags in outcomes.values():  # each mode sees both outcomes
         assert 0.2 * len(flags) <= sum(flags) <= 0.9 * len(flags)
+
+
+@pytest.fixture(scope="module")
+def closed_loop_cases():
+    """The oracle cases on build_2d_random(1) (p = 2) and wind turbine
+    (p = 4), one per rfc mode."""
+    return [(sys, cfg) for sys, cfg in _oracle_cases() if sys.n > 1]
+
+
+def test_closed_loop_matches_fresh_configs(closed_loop_cases):
+    # one config serves every step of two runs; each reference step solves
+    # with a config of its own
+    rng = np.random.default_rng(5)
+    for sys, cfg in closed_loop_cases:
+        inner = scale(cfg.C, 0.98)
+        box = bounding_box(inner)
+        for _ in range(2):
+            x0 = rng.uniform(box.lower, box.upper)
+            while not inner.contains_point(x0):
+                x0 = rng.uniform(box.lower, box.upper)
+            stream = sample_disturbances(sys.D, 20 + cfg.p, rng)
+            log = simulate_closed_loop(sys, cfg, x0, stream, T=20)
+            assert len(log) == 20 or not log[-1]["feasible"]
+            x = x0
+            for rec in log:
+                t = rec["t"]
+                fresh = MpcConfig(p=cfg.p, C=cfg.C, rfc=cfg.rfc,
+                                  cmax_p=cfg.cmax_p)
+                u0, _, feasible = mpc_step(sys, fresh, x, stream[t:t + cfg.p])
+                assert rec["feasible"] == feasible
+                assert np.max(np.abs(rec["x"] - x)) <= 1e-12
+                if not feasible:
+                    break
+                assert np.max(np.abs(rec["u"] - u0)) <= 1e-12
+                x = sys.step(x, u0, stream[t])
+
+
+def _answers(sys, cfg, starts):
+    """(feasible, u0 and the prediction) of mpc_step from each start."""
+    preview = np.full((cfg.p, sys.l), 0.1)
+    out = []
+    for x0 in starts:
+        u0, pred, feasible = mpc_step(sys, cfg, x0, preview)
+        out.append((feasible, None if not feasible else
+                    np.concatenate([u0, pred[0].ravel(), pred[1].ravel()])))
+    return out
+
+
+def _same_answers(a, b):
+    return all(fa == fb and (not fa or (va.shape == vb.shape and
+                                        np.max(np.abs(va - vb)) <= 1e-12))
+               for (fa, va), (fb, vb) in zip(a, b))
+
+
+@pytest.mark.parametrize("name", ["sys", "p", "C", "rfc", "cmax_p"])
+def test_rebound_field_rebuilds_the_horizon(setup_2d, name):
+    sys, C, _ = setup_2d
+    Cp, conv = max_invariant_set(augment(sys, 2), tol=1e-9)
+    assert conv
+    rfc = "max_rcis" if name == "cmax_p" else "terminal_set"
+    cfg = MpcConfig(p=2, C=C, rfc=rfc, cmax_p=Cp)
+    starts = vertices(C)
+    before = _answers(sys, cfg, starts)
+    if name == "sys":
+        sys = LinearSystem(sys.A, 0.5 * sys.B, sys.E, sys.D, sys.S_xu)
+    else:
+        setattr(cfg, name, {"p": 3, "C": scale(C, 0.5), "rfc": None,
+                            "cmax_p": scale(Cp, 0.8)}[name])
+    after = _answers(sys, cfg, starts)
+    fresh = _answers(sys, MpcConfig(p=cfg.p, C=cfg.C, rfc=cfg.rfc,
+                                    cmax_p=cfg.cmax_p), starts)
+    assert not _same_answers(before, fresh)  # the starts see the change
+    assert _same_answers(after, fresh)
+
+
+def test_closed_loop_builds_the_horizon_once(monkeypatch, setup_2d):
+    sys, C, _ = setup_2d
+    builds = []
+    real = mpc._condensed_qp
+
+    def counting(*args, **kwargs):
+        builds.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(mpc, "_condensed_qp", counting)
+    stream = sample_disturbances(sys.D, 22, np.random.default_rng(9))
+    log = simulate_closed_loop(sys, MpcConfig(p=2, C=C), np.zeros(sys.n),
+                               stream, T=20)
+    assert len(log) == 20 and all(rec["feasible"] for rec in log)
+    assert len(builds) == 1

@@ -294,6 +294,45 @@ def test_algorithm3_finite_convergence_certified():
     assert report.distances[-1] == pytest.approx(0.0, abs=1e-9)
 
 
+def test_algorithm3_replays_a_repeating_ladder(monkeypatch):
+    # at p0 = 1 the ladder of build_2d_random(1) repeats a set byte for byte
+    # within a few steps; the report must equal that of the plain loop
+    from preview_regret import regret
+    from preview_regret.invariance import pre
+    from preview_regret.polytope import contains, vertices
+    from preview_regret.solver import project_point
+
+    sys = build_2d_random(1)
+    C_co, conv = max_invariant_set(collaborative(sys), tol=1e-8)
+    assert conv
+    C_1, conv = max_invariant_set(augment(sys, 1), tol=1e-8)
+    assert conv
+    proj = project(C_1, sys.n)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return pre(*args, **kwargs)
+
+    monkeypatch.setattr(regret, "pre", counting)
+    report = algorithm3(sys, C_co, proj, p0=1, k_max=50)
+    assert len(calls) <= 4
+
+    co = collaborative(sys)
+    ladder = [proj]
+    for _ in range(50):
+        assert not contains(ladder[-1], C_co, tol=0.0)
+        ladder.append(pre(co, ladder[-1]))
+    assert not contains(ladder[-1], C_co, tol=0.0)
+    distances = [max(float(project_point(v, C_k)[1]) for v in vertices(C_co))
+                 for C_k in ladder]
+    assert math.isinf(report.p_bar)
+    assert report.distances == distances
+    assert len(report.ladder) == len(ladder)
+    for got, want in zip(report.ladder, ladder):
+        assert np.array_equal(got.H, want.H) and np.array_equal(got.h, want.h)
+
+
 def test_ladder_dominates_certificates(spine):
     sys, oracle, C_co, _ = spine
     proj1 = proj_cmax_p(sys, 1, tol=1e-11)

@@ -210,6 +210,42 @@ def test_lp_over_400_rows_goes_through_highs_once(monkeypatch):
     assert np.max(np.abs(center)) <= 1e-9
 
 
+@pytest.mark.parametrize("shift", [(1e-6, 0.0, 0.0), (0.0, -1e-6, 0.0),
+                                   (0.0, 0.0, 1e-6)],
+                         ids=["row", "sign", "equality"])
+def test_lp_answer_failing_its_residual_goes_through_highs_once(monkeypatch,
+                                                                shift):
+    # min -x0 + x1 s.t. x0 <= 1, x2 = x0, x1 >= 0 has the optimum (1, 0, 1);
+    # an OPTIMAL simplex answer moved off it breaks one of the three
+    from preview_regret import solver
+
+    calls = []
+    real_lp, real_simplex = solver._scipy_lp, solver._simplex
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real_lp(*args, **kwargs)
+
+    def perturbed(c, *args, **kwargs):
+        status, x, _ = real_simplex(c, *args, **kwargs)
+        assert status == OPTIMAL
+        x = x + np.array(shift)
+        return status, x, float(c @ x)
+
+    monkeypatch.setattr(solver, "_scipy_lp", counting)
+    args = (np.array([-1.0, 1.0, 0.0]), np.array([[1.0, 0.0, 0.0]]),
+            np.array([1.0]), np.array([[-1.0, 0.0, 1.0]]), np.array([0.0]))
+    nonneg = np.array([False, True, False])
+    assert np.allclose(solve_lp_fast(*args, nonneg=nonneg).point, [1, 0, 1])
+    assert not calls
+    monkeypatch.setattr(solver, "_simplex", perturbed)
+    sol = solve_lp_fast(*args, nonneg=nonneg)
+    assert len(calls) == 1
+    assert sol.status == OPTIMAL
+    assert np.allclose(sol.point, [1.0, 0.0, 1.0], atol=1e-9)
+    assert sol.objective == pytest.approx(-1.0, abs=1e-9)
+
+
 def test_qp_rejects_what_it_cannot_solve():
     with pytest.raises(SolverError):  # indefinite Hessian
         solve_qp([[1.0, 2.0], [2.0, 1.0]], np.zeros(2))
