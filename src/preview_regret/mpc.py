@@ -120,14 +120,13 @@ def terminal_set_certificate(sys: LinearSystem, C: HPolytope,
 
 
 class _Horizon(NamedTuple):
-    """The horizon-p QP of one (system, config) in whitened coordinates y,
-    with z = (x0, d_0, .., d_{p-1}): minimise 1/2 |y|^2 + (c_map z)'y
-    subject to A y <= b0 + b_map z; then u = u_map y and the predicted
-    states are x_map y + f_map z. key holds the inputs it was built from.
+    """The horizon-p least-distance QP of one (system, config), in whitened
+    coordinates y, with z = (x0, d_0, .., d_{p-1}): minimise 1/2 |y|^2 +
+    (c_map z)'y s.t. A y <= b0 + b_map z; then u = u_map y and the
+    predicted states are x_map y + f_map z. key holds its inputs.
     """
 
     key: tuple
-    eye: np.ndarray
     c_map: np.ndarray
     A: np.ndarray
     b0: np.ndarray
@@ -152,8 +151,8 @@ def _condensed_qp(sys: LinearSystem, cfg: MpcConfig) -> _Horizon:
     for t = 0..p-1, then the recursive-feasibility rows: C on x_p, or the
     maximal augmented set on the successor state x_1 with the unseen
     preview slot taken worst case. With G = LL' and u = L^-T y the Hessian
-    becomes the identity, so each step only evaluates the affine maps in z
-    and solves (see mpc_step).
+    becomes the identity, the least-distance form solve_qp takes, so each
+    step only evaluates the affine maps in z and solves (see mpc_step).
     """
     n, m, l, p = sys.n, sys.m, sys.l, cfg.p
     nz = n + p * l
@@ -201,10 +200,9 @@ def _condensed_qp(sys: LinearSystem, cfg: MpcConfig) -> _Horizon:
     L = np.linalg.cholesky(2.0 * (np.eye(p * m) + X.T @ X))
     J = np.linalg.inv(L).T
     return _Horizon(
-        key=_horizon_key(sys, cfg), eye=np.eye(p * m),
-        c_map=2.0 * (J.T @ (X.T @ F1)), A=np.vstack(blocks) @ J,
-        b0=np.concatenate(offsets), b_map=np.vstack(maps), u_map=J,
-        x_map=X @ J, f_map=F1)
+        key=_horizon_key(sys, cfg), c_map=2.0 * (J.T @ (X.T @ F1)),
+        A=np.vstack(blocks) @ J, b0=np.concatenate(offsets),
+        b_map=np.vstack(maps), u_map=J, x_map=X @ J, f_map=F1)
 
 
 def mpc_step(sys: LinearSystem, cfg: MpcConfig, x0, preview):
@@ -212,10 +210,10 @@ def mpc_step(sys: LinearSystem, cfg: MpcConfig, x0, preview):
 
     The QP's fixed part comes from `_condensed_qp`, kept on cfg and rebuilt
     only when sys or a field of cfg is rebound; a step evaluates its affine
-    maps in (x0, preview) and makes one solve_qp call. Returns (u0,
-    predicted (xs, us), feasible), with xs = x_1..x_p. Infeasibility of the
-    quadratic program is reported through the flag, never as an exception;
-    genuine solver failures still raise.
+    maps in (x0, preview) and makes one least-distance solve_qp call.
+    Returns (u0, predicted (xs, us), feasible), with xs = x_1..x_p.
+    Infeasibility of the quadratic program is reported through the flag,
+    never as an exception; genuine solver failures still raise.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     preview = np.atleast_2d(np.asarray(preview, dtype=float).reshape(cfg.p, sys.l))
@@ -223,7 +221,7 @@ def mpc_step(sys: LinearSystem, cfg: MpcConfig, x0, preview):
     if qp is None or any(a is not b for a, b in zip(qp.key, key)):
         qp = cfg._horizon = _condensed_qp(sys, cfg)
     z = np.concatenate([x0, preview.ravel()])
-    y, _ = solve_qp(qp.eye, qp.c_map @ z, qp.A, qp.b0 + qp.b_map @ z)
+    y, _ = solve_qp(qp.c_map @ z, qp.A, qp.b0 + qp.b_map @ z)
     if y is None:
         return None, None, False
     xs = (qp.x_map @ y + qp.f_map @ z).reshape(cfg.p, sys.n)

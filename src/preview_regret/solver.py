@@ -1,4 +1,4 @@
-"""Dense numeric kernel: LPs, strictly convex QPs, Riccati/Lyapunov solves.
+"""Dense numeric kernel: LPs, least-distance QPs, Riccati/Lyapunov solves.
 
 All routines are pure functions of their inputs.
 """
@@ -270,19 +270,20 @@ def solve_lp_fast(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None,
     return LpSolution(status, x, obj)
 
 
-def solve_qp(G, c, A_ub=None, b_ub=None):
-    """Strictly convex QP  min 1/2 x'Gx + c'x  s.t. A_ub x <= b_ub.
+def solve_qp(c, A_ub=None, b_ub=None):
+    """Least-distance QP  min 1/2 |x|^2 + c'x  s.t. A_ub x <= b_ub.
 
-    Inequalities only; callers substitute any equalities away first.
-    Dual active-set method (Goldfarb & Idnani, Math. Prog. 27, 1983), no LP
-    inside: from the unconstrained minimiser it adds the most violated row
-    (a_i x - b_i > 1e-12 * max(|a_i|, 1)) one at a time and drops an active
-    row whose multiplier would turn negative. Returns (x, OPTIMAL), or
-    (None, INFEASIBLE) when a violated row depends on active rows none of
-    which can be dropped. A G that is not positive definite or a failed
-    residual check raise SolverError.
+    Inequalities only, and the Hessian is the identity: a caller
+    substitutes any equalities away and whitens any other positive definite
+    Hessian G = LL' first (x = L^-T y, c -> L^-1 c, A -> A L^-T). Dual
+    active-set method (Goldfarb & Idnani, Math. Prog. 27, 1983), no LP
+    inside: from the unconstrained minimiser x = -c it adds the most
+    violated row (a_i x - b_i > 1e-12 * max(|a_i|, 1)) one at a time and
+    drops an active row whose multiplier would turn negative. Returns (x,
+    OPTIMAL), or (None, INFEASIBLE) when a violated row depends on active
+    rows none of which can be dropped. A failed residual check or the
+    iteration cap raise SolverError.
     """
-    G = np.atleast_2d(np.asarray(G, dtype=float))
     c = np.atleast_1d(np.asarray(c, dtype=float))
     n = c.shape[0]
     if A_ub is None:
@@ -290,16 +291,9 @@ def solve_qp(G, c, A_ub=None, b_ub=None):
     else:
         A = np.atleast_2d(np.asarray(A_ub, dtype=float))
         b = np.atleast_1d(np.asarray(b_ub, dtype=float))
-    try:
-        L = np.linalg.cholesky(G)
-    except np.linalg.LinAlgError as exc:
-        raise SolverError("QP Hessian is not positive definite") from exc
-    # x = J y turns the objective into 1/2 |y + J'c|^2; M holds the rows in y
-    J = np.linalg.inv(L).T
-    M = A @ J
     scale = np.maximum(np.linalg.norm(A, axis=1), 1.0)
     W = []  # active rows
-    x = J @ -(J.T @ c)
+    x = -c
     mu = np.zeros(0)  # multipliers of the active rows
     for _ in range(50 * (n + b.shape[0] + 1)):
         res = (A @ x - b) / scale
@@ -315,17 +309,17 @@ def solve_qp(G, c, A_ub=None, b_ub=None):
         t_q = 0.0
         while True:
             k = len(W)
-            Q, R = np.linalg.qr(M[W].T, mode="complete")
-            w = Q.T @ M[q]
+            Q, R = np.linalg.qr(A[W].T, mode="complete")
+            w = Q.T @ A[q]
             r = -np.linalg.solve(R[:k], w[:k])
-            dependent = np.linalg.norm(w[k:]) <= 1e-12 * np.linalg.norm(M[q])
+            dependent = np.linalg.norm(w[k:]) <= 1e-12 * np.linalg.norm(A[q])
             t_add = np.inf if dependent else (A[q] @ x - b[q]) / (w[k:] @ w[k:])
             t_drop, j = min(((-mu[i] / r[i], i) for i in range(k) if r[i] < 0),
                             default=(np.inf, -1))
             if dependent and j < 0:
                 return None, INFEASIBLE
             t = min(t_add, t_drop)
-            x = x - t * (J @ (Q[:, k:] @ w[k:]))
+            x = x - t * (Q[:, k:] @ w[k:])
             mu = mu + t * r
             t_q += t
             if t_add <= t_drop:
@@ -338,11 +332,12 @@ def solve_qp(G, c, A_ub=None, b_ub=None):
 
 
 def project_point(point, P):
-    """Euclidean projection of a point onto a polytope.
+    """Euclidean projection of a point onto a polytope: solve_qp with
+    c = -point.
 
     Returns (closest, distance). A point that violates no row by more than
     1e-12 * max(|H_i|, 1), solve_qp's own test, is its own projection at
-    distance exactly 0, returned as a copy without setting up the QP.
+    distance exactly 0, returned as a copy without calling solve_qp.
     """
     from .polytope import EmptyPolytopeError
 
@@ -350,7 +345,7 @@ def project_point(point, P):
     scale = np.maximum(np.linalg.norm(P.H, axis=1), 1.0)
     if np.all((P.H @ point - P.h) / scale <= 1e-12):
         return point.copy(), 0.0
-    x, status = solve_qp(np.eye(point.shape[0]), -point, A_ub=P.H, b_ub=P.h)
+    x, status = solve_qp(-point, P.H, P.h)
     if x is None:
         raise EmptyPolytopeError("cannot project onto an empty polytope")
     return x, float(np.linalg.norm(x - point))

@@ -233,8 +233,9 @@ def test_full_domain_is_invariant_for_augmented_system(spine_1d):
 
 def _stacked_mpc_step(sys, cfg, x0, preview):
     """Oracle: the QP over z = (x_1..x_p, u_0..u_{p-1}) with the dynamics
-    as p*n equality rows, which a null-space basis eliminates before
-    solve_qp. Returns (u0, (xs, us), feasible) like mpc_step."""
+    as p*n equality rows, which a null-space basis eliminates; the reduced
+    Hessian is whitened before solve_qp. Returns (u0, (xs, us), feasible)
+    like mpc_step."""
     n, m, l, p = sys.n, sys.m, sys.l, cfg.p
     I = np.eye(p * (n + m))
     # x_t = X[t] z + off[t] and u_t = U[t] z
@@ -261,10 +262,12 @@ def _stacked_mpc_step(sys, cfg, x0, preview):
     A_ub, b_ub = np.vstack(rows), np.concatenate(rhs)
     z0 = np.linalg.lstsq(A_eq, b_eq, rcond=None)[0]
     N = scipy.linalg.null_space(A_eq)
-    v, _ = solve_qp(2.0 * N.T @ N, 2.0 * N.T @ z0, A_ub @ N, b_ub - A_ub @ z0)
-    if v is None:
+    Linv = np.linalg.inv(np.linalg.cholesky(2.0 * N.T @ N))
+    y, _ = solve_qp(Linv @ (2.0 * N.T @ z0), A_ub @ N @ Linv.T,
+                    b_ub - A_ub @ z0)
+    if y is None:
         return None, None, False
-    z = z0 + N @ v
+    z = z0 + N @ (Linv.T @ y)
     us = z[p * n:].reshape(p, m)
     return us[0], (z[:p * n].reshape(p, n), us), True
 
@@ -288,7 +291,7 @@ def test_condensed_step_matches_the_stacked_qp(monkeypatch):
     passed = []
 
     def inequalities_only(*args, **kwargs):
-        assert len(args) == 4 and not kwargs  # G, c, A_ub, b_ub
+        assert len(args) == 3 and not kwargs  # c, A_ub, b_ub
         passed.append(1)
         return solve_qp(*args)
 

@@ -9,7 +9,6 @@ from preview_regret.solver import (
     UNBOUNDED,
     NotPositiveDefiniteError,
     NotStabilizableError,
-    SolverError,
     cholesky,
     dare_residual,
     is_controllable,
@@ -147,7 +146,7 @@ def test_project_point_at_zero_distance_sets_up_no_qp(monkeypatch):
             points += [on, on + 5e-13 * scale[i] * P.H[i] / (P.H[i] @ P.H[i])]
     assert len(points) > 2
     # the QP solver returns such a start point bit for bit
-    expect = [solve_qp(np.eye(3), -pt, P.H, P.h)[0] for pt in points]
+    expect = [solve_qp(-pt, P.H, P.h)[0] for pt in points]
 
     def no_qp(*args, **kwargs):
         raise AssertionError("a zero-distance projection set up a QP")
@@ -247,8 +246,11 @@ def test_lp_answer_failing_its_residual_goes_through_highs_once(monkeypatch,
 
 
 def test_qp_rejects_what_it_cannot_solve():
-    with pytest.raises(SolverError):  # indefinite Hessian
-        solve_qp([[1.0, 2.0], [2.0, 1.0]], np.zeros(2))
+    # x <= -1 and -x <= -1: the second row depends on the first, whose
+    # multiplier cannot be dropped
+    x, status = solve_qp(np.zeros(1), np.array([[1.0], [-1.0]]),
+                         np.array([-1.0, -1.0]))
+    assert (x, status) == (None, INFEASIBLE)
 
 
 def _brute_force_qp(G, c, A, b):
@@ -283,15 +285,69 @@ def test_qp_matches_active_set_enumeration():
         A = rng.normal(size=(m, n))
         b = rng.normal(size=m) + rng.uniform(-1.0, 2.0)
         expect = _brute_force_qp(G, c, A, b)
-        x, status = solve_qp(G, c, A, b)
+        # whiten G = LL': x = L^-T y turns the QP into a least-distance one
+        Linv = np.linalg.inv(np.linalg.cholesky(G))
+        y, status = solve_qp(Linv @ c, A @ Linv.T, b)
         statuses.append(status)
         if expect is None:
-            assert status == INFEASIBLE and x is None
+            assert status == INFEASIBLE and y is None
         else:
             assert status == OPTIMAL
+            x = Linv.T @ y
             assert 0.5 * x @ G @ x + c @ x == pytest.approx(expect, rel=1e-9, abs=1e-9)
     assert statuses.count(INFEASIBLE) >= 30
     assert statuses.count(OPTIMAL) >= 150
+
+
+def _random_qp(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 6))
+    m = int(rng.integers(0, 12))
+    A = rng.normal(size=(m, n))
+    b = rng.normal(size=m) + rng.uniform(-1.0, 2.0)
+    return rng, 2.0 * rng.normal(size=n), A, b
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=100_000))
+def test_qp_kkt_and_invariance_under_row_scaling_and_order(seed):
+    rng, c, A, b = _random_qp(seed)
+    x, status = solve_qp(c, A, b)
+    if status == OPTIMAL:
+        # solve_qp's own residual check, with the rounding of each row
+        scale = np.maximum(np.linalg.norm(A, axis=1), 1.0)
+        slack = 1e-12 * (1.0 + (np.abs(A) @ np.abs(x) + np.abs(b)) / scale)
+        assert np.all((A @ x - b) / scale <= slack)
+        # stationarity x + c = -A_W' mu on the active rows, each entry
+        # within the rounding of its terms, with mu >= 0
+        AW = A[np.abs(A @ x - b) <= 1e-9 * scale]
+        mu = (np.linalg.lstsq(AW.T, -(x + c), rcond=None)[0] if AW.shape[0]
+              else np.zeros(0))
+        terms = np.abs(x) + np.abs(c) + np.abs(AW.T) @ np.abs(mu)
+        assert np.all(np.abs(x + c + AW.T @ mu) <= 1e-9 * (1.0 + terms))
+        assert np.all(mu >= -1e-9)
+    else:
+        assert status == INFEASIBLE and x is None
+    # each row and its offset scaled by 10^k, then the rows permuted
+    s = 10.0 ** rng.integers(-3, 4, size=A.shape[0])
+    perm = rng.permutation(A.shape[0])
+    x2, status2 = solve_qp(c, (s[:, None] * A)[perm], (s * b)[perm])
+    assert status2 == status
+    if status == OPTIMAL:
+        assert np.max(np.abs(x2 - x)) <= 1e-9 * max(1.0, np.max(np.abs(x)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=100_000))
+def test_qp_feasible_start_comes_back_bit_for_bit(seed):
+    rng, c, A, _ = _random_qp(seed)
+    m = A.shape[0]
+    A *= 10.0 ** rng.integers(-3, 4, size=(m, 1))
+    # -c satisfies every row, some of them with equality
+    b = A @ -c + rng.uniform(0.0, 1.0, size=m) * (rng.random(m) < 0.7)
+    x, status = solve_qp(c, A, b)
+    assert status == OPTIMAL
+    assert np.array_equal(x, -c)
 
 
 def test_dare_zero_dynamics():
