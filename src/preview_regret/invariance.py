@@ -27,9 +27,11 @@ def pre(sys, X: HPolytope, S: HPolytope | None = None) -> HPolytope:
 
     {x : exists u with (x,u) in S and A x + B u + E d in X for all d in D};
     the disturbance erosion is skipped for deterministic systems. The result
-    is irredundant, whatever the state dimension. X's ball is offered to the
-    reduction after the last elimination (see project): in a fixed point the
-    previous iterate's center is usually well inside the next one.
+    is irredundant, whatever the state dimension. X's ball and incidence
+    are offered to the reduction after the last elimination (see project):
+    in a fixed point the previous iterate's center is usually well inside
+    the next one, and once the iterates keep their combinatorial structure
+    the incidence of X's reduction certifies the next one without a hull.
     """
     if S is None:
         S = _safe_set_of(sys)
@@ -38,14 +40,14 @@ def pre(sys, X: HPolytope, S: HPolytope | None = None) -> HPolytope:
         raise ValueError("target set must live in the state space")
     if X.is_empty():
         return HPolytope.empty(n)
-    ball = X._cheby
+    offer = (X._cheby, X._incidence)
     if isinstance(sys, LinearSystem):
         X = erode_rows(X, sys.E, sys.D)
     AB = np.hstack([sys.A, sys.B])
     rows = np.vstack([X.H @ AB, S.H])
     rhs = np.r_[X.h, S.h]
     stacked = HPolytope(rows, rhs)
-    stacked._offer = ball
+    stacked._offer = offer
     return project(stacked, n)
 
 
@@ -89,11 +91,6 @@ def max_invariant_set(sys, max_iter: int = 200, tol: float = TAU_SET):
             return X_next, True
         X = X_next
     return X, False
-
-
-def is_rcis(sys, C: HPolytope, tol=TAU_SET) -> bool:
-    """C is (robust) controlled invariant in the safe set: C ⊆ Pre(C)."""
-    return contains(pre(sys, C), C, tol=tol)
 
 
 def rcis_violation_witness(sys, C: HPolytope, tol=TAU_SET):

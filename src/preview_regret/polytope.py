@@ -47,12 +47,17 @@ class HPolytope:
     readers use instead of an LP. A reduced set carries the inscribed ball
     (`_cheby`) its reduction used as interior point, which the next
     reduction of the set or of its projection checks and reuses (see
-    remove_redundancy). A set stacked in (x, u) for a projection may hold,
-    in `_offer`, a ball in the kept coordinates that project offers to its
-    last reduction.
+    remove_redundancy). A set reduced with no degenerate vertex also
+    carries the vertex-facet incidence of that reduction (`_incidence`, an
+    _Incidence over the reduction's input rows); a set offered one checks
+    it in place of the hull when it is reduced. A set stacked in (x, u)
+    for a projection may hold, in `_offer`, a (ball in the kept
+    coordinates, incidence) pair that project offers to its last
+    reduction; either may be None.
     """
 
-    __slots__ = ("H", "h", "_empty", "_cheby", "_verts", "_offer")
+    __slots__ = ("H", "h", "_empty", "_cheby", "_verts", "_incidence",
+                 "_offer")
 
     def __init__(self, H, h):
         H = np.atleast_2d(np.asarray(H, dtype=float))
@@ -68,6 +73,7 @@ class HPolytope:
         self._empty = None
         self._cheby = None
         self._verts = None
+        self._incidence = None
         self._offer = None
 
     @property
@@ -182,12 +188,6 @@ def interval(lo: float, hi: float) -> HPolytope:
 # basic algebra
 
 
-def intersect(P: HPolytope, Q: HPolytope) -> HPolytope:
-    if P.dim != Q.dim:
-        raise ValueError("dimension mismatch in intersection")
-    return HPolytope(np.vstack([P.H, Q.H]), np.r_[P.h, Q.h])
-
-
 def scale(P: HPolytope, lam: float) -> HPolytope:
     """lam * P for lam >= 0 (for lam = 0 the input must be bounded).
 
@@ -226,17 +226,6 @@ def power_product(P: HPolytope, k: int) -> HPolytope:
     for _ in range(k - 1):
         out = cartesian_product(out, P)
     return out
-
-
-def affine_preimage(P: HPolytope, M, v=None) -> HPolytope:
-    """{z : Mz + v in P} = {z : (HM) z <= h - Hv}."""
-    M = np.atleast_2d(np.asarray(M, dtype=float))
-    if M.shape[0] != P.dim:
-        raise ValueError("map range does not match polytope dimension")
-    h = P.h.copy()
-    if v is not None:
-        h = h - P.H @ np.asarray(v, dtype=float)
-    return HPolytope(P.H @ M, h)
 
 
 def support(P: HPolytope, direction) -> float:
@@ -373,6 +362,16 @@ def _reduce_lp(H, h):
     return H[keep], h[keep]
 
 
+def _vertex_slack(V, H, h):
+    """(H V' - h) / scale, with each row's scale its norm times
+    max(1, max |V|): the relative slack of every row at every vertex."""
+    scale = np.linalg.norm(H, axis=1) * max(1.0, np.max(np.abs(V)))
+    slack = V @ H.T
+    slack -= h
+    slack /= scale
+    return slack
+
+
 def _hull_vertices(equations, center, H, h):
     """Primal vertices from the facets of the dual hull, or None.
 
@@ -389,10 +388,7 @@ def _hull_vertices(equations, center, H, h):
     rows = equations.view(np.dtype((np.void, equations[0].nbytes)))
     equations = equations[np.sort(np.unique(rows, return_index=True)[1])]
     V = center - equations[:, :-1] / equations[:, -1:]
-    scale = np.linalg.norm(H, axis=1) * max(1.0, np.max(np.abs(V)))
-    slack = V @ H.T
-    slack -= h
-    slack /= scale
+    slack = _vertex_slack(V, H, h)
     if np.max(slack) > _VERT_TOL:
         return None
     if np.min(np.count_nonzero(slack >= -1e-9, axis=1)) < H.shape[1]:
@@ -405,9 +401,12 @@ def _reduce_dual_hull(H, h, center):
 
     Row i becomes the point H_i / (h_i - H_i center); the irredundant rows
     are the vertices of the hull of these points, and its facets are the
-    vertices of the set. Returns (H, h, vertex list or None); None when the
-    hull fails or does not hold the origin strictly inside, i.e. the set is
-    unbounded and the hull vertices could include redundant rows.
+    vertices of the set. Returns (H, h, vertex list or None, incidence or
+    None); None when the hull fails or does not hold the origin strictly
+    inside, i.e. the set is unbounded and the hull vertices could include
+    redundant rows. A checked list with one vertex per simplex (no
+    degenerate vertex) comes with its incidence: each simplex names the n
+    input rows active at its vertex (see _Incidence).
     """
     from scipy.spatial import ConvexHull, QhullError
 
@@ -425,7 +424,88 @@ def _reduce_dual_hull(H, h, center):
         return None
     keep = np.sort(hull.vertices)
     Hk, hk = H[keep], h[keep]
-    return Hk, hk, _hull_vertices(hull.equations, center, Hk, hk)
+    V = _hull_vertices(hull.equations, center, Hk, hk)
+    incidence = None
+    if V is not None and V.shape[0] == hull.simplices.shape[0]:
+        incidence = _Incidence(H.shape, hull.simplices)
+    return Hk, hk, V, incidence
+
+
+def _repeats(rows):
+    """Whether each row of an int array equals the next once the rows are
+    sorted."""
+    rows = rows[np.lexsort(rows.T)]
+    return np.all(rows[1:] == rows[:-1], axis=1)
+
+
+class _Incidence:
+    """Vertex-facet incidence of a reduction of the q x n rows `shape`: row
+    j of `active` holds the positions of the n rows active at vertex j.
+
+    keep() is the union of the active sets when the list is closed under
+    adjacency, else empty. It is closed when the active sets are distinct
+    and each (n-1)-subset left by dropping one row of an active set lies in
+    exactly two of them: at a simple vertex each such subset spans the
+    line of one edge, and its other active set is that edge's other end.
+    This reads the record alone, so it is worked out once, on first use.
+    """
+
+    __slots__ = ("shape", "active", "_keep")
+
+    def __init__(self, shape, active):
+        self.shape = shape
+        self.active = active
+        self._keep = None
+
+    def keep(self):
+        if self._keep is None:
+            active, n = np.sort(self.active, axis=1), self.shape[1]
+            ridges = np.broadcast_to(active[:, None, :], (len(active), n, n))
+            ridges = ridges[:, ~np.eye(n, dtype=bool)].reshape(-1, n - 1)
+            same = _repeats(ridges)  # twice each: equal in pairs, unequal across
+            closed = (len(ridges) % 2 == 0 and np.all(same[0::2])
+                      and not np.any(same[1::2]) and not np.any(_repeats(active)))
+            self._keep = np.unique(active) if closed else np.zeros(0, int)
+        return self._keep
+
+
+def _reduce_by_incidence(H, h, incidence):
+    """(H[keep], h[keep], vertex list, incidence) when an _Incidence record
+    certifies the facets of {x : Hx <= h}, else None. It solves no LP and
+    builds no hull.
+
+    Each active set is solved for its candidate vertex. The record holds
+    when, cheapest check first:
+    1. H has the record's shape;
+    2. every row holds at every candidate within 1e-12*scale (as in
+       _hull_vertices);
+    3. at each candidate exactly its n rows are active, every other row
+       having a slack below -1e-9*scale;
+    4. the record is closed under adjacency (see _Incidence).
+    Every candidate is then a simple vertex and every edge leaving one ends
+    at another. The graph of a polyhedron is connected (Balinski 1961), so
+    the list is the whole vertex set: the set is bounded, and the rows
+    active at some vertex, keep, are exactly its facets. Degenerate
+    vertices fail check 3.
+    """
+    active = incidence.active
+    if H.shape != incidence.shape:
+        return None
+    try:
+        V = np.linalg.solve(H[active], h[active][:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        return None
+    slack = _vertex_slack(V, H, h)
+    if np.max(slack) > _VERT_TOL:
+        return None
+    tight = slack >= -1e-9
+    if (np.count_nonzero(tight) != active.size
+            or not np.all(np.take_along_axis(tight, active, axis=1))):
+        return None
+    keep = incidence.keep()
+    if keep.size == 0:
+        return None
+    return H[keep], h[keep], np.ascontiguousarray(V), incidence
 
 
 def _reduce_1d(H, h):
@@ -471,11 +551,12 @@ def _carried_ball(H, h, ball):
     return None
 
 
-def _nonempty(H, h, verts=None, cheby=None) -> HPolytope:
+def _nonempty(H, h, verts=None, incidence=None, cheby=None) -> HPolytope:
     out = HPolytope(H, h)
     out._empty = False
     out._cheby = cheby
     out._verts = verts
+    out._incidence = incidence
     return out
 
 
@@ -491,9 +572,15 @@ def remove_redundancy(P: HPolytope) -> HPolytope:
     emptiness and gives it. A
     full-dimensional set of any dimension then goes through a dual convex
     hull around that point, which also proves it bounded and gives its
-    checked vertex list. Flat sets, unbounded sets and hull failures fall
-    back to one LP per row and carry no vertex list; only flat or
-    borderline sets pay a separate phase-1 emptiness LP.
+    checked vertex list and, with no degenerate vertex, its vertex-facet
+    incidence. When P offers an incidence (`_incidence`, handed over by
+    project) that still certifies the deduplicated rows, no hull is built:
+    the record's vertices are solved and checked, and the rows active at
+    them are kept in input order, as the hull keeps its facets (see
+    _reduce_by_incidence); a record that fails any check leaves the hull
+    to run as without it. Flat sets, unbounded
+    sets and hull failures fall back to one LP per row and carry no vertex
+    list; only flat or borderline sets pay a separate phase-1 emptiness LP.
     """
     if P._empty:
         return HPolytope.empty(P.dim)
@@ -518,7 +605,11 @@ def remove_redundancy(P: HPolytope) -> HPolytope:
     if radius <= _FLAT_RADIUS and P.is_empty():
         return HPolytope.empty(P.dim)
     if radius > _FLAT_RADIUS:
-        out = _reduce_dual_hull(Hd, hd, center)
+        out = None
+        if P._incidence is not None:
+            out = _reduce_by_incidence(Hd, hd, P._incidence)
+        if out is None:
+            out = _reduce_dual_hull(Hd, hd, center)
         if out is not None:
             return _nonempty(*out, cheby=(center, radius))
     return _nonempty(*_reduce_lp(Hd, hd), cheby=(center, radius))
@@ -584,8 +675,8 @@ def project(P: HPolytope, keep: int) -> HPolytope:
     projection, so each elimination hands its input's ball (P's own, then
     each reduction's) to its output with the eliminated coordinate dropped,
     and the reduction reuses it as interior point instead of solving the
-    Chebyshev LP. The last elimination takes P's `_offer` when it has no
-    such ball.
+    Chebyshev LP. The last elimination takes the ball of P's `_offer` when
+    it has no such ball, and its incidence always.
     """
     n = P.dim
     if keep > n:
@@ -620,8 +711,10 @@ def project(P: HPolytope, keep: int) -> HPolytope:
         fm = HPolytope(H, h)
         if ball is not None:
             fm._cheby = (np.delete(ball[0], best), ball[1])
-        elif not remaining:
-            fm._cheby = P._offer
+        if not remaining and P._offer is not None:
+            offered_ball, fm._incidence = P._offer
+            if ball is None:
+                fm._cheby = offered_ball
         reduced = remove_redundancy(fm)
         if reduced.is_empty():
             return HPolytope.empty(keep)

@@ -3,6 +3,7 @@
 All routines are pure functions of their inputs.
 """
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -452,7 +453,15 @@ def dare_gain(A, B, R, P) -> np.ndarray:
 
 
 def solve_dlyap(A, Q) -> np.ndarray:
-    """X with A' X A - X = -Q (A Schur stable, Q symmetric)."""
-    X = scipy.linalg.solve_discrete_lyapunov(np.asarray(A, dtype=float).T,
-                                             np.asarray(Q, dtype=float))
+    """X with A' X A - X = -Q (A Schur stable, Q symmetric).
+
+    scipy's LinAlgWarning on an ill-conditioned solve is silenced: the
+    caller checks X (find_contractive_ellipsoid factors it and bounds the
+    certificate's gap), so under -W error the warning would only turn a
+    checked result into a traceback.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+        X = scipy.linalg.solve_discrete_lyapunov(np.asarray(A, dtype=float).T,
+                                                 np.asarray(Q, dtype=float))
     return 0.5 * (X + X.T)

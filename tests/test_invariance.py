@@ -4,7 +4,6 @@ import pytest
 from preview_regret.invariance import (
     check_contractive,
     cmax_p_co,
-    is_rcis,
     max_invariant_set,
     pre,
     pre_k,
@@ -102,10 +101,10 @@ def test_max_invariant_set_empty():
 def test_invariance_certificate():
     s = sys_1d()
     C, conv = max_invariant_set(s, tol=1e-9)
-    assert conv and is_rcis(s, C, tol=1e-7)
+    assert conv and rcis_violation_witness(s, C, tol=1e-7) is None
     co = collaborative(s)
     Cco, _ = max_invariant_set(co, tol=1e-9)
-    assert is_rcis(co, Cco, tol=1e-7)
+    assert rcis_violation_witness(co, Cco, tol=1e-7) is None
 
 
 def test_rcis_witness():
@@ -117,7 +116,6 @@ def test_rcis_witness():
     assert rcis_violation_witness(s, good, tol=1e-9) is None
     # a row unbounded over the set breaks its bound
     half_line = HPolytope([[1.0]], [0.5])
-    assert not is_rcis(s, half_line)
     w = rcis_violation_witness(s, half_line)
     assert w is not None and half_line.contains_point(w)
     assert not pre(s, half_line).contains_point(w, tol=1e-7)
@@ -209,7 +207,7 @@ def test_sandwich_1d():
     assert contains(C2, inner, tol=1e-8)
     assert contains(outer, C2, tol=1e-8)
     # inner product bound is itself an RCIS of the augmented system
-    assert is_rcis(augment(s, 2), inner, tol=1e-7)
+    assert rcis_violation_witness(augment(s, 2), inner, tol=1e-7) is None
 
 
 def test_proj_ladder_lemma():
@@ -346,3 +344,45 @@ def test_pre_stays_inside_state_projection_of_safe_set():
             w = rng.uniform(0.1, 4.0, size=s.n)
             X = Box(c - w, c + w).to_polytope()
             assert contains(X0, pre(s, X, s.S_xu), tol=1e-9)
+
+
+def test_carried_incidence_reduces_like_the_hull(monkeypatch):
+    # every reduction certified by the previous iterate's incidence gives
+    # the hull's rows byte for byte and its vertices to round-off, and the
+    # fixed point takes the same steps to the same set without it
+    import preview_regret.invariance as inv
+    import preview_regret.polytope as poly
+    from preview_regret.models import build_2d_random
+
+    s = augment(build_2d_random(1), 3)
+    warm = poly._reduce_by_incidence
+    hits = []
+
+    def checked(H, h, incidence):
+        out = warm(H, h, incidence)
+        if out is not None:
+            cold = poly.remove_redundancy(HPolytope(H, h))
+            assert out[0].tobytes() == cold.H.tobytes()
+            assert out[1].tobytes() == cold.h.tobytes()
+            V, W = out[2], cold._verts
+            assert V.shape == W.shape
+            gap = np.linalg.norm(V[:, None, :] - W[None, :, :], axis=2)
+            tol = 1e-12 * max(1.0, np.max(np.abs(W)))
+            assert max(np.max(np.min(gap, axis=0)),
+                       np.max(np.min(gap, axis=1))) <= tol
+            hits.append(1)
+        return out
+
+    def run(reduce_by_incidence):
+        monkeypatch.setattr(poly, "_reduce_by_incidence", reduce_by_incidence)
+        steps = _count_calls(monkeypatch, inv, "pre")
+        C, conv = max_invariant_set(s)
+        monkeypatch.undo()
+        return C, conv, len(steps)
+
+    C, conv, steps = run(checked)
+    assert conv and len(hits) >= steps // 2
+    C_cold, conv_cold, steps_cold = run(lambda H, h, incidence: None)
+    assert conv_cold and steps == steps_cold
+    assert C.H.tobytes() == C_cold.H.tobytes()
+    assert C.h.tobytes() == C_cold.h.tobytes()

@@ -223,12 +223,13 @@ def test_max_rcis_mode(spine_1d):
 
 
 def test_full_domain_is_invariant_for_augmented_system(spine_1d):
-    from preview_regret.invariance import is_rcis
+    from preview_regret.invariance import rcis_violation_witness
 
     sys, _, C, _ = spine_1d
     for p in (1, 2):
         dom = feasible_domain(sys, C, p=p, want_full=True)
-        assert is_rcis(augment(sys, p), dom.full, tol=1e-7)
+        assert rcis_violation_witness(augment(sys, p), dom.full,
+                                      tol=1e-7) is None
 
 
 def _stacked_mpc_step(sys, cfg, x0, preview):

@@ -13,14 +13,12 @@ from preview_regret.polytope import (
     UnboundedError,
     _reduce_lp,
     _support_lp,
-    affine_preimage,
     bounding_box,
     cartesian_product,
     containment_ratio,
     contains,
     erode_rows,
     hausdorff_nested,
-    intersect,
     interval,
     max_inscribed_ball_at,
     project,
@@ -50,18 +48,21 @@ def random_polytope(rng, n, k=8, radius=3.0):
 
 
 def test_interval_intersection():
-    P = intersect(interval(-1, 1), interval(0, 2))
+    A, B = interval(-1, 1), interval(0, 2)
+    P = HPolytope(np.vstack([A.H, B.H]), np.r_[A.h, B.h])
     assert support(P, [1.0]) == pytest.approx(1.0, abs=1e-12)
     assert -support(P, [-1.0]) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_intersection_idempotent():
     P = diamond2d()
-    assert set_equal(intersect(P, P), P, tol=1e-9)
+    assert set_equal(HPolytope(np.vstack([P.H, P.H]), np.r_[P.h, P.h]), P,
+                     tol=1e-9)
 
 
 def test_disjoint_intersection_empty():
-    assert intersect(interval(-1, 0), interval(1, 2)).is_empty()
+    A, B = interval(-1, 0), interval(1, 2)
+    assert HPolytope(np.vstack([A.H, B.H]), np.r_[A.h, B.h]).is_empty()
 
 
 def test_scale_examples():
@@ -93,23 +94,11 @@ def test_product_projection_roundtrip():
     assert set_equal(back, P, tol=1e-9)
 
 
-def test_affine_preimage_examples():
-    P = affine_preimage(interval(-1, 1), np.array([[2.0]]))
-    assert support(P, [1.0]) == pytest.approx(0.5)
-    sq = unit_box(2)
-    t = np.array([0.25, -0.5])
-    moved = affine_preimage(sq, np.eye(2), t)
-    assert set_equal(moved, translate(sq, -t), tol=1e-12)
-
-
-def test_affine_preimage_strip():
-    # unit square pulled back through the row map [1 1]
-    sq = unit_box(2)
-    first_row = affine_preimage(interval(-1, 1), np.array([[1.0, 1.0]]))
-    assert support(first_row, [1.0, 1.0]) == pytest.approx(1.0)
+def test_support_raises_on_an_unbounded_strip():
+    strip = HPolytope([[1.0, 1.0], [-1.0, -1.0]], [1.0, 1.0])  # |x + y| <= 1
+    assert support(strip, [1.0, 1.0]) == pytest.approx(1.0)
     with pytest.raises(UnboundedError):
-        support(first_row, [1.0, -1.0])
-    del sq
+        support(strip, [1.0, -1.0])
 
 
 def test_support_examples():
@@ -144,7 +133,7 @@ def test_project_rotated_square_matches_vertex_oracle():
     theta = np.pi / 4
     R = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
     sq = unit_box(2)
-    rot = affine_preimage(sq, R.T)  # rotate the square by theta
+    rot = HPolytope(sq.H @ R.T, sq.h)  # rotate the square by theta
     proj = project(rot, 1)
     vs = vertices(rot)
     lo, hi = vs[:, 0].min(), vs[:, 0].max()
@@ -484,6 +473,108 @@ def test_degenerate_vertex_copies_dropped():
         {tuple(s * e) for s in (-1.0, 1.0) for e in np.eye(5)}
 
 
+def _count_hulls(monkeypatch):
+    import scipy.spatial
+
+    calls = []
+
+    class Counting(scipy.spatial.ConvexHull):
+        def __init__(self, points):
+            calls.append(1)
+            super().__init__(points)
+
+    monkeypatch.setattr(scipy.spatial, "ConvexHull", Counting)
+    return calls
+
+
+def _offered(P, incidence):
+    """A fresh copy of P that offers `incidence` to its reduction."""
+    Q = HPolytope(P.H, P.h)
+    Q._incidence = incidence
+    return Q
+
+
+def _same_reduction(R, cold):
+    assert R.H.tobytes() == cold.H.tobytes()
+    assert R.h.tobytes() == cold.h.tobytes()
+    if cold._verts is None:
+        assert R._verts is None
+        return
+    assert R._verts.shape == cold._verts.shape
+    gap = np.linalg.norm(R._verts[:, None, :] - cold._verts[None, :, :], axis=2)
+    tol = 1e-12 * max(1.0, np.max(np.abs(cold._verts)))
+    assert np.max(np.min(gap, axis=0)) <= tol
+    assert np.max(np.min(gap, axis=1)) <= tol
+
+
+def test_a_carried_incidence_replaces_the_hull(monkeypatch):
+    # the record of a reduction certifies the same rows again, shifted and
+    # scaled rows included, with no hull
+    rng = np.random.default_rng(6)
+    P = random_polytope(rng, 4, k=12)
+    cold = remove_redundancy(P)
+    assert cold._incidence is not None
+    hulls = _count_hulls(monkeypatch)
+    for Q in (P, HPolytope(P.H, 1.5 * P.h + P.H @ [0.2, -0.1, 0.0, 0.3])):
+        R = remove_redundancy(_offered(Q, cold._incidence))
+        assert hulls == []
+        _same_reduction(R, remove_redundancy(HPolytope(Q.H, Q.h)))
+        assert R._incidence is cold._incidence
+        hulls.clear()
+
+
+def _pyramid(apex_gap=0.0):
+    # square base z = -1, apex (0, 0, 1) lies on four rows when apex_gap = 0
+    H = [[0.0, 0.0, -1.0], [2.0, 0.0, 1.0], [-2.0, 0.0, 1.0],
+         [0.0, 2.0, 1.0], [0.0, -2.0, 1.0]]
+    return HPolytope(H, [1.0, 1.0 + apex_gap, 1.0, 1.0, 1.0])
+
+
+def _bad_records():
+    from preview_regret.polytope import _Incidence
+
+    rng = np.random.default_rng(7)
+    P = random_polytope(rng, 3, k=10)
+    rec = remove_redundancy(P)._incidence
+    dropped = _Incidence(rec.shape, rec.active[1:])
+    hexagon = HPolytope([[np.cos(t), np.sin(t)]
+                         for t in np.arange(6) * np.pi / 3], np.ones(6))
+    square = HPolytope(np.vstack([unit_box(2).H, [[1.0, 1.0], [-1.0, 1.0]]]),
+                       np.r_[unit_box(2).h, 3.0, 3.0])
+    pentagon = HPolytope(hexagon.H, np.r_[1.0, 5.0, np.ones(4)])
+    wedge = HPolytope([[-1.0, -1.0], [1.0, -1.0], [0.0, -1.0]],
+                      [0.0, 0.0, 1.0])  # y >= |x|, unbounded
+    apex = np.array([[0, 1]])  # the wedge's one vertex, simple and feasible
+    return [
+        ("one active set dropped", P, dropped),
+        ("fewer rows", unit_box(2), remove_redundancy(hexagon)._incidence),
+        ("parallel rows", square, remove_redundancy(hexagon)._incidence),
+        ("a row moved out", pentagon, remove_redundancy(hexagon)._incidence),
+        ("degenerate apex", _pyramid(),
+         remove_redundancy(_pyramid(0.1))._incidence),
+        ("unbounded wedge", wedge, _Incidence((3, 2), apex)),
+        ("a vertex listed twice", wedge,
+         _Incidence((3, 2), np.vstack([apex, apex]))),
+    ]
+
+
+@pytest.mark.parametrize("case", range(7))
+def test_a_bad_incidence_falls_back_to_the_hull(case, monkeypatch):
+    label, P, record = _bad_records()[case]
+    assert record is not None, label
+    cold = remove_redundancy(HPolytope(P.H, P.h))
+    hulls = _count_hulls(monkeypatch)
+    R = remove_redundancy(_offered(P, record))
+    _same_reduction(R, cold)
+    assert R._incidence is not record
+    assert len(hulls) == 1  # the fallback is the reduction with no record
+
+
+def test_a_degenerate_vertex_leaves_no_incidence():
+    assert remove_redundancy(_pyramid())._incidence is None
+    assert remove_redundancy(_pyramid(0.1))._incidence is not None
+
+
 def test_containment_ratio_examples():
     b = unit_box(2)
     assert containment_ratio(b, b) == pytest.approx(1.0, abs=1e-7)
@@ -633,7 +724,8 @@ def test_hausdorff_requires_nesting():
 def test_empty_propagation():
     E = HPolytope.empty(2)
     assert E.is_empty()
-    assert intersect(E, unit_box(2)).is_empty()
+    box = unit_box(2)
+    assert HPolytope(np.vstack([E.H, box.H]), np.r_[E.h, box.h]).is_empty()
     assert remove_redundancy(E).is_empty()
     assert project(E, 1).is_empty()
 
@@ -718,5 +810,3 @@ def test_hpolytope_validation():
         HPolytope([[1.0, np.nan]], [1.0])
     with pytest.raises(ValueError):
         HPolytope([[1.0, 0.0]], [1.0, 2.0])  # shape mismatch
-    with pytest.raises(ValueError):
-        intersect(unit_box(2), unit_box(3))

@@ -422,3 +422,48 @@ def test_true_dp_empty_preview_set_raises_assumption_error(p):
     with pytest.raises(AssumptionError,
                        match=f"the {p}-preview system has an empty"):
         true_dp(sys, p, C_co)
+
+
+def test_proj_cmax_p_builds_half_the_hulls(monkeypatch):
+    # from the iterate where the fixed point keeps its vertex-facet
+    # incidence, the carried record certifies each reduction instead of
+    # Qhull: 32 hulls without it
+    import scipy.spatial
+
+    hulls = []
+
+    class Counting(scipy.spatial.ConvexHull):
+        def __init__(self, points):
+            hulls.append(1)
+            super().__init__(points)
+
+    monkeypatch.setattr(scipy.spatial, "ConvexHull", Counting)
+    proj_cmax_p(build_2d_random(1), 6, 1e-8)
+    assert 0 < len(hulls) <= 16
+
+
+def _permuted(sys, rng):
+    pS = rng.permutation(sys.S_xu.num_rows)
+    pD = rng.permutation(sys.D.num_rows)
+    return LinearSystem(sys.A, sys.B, sys.E,
+                        HPolytope(sys.D.H[pD], sys.D.h[pD]),
+                        HPolytope(sys.S_xu.H[pS], sys.S_xu.h[pS]))
+
+
+@pytest.mark.parametrize("which", ["1d", "2d-0", "2d-1"])
+def test_row_order_changes_no_result(which):
+    # the order of the rows of S_xu and D decides which reductions reuse
+    # a carried incidence, and must decide nothing else
+    sys = {"1d": lambda: build_1d()[0], "2d-0": lambda: build_2d_random(0),
+           "2d-1": lambda: build_2d_random(1)}[which]()
+    rng = np.random.default_rng(11)
+    runs = []
+    for s in [sys] + [_permuted(sys, rng) for _ in range(3)]:
+        C_co, conv = max_invariant_set(collaborative(s), tol=1e-9)
+        assert conv
+        runs.append((C_co, [true_dp(s, p, C_co) for p in (1, 2, 3)]))
+    C_ref, dp_ref = runs[0]
+    for C_co, dp in runs[1:]:
+        assert C_co.num_rows == C_ref.num_rows
+        assert set_equal(C_co, C_ref)
+        assert np.max(np.abs(np.subtract(dp, dp_ref))) <= 1e-12
