@@ -366,6 +366,13 @@ def main(argv=None) -> int:
 
     ap = build_parser()
     args = ap.parse_args(argv)
+    for dest, least in (("preview", 0), ("max_iter", 0), ("p0", 0),
+                        ("p_max", 0), ("kmax", 0), ("p", 1)):
+        value = getattr(args, dest, least)
+        if value < least:
+            print(f"input error: --{dest.replace('_', '-')} must be at least "
+                  f"{least}, got {value}", file=_sys.stderr)
+            return EXIT_INPUT
     try:
         return args.func(args)
     except SchemaError as exc:

@@ -2,6 +2,8 @@
 contractiveness checks and the preview sandwich bounds.
 """
 
+from itertools import islice, repeat
+
 import numpy as np
 
 from .polytope import (
@@ -51,43 +53,57 @@ def pre(sys, X: HPolytope, S: HPolytope | None = None) -> HPolytope:
     return project(stacked, n)
 
 
+def _pre_input(X: HPolytope) -> tuple:
+    """X's rows, offsets and carried ball as bytes (see backward_reach)."""
+    ball = None if X._cheby is None else (X._cheby[0].tobytes(), X._cheby[1])
+    return X.H.shape, X.H.tobytes(), X.h.tobytes(), ball
+
+
+def backward_reach(sys, X: HPolytope):
+    """Yield X, pre(X), pre(pre(X)), ... without end.
+
+    Once pre returns its input's rows, offsets and ball byte for byte, that
+    result is yielded from then on without calling pre. The repeat is final:
+    pre also reads its input's incidence record, but that record changes
+    only which route certifies the facets and the round-off of the vertex
+    list, never the rows, offsets or ball. An empty set is such a repeat, so
+    no consumer needs an emptiness exit of its own.
+    """
+    while True:
+        yield X
+        nxt = pre(sys, X)
+        if _pre_input(nxt) == _pre_input(X):
+            yield from repeat(nxt)
+        X = nxt
+
+
 def pre_k(sys, X: HPolytope, k: int = 1) -> HPolytope:
-    """k-fold composition of pre; every step returns an irredundant set."""
+    """The k-th set of backward_reach: k steps of pre, each irredundant."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    out = X
-    for _ in range(k):
-        out = pre(sys, out)
-        if out.is_empty():
-            return out
-    return out
+    return next(islice(backward_reach(sys, X), k, None))
 
 
-def _subset_within(X_old: HPolytope, X_new: HPolytope, tol) -> bool:
-    """X_old ⊆ X_new within tol times each row norm of X_new."""
-    norms = np.linalg.norm(X_new.H, axis=1)
-    return first_violation(X_old, X_new.H, X_new.h + tol * norms) is None
+def _violation(Q: HPolytope, P: HPolytope, tol):
+    """A point of Q outside P widened by tol per row norm, else None."""
+    return first_violation(Q, P.H, P.h + tol * np.linalg.norm(P.H, axis=1))
 
 
 def max_invariant_set(sys, max_iter: int = 200, tol: float = TAU_SET):
     """Maximal (robust) controlled invariant set by the outside-in iteration.
 
-    Returns (C, converged). The iterates X_{k+1} = pre(X_k) start at
-    X_0 = proj_x(S) and need no intersection with X_0: pre already keeps
-    (x, u) in S, so pre(X) ⊆ proj_x(S) for every X, and by monotonicity the
-    iterates are nested. Every iterate contains the maximal set, so a
-    non-converged result is a certified outer approximation.
+    Returns (C, converged). The iterates X_{k+1} = pre(X_k) of
+    backward_reach start at X_0 = proj_x(S) and need no intersection with
+    X_0: pre already keeps (x, u) in S, so pre(X) ⊆ proj_x(S) for every X,
+    and by monotonicity the iterates are nested. The first X_{k+1} that
+    contains X_k within tol is returned. Every iterate contains the maximal
+    set, so a non-converged result is a certified outer approximation.
     """
     S = _safe_set_of(sys)
-    n = sys.n
-    X = project(HPolytope(S.H, S.h), n)
-    if X.is_empty():
-        return HPolytope.empty(n), True
-    for _ in range(max_iter):
-        X_next = pre(sys, X)
-        if X_next.is_empty():
-            return HPolytope.empty(n), True
-        if _subset_within(X, X_next, tol):
+    iterates = backward_reach(sys, project(HPolytope(S.H, S.h), sys.n))
+    X = next(iterates)
+    for X_next in islice(iterates, max_iter):
+        if _violation(X, X_next, tol) is None:
             return X_next, True
         X = X_next
     return X, False
@@ -95,9 +111,8 @@ def max_invariant_set(sys, max_iter: int = 200, tol: float = TAU_SET):
 
 def rcis_violation_witness(sys, C: HPolytope, tol=TAU_SET):
     """None if C is an RCIS, else a point of C that cannot stay in C: one
-    that breaks a row of Pre(C) (see first_violation)."""
-    P = pre(sys, C)
-    return first_violation(C, P.H, P.h + tol * np.linalg.norm(P.H, axis=1))
+    that breaks a row of Pre(C) widened by tol (see _violation)."""
+    return _violation(C, pre(sys, C), tol)
 
 
 def cmax_p_co(sys: LinearSystem, p: int, C_max_co: HPolytope) -> HPolytope:

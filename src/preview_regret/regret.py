@@ -6,11 +6,13 @@ convergence.
 
 import math
 from dataclasses import dataclass, field, replace
+from itertools import islice
 
 import numpy as np
 
 from .ellipsoid import contraction_params, find_contractive_ellipsoid, max_c0, min_c_out
-from .invariance import check_contractive, max_invariant_set, pre, pre_k
+from .invariance import (_pre_input, backward_reach, check_contractive,
+                         max_invariant_set, pre_k)
 from .polytope import (
     BudgetExceededError,
     HPolytope,
@@ -265,53 +267,35 @@ def bound_marginal(cert: RegretCertificate, p: int) -> float:
     return bound_dp(cert, p) + bound_dp(cert, p + cert.N)
 
 
-def _ladder_key(X: HPolytope) -> tuple:
-    """What pre reads of X, as bytes: rows, offsets and carried ball."""
-    ball = None if X._cheby is None else (X._cheby[0].tobytes(), X._cheby[1])
-    return X.H.shape, X.H.tobytes(), X.h.tobytes(), ball
-
-
 def algorithm3(sys: LinearSystem, C_max_co: HPolytope,
                proj: HPolytope, p0: int = 0, k_max: int = 50,
                eq_tol: float = 0.0) -> ConvergenceReport:
     """Ladder detection of finite-time convergence of the projections.
 
-    Iterates one-step backward reachable sets of the p0 projection under the
-    collaborative dynamics. Set equality against the limit is declared only
-    when support gaps close within eq_tol (default: exactly), so a finite
-    result is a certificate and an infinite one is merely inconclusive. The
-    ladder distances are valid regret upper bounds at matching horizons,
-    measured from the limit set's vertices.
-
-    pre reads only a set's rows, offsets and carried ball, so once a ladder
-    set repeats an earlier one byte for byte the ladder cycles from there
-    without closing (every set of the cycle failed its check); the rest is
-    filled by reference, and each distinct set is measured once.
+    Walks backward_reach from the p0 projection under the collaborative
+    dynamics for up to k_max steps. Set equality against the limit is
+    declared only when support gaps close within eq_tol (default: exactly),
+    so a finite result is a certificate and an infinite one is merely
+    inconclusive. A set that repeats its predecessor byte for byte is final
+    (see backward_reach) and failed its check, so it pads the ladder to
+    k_max + 1 sets. The ladder distances are valid regret upper bounds at
+    matching horizons, measured from the limit set's vertices.
     """
-    co = collaborative(sys)
-    ladder = [proj]
-    seen = {_ladder_key(proj): 0}
-    p_bar = math.inf
-    if contains(ladder[0], C_max_co, tol=eq_tol):
-        p_bar = p0
-    k = 0
-    while k < k_max and math.isinf(p_bar):
-        k += 1
-        nxt = pre(co, ladder[-1])
-        j = seen.setdefault(_ladder_key(nxt), k)
-        if j < k:
-            ladder += [ladder[j + i % (k - j)] for i in range(k_max - k + 1)]
+    ladder, p_bar = [], math.inf
+    steps = islice(backward_reach(collaborative(sys), proj), k_max + 1)
+    for k, C_k in enumerate(steps):
+        if ladder and _pre_input(C_k) == _pre_input(ladder[-1]):
             break
-        ladder.append(nxt)
-        if contains(nxt, C_max_co, tol=eq_tol):
+        ladder.append(C_k)
+        if contains(C_k, C_max_co, tol=eq_tol):
             p_bar = p0 + k
+            break
     anchors = vertices(C_max_co)
-    far = {}
-    for C_k in ladder:
-        if id(C_k) not in far:
-            far[id(C_k)] = max(float(project_point(v, C_k)[1]) for v in anchors)
-    distances = [far[id(C_k)] for C_k in ladder]
-    return ConvergenceReport(p_bar=p_bar, ladder=ladder, distances=distances,
+    distances = [max(float(project_point(v, C_k)[1]) for v in anchors)
+                 for C_k in ladder]
+    pad = k_max + 1 - len(ladder) if math.isinf(p_bar) else 0
+    return ConvergenceReport(p_bar=p_bar, ladder=ladder + ladder[-1:] * pad,
+                             distances=distances + distances[-1:] * pad,
                              k_max=k_max)
 
 

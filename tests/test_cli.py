@@ -518,6 +518,22 @@ def test_cli_rejects_an_empty_input_set(name, command, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command, flag, value", [
+    ("rcis", "--preview", "-1"), ("rcis", "--max-iter", "-1"),
+    ("regret", "--p0", "-1"), ("regret", "--p-max", "-3"),
+    ("regret", "--kmax", "-1"), ("mpc", "--p", "0"), ("mpc", "--p", "-2"),
+])
+def test_cli_rejects_an_out_of_range_count(command, flag, value, system_file,
+                                           tmp_path, capsys):
+    rc = main([command, str(system_file), flag, value,
+               "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"{flag} must be at least" in err
+    assert "Traceback" not in err
+    assert [p.name for p in tmp_path.iterdir()] == [system_file.name]
+
+
 def test_cli_mpc_exits_3_on_a_non_stabilizable_system(tmp_path, capsys):
     # x1 <- 2 x1 whatever u and d do: neither method can certify
     doc = {

@@ -386,3 +386,55 @@ def test_carried_incidence_reduces_like_the_hull(monkeypatch):
     assert conv_cold and steps == steps_cold
     assert C.H.tobytes() == C_cold.H.tobytes()
     assert C.h.tobytes() == C_cold.h.tobytes()
+
+
+def test_pre_k_replays_a_repeating_set(monkeypatch):
+    # the backward steps of build_2d_random(1)'s p0 = 1 projection repeat
+    # their rows, offsets and ball byte for byte within a few steps; from
+    # there on the set is replayed without calling pre
+    import preview_regret.invariance as inv
+    from preview_regret.models import build_2d_random
+    from preview_regret.polytope import project
+
+    s = build_2d_random(1)
+    co = collaborative(s)
+    C_1, conv = max_invariant_set(augment(s, 1), tol=1e-8)
+    assert conv
+    proj1 = project(C_1, s.n)
+    steps = _count_calls(monkeypatch, inv, "pre")
+    got = pre_k(co, proj1, k=50)
+    monkeypatch.undo()
+    assert len(steps) <= 4
+    want = proj1
+    for _ in range(50):
+        want = pre(co, want)
+    assert got.H.tobytes() == want.H.tobytes()
+    assert got.h.tobytes() == want.h.tobytes()
+
+
+def test_max_invariant_set_returns_pre_of_a_byte_repeat(monkeypatch):
+    # the collaborative fixed point of build_2d_random(1) stops at step 2,
+    # where pre returns its input's rows and offsets byte for byte; the
+    # result is pre's own set, whose vertex list differs from its
+    # predecessor's in round-off
+    import preview_regret.invariance as inv
+    from preview_regret.models import build_2d_random
+    from preview_regret.polytope import first_violation, project, vertices
+
+    co = collaborative(build_2d_random(1))
+    steps = _count_calls(monkeypatch, inv, "pre")
+    C, conv = max_invariant_set(co, tol=1e-8)
+    monkeypatch.undo()
+    assert conv and len(steps) == 2
+
+    X = project(HPolytope(co.S.H, co.S.h), co.n)
+    while True:
+        X_next = pre(co, X)
+        bound = X_next.h + 1e-8 * np.linalg.norm(X_next.H, axis=1)
+        if first_violation(X, X_next.H, bound) is None:
+            break
+        X = X_next
+    assert X_next.H.tobytes() == X.H.tobytes()
+    assert X_next.h.tobytes() == X.h.tobytes()
+    assert vertices(C).tobytes() == vertices(X_next).tobytes()
+    assert vertices(C).tobytes() != vertices(X).tobytes()

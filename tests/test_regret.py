@@ -297,7 +297,7 @@ def test_algorithm3_finite_convergence_certified():
 def test_algorithm3_replays_a_repeating_ladder(monkeypatch):
     # at p0 = 1 the ladder of build_2d_random(1) repeats a set byte for byte
     # within a few steps; the report must equal that of the plain loop
-    from preview_regret import regret
+    from preview_regret import invariance
     from preview_regret.invariance import pre
     from preview_regret.polytope import contains, vertices
     from preview_regret.solver import project_point
@@ -314,7 +314,7 @@ def test_algorithm3_replays_a_repeating_ladder(monkeypatch):
         calls.append(1)
         return pre(*args, **kwargs)
 
-    monkeypatch.setattr(regret, "pre", counting)
+    monkeypatch.setattr(invariance, "pre", counting)
     report = algorithm3(sys, C_co, proj, p0=1, k_max=50)
     assert len(calls) <= 4
 
