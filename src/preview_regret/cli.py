@@ -67,7 +67,7 @@ def cmd_rcis(args) -> int:
 
 
 def _regret_pipeline(args, system):
-    from .invariance import max_invariant_set
+    from .invariance import Prefix, max_invariant_set
     from .polytope import BudgetExceededError, project
     from .regret import (
         NotControllableError,
@@ -87,7 +87,9 @@ def _regret_pipeline(args, system):
                               "invariant set; nothing to certify")
     p0 = args.p0
     base = augment(system, p0) if p0 else system
-    C_p0, conv_p0 = max_invariant_set(base, tol=args.tol)
+    # each horizon's fixed point resumes where the one below left it
+    prefix = Prefix(upto=p0)
+    C_p0, conv_p0 = max_invariant_set(base, tol=args.tol, prefix=prefix)
     if C_p0.is_empty():
         raise AssumptionError(f"the {p0}-preview system has an empty maximal "
                               "invariant set; try a larger --p0")
@@ -123,13 +125,16 @@ def _regret_pipeline(args, system):
     ps = list(range(p0, args.p_max + 1))
 
     def compute_true(p):
+        nonlocal prefix
         try:
             # the p0 set is already projected; over the dimension
             # budget, true_dp raises before it would compute a fixed point
             if p == p0 and conv_p0 and base.n <= args.dim_budget:
                 return _preview_gap(p, proj, C_co)
+            if p > p0:
+                prefix = prefix.next_horizon(system.D)
             return true_dp(system, p, C_co, tol=args.tol,
-                           dim_budget=args.dim_budget)
+                           dim_budget=args.dim_budget, prefix=prefix)
         except BudgetExceededError:
             return None
 
@@ -367,12 +372,18 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     for dest, least in (("preview", 0), ("max_iter", 0), ("p0", 0),
-                        ("p_max", 0), ("kmax", 0), ("p", 1)):
-        value = getattr(args, dest, least)
-        if value < least:
+                        ("p_max", 0), ("kmax", 0), ("N", 1), ("p", 1),
+                        ("curve_max", 0), ("simulate", 0), ("streams", 0)):
+        value = getattr(args, dest, None)
+        if value is not None and value < least:
             print(f"input error: --{dest.replace('_', '-')} must be at least "
                   f"{least}, got {value}", file=_sys.stderr)
             return EXIT_INPUT
+    tol = getattr(args, "tol", 0.0)
+    if not (math.isfinite(tol) and tol >= 0.0):
+        print(f"input error: --tol must be a finite number at least 0, got "
+              f"{tol}", file=_sys.stderr)
+        return EXIT_INPUT
     try:
         return args.func(args)
     except SchemaError as exc:

@@ -2,6 +2,7 @@
 contractiveness checks and the preview sandwich bounds.
 """
 
+import math
 from itertools import islice, repeat
 
 import numpy as np
@@ -29,11 +30,13 @@ def pre(sys, X: HPolytope, S: HPolytope | None = None) -> HPolytope:
 
     {x : exists u with (x,u) in S and A x + B u + E d in X for all d in D};
     the disturbance erosion is skipped for deterministic systems. The result
-    is irredundant, whatever the state dimension. X's ball and incidence
-    are offered to the reduction after the last elimination (see project):
-    in a fixed point the previous iterate's center is usually well inside
-    the next one, and once the iterates keep their combinatorial structure
-    the incidence of X's reduction certifies the next one without a hull.
+    is irredundant, whatever the state dimension. Every elimination is
+    offered the ball and incidence of the matching reduction of X (see
+    project): X's own for the last, and the pairs X keeps from its own
+    projection for the others. In a fixed point the previous iterate's
+    centers are usually well inside the next ones, and once the iterates
+    keep their combinatorial structure each incidence certifies the next
+    reduction without a hull.
     """
     if S is None:
         S = _safe_set_of(sys)
@@ -42,7 +45,9 @@ def pre(sys, X: HPolytope, S: HPolytope | None = None) -> HPolytope:
         raise ValueError("target set must live in the state space")
     if X.is_empty():
         return HPolytope.empty(n)
-    offer = (X._cheby, X._incidence)
+    dim = S.dim
+    offer = {**(X._offer or {}),
+             (dim, tuple(range(n, dim))): (X._cheby, X._incidence)}
     if isinstance(sys, LinearSystem):
         X = erode_rows(X, sys.E, sys.D)
     AB = np.hstack([sys.A, sys.B])
@@ -89,7 +94,39 @@ def _violation(Q: HPolytope, P: HPolytope, tol):
     return first_violation(Q, P.H, P.h + tol * np.linalg.norm(P.H, axis=1))
 
 
-def max_invariant_set(sys, max_iter: int = 200, tol: float = TAU_SET):
+class Prefix:
+    """A known iterate of a fixed-point run, and the one the run hands on.
+
+    On entry, X is the run's k-th iterate and `stopped` says whether the
+    run stops there; X None means nothing is known, and the run starts at
+    X_0. max_invariant_set resumes at X and leaves in the prefix its own
+    iterate at index `upto`, or the one it stops at if that comes first.
+    """
+
+    __slots__ = ("upto", "k", "X", "stopped")
+
+    def __init__(self, upto: int, k: int = 0, X: HPolytope | None = None,
+                 stopped: bool = False):
+        self.upto, self.k, self.X, self.stopped = upto, k, X, stopped
+
+    def next_horizon(self, D: HPolytope) -> "Prefix":
+        """The prefix of the (p+1)-preview run, from the one a p-preview run
+        left (upto <= p): its k-th iterate is X x D (see
+        regret.proj_cmax_p), and it hands on iterate upto + 1. X x D lists
+        the pairs of their vertex lists as its own, when both have one."""
+        X = self.X
+        if X is not None:
+            V, W = X._verts, D._verts
+            X = cartesian_product(X, D)
+            if V is not None and W is not None:
+                X._verts = np.hstack([np.repeat(V, len(W), axis=0),
+                                      np.tile(W, (len(V), 1))])
+                X._empty = False
+        return Prefix(self.upto + 1, self.k, X, self.stopped)
+
+
+def max_invariant_set(sys, max_iter: int = 200, tol: float = TAU_SET,
+                      prefix: Prefix | None = None):
     """Maximal (robust) controlled invariant set by the outside-in iteration.
 
     Returns (C, converged). The iterates X_{k+1} = pre(X_k) of
@@ -98,15 +135,32 @@ def max_invariant_set(sys, max_iter: int = 200, tol: float = TAU_SET):
     and by monotonicity the iterates are nested. The first X_{k+1} that
     contains X_k within tol is returned. Every iterate contains the maximal
     set, so a non-converged result is a certified outer approximation.
+    A prefix (see Prefix) resumes the run at a known iterate; max_iter
+    still counts the steps from X_0. A tol that is not finite or is
+    negative raises ValueError, because an infinite or NaN one passes
+    every inclusion test and a negative one passes none; so does a
+    negative max_iter.
     """
-    S = _safe_set_of(sys)
-    iterates = backward_reach(sys, project(HPolytope(S.H, S.h), sys.n))
-    X = next(iterates)
-    for X_next in islice(iterates, max_iter):
-        if _violation(X, X_next, tol) is None:
-            return X_next, True
-        X = X_next
-    return X, False
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tol must be finite and nonnegative, got {tol}")
+    if max_iter < 0:
+        raise ValueError(f"max_iter must be nonnegative, got {max_iter}")
+    if prefix is not None and prefix.X is not None:
+        if prefix.X.dim != sys.n:
+            raise ValueError("the prefix must live in the state space")
+        k, X, converged = prefix.k, prefix.X, prefix.stopped
+    else:
+        S = _safe_set_of(sys)
+        k, X, converged = 0, project(HPolytope(S.H, S.h), sys.n), False
+    iterates = backward_reach(sys, X)
+    next(iterates)
+    while not converged and k < max_iter:
+        X_prev, X = X, next(iterates)
+        k += 1
+        converged = _violation(X_prev, X, tol) is None
+        if prefix is not None and k <= prefix.upto:
+            prefix.k, prefix.X, prefix.stopped = k, X, converged
+    return X, converged
 
 
 def rcis_violation_witness(sys, C: HPolytope, tol=TAU_SET):

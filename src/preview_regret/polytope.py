@@ -50,10 +50,13 @@ class HPolytope:
     remove_redundancy). A set reduced with no degenerate vertex also
     carries the vertex-facet incidence of that reduction (`_incidence`, an
     _Incidence over the reduction's input rows); a set offered one checks
-    it in place of the hull when it is reduced. A set stacked in (x, u)
-    for a projection may hold, in `_offer`, a (ball in the kept
-    coordinates, incidence) pair that project offers to its last
-    reduction; either may be None.
+    it in place of the hull when it is reduced. `_offer` maps the key of
+    an elimination, (dimension, sorted eliminated coordinates), to the
+    (ball in the remaining coordinates, incidence) of a reduction with
+    that key; either may be None. On a set to be projected, project
+    offers each elimination the pair under its key. On a projection, it
+    holds the pairs of the projection's own reductions but the last, whose
+    pair is the set's `_cheby` and `_incidence` (see pre).
     """
 
     __slots__ = ("H", "h", "_empty", "_cheby", "_verts", "_incidence",
@@ -675,8 +678,10 @@ def project(P: HPolytope, keep: int) -> HPolytope:
     projection, so each elimination hands its input's ball (P's own, then
     each reduction's) to its output with the eliminated coordinate dropped,
     and the reduction reuses it as interior point instead of solving the
-    Chebyshev LP. The last elimination takes the ball of P's `_offer` when
-    it has no such ball, and its incidence always.
+    Chebyshev LP. Each elimination takes the ball P's `_offer` holds under
+    its key when it has no such ball, and the incidence always; a pair
+    from another elimination order or dimension has another key. The
+    result keeps the pairs of its reductions but the last in `_offer`.
     """
     n = P.dim
     if keep > n:
@@ -688,6 +693,7 @@ def project(P: HPolytope, keep: int) -> HPolytope:
     H, h, ball = P.H, P.h, P._cheby
     colmap = list(range(n))  # original coordinate index of each current column
     remaining = list(range(keep, n))
+    offers, records, gone = P._offer or {}, {}, []
     while remaining:
         # Eliminate the coordinate with the fewest pairwise combinations.
         best, best_cost = None, None
@@ -702,8 +708,8 @@ def project(P: HPolytope, keep: int) -> HPolytope:
             cost = p * m - p - m
             if best_cost is None or cost < best_cost:
                 best, best_cost = j, cost
-        remaining.remove(colmap[best])
-        colmap.pop(best)
+        gone.append(colmap.pop(best))
+        remaining.remove(gone[-1])
         H, h = _fm_eliminate(H, h, best)
         if H.shape[0] > ROW_CAP:
             raise BudgetExceededError(
@@ -711,14 +717,18 @@ def project(P: HPolytope, keep: int) -> HPolytope:
         fm = HPolytope(H, h)
         if ball is not None:
             fm._cheby = (np.delete(ball[0], best), ball[1])
-        if not remaining and P._offer is not None:
-            offered_ball, fm._incidence = P._offer
+        key = (n, tuple(sorted(gone)))
+        if key in offers:
+            offered_ball, fm._incidence = offers[key]
             if ball is None:
                 fm._cheby = offered_ball
         reduced = remove_redundancy(fm)
         if reduced.is_empty():
             return HPolytope.empty(keep)
         H, h, ball = reduced.H, reduced.h, reduced._cheby
+        if remaining:
+            records[key] = (ball, reduced._incidence)
+    reduced._offer = records or None
     return reduced
 
 

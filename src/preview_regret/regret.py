@@ -11,8 +11,8 @@ from itertools import islice
 import numpy as np
 
 from .ellipsoid import contraction_params, find_contractive_ellipsoid, max_c0, min_c_out
-from .invariance import (_pre_input, backward_reach, check_contractive,
-                         max_invariant_set, pre_k)
+from .invariance import (Prefix, _pre_input, backward_reach,
+                         check_contractive, max_invariant_set, pre_k)
 from .polytope import (
     BudgetExceededError,
     HPolytope,
@@ -313,28 +313,39 @@ def _preview_gap(p: int, proj: HPolytope, C_max_co: HPolytope) -> float:
 
 
 def true_dp(sys: LinearSystem, p: int, C_max_co: HPolytope,
-            tol: float = 1e-8, dim_budget: int = TRUE_DP_DIM_BUDGET) -> float:
+            tol: float = 1e-8, dim_budget: int = TRUE_DP_DIM_BUDGET,
+            prefix: Prefix | None = None) -> float:
     """The actual safety regret at horizon p, by direct computation.
 
     Builds the maximal invariant set of the p-preview system (up to the
     fixed-point tolerance), projects it exactly (Fourier-Motzkin), then
-    measures the Hausdorff gap to the limit set (see _preview_gap).
+    measures the Hausdorff gap to the limit set (see _preview_gap). prefix
+    resumes the fixed point where the (p-1)-preview run left it (see
+    proj_cmax_p); the result is the same.
     """
     n_aug = sys.n + p * sys.l
     if n_aug > dim_budget:
         raise BudgetExceededError(
             f"true regret at p={p} needs dimension {n_aug} > budget {dim_budget}")
-    return _preview_gap(p, proj_cmax_p(sys, p, tol), C_max_co)
+    return _preview_gap(p, proj_cmax_p(sys, p, tol, prefix), C_max_co)
 
 
-def proj_cmax_p(sys: LinearSystem, p: int, tol: float = 1e-8) -> HPolytope:
+def proj_cmax_p(sys: LinearSystem, p: int, tol: float = 1e-8,
+                prefix: Prefix | None = None) -> HPolytope:
     """State-space projection of the maximal p-preview invariant set.
 
     The fixed point must converge within 400 iterations, else
-    BudgetExceededError.
+    BudgetExceededError. Its first p iterates are those of the
+    (p-1)-preview run times D: X^(p)_k = X^(p-1)_k x D for k <= p - 1,
+    because the last preview slot enters no dynamics within p - 1 steps
+    and is bounded by D alone. So a sweep over p passes each run's prefix,
+    moved on by Prefix.next_horizon, to the next one, which then skips
+    the steps already taken in the dimension below and stops where that
+    run stopped, if it did so by step p - 1. Without a prefix the run
+    starts at X_0.
     """
     C, conv = max_invariant_set(augment(sys, p) if p else sys, tol=tol,
-                                max_iter=400)
+                                max_iter=400, prefix=prefix)
     if not conv:
         raise BudgetExceededError("fixed point did not converge")
     return project(C, sys.n)

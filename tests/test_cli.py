@@ -521,7 +521,9 @@ def test_cli_rejects_an_empty_input_set(name, command, tmp_path, capsys):
 @pytest.mark.parametrize("command, flag, value", [
     ("rcis", "--preview", "-1"), ("rcis", "--max-iter", "-1"),
     ("regret", "--p0", "-1"), ("regret", "--p-max", "-3"),
-    ("regret", "--kmax", "-1"), ("mpc", "--p", "0"), ("mpc", "--p", "-2"),
+    ("regret", "--kmax", "-1"), ("regret", "--N", "0"), ("regret", "--N", "-2"),
+    ("mpc", "--p", "0"), ("mpc", "--p", "-2"), ("mpc", "--streams", "-1"),
+    ("mpc", "--simulate", "-2"), ("mpc", "--curve-max", "-3"),
 ])
 def test_cli_rejects_an_out_of_range_count(command, flag, value, system_file,
                                            tmp_path, capsys):
@@ -532,6 +534,45 @@ def test_cli_rejects_an_out_of_range_count(command, flag, value, system_file,
     assert f"{flag} must be at least" in err
     assert "Traceback" not in err
     assert [p.name for p in tmp_path.iterdir()] == [system_file.name]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+@pytest.mark.parametrize("command", ["rcis", "regret", "mpc"])
+def test_cli_rejects_a_tol_that_is_not_finite_and_nonnegative(
+        command, value, system_file, tmp_path, capsys):
+    rc = main([command, str(system_file), "--tol", value,
+               "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "--tol must be a finite number at least 0" in err
+    assert "Traceback" not in err
+    assert [p.name for p in tmp_path.iterdir()] == [system_file.name]
+
+
+@pytest.mark.parametrize("which", ["1d", "2d-1"])
+def test_cli_regret_sweep_matches_true_dp_per_horizon(which, tmp_path):
+    # the sweep resumes each horizon's fixed point from the one below; a
+    # true_dp run alone, and on 1-D the closed form, give the same column
+    from preview_regret.invariance import max_invariant_set
+    from preview_regret.regret import true_dp
+    from preview_regret.systems import collaborative
+
+    system, oracle = build_1d() if which == "1d" else (build_2d_random(1),
+                                                       None)
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(system_to_json(system)))
+    out = tmp_path / "r.csv"
+    assert main(["regret", str(path), "--p-max", "5", "--alg", "3",
+                 "--out", str(out)]) == 0
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    C_co, conv = max_invariant_set(collaborative(system), tol=1e-8)
+    assert conv and [int(row["p"]) for row in rows] == [1, 2, 3, 4, 5]
+    for row in rows:
+        p, got = int(row["p"]), float(row["true_dp"])
+        assert abs(got - true_dp(system, p, C_co)) <= 1e-12
+        if oracle is not None:
+            assert abs(got - oracle.dp(p)) <= 1e-8
 
 
 def test_cli_mpc_exits_3_on_a_non_stabilizable_system(tmp_path, capsys):

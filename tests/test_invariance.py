@@ -438,3 +438,109 @@ def test_max_invariant_set_returns_pre_of_a_byte_repeat(monkeypatch):
     assert X_next.h.tobytes() == X.h.tobytes()
     assert vertices(C).tobytes() == vertices(X_next).tobytes()
     assert vertices(C).tobytes() != vertices(X).tobytes()
+
+
+def _chain(name):
+    """The collaborative system and the p0 = 1 projection of build_1d() or
+    build_2d_random(1): the start of algorithm3's ladder."""
+    from preview_regret.models import build_1d, build_2d_random
+    from preview_regret.regret import proj_cmax_p
+
+    s = build_1d()[0] if name == "1d" else build_2d_random(1)
+    return collaborative(s), proj_cmax_p(s, 1, 1e-8)
+
+
+@pytest.mark.parametrize("name", ["1d", "2d-1"])
+def test_steady_collaborative_steps_solve_no_chebyshev_lp(name, monkeypatch):
+    # each step eliminates u and d; the first elimination reuses the ball
+    # of the matching reduction of the step before, not only the last one
+    co, X = _chain(name)
+    X = pre(co, pre(co, X))
+    calls = _count_calls(monkeypatch, HPolytope, "chebyshev_center")
+    for _ in range(6):
+        X = pre(co, X)
+    assert calls == []
+
+
+def _same_rows_and_vertices(R, cold):
+    assert R.H.tobytes() == cold.H.tobytes()
+    assert R.h.tobytes() == cold.h.tobytes()
+    V, W = R._verts, cold._verts
+    assert V.shape == W.shape
+    gap = np.linalg.norm(V[:, None, :] - W[None, :, :], axis=2)
+    tol = 1e-12 * max(1.0, np.max(np.abs(W)))
+    assert max(np.max(np.min(gap, axis=0)), np.max(np.min(gap, axis=1))) <= tol
+
+
+@pytest.mark.parametrize("name", ["1d", "2d-1"])
+def test_records_change_no_rows(name):
+    # pre of an iterate with its records, and of a bare copy of its rows
+    co, X = _chain(name)
+    for _ in range(8):
+        warm = pre(co, X)
+        _same_rows_and_vertices(warm, pre(co, HPolytope(X.H, X.h)))
+        X = warm
+
+
+def test_a_record_from_another_order_or_dimension_is_ignored(monkeypatch):
+    # the 1-D collaborative step eliminates coordinates 1 and 2 of (x, u, d)
+    co, X = _chain("1d")
+    X = pre(co, pre(co, X))
+    (key, pair), = X._offer.items()
+    dim, (gone,) = key
+    cold = pre(co, HPolytope(X.H, X.h))
+    calls = _count_calls(monkeypatch, HPolytope, "chebyshev_center")
+    for offer in ({(dim, (3 - gone,)): pair}, {(dim + 1, (gone,)): pair},
+                  {(dim - 1, (gone,)): (None, None)}):
+        X._offer = offer
+        del calls[:]
+        R = pre(co, X)
+        assert len(calls) == 1
+        assert R.H.tobytes() == cold.H.tobytes()
+        assert R.h.tobytes() == cold.h.tobytes()
+    X._offer = {key: pair}
+    del calls[:]
+    pre(co, X)
+    assert calls == []
+
+
+def _iterates(s, k):
+    """X_0..X_k of the fixed point of s."""
+    from itertools import islice
+
+    from preview_regret.invariance import backward_reach
+    from preview_regret.polytope import project
+
+    X0 = project(HPolytope(s.S_xu.H, s.S_xu.h), s.n)
+    return list(islice(backward_reach(s, X0), k + 1))
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("p", [3, 4])
+def test_preview_prefix_identity(seed, p):
+    # X^(p)_k = X^(p-1)_k x D for k <= p - 1, and not at k = p
+    from preview_regret.invariance import Prefix
+    from preview_regret.models import build_2d_random
+
+    s = build_2d_random(seed)
+    below, here = _iterates(augment(s, p - 1), p), _iterates(augment(s, p), p)
+    for k in range(p + 1):
+        prefix = Prefix(p - 1, k, below[k]).next_horizon(s.D)
+        assert set_equal(here[k], prefix.X) == (k < p)
+        assert prefix.upto == p and prefix.k == k
+        if k < p:  # the listed pairs are the vertices of the product
+            V, W = prefix.X._verts, here[k]._verts
+            gap = np.linalg.norm(V[:, None, :] - W[None, :, :], axis=2)
+            assert max(np.max(np.min(gap, axis=0)),
+                       np.max(np.min(gap, axis=1))) <= 1e-9
+
+
+@pytest.mark.parametrize("kwargs, match", [
+    ({"tol": float("nan")}, "tol must be finite and nonnegative"),
+    ({"tol": float("inf")}, "tol must be finite and nonnegative"),
+    ({"tol": -1e-9}, "tol must be finite and nonnegative"),
+    ({"max_iter": -1}, "max_iter must be nonnegative"),
+])
+def test_max_invariant_set_rejects_a_bad_tol_or_max_iter(kwargs, match):
+    with pytest.raises(ValueError, match=match):
+        max_invariant_set(sys_1d(), **kwargs)

@@ -467,3 +467,36 @@ def test_row_order_changes_no_result(which):
         assert C_co.num_rows == C_ref.num_rows
         assert set_equal(C_co, C_ref)
         assert np.max(np.abs(np.subtract(dp, dp_ref))) <= 1e-12
+
+
+@pytest.mark.parametrize("a", [0.5, 1.5])
+def test_a_prefix_chain_gives_each_horizon_its_own_set(a, monkeypatch):
+    # each run resumes where the one below left it: at a = 1.5 it skips
+    # the p - 1 steps taken below, and at a = 0.5, where the p = 1 run
+    # stops at step 1, the later ones call pre no more; the projections
+    # are those of the runs from X_0, byte for byte
+    import preview_regret.invariance as inv
+    from preview_regret.invariance import Prefix
+
+    S = Box(np.array([-10.0, -1.0]), np.array([10.0, 1.0])).to_polytope()
+    s = LinearSystem([[a]], [[1.0]], [[1.0]], interval(-0.5, 0.5), S)
+    calls = []
+    real = inv.pre
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(inv, "pre", counting)
+    prefix = Prefix(upto=1)
+    max_invariant_set(augment(s, 1), tol=1e-8, prefix=prefix)
+    for p in range(2, 5):
+        del calls[:]
+        alone = proj_cmax_p(s, p, 1e-8)
+        steps_alone = len(calls)
+        del calls[:]
+        prefix = prefix.next_horizon(s.D)
+        chained = proj_cmax_p(s, p, 1e-8, prefix)
+        assert len(calls) == (0 if a < 1 else steps_alone - (p - 1))
+        assert chained.H.tobytes() == alone.H.tobytes()
+        assert chained.h.tobytes() == alone.h.tobytes()
