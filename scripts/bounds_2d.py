@@ -8,6 +8,7 @@ import argparse
 import csv
 import math
 import time
+from itertools import islice
 
 from preview_regret import (
     algorithm1,
@@ -17,10 +18,11 @@ from preview_regret import (
     bound_dp,
     build_2d_random,
     collaborative,
+    hausdorff_nested,
     max_invariant_set,
+    preview_sweep,
     project,
     refine_certificate,
-    true_dp,
 )
 
 
@@ -56,8 +58,9 @@ def main():
               f"N={cert.N} lambda={cert.lam:.4g}")
 
     rows = []
-    for p in range(1, args.p_max + 1):
-        row = {"p": p, "true_dp": true_dp(system, p, C_co, tol=1e-8)}
+    for p, proj, conv in islice(preview_sweep(system, 1, tol=1e-8), args.p_max):
+        assert conv, f"the fixed point at p={p} did not converge"
+        row = {"p": p, "true_dp": hausdorff_nested(proj, C_co)}
         for name, cert in certs.items():
             row[name] = bound_dp(cert, p)
         row["ladder"] = ladder.distances[p - 1]

@@ -6,6 +6,7 @@ Usage: python scripts/spine_1d.py [--p-max 8] [--out spine_1d.csv]
 
 import argparse
 import csv
+from itertools import chain
 
 from preview_regret import (
     algorithm1,
@@ -14,10 +15,10 @@ from preview_regret import (
     bound_dp,
     build_1d,
     collaborative,
+    hausdorff_nested,
     max_invariant_set,
-    proj_cmax_p,
+    preview_sweep,
     refine_certificate,
-    true_dp,
 )
 
 
@@ -30,7 +31,10 @@ def main():
     system, oracle = build_1d()
     C_co, conv = max_invariant_set(collaborative(system), tol=1e-11)
     assert conv
-    proj1 = proj_cmax_p(system, 1, tol=1e-11)
+    sweep = preview_sweep(system, 1, tol=1e-11)
+    first = next(sweep)
+    proj1 = first[1]
+    horizons = chain([first], sweep)
 
     a1 = algorithm1(system, C_co, proj=proj1, p0=1)
     a1r = refine_certificate(system, C_co, a1)
@@ -41,7 +45,11 @@ def main():
     print(" p |  exact regret |  alg1      |  alg1 refined |  alg2      |  ladder")
     for p in range(1, args.p_max + 1):
         exact = oracle.dp(p)
-        computed = true_dp(system, p, C_co, tol=1e-11) if 1 + p <= 8 else None
+        computed = None
+        if 1 + p <= 8:  # the dimension budget of true_dp
+            _, proj, conv = next(horizons)
+            assert conv, f"the fixed point at p={p} did not converge"
+            computed = hausdorff_nested(proj, C_co)
         row = {
             "p": p,
             "oracle_dp": exact,

@@ -50,6 +50,7 @@ from .regret import (
     bound_marginal,
     estimate_lambda0,
     k0_of,
+    preview_sweep,
     proj_cmax_p,
     refine_certificate,
     true_dp,
@@ -78,7 +79,7 @@ __all__ = [
     "find_contractive_ellipsoid", "max_c0", "min_c_out",
     "ConvergenceReport", "RegretCertificate", "algorithm1", "algorithm2",
     "algorithm3", "bound_dp", "bound_marginal", "estimate_lambda0", "k0_of",
-    "proj_cmax_p", "refine_certificate", "true_dp",
+    "preview_sweep", "proj_cmax_p", "refine_certificate", "true_dp",
     "FeasibleDomain", "MpcConfig", "feasible_domain", "mpc_step",
     "simulate_closed_loop", "terminal_set_certificate",
     "build_1d", "build_2d_random", "build_template",

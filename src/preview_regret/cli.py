@@ -10,6 +10,7 @@ import argparse
 import json
 import math
 import sys as _sys
+from itertools import chain, islice
 
 import numpy as np
 
@@ -67,8 +68,7 @@ def cmd_rcis(args) -> int:
 
 
 def _regret_pipeline(args, system):
-    from .invariance import Prefix, max_invariant_set
-    from .polytope import BudgetExceededError, project
+    from .invariance import max_invariant_set
     from .regret import (
         NotControllableError,
         _preview_gap,
@@ -76,24 +76,21 @@ def _regret_pipeline(args, system):
         algorithm2,
         algorithm3,
         bound_dp,
+        preview_sweep,
         refine_certificate,
-        true_dp,
     )
-    from .systems import AssumptionError, augment, collaborative
+    from .systems import AssumptionError, collaborative
 
     C_co, conv_co = max_invariant_set(collaborative(system), tol=args.tol)
     if C_co.is_empty():
         raise AssumptionError("the collaborative system has an empty maximal "
                               "invariant set; nothing to certify")
     p0 = args.p0
-    base = augment(system, p0) if p0 else system
-    # each horizon's fixed point resumes where the one below left it
-    prefix = Prefix(upto=p0)
-    C_p0, conv_p0 = max_invariant_set(base, tol=args.tol, prefix=prefix)
-    if C_p0.is_empty():
+    sweep = preview_sweep(system, p0, args.tol)
+    first = _, proj, conv_p0 = next(sweep)
+    if proj.is_empty():
         raise AssumptionError(f"the {p0}-preview system has an empty maximal "
                               "invariant set; try a larger --p0")
-    proj = project(C_p0, system.n)
     exact = conv_co and conv_p0
 
     wanted = {"1": ["alg1"], "1r": ["alg1_refined"], "2": ["alg2"],
@@ -122,26 +119,15 @@ def _regret_pipeline(args, system):
         except (AssumptionError, NotControllableError, ValueError) as exc:
             failures[name] = str(exc)
 
-    ps = list(range(p0, args.p_max + 1))
-
-    def compute_true(p):
-        nonlocal prefix
-        try:
-            # the p0 set is already projected; over the dimension
-            # budget, true_dp raises before it would compute a fixed point
-            if p == p0 and conv_p0 and base.n <= args.dim_budget:
-                return _preview_gap(p, proj, C_co)
-            if p > p0:
-                prefix = prefix.next_horizon(system.D)
-            return true_dp(system, p, C_co, tol=args.tol,
-                           dim_budget=args.dim_budget, prefix=prefix)
-        except BudgetExceededError:
-            return None
+    # pull no horizon past --p-max or over the dimension budget
+    last = min(args.p_max, (args.dim_budget - system.n) // system.l)
+    true = {p: _preview_gap(p, P, C_co) for p, P, converged in
+            islice(chain([first], sweep), max(0, last - p0 + 1)) if converged}
 
     rows = []
     p_bar = report.p_bar if report is not None else None
-    for p in ps:
-        row = {"p": p, "true_dp": compute_true(p)}
+    for p in range(p0, args.p_max + 1):
+        row = {"p": p, "true_dp": true.get(p)}
         for name, col in (("alg1", "bound_alg1"),
                           ("alg1_refined", "bound_alg1_refined"),
                           ("alg2", "bound_alg2")):
@@ -290,7 +276,8 @@ def cmd_demo_1d(args) -> int:
     from .invariance import max_invariant_set
     from .models import build_1d
     from .polytope import support
-    from .regret import algorithm2, algorithm3, bound_dp, proj_cmax_p, true_dp
+    from .regret import (_preview_gap, algorithm2, algorithm3, bound_dp,
+                         preview_sweep)
     from .systems import collaborative
 
     system, oracle = build_1d()
@@ -298,13 +285,14 @@ def cmd_demo_1d(args) -> int:
     r = support(C_co, [1.0])
     print(f"limit set radius: computed {r:.12f}  closed form "
           f"{oracle.cmax_co_radius():.12f}")
-    proj1 = proj_cmax_p(system, 1, tol=1e-10)
+    sweep = preview_sweep(system, 1, tol=1e-10)
+    first = _, proj1, _ = next(sweep)
     cert = algorithm2(system, C_co, proj1, p0=1, N=1)
     print(f"certificate: lambda0={cert.lambda0:.6f} gamma={cert.gamma:.6f}")
     report = algorithm3(system, C_co, proj1, p0=1, k_max=10)
     print(" p |   true d_p   |  certified bound |  ladder")
-    for p in range(1, 7):
-        t = true_dp(system, p, C_co, tol=1e-10)
+    for p, proj, converged in islice(chain([first], sweep), 6):
+        t = _preview_gap(p, proj, C_co) if converged else math.nan
         b = bound_dp(cert, p)
         lad = report.distances[p - 1]
         print(f"{p:2d} | {t:.10f} | {b:.10f}    | {lad:.10f}")
@@ -371,9 +359,11 @@ def main(argv=None) -> int:
 
     ap = build_parser()
     args = ap.parse_args(argv)
+    # --p-max may not be below --p0, which is checked first
     for dest, least in (("preview", 0), ("max_iter", 0), ("p0", 0),
-                        ("p_max", 0), ("kmax", 0), ("N", 1), ("p", 1),
-                        ("curve_max", 0), ("simulate", 0), ("streams", 0)):
+                        ("p_max", getattr(args, "p0", 0)), ("kmax", 0),
+                        ("N", 1), ("p", 1), ("curve_max", 0), ("simulate", 0),
+                        ("streams", 0), ("dim_budget", 1)):
         value = getattr(args, dest, None)
         if value is not None and value < least:
             print(f"input error: --{dest.replace('_', '-')} must be at least "

@@ -100,7 +100,8 @@ class Prefix:
     On entry, X is the run's k-th iterate and `stopped` says whether the
     run stops there; X None means nothing is known, and the run starts at
     X_0. max_invariant_set resumes at X and leaves in the prefix its own
-    iterate at index `upto`, or the one it stops at if that comes first.
+    iterate at index `upto`, or the one it stops at if that comes first
+    (regret.preview_sweep hands it from each preview horizon to the next).
     """
 
     __slots__ = ("upto", "k", "X", "stopped")
@@ -108,21 +109,6 @@ class Prefix:
     def __init__(self, upto: int, k: int = 0, X: HPolytope | None = None,
                  stopped: bool = False):
         self.upto, self.k, self.X, self.stopped = upto, k, X, stopped
-
-    def next_horizon(self, D: HPolytope) -> "Prefix":
-        """The prefix of the (p+1)-preview run, from the one a p-preview run
-        left (upto <= p): its k-th iterate is X x D (see
-        regret.proj_cmax_p), and it hands on iterate upto + 1. X x D lists
-        the pairs of their vertex lists as its own, when both have one."""
-        X = self.X
-        if X is not None:
-            V, W = X._verts, D._verts
-            X = cartesian_product(X, D)
-            if V is not None and W is not None:
-                X._verts = np.hstack([np.repeat(V, len(W), axis=0),
-                                      np.tile(W, (len(V), 1))])
-                X._empty = False
-        return Prefix(self.upto + 1, self.k, X, self.stopped)
 
 
 def max_invariant_set(sys, max_iter: int = 200, tol: float = TAU_SET,
@@ -135,11 +121,12 @@ def max_invariant_set(sys, max_iter: int = 200, tol: float = TAU_SET,
     and by monotonicity the iterates are nested. The first X_{k+1} that
     contains X_k within tol is returned. Every iterate contains the maximal
     set, so a non-converged result is a certified outer approximation.
-    A prefix (see Prefix) resumes the run at a known iterate; max_iter
-    still counts the steps from X_0. A tol that is not finite or is
-    negative raises ValueError, because an infinite or NaN one passes
-    every inclusion test and a negative one passes none; so does a
-    negative max_iter.
+    A prefix (see Prefix) resumes the run at a known iterate and takes
+    back one of the run's own (see regret.preview_sweep); max_iter still
+    counts the steps from X_0. A tol that is not finite or is negative
+    raises ValueError, because an infinite or NaN one passes every
+    inclusion test and a negative one passes none; so does a negative
+    max_iter.
     """
     if not (math.isfinite(tol) and tol >= 0.0):
         raise ValueError(f"tol must be finite and nonnegative, got {tol}")

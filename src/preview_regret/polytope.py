@@ -42,12 +42,12 @@ class HPolytope:
     """Convex polytope {x : Hx <= h}; the universal set carrier.
 
     A set reduced through the dual hull, or given one by
-    cache_vertex_list, translate or scale, also carries its vertex list
-    (`_verts`, a vertex may repeat up to round-off), which support-type
-    readers use instead of an LP. A reduced set carries the inscribed ball
-    (`_cheby`) its reduction used as interior point, which the next
-    reduction of the set or of its projection checks and reuses (see
-    remove_redundancy). A set reduced with no degenerate vertex also
+    cache_vertex_list, translate, scale or cartesian_product, also carries
+    its vertex list (`_verts`, a vertex may repeat up to round-off), which
+    support-type readers use instead of an LP. A reduced set carries the
+    inscribed ball (`_cheby`) its reduction used as interior point, which
+    the next reduction of the set or of its projection checks and reuses
+    (see remove_redundancy). A set reduced with no degenerate vertex also
     carries the vertex-facet incidence of that reduction (`_incidence`, an
     _Incidence over the reduction's input rows); a set offered one checks
     it in place of the hull when it is reduced. `_offer` maps the key of
@@ -215,12 +215,20 @@ def translate(P: HPolytope, t) -> HPolytope:
 
 
 def cartesian_product(P: HPolytope, Q: HPolytope) -> HPolytope:
+    """P x Q. When both carry a vertex list, the pairs of their lists are
+    the product's, and it stays nonempty."""
     Hp, Hq = P.H, Q.H
     H = np.block([
         [Hp, np.zeros((Hp.shape[0], Q.dim))],
         [np.zeros((Hq.shape[0], P.dim)), Hq],
     ])
-    return HPolytope(H, np.r_[P.h, Q.h])
+    out = HPolytope(H, np.r_[P.h, Q.h])
+    V, W = P._verts, Q._verts
+    if V is not None and W is not None:
+        out._verts = np.hstack([np.repeat(V, len(W), axis=0),
+                                np.tile(W, (len(V), 1))])
+        out._empty = False
+    return out
 
 
 def power_product(P: HPolytope, k: int) -> HPolytope:

@@ -6,7 +6,7 @@ convergence.
 
 import math
 from dataclasses import dataclass, field, replace
-from itertools import islice
+from itertools import count, islice
 
 import numpy as np
 
@@ -17,6 +17,7 @@ from .polytope import (
     BudgetExceededError,
     HPolytope,
     NormalFormError,
+    cartesian_product,
     containment_ratio,
     contains,
     hausdorff_nested,
@@ -313,39 +314,49 @@ def _preview_gap(p: int, proj: HPolytope, C_max_co: HPolytope) -> float:
 
 
 def true_dp(sys: LinearSystem, p: int, C_max_co: HPolytope,
-            tol: float = 1e-8, dim_budget: int = TRUE_DP_DIM_BUDGET,
-            prefix: Prefix | None = None) -> float:
+            tol: float = 1e-8, dim_budget: int = TRUE_DP_DIM_BUDGET) -> float:
     """The actual safety regret at horizon p, by direct computation.
 
     Builds the maximal invariant set of the p-preview system (up to the
     fixed-point tolerance), projects it exactly (Fourier-Motzkin), then
-    measures the Hausdorff gap to the limit set (see _preview_gap). prefix
-    resumes the fixed point where the (p-1)-preview run left it (see
-    proj_cmax_p); the result is the same.
+    measures the Hausdorff gap to the limit set (see _preview_gap). A sweep
+    over p is cheaper through preview_sweep, which gives the same sets.
     """
     n_aug = sys.n + p * sys.l
     if n_aug > dim_budget:
         raise BudgetExceededError(
             f"true regret at p={p} needs dimension {n_aug} > budget {dim_budget}")
-    return _preview_gap(p, proj_cmax_p(sys, p, tol, prefix), C_max_co)
+    return _preview_gap(p, proj_cmax_p(sys, p, tol), C_max_co)
 
 
-def proj_cmax_p(sys: LinearSystem, p: int, tol: float = 1e-8,
-                prefix: Prefix | None = None) -> HPolytope:
-    """State-space projection of the maximal p-preview invariant set.
-
-    The fixed point must converge within 400 iterations, else
-    BudgetExceededError. Its first p iterates are those of the
-    (p-1)-preview run times D: X^(p)_k = X^(p-1)_k x D for k <= p - 1,
-    because the last preview slot enters no dynamics within p - 1 steps
-    and is bounded by D alone. So a sweep over p passes each run's prefix,
-    moved on by Prefix.next_horizon, to the next one, which then skips
-    the steps already taken in the dimension below and stops where that
-    run stopped, if it did so by step p - 1. Without a prefix the run
-    starts at X_0.
-    """
-    C, conv = max_invariant_set(augment(sys, p) if p else sys, tol=tol,
-                                max_iter=400, prefix=prefix)
-    if not conv:
+def proj_cmax_p(sys: LinearSystem, p: int, tol: float = 1e-8) -> HPolytope:
+    """State-space projection of the maximal p-preview invariant set: the
+    first item of preview_sweep(sys, p, tol). A fixed point that does not
+    converge raises BudgetExceededError."""
+    _, proj, converged = next(preview_sweep(sys, p, tol))
+    if not converged:
         raise BudgetExceededError("fixed point did not converge")
-    return project(C, sys.n)
+    return proj
+
+
+def preview_sweep(sys: LinearSystem, p0: int = 0, tol: float = 1e-8):
+    """Yield (p, projection, converged) for p = p0, p0 + 1, ...: the
+    state-space projection of the maximal p-preview invariant set, from
+    one max_invariant_set run of at most 400 steps, and whether that run
+    converged (if not, the projection is an outer approximation).
+
+    The p-preview run's first p iterates are the (p-1)-preview run's times
+    D, X^(p)_k = X^(p-1)_k x D for k <= p - 1, because the last preview
+    slot enters no dynamics within p - 1 steps. So each run resumes at
+    iterate min(p - 1, K) of the run below, which stopped at step K, and
+    stops at once if K <= p - 1; its sets equal those of a run from X_0.
+    Horizon p costs a run in dimension n + p l, so a consumer checks its
+    own limits before it pulls the next horizon.
+    """
+    prefix = Prefix(upto=p0)
+    for p in count(p0):
+        C, converged = max_invariant_set(augment(sys, p) if p else sys,
+                                         max_iter=400, tol=tol, prefix=prefix)
+        yield p, project(C, sys.n), converged
+        X = None if prefix.X is None else cartesian_product(prefix.X, sys.D)
+        prefix = Prefix(p + 1, prefix.k, X, prefix.stopped)

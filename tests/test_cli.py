@@ -524,9 +524,18 @@ def test_cli_rejects_an_empty_input_set(name, command, tmp_path, capsys):
     ("regret", "--kmax", "-1"), ("regret", "--N", "0"), ("regret", "--N", "-2"),
     ("mpc", "--p", "0"), ("mpc", "--p", "-2"), ("mpc", "--streams", "-1"),
     ("mpc", "--simulate", "-2"), ("mpc", "--curve-max", "-3"),
+    ("regret", "--p-max", "0"),  # below the default --p0 of 1
+    ("rcis", "--dim-budget", "0"), ("rcis", "--dim-budget", "-1"),
+    ("regret", "--dim-budget", "0"), ("regret", "--dim-budget", "-3"),
 ])
 def test_cli_rejects_an_out_of_range_count(command, flag, value, system_file,
-                                           tmp_path, capsys):
+                                           tmp_path, capsys, monkeypatch):
+    import preview_regret.invariance as inv
+
+    def no_fixed_point(*args, **kwargs):
+        raise AssertionError("a fixed point ran")
+
+    monkeypatch.setattr(inv, "max_invariant_set", no_fixed_point)
     rc = main([command, str(system_file), flag, value,
                "--out", str(tmp_path / "o")])
     assert rc == 2
@@ -534,6 +543,55 @@ def test_cli_rejects_an_out_of_range_count(command, flag, value, system_file,
     assert f"{flag} must be at least" in err
     assert "Traceback" not in err
     assert [p.name for p in tmp_path.iterdir()] == [system_file.name]
+
+
+@pytest.mark.parametrize("budget, calls", [(None, 4), ("2", 2)])
+def test_cli_regret_runs_one_fixed_point_per_horizon(
+        budget, calls, system_file, tmp_path, monkeypatch):
+    # the collaborative run plus one per horizon p = 1..3; under a budget
+    # of 2 only p = 1 fits, and no horizon past it is computed
+    import preview_regret.invariance as inv
+    import preview_regret.regret as regret
+
+    seen = []
+    real = inv.max_invariant_set
+
+    def counting(*args, **kwargs):
+        seen.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(inv, "max_invariant_set", counting)
+    monkeypatch.setattr(regret, "max_invariant_set", counting)
+    out = tmp_path / "r.csv"
+    argv = ["regret", str(system_file), "--p0", "1", "--p-max", "3",
+            "--out", str(out)]
+    assert main(argv + (["--dim-budget", budget] if budget else [])) == 0
+    assert len(seen) == calls
+    with open(out, newline="") as fh:
+        filled = [row["p"] for row in csv.DictReader(fh) if row["true_dp"]]
+    assert filled == (["1", "2", "3"] if budget is None else ["1"])
+
+
+def test_cli_regret_certifies_from_the_converged_p0_set(tmp_path):
+    # the p = 1 fixed point converges at step 244: the certificates read
+    # that set, the same one the p = 1 true_dp cell measures
+    from preview_regret.polytope import Box, interval
+    from preview_regret.systems import LinearSystem
+
+    S = Box(np.array([-10.0, -1.0]), np.array([10.0, 1.0])).to_polytope()
+    s = LinearSystem([[1.07]], [[1.0]], [[1.0]], interval(-0.5, 0.5), S)
+    path = tmp_path / "a107.json"
+    path.write_text(json.dumps(system_to_json(s)))
+    out = tmp_path / "r.csv"
+    assert main(["regret", str(path), "--p-max", "2", "--alg", "2",
+                 "--out", str(out)]) == 0
+    cert = json.loads((tmp_path / "r_alg2.cert.json").read_text())
+    assert cert["cmax_exact"] is True
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["p"] for row in rows] == ["1", "2"]
+    for row in rows:
+        assert float(row["bound_alg2"]) >= float(row["true_dp"]) - 1e-9
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-1"])

@@ -517,22 +517,39 @@ def _iterates(s, k):
 
 @pytest.mark.parametrize("seed", [1, 2])
 @pytest.mark.parametrize("p", [3, 4])
-def test_preview_prefix_identity(seed, p):
-    # X^(p)_k = X^(p-1)_k x D for k <= p - 1, and not at k = p
-    from preview_regret.invariance import Prefix
+def test_preview_prefix_identity(seed, p, monkeypatch):
+    # X^(p)_k = X^(p-1)_k x D for k <= p - 1, and not at k = p; the sweep
+    # starts horizon p at the (p-1) run's iterate p - 1 times D
+    import preview_regret.regret as regret
     from preview_regret.models import build_2d_random
 
     s = build_2d_random(seed)
     below, here = _iterates(augment(s, p - 1), p), _iterates(augment(s, p), p)
     for k in range(p + 1):
-        prefix = Prefix(p - 1, k, below[k]).next_horizon(s.D)
-        assert set_equal(here[k], prefix.X) == (k < p)
-        assert prefix.upto == p and prefix.k == k
+        X = cartesian_product(below[k], s.D)
+        assert set_equal(here[k], X) == (k < p)
         if k < p:  # the listed pairs are the vertices of the product
-            V, W = prefix.X._verts, here[k]._verts
+            V, W = X._verts, here[k]._verts
             gap = np.linalg.norm(V[:, None, :] - W[None, :, :], axis=2)
             assert max(np.max(np.min(gap, axis=0)),
                        np.max(np.min(gap, axis=1))) <= 1e-9
+
+    class Resumed(Exception):
+        pass
+
+    def spy(sys, max_iter, tol, prefix):
+        if prefix.X is not None:
+            raise Resumed(prefix.upto, prefix.k, prefix.X, prefix.stopped)
+        return max_invariant_set(sys, max_iter, tol, prefix)
+
+    monkeypatch.setattr(regret, "max_invariant_set", spy)
+    sweep = regret.preview_sweep(s, p - 1, 1e-8)
+    assert next(sweep)[2]
+    with pytest.raises(Resumed) as resumed:
+        next(sweep)
+    upto, k, X, stopped = resumed.value.args
+    assert upto == p and k == p - 1 and not stopped
+    assert set_equal(here[k], X)
 
 
 @pytest.mark.parametrize("kwargs, match", [

@@ -25,6 +25,7 @@ from preview_regret.regret import (
     bound_marginal,
     estimate_lambda0,
     k0_of,
+    preview_sweep,
     proj_cmax_p,
     refine_certificate,
     true_dp,
@@ -471,12 +472,11 @@ def test_row_order_changes_no_result(which):
 
 @pytest.mark.parametrize("a", [0.5, 1.5])
 def test_a_prefix_chain_gives_each_horizon_its_own_set(a, monkeypatch):
-    # each run resumes where the one below left it: at a = 1.5 it skips
+    # each horizon resumes where the one below left it: at a = 1.5 it skips
     # the p - 1 steps taken below, and at a = 0.5, where the p = 1 run
     # stops at step 1, the later ones call pre no more; the projections
     # are those of the runs from X_0, byte for byte
     import preview_regret.invariance as inv
-    from preview_regret.invariance import Prefix
 
     S = Box(np.array([-10.0, -1.0]), np.array([10.0, 1.0])).to_polytope()
     s = LinearSystem([[a]], [[1.0]], [[1.0]], interval(-0.5, 0.5), S)
@@ -488,15 +488,15 @@ def test_a_prefix_chain_gives_each_horizon_its_own_set(a, monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(inv, "pre", counting)
-    prefix = Prefix(upto=1)
-    max_invariant_set(augment(s, 1), tol=1e-8, prefix=prefix)
+    sweep = preview_sweep(s, 1, 1e-8)
+    assert next(sweep)[0] == 1
     for p in range(2, 5):
         del calls[:]
         alone = proj_cmax_p(s, p, 1e-8)
         steps_alone = len(calls)
         del calls[:]
-        prefix = prefix.next_horizon(s.D)
-        chained = proj_cmax_p(s, p, 1e-8, prefix)
+        q, chained, converged = next(sweep)
+        assert q == p and converged
         assert len(calls) == (0 if a < 1 else steps_alone - (p - 1))
         assert chained.H.tobytes() == alone.H.tobytes()
         assert chained.h.tobytes() == alone.h.tobytes()
