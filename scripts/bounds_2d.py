@@ -1,29 +1,17 @@
-"""Regret-bound comparison on the seeded planar instance: all certification
-methods against the directly computed regret, as CSV.
+"""Regret-bound comparison on the seeded planar instance: the regret table
+of regret_curve (tol 1e-9, N = 1, a ladder of --p-max steps) plus Algorithm
+2 at a coarse step size on the same sets, as CSV.
 
-Usage: python scripts/bounds_2d.py [--seed 0] [--p-max 6] [--out bounds_2d.csv]
+Usage: python scripts/bounds_2d.py [--seed 0] [--p-max 6] [--N-coarse 8]
+                                   [--out bounds_2d.csv]
 """
 
 import argparse
 import csv
 import math
 import time
-from itertools import islice
 
-from preview_regret import (
-    algorithm1,
-    algorithm2,
-    algorithm3,
-    augment,
-    bound_dp,
-    build_2d_random,
-    collaborative,
-    hausdorff_nested,
-    max_invariant_set,
-    preview_sweep,
-    project,
-    refine_certificate,
-)
+from preview_regret import algorithm2, bound_dp, build_2d_random, regret_curve
 
 
 def main():
@@ -36,35 +24,29 @@ def main():
 
     t0 = time.time()
     system = build_2d_random(args.seed)
-    C_co, conv = max_invariant_set(collaborative(system), tol=1e-9)
-    assert conv, "the limit set did not converge"
-    C_1, conv = max_invariant_set(augment(system, 1), tol=1e-9)
-    assert conv
-    proj1 = project(C_1, system.n)
-
-    alg1 = algorithm1(system, C_co, proj1, p0=1)
-    certs = {
-        "alg1": alg1,
-        "alg1_refined": refine_certificate(system, C_co, alg1),
-        "alg2_N1": algorithm2(system, C_co, proj1, p0=1, N=1),
-        f"alg2_N{args.N_coarse}": algorithm2(system, C_co, proj1, p0=1,
-                                             N=args.N_coarse),
-    }
-    ladder = algorithm3(system, C_co, proj1, p0=1, k_max=args.p_max)
-    pb = "inf" if math.isinf(ladder.p_bar) else str(ladder.p_bar)
-    print(f"seed {args.seed}: ladder p_bar = {pb}")
+    # every horizon up to --p-max gets its true_dp, whatever its dimension
+    curve = regret_curve(system, p0=1, p_max=args.p_max, N=1,
+                         k_max=args.p_max, tol=1e-9,
+                         dim_budget=system.n + args.p_max * system.l)
+    assert not curve.failures, curve.failures
+    assert all(c.cmax_exact for c in curve.certs.values()), \
+        "the limit set or the p = 1 fixed point did not converge"
+    coarse = f"alg2_N{args.N_coarse}"
+    certs = {**curve.certs,
+             coarse: algorithm2(system, curve.C_max_co, curve.proj, p0=1,
+                                N=args.N_coarse)}
+    p_bar = curve.report.p_bar
+    print(f"seed {args.seed}: ladder p_bar = "
+          f"{'inf' if math.isinf(p_bar) else p_bar}")
     for name, cert in certs.items():
         print(f"{name}: lambda0={cert.lambda0:.4f} gamma={cert.gamma:.4f} "
               f"N={cert.N} lambda={cert.lam:.4g}")
 
-    rows = []
-    for p, proj, conv in islice(preview_sweep(system, 1, tol=1e-8), args.p_max):
-        assert conv, f"the fixed point at p={p} did not converge"
-        row = {"p": p, "true_dp": hausdorff_nested(proj, C_co)}
-        for name, cert in certs.items():
-            row[name] = bound_dp(cert, p)
-        row["ladder"] = ladder.distances[p - 1]
-        rows.append(row)
+    rows = curve.rows
+    for row in rows:
+        assert row["true_dp"] is not None, \
+            f"the fixed point at p={row['p']} did not converge"
+        row[f"bound_{coarse}"] = bound_dp(certs[coarse], row["p"])
     with open(args.out, "w", newline="") as fh:
         w = csv.DictWriter(fh, fieldnames=list(rows[0]))
         w.writeheader()

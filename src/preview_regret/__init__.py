@@ -43,6 +43,7 @@ from .ellipsoid import (
 from .regret import (
     ConvergenceReport,
     RegretCertificate,
+    RegretCurve,
     algorithm1,
     algorithm2,
     algorithm3,
@@ -53,6 +54,7 @@ from .regret import (
     preview_sweep,
     proj_cmax_p,
     refine_certificate,
+    regret_curve,
     true_dp,
 )
 from .mpc import (
@@ -77,9 +79,10 @@ __all__ = [
     "sandwich_bounds",
     "ContractionParams", "ContractiveEllipsoid", "contraction_params",
     "find_contractive_ellipsoid", "max_c0", "min_c_out",
-    "ConvergenceReport", "RegretCertificate", "algorithm1", "algorithm2",
-    "algorithm3", "bound_dp", "bound_marginal", "estimate_lambda0", "k0_of",
-    "preview_sweep", "proj_cmax_p", "refine_certificate", "true_dp",
+    "ConvergenceReport", "RegretCertificate", "RegretCurve", "algorithm1",
+    "algorithm2", "algorithm3", "bound_dp", "bound_marginal",
+    "estimate_lambda0", "k0_of", "preview_sweep", "proj_cmax_p",
+    "refine_certificate", "regret_curve", "true_dp",
     "FeasibleDomain", "MpcConfig", "feasible_domain", "mpc_step",
     "simulate_closed_loop", "terminal_set_certificate",
     "build_1d", "build_2d_random", "build_template",

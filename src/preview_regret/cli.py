@@ -10,8 +10,6 @@ import argparse
 import json
 import math
 import sys as _sys
-from itertools import chain, islice
-
 import numpy as np
 
 EXIT_OK = 0
@@ -67,106 +65,31 @@ def cmd_rcis(args) -> int:
     return EXIT_OK
 
 
-def _regret_pipeline(args, system):
-    from .invariance import max_invariant_set
-    from .regret import (
-        NotControllableError,
-        _preview_gap,
-        algorithm1,
-        algorithm2,
-        algorithm3,
-        bound_dp,
-        preview_sweep,
-        refine_certificate,
-    )
-    from .systems import AssumptionError, collaborative
-
-    C_co, conv_co = max_invariant_set(collaborative(system), tol=args.tol)
-    if C_co.is_empty():
-        raise AssumptionError("the collaborative system has an empty maximal "
-                              "invariant set; nothing to certify")
-    p0 = args.p0
-    sweep = preview_sweep(system, p0, args.tol)
-    first = _, proj, conv_p0 = next(sweep)
-    if proj.is_empty():
-        raise AssumptionError(f"the {p0}-preview system has an empty maximal "
-                              "invariant set; try a larger --p0")
-    exact = conv_co and conv_p0
-
-    wanted = {"1": ["alg1"], "1r": ["alg1_refined"], "2": ["alg2"],
-              "3": ["alg3"],
-              "all": ["alg1", "alg1_refined", "alg2", "alg3"]}[args.alg]
-    certs = {}
-    report = None
-    failures = {}
-    for name in wanted:
-        try:
-            if name == "alg1":
-                certs[name] = algorithm1(system, C_co, proj, p0=p0,
-                                         cmax_exact=exact)
-            elif name == "alg1_refined":
-                if "alg1" in failures:
-                    failures[name] = failures["alg1"]
-                    continue
-                plain = certs["alg1"] if "alg1" in certs else algorithm1(
-                    system, C_co, proj, p0=p0, cmax_exact=exact)
-                certs[name] = refine_certificate(system, C_co, plain)
-            elif name == "alg2":
-                certs[name] = algorithm2(system, C_co, proj, p0=p0,
-                                         N=args.N, cmax_exact=exact)
-            elif name == "alg3":
-                report = algorithm3(system, C_co, proj, p0=p0, k_max=args.kmax)
-        except (AssumptionError, NotControllableError, ValueError) as exc:
-            failures[name] = str(exc)
-
-    # pull no horizon past --p-max or over the dimension budget
-    last = min(args.p_max, (args.dim_budget - system.n) // system.l)
-    true = {p: _preview_gap(p, P, C_co) for p, P, converged in
-            islice(chain([first], sweep), max(0, last - p0 + 1)) if converged}
-
-    rows = []
-    p_bar = report.p_bar if report is not None else None
-    for p in range(p0, args.p_max + 1):
-        row = {"p": p, "true_dp": true.get(p)}
-        for name, col in (("alg1", "bound_alg1"),
-                          ("alg1_refined", "bound_alg1_refined"),
-                          ("alg2", "bound_alg2")):
-            if name in certs:
-                row[col] = bound_dp(certs[name], p)
-        if report is not None and p - p0 < len(report.distances):
-            row["bound_alg3"] = report.distances[p - p0]
-        elif report is not None and math.isfinite(p_bar):
-            row["bound_alg3"] = 0.0  # the ladder closed: no gap from p_bar on
-        if p_bar is not None:
-            row["p_bar"] = float(p_bar)
-        rows.append(row)
-    return certs, report, failures, rows
-
-
 def cmd_regret(args) -> int:
+    from .regret import regret_curve
     from .serialize import (
         certificate_to_json,
+        ellipsoid_to_json,
         load_system,
         report_to_json,
         write_regret_csv,
     )
-    from .systems import AssumptionError
 
     system = load_system(args.system)
-    try:
-        certs, report, failures, rows = _regret_pipeline(args, system)
-    except AssumptionError as exc:
-        print(f"assumptions unverifiable: {exc}", file=_sys.stderr)
-        return EXIT_ASSUMPTION
+    methods = {"1": ["alg1"], "1r": ["alg1_refined"], "2": ["alg2"],
+               "3": ["alg3"],
+               "all": ["alg1", "alg1_refined", "alg2", "alg3"]}[args.alg]
+    curve = regret_curve(system, p0=args.p0, p_max=args.p_max,
+                         methods=methods, N=args.N, k_max=args.kmax,
+                         tol=args.tol, dim_budget=args.dim_budget)
+    certs, report, failures = curve.certs, curve.report, curve.failures
 
-    write_regret_csv(args.out, rows)
+    write_regret_csv(args.out, curve.rows)
     stem = args.out[:-4] if args.out.endswith(".csv") else args.out
     for name, cert in certs.items():
         path = f"{stem}_{name}.cert.json"
         _write_json(path, certificate_to_json(cert))
         if cert.ellipsoid is not None:
-            from .serialize import ellipsoid_to_json
-
             _write_json(f"{stem}_{name}.ellipsoid.json",
                         ellipsoid_to_json(cert.ellipsoid))
         print(f"{name}: lambda0={cert.lambda0:.4f} gamma={cert.gamma:.4f} "
@@ -208,6 +131,9 @@ def cmd_mpc(args) -> int:
     from .solver import project_point
 
     system = load_system(args.system)
+    # a bad scenario file fails before any output is written
+    streams = load_scenario(args.scenario, system.D, args.simulate + args.p,
+                            args.streams, args.seed) if args.simulate else []
     if args.terminal == "auto":
         C, conv = max_invariant_set(system, tol=args.tol)
         if C.is_empty():
@@ -252,8 +178,6 @@ def cmd_mpc(args) -> int:
     write_bound_curve_csv(f"{prefix}_bounds.csv", curve)
 
     if args.simulate > 0:
-        streams = load_scenario(args.scenario, system.D, args.simulate + args.p,
-                                args.streams, args.seed)
         rng = np.random.default_rng(args.seed)
         cfg = MpcConfig(p=args.p, C=C)
         bad = 0
@@ -273,29 +197,26 @@ def cmd_mpc(args) -> int:
 
 
 def cmd_demo_1d(args) -> int:
-    from .invariance import max_invariant_set
     from .models import build_1d
     from .polytope import support
-    from .regret import (_preview_gap, algorithm2, algorithm3, bound_dp,
-                         preview_sweep)
-    from .systems import collaborative
+    from .regret import regret_curve
+    from .systems import AssumptionError
 
     system, oracle = build_1d()
-    C_co, _ = max_invariant_set(collaborative(system), tol=1e-10)
-    r = support(C_co, [1.0])
+    curve = regret_curve(system, p0=1, p_max=6, methods=("alg2", "alg3"),
+                         N=1, k_max=10, tol=1e-10)
+    if curve.failures:
+        raise AssumptionError("; ".join(curve.failures.values()))
+    r = support(curve.C_max_co, [1.0])
     print(f"limit set radius: computed {r:.12f}  closed form "
           f"{oracle.cmax_co_radius():.12f}")
-    sweep = preview_sweep(system, 1, tol=1e-10)
-    first = _, proj1, _ = next(sweep)
-    cert = algorithm2(system, C_co, proj1, p0=1, N=1)
+    cert = curve.certs["alg2"]
     print(f"certificate: lambda0={cert.lambda0:.6f} gamma={cert.gamma:.6f}")
-    report = algorithm3(system, C_co, proj1, p0=1, k_max=10)
     print(" p |   true d_p   |  certified bound |  ladder")
-    for p, proj, converged in islice(chain([first], sweep), 6):
-        t = _preview_gap(p, proj, C_co) if converged else math.nan
-        b = bound_dp(cert, p)
-        lad = report.distances[p - 1]
-        print(f"{p:2d} | {t:.10f} | {b:.10f}    | {lad:.10f}")
+    for row in curve.rows:
+        t = math.nan if row["true_dp"] is None else row["true_dp"]
+        print(f"{row['p']:2d} | {t:.10f} | {row['bound_alg2']:.10f}    | "
+              f"{row['bound_alg3']:.10f}")
     print("certified bound meets the exact regret on this system")
     return EXIT_OK
 

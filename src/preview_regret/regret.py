@@ -1,12 +1,13 @@
 """Safety-regret certification: exponentially decaying upper bounds on the
 Hausdorff gap between the p-preview invariant set's projection and its
 infinite-preview limit, plus the ladder method that detects finite-time
-convergence.
+convergence, and regret_curve, which sets both next to the directly
+computed regret over a range of preview horizons.
 """
 
 import math
 from dataclasses import dataclass, field, replace
-from itertools import count, islice
+from itertools import chain, count, islice
 
 import numpy as np
 
@@ -360,3 +361,90 @@ def preview_sweep(sys: LinearSystem, p0: int = 0, tol: float = 1e-8):
         yield p, project(C, sys.n), converged
         X = None if prefix.X is None else cartesian_product(prefix.X, sys.D)
         prefix = Prefix(p + 1, prefix.k, X, prefix.stopped)
+
+
+@dataclass
+class RegretCurve:
+    """The safety-regret table of one system and what it was built from."""
+
+    C_max_co: HPolytope  # the limit set
+    proj: HPolytope  # state-space projection of the maximal p0-preview set
+    certs: dict  # method name -> RegretCertificate
+    report: ConvergenceReport | None  # the alg3 ladder, when asked for
+    failures: dict  # method name -> why it was not certified
+    rows: list  # one dict per p in p0..p_max (see write_regret_csv)
+
+
+def regret_curve(sys: LinearSystem, p0: int = 1, p_max: int = 8,
+                 methods=("alg1", "alg1_refined", "alg2", "alg3"),
+                 N: int | None = None, k_max: int = 50, tol: float = 1e-8,
+                 dim_budget: int = TRUE_DP_DIM_BUDGET) -> RegretCurve:
+    """Safety regret d_p next to the certified bounds, for p0 <= p <= p_max.
+
+    One fixed point gives the limit set; preview_sweep from p0 gives the
+    certificates' p0 projection and the true_dp column, which stops at
+    p_max or at the last horizon within dim_budget and is blank where a
+    fixed point did not converge. The certificates carry cmax_exact only
+    when both the limit set and the p0 fixed point converged. methods runs
+    in order; alg1_refined re-anchors alg1 (computed on demand) and shares
+    its failure. A method that raises AssumptionError or ValueError is
+    recorded in failures and leaves its column blank. bound_alg3 reads the
+    ladder distance at p - p0 and is 0 past the end of a closed ladder.
+    An empty limit set or p0 projection raises AssumptionError.
+    """
+    C_co, conv_co = max_invariant_set(collaborative(sys), tol=tol)
+    if C_co.is_empty():
+        raise AssumptionError("the collaborative system has an empty maximal "
+                              "invariant set; nothing to certify")
+    sweep = preview_sweep(sys, p0, tol)
+    first = _, proj, conv_p0 = next(sweep)
+    if proj.is_empty():
+        raise AssumptionError(f"the {p0}-preview system has an empty maximal "
+                              "invariant set; try a larger --p0")
+    exact = conv_co and conv_p0
+
+    certs = {}
+    report = None
+    failures = {}
+    for name in methods:
+        try:
+            if name == "alg1":
+                certs[name] = algorithm1(sys, C_co, proj, p0=p0,
+                                         cmax_exact=exact)
+            elif name == "alg1_refined":
+                if "alg1" in failures:
+                    failures[name] = failures["alg1"]
+                    continue
+                plain = certs["alg1"] if "alg1" in certs else algorithm1(
+                    sys, C_co, proj, p0=p0, cmax_exact=exact)
+                certs[name] = refine_certificate(sys, C_co, plain)
+            elif name == "alg2":
+                certs[name] = algorithm2(sys, C_co, proj, p0=p0, N=N,
+                                         cmax_exact=exact)
+            elif name == "alg3":
+                report = algorithm3(sys, C_co, proj, p0=p0, k_max=k_max)
+        except (AssumptionError, ValueError) as exc:
+            failures[name] = str(exc)
+
+    # pull no horizon past p_max or over the dimension budget
+    last = min(p_max, (dim_budget - sys.n) // sys.l)
+    true = {p: _preview_gap(p, P, C_co) for p, P, converged in
+            islice(chain([first], sweep), max(0, last - p0 + 1)) if converged}
+
+    rows = []
+    p_bar = report.p_bar if report is not None else None
+    for p in range(p0, p_max + 1):
+        row = {"p": p, "true_dp": true.get(p)}
+        for name, col in (("alg1", "bound_alg1"),
+                          ("alg1_refined", "bound_alg1_refined"),
+                          ("alg2", "bound_alg2")):
+            if name in certs:
+                row[col] = bound_dp(certs[name], p)
+        if report is not None and p - p0 < len(report.distances):
+            row["bound_alg3"] = report.distances[p - p0]
+        elif report is not None and math.isfinite(p_bar):
+            row["bound_alg3"] = 0.0  # the ladder closed: no gap from p_bar on
+        if p_bar is not None:
+            row["p_bar"] = float(p_bar)
+        rows.append(row)
+    return RegretCurve(C_co, proj, certs, report, failures, rows)

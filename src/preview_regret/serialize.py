@@ -27,6 +27,15 @@ def _require(cond, where, what):
         raise SchemaError(f"{where}: {what}")
 
 
+def _number(v, where):
+    """v as a float; SchemaError unless v is a finite JSON number."""
+    # a Python float bound compares exactly with an int of any size
+    _require(isinstance(v, (int, float)) and not isinstance(v, bool)
+             and abs(v) <= float(np.finfo(float).max), where,
+             "expected a finite number")
+    return float(v)
+
+
 def _matrix(obj, where, width=None):
     _require(isinstance(obj, list) and obj, where, "expected a nonempty array")
     rows = []
@@ -36,10 +45,9 @@ def _matrix(obj, where, width=None):
             width = len(row)
         _require(len(row) == width, f"{where}[{i}]",
                  f"has {len(row)} entries, expected {width}")
-        rows.append([float(v) for v in row])
-    M = np.asarray(rows, dtype=float)
-    _require(np.all(np.isfinite(M)), where, "entries must be finite")
-    return M
+        rows.append([_number(v, f"{where}[{i}][{j}]")
+                     for j, v in enumerate(row)])
+    return np.asarray(rows, dtype=float)
 
 
 def polytope_to_json(P: HPolytope) -> dict:
@@ -53,7 +61,8 @@ def polytope_from_json(obj, where="polytope") -> HPolytope:
     h = obj["h"]
     _require(isinstance(h, list) and len(h) == H.shape[0], f"{where}.h",
              f"needs {H.shape[0]} entries to match H")
-    return HPolytope(H, np.asarray([float(v) for v in h]))
+    return HPolytope(H, np.asarray([_number(v, f"{where}.h[{i}]")
+                                    for i, v in enumerate(h)]))
 
 
 def system_to_json(sys: LinearSystem, provenance=None) -> dict:
@@ -239,11 +248,13 @@ def write_bound_curve_csv(path, rows):
 
 
 def load_scenario(path, D, T, count, seed):
-    """Disturbance streams from a scenario file, or a seeded sampler.
+    """Disturbance streams of at least T steps from a scenario file, or a
+    seeded sampler.
 
     The file may list explicit streams ({"streams": [[[..], ..], ..]}) or
     request sampling ({"seed": .., "count": .., "T": ..}); CLI flags fill
-    whatever the file omits.
+    whatever the file omits. A stream shorter than T, a sampled length
+    below T, or a malformed document raises SchemaError.
     """
     from .mpc import sample_disturbances
 
@@ -254,12 +265,21 @@ def load_scenario(path, D, T, count, seed):
             except json.JSONDecodeError as exc:
                 raise SchemaError(f"{path}: invalid JSON at line {exc.lineno}: "
                                   f"{exc.msg}") from exc
+        _require(isinstance(obj, dict), path, "expected a JSON object")
         if "streams" in obj:
+            _require(isinstance(obj["streams"], list), "streams",
+                     "expected an array of streams")
             streams = []
             for i, s in enumerate(obj["streams"]):
                 arr = _matrix(s, f"streams[{i}]", width=D.dim)
+                _require(len(arr) >= T, f"streams[{i}]",
+                         f"has {len(arr)} steps, needs at least {T}")
                 streams.append(arr)
             return streams
+        for key, least in (("seed", 0), ("count", 0), ("T", T)):
+            _require(key not in obj or (type(obj[key]) is int
+                                        and obj[key] >= least), key,
+                     f"expected an integer of at least {least}")
         seed = obj.get("seed", seed)
         count = obj.get("count", count)
         T = obj.get("T", T)

@@ -436,8 +436,27 @@ def test_cli_mpc_rejects_unbounded_terminal(system_file, tmp_path, capsys):
     assert not (tmp_path / "m_cert.json").exists()
 
 
-def test_cli_demo(capsys):
+def test_cli_demo(monkeypatch, capsys):
+    # one regret_curve run: the limit set plus one fixed point per horizon
+    # p = 1..6, and no contractive-ellipsoid method
+    import preview_regret.invariance as inv
+    import preview_regret.regret as reg
+
+    calls = []
+    real = inv.max_invariant_set
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("demo-1d ran algorithm1")
+
+    for mod in (inv, reg):
+        monkeypatch.setattr(mod, "max_invariant_set", counting)
+    monkeypatch.setattr(reg, "algorithm1", forbidden)
     assert main(["demo-1d"]) == 0
+    assert len(calls) == 7
     out = capsys.readouterr().out
     assert "certified bound meets the exact regret" in out
 
@@ -655,3 +674,79 @@ def test_cli_mpc_exits_3_on_a_non_stabilizable_system(tmp_path, capsys):
                "--out", str(tmp_path / "r.csv")])
     assert rc == 0
     assert "alg1: not certified" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value, where", [
+    ("D.h", [0.5, "x"], "D.h[1]"),
+    ("D.h", [0.5, float("nan")], "D.h[1]"),
+    ("D.h", [[0.5], 0.5], "D.h[0]"),
+    ("A", [[None]], "A[0][0]"),
+    ("A", [[10 ** 400]], "A[0][0]"),
+    ("terminal", {"H": [[1.0], [-1.0]], "h": [0.5, "x"]}, "terminal.h[1]"),
+])
+def test_cli_rejects_a_malformed_number(field, value, where, tmp_path,
+                                        capsys):
+    doc = system_to_json(build_1d()[0])
+    argv = ["rcis"]
+    if field == "terminal":
+        terminal = tmp_path / "terminal.json"
+        terminal.write_text(json.dumps(value))
+        argv = ["mpc", "--terminal", str(terminal)]
+    elif field == "D.h":
+        doc["D"]["h"] = value
+    else:
+        doc[field] = value
+    path = tmp_path / "sys.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    rc = main(argv + [str(path), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"input error: {where}: expected a finite number" in err
+    assert "Traceback" not in err
+    assert not any(p.name.startswith("out") for p in tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("scenario, where", [
+    ([[[0.1]]], "expected a JSON object"),
+    ({"streams": {"0": [[0.1]]}}, "streams: expected an array"),
+    ({"streams": [[[0.1], [0.2]]]}, "streams[0]: has 2 steps, needs at "
+                                    "least 7"),
+    ({"streams": [[[0.1], ["x"]]]}, "streams[0][1][0]: expected a finite"),
+    ({"seed": -1}, "seed: expected an integer of at least 0"),
+    ({"seed": None}, "seed: expected an integer of at least 0"),
+    ({"count": 1.5}, "count: expected an integer of at least 0"),
+    ({"T": True}, "T: expected an integer of at least 7"),
+    ({"T": 3}, "T: expected an integer of at least 7"),
+])
+def test_cli_mpc_rejects_a_bad_scenario_before_any_output(
+        scenario, where, system_file, tmp_path, capsys):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    rc = main(["mpc", str(system_file), "--p", "2", "--simulate", "5",
+               "--scenario", str(path), "--out", str(tmp_path / "m")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert where in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "m_domain.json").exists()
+
+
+@pytest.mark.parametrize("which", ["1d", "2d-1"])
+def test_regret_curve_rows_are_the_regret_csv(which, tmp_path):
+    from preview_regret.regret import regret_curve
+    from preview_regret.serialize import write_regret_csv
+
+    system = build_1d()[0] if which == "1d" else build_2d_random(1)
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(system_to_json(system)))
+    cli_csv, own_csv = tmp_path / "cli.csv", tmp_path / "own.csv"
+    assert main(["regret", str(path), "--p0", "1", "--p-max", "4",
+                 "--out", str(cli_csv)]) == 0
+    write_regret_csv(own_csv, regret_curve(system, p0=1, p_max=4).rows)
+    with open(cli_csv, newline="") as fh:
+        want = list(csv.reader(fh))
+    with open(own_csv, newline="") as fh:
+        assert list(csv.reader(fh)) == want
+    assert len(want) == 5 and all(all(row) for row in want)
+
