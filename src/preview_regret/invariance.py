@@ -9,6 +9,7 @@ import numpy as np
 
 from .polytope import (
     HPolytope,
+    _row_norms,
     cartesian_product,
     contains,
     erode_rows,
@@ -50,10 +51,9 @@ def pre(sys, X: HPolytope, S: HPolytope | None = None) -> HPolytope:
              (dim, tuple(range(n, dim))): (X._cheby, X._incidence)}
     if isinstance(sys, LinearSystem):
         X = erode_rows(X, sys.E, sys.D)
-    AB = np.hstack([sys.A, sys.B])
-    rows = np.vstack([X.H @ AB, S.H])
-    rhs = np.r_[X.h, S.h]
-    stacked = HPolytope(rows, rhs)
+    AB = np.concatenate((sys.A, sys.B), axis=1)
+    stacked = HPolytope._built(np.concatenate((X.H @ AB, S.H)),
+                               np.concatenate((X.h, S.h)))
     stacked._offer = offer
     return project(stacked, n)
 
@@ -91,7 +91,7 @@ def pre_k(sys, X: HPolytope, k: int = 1) -> HPolytope:
 
 def _violation(Q: HPolytope, P: HPolytope, tol):
     """A point of Q outside P widened by tol per row norm, else None."""
-    return first_violation(Q, P.H, P.h + tol * np.linalg.norm(P.H, axis=1))
+    return first_violation(Q, P.H, P.h + tol * _row_norms(P.H))
 
 
 class Prefix:

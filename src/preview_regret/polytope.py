@@ -22,6 +22,12 @@ _VERT_TOL = 1e-12  # relative accuracy a cached vertex list is checked to
 _FLAT_RADIUS = 1e-9  # Chebyshev radii within +-_FLAT_RADIUS count as flat
 
 
+def _row_norms(H):
+    """The 2-norm of each row: np.linalg.norm(H, axis=1) bit for bit,
+    without its dispatch."""
+    return np.sqrt((H * H).sum(axis=1))
+
+
 class EmptyPolytopeError(ValueError):
     pass
 
@@ -63,13 +69,26 @@ class HPolytope:
                  "_offer")
 
     def __init__(self, H, h):
-        H = np.atleast_2d(np.asarray(H, dtype=float))
-        h = np.atleast_1d(np.asarray(h, dtype=float))
+        H = np.asarray(H, dtype=float)
+        h = np.asarray(h, dtype=float)
+        self._init(H if H.ndim > 1 else np.atleast_2d(H),
+                   h if h.ndim else np.atleast_1d(h))
+
+    @classmethod
+    def _built(cls, H, h) -> "HPolytope":
+        """The set on float arrays the kernel made itself. It skips only the
+        constructor's conversions: the shape and finiteness checks run where
+        the numbers are made, so an overflow is never trusted unchecked."""
+        P = object.__new__(cls)
+        P._init(H, h)
+        return P
+
+    def _init(self, H, h):
         if H.ndim != 2 or h.ndim != 1 or H.shape[0] != h.shape[0]:
             raise ValueError("H must be q x n with h of length q")
         if H.shape[0] < 1:
             raise ValueError("need at least one row")
-        if not (np.all(np.isfinite(H)) and np.all(np.isfinite(h))):
+        if not (np.isfinite(H).all() and np.isfinite(h).all()):
             raise ValueError("polytope data must be finite")
         self.H = H
         self.h = h
@@ -97,21 +116,20 @@ class HPolytope:
 
     @classmethod
     def empty(cls, dim: int) -> "HPolytope":
-        P = cls(np.zeros((1, dim)), np.array([-1.0]))
+        P = cls._built(np.zeros((1, dim)), np.array([-1.0]))
         P._empty = True
         return P
 
     @classmethod
     def universe(cls, dim: int) -> "HPolytope":
-        P = cls(np.zeros((1, dim)), np.array([1.0]))
+        P = cls._built(np.zeros((1, dim)), np.array([1.0]))
         P._empty = False
         return P
 
     def is_empty(self) -> bool:
         if self._empty is None:
-            norms = np.linalg.norm(self.H, axis=1)
-            degenerate = norms <= 1e-14
-            if np.any(self.h[degenerate] < -1e-12):
+            degenerate = _row_norms(self.H) <= 1e-14
+            if (self.h[degenerate] < -1e-12).any():
                 self._empty = True
             else:
                 sol = solve_lp_fast(np.zeros(self.dim), self.H, self.h)
@@ -138,7 +156,7 @@ class HPolytope:
             raise EmptyPolytopeError("no Chebyshev center: polytope is empty")
         if self._cheby is None:
             n = self.dim
-            norms = np.linalg.norm(self.H, axis=1)
+            norms = _row_norms(self.H)
             A = np.hstack([self.H, norms[:, None]])
             A = np.vstack([A, np.r_[np.zeros(n), 1.0]])
             b = np.r_[self.h, 1e9]
@@ -274,9 +292,8 @@ def first_violation(Q: HPolytope, H, bound):
     rows = range(H.shape[0])
     if Q._verts is not None:
         vals = Q._verts @ H.T
-        s = np.max(vals, axis=0)
-        slack = (_VERT_TOL * np.linalg.norm(H, axis=1)
-                 * max(1.0, np.max(np.abs(Q._verts))))
+        s = vals.max(axis=0)
+        slack = _VERT_TOL * _row_norms(H) * max(1.0, abs(Q._verts).max())
         bad = np.flatnonzero(s > bound + slack)
         if bad.size:
             return Q._verts[np.argmax(vals[:, bad[0]])].copy()
@@ -285,7 +302,8 @@ def first_violation(Q: HPolytope, H, bound):
         sol = solve_lp_fast(-H[i], Q.H, Q.h)
         if sol.status == UNBOUNDED:
             cap = bound[i] + 1.0 + abs(bound[i])
-            sol = solve_lp_fast(-H[i], np.vstack([Q.H, H[i]]), np.r_[Q.h, cap])
+            sol = solve_lp_fast(-H[i], np.concatenate((Q.H, H[i:i + 1])),
+                                np.concatenate((Q.h, [cap])))
         if sol.status == INFEASIBLE:
             return None
         if -sol.objective > bound[i]:
@@ -303,10 +321,10 @@ def erode_rows(P: HPolytope, E, D: HPolytope) -> HPolytope:
     E = np.atleast_2d(np.asarray(E, dtype=float))
     dirs = P.H @ E
     if D._verts is not None:
-        worst = np.max(dirs @ D._verts.T, axis=1)
+        worst = (dirs @ D._verts.T).max(axis=1)
     else:
         worst = np.array([support(D, row) for row in dirs])
-    return HPolytope(P.H.copy(), P.h - worst)
+    return HPolytope._built(P.H.copy(), P.h - worst)
 
 
 def contains(P: HPolytope, Q: HPolytope, tol=TAU_SET) -> bool:
@@ -315,7 +333,7 @@ def contains(P: HPolytope, Q: HPolytope, tol=TAU_SET) -> bool:
         raise ValueError("dimension mismatch in containment check")
     if Q.is_empty():
         return True
-    norms = np.linalg.norm(P.H, axis=1)
+    norms = _row_norms(P.H)
     return first_violation(Q, P.H, P.h + tol * np.maximum(norms, 1.0)) is None
 
 
@@ -331,25 +349,32 @@ def _dedupe_rows(H, h):
     """Drop exact-duplicate directions keeping the tightest offset.
 
     Comparison happens on norm-scaled copies; the returned rows are the
-    original (unscaled) ones.
+    original (unscaled) ones. A row with a NaN or infinite entry, or one
+    whose norm overflows, raises ValueError: it has no direction to compare,
+    and dropping it as a zero row would enlarge the set.
     """
-    norms = np.linalg.norm(H, axis=1)
+    norms = _row_norms(H)
+    if not np.isfinite(norms).all():
+        raise ValueError("polytope rows must be finite, with a finite norm")
     work = norms > 1e-14
-    if np.any(h[~work] < -1e-12):
-        return None, None  # infeasible zero row
-    Hw, hw, nw = H[work], h[work], norms[work]
-    if Hw.shape[0] == 0:
-        return np.zeros((0, H.shape[1])), np.zeros(0)
-    Hn = Hw / nw[:, None]
-    hn = hw / nw
-    key = np.round(Hn, 12)
+    if not work.all():
+        if (h[~work] < -1e-12).any():
+            return None, None  # infeasible zero row
+        H, h, norms = H[work], h[work], norms[work]
+        if H.shape[0] == 0:
+            return np.zeros((0, H.shape[1])), np.zeros(0)
+    Hn = H / norms[:, None]
+    hn = h / norms
+    key = Hn.round(12)
     # direction columns are the significant keys; offset breaks ties ascending
     order = np.lexsort((hn, *key.T))
-    key_sorted = key[order]
-    first = np.r_[True, np.any(np.diff(key_sorted, axis=0) != 0, axis=1)]
+    key = key[order]
+    first = np.empty(order.size, dtype=bool)
+    first[0] = True
+    (key[1:] != key[:-1]).any(axis=1, out=first[1:])
     keep = order[first]  # smallest offset within each direction group
     keep.sort()
-    return Hw[keep], hw[keep]
+    return H[keep], h[keep]
 
 
 def _reduce_lp(H, h):
@@ -373,17 +398,18 @@ def _reduce_lp(H, h):
     return H[keep], h[keep]
 
 
-def _vertex_slack(V, H, h):
-    """(H V' - h) / scale, with each row's scale its norm times
-    max(1, max |V|): the relative slack of every row at every vertex."""
-    scale = np.linalg.norm(H, axis=1) * max(1.0, np.max(np.abs(V)))
+def _vertex_slack(V, H, h, norms):
+    """(H V' - h) / scale, with each row's scale its norm (norms, the row
+    norms of H) times max(1, max |V|): the relative slack of every row at
+    every vertex."""
+    scale = norms * max(1.0, abs(V).max())
     slack = V @ H.T
     slack -= h
     slack /= scale
     return slack
 
 
-def _hull_vertices(equations, center, H, h):
+def _hull_vertices(equations, center, H, h, norms):
     """Primal vertices from the facets of the dual hull, or None.
 
     Facet a.y + b <= 0 of the hull is the vertex center - a / b. Qhull
@@ -399,16 +425,17 @@ def _hull_vertices(equations, center, H, h):
     rows = equations.view(np.dtype((np.void, equations[0].nbytes)))
     equations = equations[np.sort(np.unique(rows, return_index=True)[1])]
     V = center - equations[:, :-1] / equations[:, -1:]
-    slack = _vertex_slack(V, H, h)
-    if np.max(slack) > _VERT_TOL:
+    slack = _vertex_slack(V, H, h, norms)
+    if slack.max() > _VERT_TOL:
         return None
-    if np.min(np.count_nonzero(slack >= -1e-9, axis=1)) < H.shape[1]:
+    if np.count_nonzero(slack >= -1e-9, axis=1).min() < H.shape[1]:
         return None
     return V
 
 
-def _reduce_dual_hull(H, h, center):
-    """Facet identification through polar duality around an interior point.
+def _reduce_dual_hull(H, h, center, norms):
+    """Facet identification through polar duality around an interior point
+    (norms holds the row norms of H).
 
     Row i becomes the point H_i / (h_i - H_i center); the irredundant rows
     are the vertices of the hull of these points, and its facets are the
@@ -424,18 +451,18 @@ def _reduce_dual_hull(H, h, center):
     if H.shape[0] <= H.shape[1]:
         return None  # at most n halfspaces never bound a set in R^n
     d = h - H @ center
-    if np.any(d <= 1e-12 * np.maximum(np.linalg.norm(H, axis=1), 1.0)):
+    if (d <= 1e-12 * np.maximum(norms, 1.0)).any():
         return None
     pts = H / d[:, None]
     try:
         hull = ConvexHull(pts)
     except QhullError:
         return None
-    if not np.all(hull.equations[:, -1] < 0):
+    if not (hull.equations[:, -1] < 0).all():
         return None
     keep = np.sort(hull.vertices)
     Hk, hk = H[keep], h[keep]
-    V = _hull_vertices(hull.equations, center, Hk, hk)
+    V = _hull_vertices(hull.equations, center, Hk, hk, norms[keep])
     incidence = None
     if V is not None and V.shape[0] == hull.simplices.shape[0]:
         incidence = _Incidence(H.shape, hull.simplices)
@@ -446,7 +473,7 @@ def _repeats(rows):
     """Whether each row of an int array equals the next once the rows are
     sorted."""
     rows = rows[np.lexsort(rows.T)]
-    return np.all(rows[1:] == rows[:-1], axis=1)
+    return (rows[1:] == rows[:-1]).all(axis=1)
 
 
 class _Incidence:
@@ -474,8 +501,8 @@ class _Incidence:
             ridges = np.broadcast_to(active[:, None, :], (len(active), n, n))
             ridges = ridges[:, ~np.eye(n, dtype=bool)].reshape(-1, n - 1)
             same = _repeats(ridges)  # twice each: equal in pairs, unequal across
-            closed = (len(ridges) % 2 == 0 and np.all(same[0::2])
-                      and not np.any(same[1::2]) and not np.any(_repeats(active)))
+            closed = (len(ridges) % 2 == 0 and same[0::2].all()
+                      and not same[1::2].any() and not _repeats(active).any())
             self._keep = np.unique(active) if closed else np.zeros(0, int)
         return self._keep
 
@@ -506,12 +533,12 @@ def _reduce_by_incidence(H, h, incidence):
         V = np.linalg.solve(H[active], h[active][:, :, None])[:, :, 0]
     except np.linalg.LinAlgError:
         return None
-    slack = _vertex_slack(V, H, h)
-    if np.max(slack) > _VERT_TOL:
+    slack = _vertex_slack(V, H, h, _row_norms(H))
+    if slack.max() > _VERT_TOL:
         return None
     tight = slack >= -1e-9
     if (np.count_nonzero(tight) != active.size
-            or not np.all(np.take_along_axis(tight, active, axis=1))):
+            or not tight[np.arange(len(active))[:, None], active].all()):
         return None
     keep = incidence.keep()
     if keep.size == 0:
@@ -544,8 +571,9 @@ def _reduce_1d(H, h):
     return np.array(rows), np.array(rhs)
 
 
-def _carried_ball(H, h, ball):
-    """ball = (center, radius) re-measured on the rows (H, h), or None.
+def _carried_ball(H, h, ball, norms):
+    """ball = (center, radius) re-measured on the rows (H, h) of row norms
+    norms, or None.
 
     The new radius is the distance from the center to the nearest row. The
     ball is kept when that radius exceeds _FLAT_RADIUS, which puts the
@@ -556,14 +584,14 @@ def _carried_ball(H, h, ball):
     if ball is None:
         return None
     center, radius = ball
-    r = float(np.min((h - H @ center) / np.linalg.norm(H, axis=1)))
+    r = float(((h - H @ center) / norms).min())
     if r > _FLAT_RADIUS and r >= 0.5 * radius:
         return center, r
     return None
 
 
 def _nonempty(H, h, verts=None, incidence=None, cheby=None) -> HPolytope:
-    out = HPolytope(H, h)
+    out = HPolytope._built(H, h)
     out._empty = False
     out._cheby = cheby
     out._verts = verts
@@ -606,10 +634,11 @@ def remove_redundancy(P: HPolytope) -> HPolytope:
             return HPolytope.empty(1)
         ends = np.array([[-h1[1]], [h1[0]]]) if len(h1) == 2 else None
         return _nonempty(H1, h1, ends)
-    ball = _carried_ball(Hd, hd, P._cheby)
+    norms = _row_norms(Hd)
+    ball = _carried_ball(Hd, hd, P._cheby, norms)
     if ball is None:
         try:
-            ball = HPolytope(Hd, hd).chebyshev_center()
+            ball = HPolytope._built(Hd, hd).chebyshev_center()
         except EmptyPolytopeError:
             return HPolytope.empty(P.dim)
     center, radius = ball
@@ -620,7 +649,7 @@ def remove_redundancy(P: HPolytope) -> HPolytope:
         if P._incidence is not None:
             out = _reduce_by_incidence(Hd, hd, P._incidence)
         if out is None:
-            out = _reduce_dual_hull(Hd, hd, center)
+            out = _reduce_dual_hull(Hd, hd, center, norms)
         if out is not None:
             return _nonempty(*out, cheby=(center, radius))
     return _nonempty(*_reduce_lp(Hd, hd), cheby=(center, radius))
@@ -640,42 +669,34 @@ def cache_vertex_list(P: HPolytope) -> None:
 
 def _fm_eliminate(H, h, j):
     """Eliminate coordinate j by pairwise combination; column j is dropped."""
-    scale_row = np.max(np.abs(H), axis=1)
-    scale_row = np.maximum(scale_row, 1e-300)
+    absH = np.abs(H)
+    scale_row = np.maximum(absH.max(axis=1), 1e-300)
     coef = H[:, j]
-    zero = np.abs(coef) <= 1e-12 * scale_row
-    pos = (~zero) & (coef > 0)
-    neg = (~zero) & (coef < 0)
-    keep_cols = np.r_[np.arange(j), np.arange(j + 1, H.shape[1])]
-    rows = [np.empty((0, keep_cols.size))]
-    rhs = [np.empty(0)]
-    if np.any(zero):
-        rows.append(H[np.ix_(zero, keep_cols)])
-        rhs.append(h[zero])
-    if np.any(pos) and np.any(neg):
-        Hp, hp, cp = H[pos][:, keep_cols], h[pos], coef[pos]
-        Hn, hn, cn = H[neg][:, keep_cols], h[neg], coef[neg]
+    zero = absH[:, j] <= 1e-12 * scale_row
+    pos = ~zero & (coef > 0)
+    neg = ~zero & (coef < 0)
+    rest = np.concatenate((H[:, :j], H[:, j + 1:]), axis=1)
+    rows, rhs = [rest[zero]], [h[zero]]
+    if pos.any() and neg.any():
+        cp, cn = coef[pos], -coef[neg]
         # row_p * (-c_n) + row_n * c_p  (both multipliers positive)
-        newH = (Hp[:, None, :] * (-cn)[None, :, None]
-                + Hn[None, :, :] * cp[:, None, None])
-        newh = hp[:, None] * (-cn)[None, :] + hn[None, :] * cp[:, None]
-        rows.append(newH.reshape(-1, keep_cols.size))
-        rhs.append(newh.reshape(-1))
-    H_out = np.vstack(rows)
-    h_out = np.concatenate(rhs)
+        newH = rest[pos][:, None, :] * cn[:, None]
+        newH += rest[neg] * cp[:, None, None]
+        rows.append(newH.reshape(-1, rest.shape[1]))
+        rhs.append((h[pos][:, None] * cn + h[neg] * cp[:, None]).reshape(-1))
+    H_out = np.concatenate(rows)
     if H_out.shape[0] == 0:
-        return np.zeros((1, keep_cols.size)), np.array([1.0])
+        return np.zeros((1, rest.shape[1])), np.array([1.0])
     # Rescale by a power of two to keep magnitudes tame without rounding.
-    mags = np.max(np.abs(H_out), axis=1)
-    big = mags > 0
-    expo = np.zeros_like(mags)
-    expo[big] = np.exp2(np.ceil(np.log2(mags[big])))
-    expo[~big] = 1.0
-    return H_out / expo[:, None], h_out / expo
+    mags = np.abs(H_out).max(axis=1)
+    expo = np.exp2(np.ceil(np.log2(np.where(mags > 0, mags, 1.0))))
+    H_out /= expo[:, None]
+    return H_out, np.concatenate(rhs) / expo
 
 
 def project(P: HPolytope, keep: int) -> HPolytope:
-    """Exact orthogonal projection onto the first `keep` coordinates.
+    """Exact orthogonal projection onto the first `keep` coordinates, for
+    keep from 1 to the dimension (anything else raises ValueError).
 
     Each eliminated coordinate costs one remove_redundancy, which also
     drops the duplicate rows that Fourier-Motzkin generates. Fourier-Motzkin
@@ -694,37 +715,34 @@ def project(P: HPolytope, keep: int) -> HPolytope:
     n = P.dim
     if keep > n:
         raise ValueError("cannot keep more coordinates than the dimension")
+    if keep < 1:
+        raise ValueError("a projection keeps at least one coordinate")
     if keep == n:
         return P
     if P._empty:
         return HPolytope.empty(keep)
     H, h, ball = P.H, P.h, P._cheby
-    colmap = list(range(n))  # original coordinate index of each current column
-    remaining = list(range(keep, n))
+    remaining = list(range(keep, n))  # original index of column keep + i
     offers, records, gone = P._offer or {}, {}, []
     while remaining:
         # Eliminate the coordinate with the fewest pairwise combinations.
-        best, best_cost = None, None
-        scale_row = np.maximum(np.max(np.abs(H), axis=1), 1e-300)
-        for j, orig in enumerate(colmap):
-            if orig not in remaining:
-                continue
-            coef = H[:, j]
-            nz = np.abs(coef) > 1e-12 * scale_row
-            p = int(np.sum(nz & (coef > 0)))
-            m = int(np.sum(nz & (coef < 0)))
-            cost = p * m - p - m
-            if best_cost is None or cost < best_cost:
-                best, best_cost = j, cost
-        gone.append(colmap.pop(best))
-        remaining.remove(gone[-1])
-        H, h = _fm_eliminate(H, h, best)
+        j = keep
+        if len(remaining) > 1:
+            coef = H[:, keep:]
+            scale_row = np.maximum(np.abs(H).max(axis=1), 1e-300)
+            nz = np.abs(coef) > 1e-12 * scale_row[:, None]
+            pos = (nz & (coef > 0)).sum(axis=0)
+            neg = (nz & (coef < 0)).sum(axis=0)
+            j += int((pos * neg - pos - neg).argmin())
+        gone.append(remaining.pop(j - keep))
+        H, h = _fm_eliminate(H, h, j)
         if H.shape[0] > ROW_CAP:
             raise BudgetExceededError(
                 f"Fourier-Motzkin exceeded the {ROW_CAP}-row cap")
-        fm = HPolytope(H, h)
+        fm = HPolytope._built(H, h)
         if ball is not None:
-            fm._cheby = (np.delete(ball[0], best), ball[1])
+            fm._cheby = (np.concatenate((ball[0][:j], ball[0][j + 1:])),
+                         ball[1])
         key = (n, tuple(sorted(gone)))
         if key in offers:
             offered_ball, fm._incidence = offers[key]

@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 from preview_regret.polytope import (
     BudgetExceededError,
@@ -11,7 +11,10 @@ from preview_regret.polytope import (
     NormalFormError,
     TAU_SET,
     UnboundedError,
+    _dedupe_rows,
+    _fm_eliminate,
     _reduce_lp,
+    _row_norms,
     _support_lp,
     bounding_box,
     cartesian_product,
@@ -728,6 +731,168 @@ def test_empty_propagation():
     assert HPolytope(np.vstack([E.H, box.H]), np.r_[E.h, box.h]).is_empty()
     assert remove_redundancy(E).is_empty()
     assert project(E, 1).is_empty()
+
+
+# ---------------------------------------------------------------------------
+# the backward step's kernels against their earlier formulas
+
+
+def _fm_eliminate_oracle(H, h, j):
+    """Fourier-Motzkin elimination as first written, with NumPy's wrappers;
+    the kernel must match it byte for byte."""
+    scale_row = np.max(np.abs(H), axis=1)
+    scale_row = np.maximum(scale_row, 1e-300)
+    coef = H[:, j]
+    zero = np.abs(coef) <= 1e-12 * scale_row
+    pos = (~zero) & (coef > 0)
+    neg = (~zero) & (coef < 0)
+    keep_cols = np.r_[np.arange(j), np.arange(j + 1, H.shape[1])]
+    rows = [np.empty((0, keep_cols.size))]
+    rhs = [np.empty(0)]
+    if np.any(zero):
+        rows.append(H[np.ix_(zero, keep_cols)])
+        rhs.append(h[zero])
+    if np.any(pos) and np.any(neg):
+        Hp, hp, cp = H[pos][:, keep_cols], h[pos], coef[pos]
+        Hn, hn, cn = H[neg][:, keep_cols], h[neg], coef[neg]
+        newH = (Hp[:, None, :] * (-cn)[None, :, None]
+                + Hn[None, :, :] * cp[:, None, None])
+        newh = hp[:, None] * (-cn)[None, :] + hn[None, :] * cp[:, None]
+        rows.append(newH.reshape(-1, keep_cols.size))
+        rhs.append(newh.reshape(-1))
+    H_out = np.vstack(rows)
+    h_out = np.concatenate(rhs)
+    if H_out.shape[0] == 0:
+        return np.zeros((1, keep_cols.size)), np.array([1.0])
+    mags = np.max(np.abs(H_out), axis=1)
+    big = mags > 0
+    expo = np.zeros_like(mags)
+    expo[big] = np.exp2(np.ceil(np.log2(mags[big])))
+    expo[~big] = 1.0
+    return H_out / expo[:, None], h_out / expo
+
+
+def _dedupe_rows_oracle(H, h):
+    """Row deduplication as first written, with NumPy's wrappers."""
+    norms = np.linalg.norm(H, axis=1)
+    work = norms > 1e-14
+    if np.any(h[~work] < -1e-12):
+        return None, None
+    Hw, hw, nw = H[work], h[work], norms[work]
+    if Hw.shape[0] == 0:
+        return np.zeros((0, H.shape[1])), np.zeros(0)
+    Hn = Hw / nw[:, None]
+    hn = hw / nw
+    key = np.round(Hn, 12)
+    order = np.lexsort((hn, *key.T))
+    key_sorted = key[order]
+    first = np.r_[True, np.any(np.diff(key_sorted, axis=0) != 0, axis=1)]
+    keep = order[first]
+    keep.sort()
+    return Hw[keep], hw[keep]
+
+
+_ENTRIES = st.one_of(
+    st.sampled_from([0.0, 1.0, -1.0, 0.5, -2.0, 3.0, 1e-13, -1e-13]),
+    st.floats(min_value=-1e3, max_value=1e3, allow_nan=False))
+
+
+@st.composite
+def fm_inputs(draw, min_dim):
+    """(H, h, j) with column j all zero, one-signed or mixed, rows
+    repeated at other scales and offsets (some nudged off their direction
+    by less or more than the dedupe key resolves), and zero rows at offsets
+    -1, 0 and 1."""
+    n = draw(st.integers(min_value=min_dim, max_value=4))
+    q = draw(st.integers(min_value=1, max_value=8))
+    H = np.array(draw(st.lists(st.lists(_ENTRIES, min_size=n, max_size=n),
+                               min_size=q, max_size=q)))
+    h = np.array(draw(st.lists(_ENTRIES, min_size=q, max_size=q)))
+    j = draw(st.integers(min_value=0, max_value=n - 1))
+    column = draw(st.sampled_from(["zero", "positive", "negative", "mixed",
+                                   "as drawn"]))
+    if column == "zero":
+        H[:, j] = 0.0
+    elif column in ("positive", "negative"):
+        H[:, j] = np.abs(H[:, j]) + 0.25
+        if column == "negative":
+            H[:, j] *= -1.0
+    elif column == "mixed":
+        H[0, j], H[-1, j] = 1.5, -0.75
+    copies = draw(st.lists(st.tuples(
+        st.integers(min_value=0, max_value=q - 1),
+        st.sampled_from([0.5, 2.0, 3.0, 1e-3, 1e3]),
+        st.sampled_from([0.0, 0.0, 1e-14, 1e-10]), _ENTRIES), max_size=4))
+    zeros = draw(st.lists(st.sampled_from([-1.0, 0.0, 1.0]), max_size=2))
+    for i, s, nudge, off in copies:
+        row = s * H[i]
+        row[0] += nudge * np.abs(row).max()
+        H, h = np.vstack([H, row]), np.r_[h, off]
+    for off in zeros:
+        H, h = np.vstack([H, np.zeros(n)]), np.r_[h, off]
+    return H, h, j
+
+
+def _same_bytes(got, want):
+    for a, b in zip(got, want):
+        if b is None:
+            assert a is None
+        else:
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@seed(21)
+@settings(max_examples=50, deadline=None)
+@given(fm_inputs(min_dim=2))  # no elimination leaves zero columns
+def test_fm_eliminate_matches_its_first_formula(case):
+    H, h, j = case
+    _same_bytes(_fm_eliminate(H, h, j), _fm_eliminate_oracle(H, h, j))
+
+
+@seed(21)
+@settings(max_examples=50, deadline=None)
+@given(fm_inputs(min_dim=1))
+def test_dedupe_rows_matches_its_first_formula(case):
+    H, h, _ = case
+    for M in (H, np.asfortranarray(H)):
+        assert _row_norms(M).tobytes() == np.linalg.norm(M, axis=1).tobytes()
+        _same_bytes(_dedupe_rows(M, h), _dedupe_rows_oracle(M, h))
+
+
+def test_fm_eliminate_oracle_cases():
+    # one-signed column and no zero row: no pair, so the 0 <= 1 marker
+    H, h = np.array([[1.0, 2.0], [3.0, -1.0]]), np.array([1.0, 2.0])
+    for got in (_fm_eliminate(H, h, 0), _fm_eliminate_oracle(H, h, 0)):
+        assert got[0].tolist() == [[0.0]] and got[1].tolist() == [1.0]
+    # a pair that cancels to a zero row keeps its offset, scaled by one
+    H, h = np.array([[1.0, 1.0], [-1.0, -1.0]]), np.array([1.0, 3.0])
+    got = _fm_eliminate(H, h, 0)
+    _same_bytes(got, _fm_eliminate_oracle(H, h, 0))
+    assert got[0].tolist() == [[0.0]] and got[1].tolist() == [4.0]
+
+
+def test_dedupe_rows_rejects_a_non_finite_row():
+    for bad in ([np.nan, 1.0], [np.inf, 0.0], [1e200, 1e200]):
+        H = np.array([[1.0, 0.0], bad])
+        with np.errstate(over="ignore"), pytest.raises(ValueError,
+                                                       match="finite"):
+            _dedupe_rows(H, np.array([1.0, 1.0]))
+
+
+def test_project_keeps_one_to_n_coordinates():
+    for keep in (-1, 0, 3):
+        with pytest.raises(ValueError, match="coordinate"):
+            project(unit_box(2), keep)
+
+
+def test_project_rejects_an_overflowing_elimination():
+    # the pair of the first two rows overflows to inf and its rescale to
+    # NaN; the set must not come out as the outer interval [-1, 1]
+    P = HPolytope([[1e200, 1e200], [1e200, -1e200], [-1, 0], [1, 0]],
+                  [1, 1, 1, 1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="polytope data must be finite"):
+            project(P, 1)
 
 
 # ---------------------------------------------------------------------------
