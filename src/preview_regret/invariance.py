@@ -52,8 +52,8 @@ def pre(sys, X: HPolytope, S: HPolytope | None = None) -> HPolytope:
     if isinstance(sys, LinearSystem):
         X = erode_rows(X, sys.E, sys.D)
     AB = np.concatenate((sys.A, sys.B), axis=1)
-    stacked = HPolytope._built(np.concatenate((X.H @ AB, S.H)),
-                               np.concatenate((X.h, S.h)))
+    stacked = HPolytope(np.concatenate((X.H @ AB, S.H)),
+                        np.concatenate((X.h, S.h)))
     stacked._offer = offer
     return project(stacked, n)
 

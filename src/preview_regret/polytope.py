@@ -71,19 +71,10 @@ class HPolytope:
     def __init__(self, H, h):
         H = np.asarray(H, dtype=float)
         h = np.asarray(h, dtype=float)
-        self._init(H if H.ndim > 1 else np.atleast_2d(H),
-                   h if h.ndim else np.atleast_1d(h))
-
-    @classmethod
-    def _built(cls, H, h) -> "HPolytope":
-        """The set on float arrays the kernel made itself. It skips only the
-        constructor's conversions: the shape and finiteness checks run where
-        the numbers are made, so an overflow is never trusted unchecked."""
-        P = object.__new__(cls)
-        P._init(H, h)
-        return P
-
-    def _init(self, H, h):
+        if H.ndim < 2:
+            H = np.atleast_2d(H)
+        if h.ndim < 1:
+            h = np.atleast_1d(h)
         if H.ndim != 2 or h.ndim != 1 or H.shape[0] != h.shape[0]:
             raise ValueError("H must be q x n with h of length q")
         if H.shape[0] < 1:
@@ -116,13 +107,13 @@ class HPolytope:
 
     @classmethod
     def empty(cls, dim: int) -> "HPolytope":
-        P = cls._built(np.zeros((1, dim)), np.array([-1.0]))
+        P = cls(np.zeros((1, dim)), np.array([-1.0]))
         P._empty = True
         return P
 
     @classmethod
     def universe(cls, dim: int) -> "HPolytope":
-        P = cls._built(np.zeros((1, dim)), np.array([1.0]))
+        P = cls(np.zeros((1, dim)), np.array([1.0]))
         P._empty = False
         return P
 
@@ -324,7 +315,7 @@ def erode_rows(P: HPolytope, E, D: HPolytope) -> HPolytope:
         worst = (dirs @ D._verts.T).max(axis=1)
     else:
         worst = np.array([support(D, row) for row in dirs])
-    return HPolytope._built(P.H.copy(), P.h - worst)
+    return HPolytope(P.H.copy(), P.h - worst)
 
 
 def contains(P: HPolytope, Q: HPolytope, tol=TAU_SET) -> bool:
@@ -507,10 +498,10 @@ class _Incidence:
         return self._keep
 
 
-def _reduce_by_incidence(H, h, incidence):
+def _reduce_by_incidence(H, h, incidence, norms):
     """(H[keep], h[keep], vertex list, incidence) when an _Incidence record
-    certifies the facets of {x : Hx <= h}, else None. It solves no LP and
-    builds no hull.
+    certifies the facets of {x : Hx <= h} (norms holds the row norms of H),
+    else None. It solves no LP and builds no hull.
 
     Each active set is solved for its candidate vertex. The record holds
     when, cheapest check first:
@@ -533,7 +524,7 @@ def _reduce_by_incidence(H, h, incidence):
         V = np.linalg.solve(H[active], h[active][:, :, None])[:, :, 0]
     except np.linalg.LinAlgError:
         return None
-    slack = _vertex_slack(V, H, h, _row_norms(H))
+    slack = _vertex_slack(V, H, h, norms)
     if slack.max() > _VERT_TOL:
         return None
     tight = slack >= -1e-9
@@ -591,7 +582,7 @@ def _carried_ball(H, h, ball, norms):
 
 
 def _nonempty(H, h, verts=None, incidence=None, cheby=None) -> HPolytope:
-    out = HPolytope._built(H, h)
+    out = HPolytope(H, h)
     out._empty = False
     out._cheby = cheby
     out._verts = verts
@@ -638,7 +629,7 @@ def remove_redundancy(P: HPolytope) -> HPolytope:
     ball = _carried_ball(Hd, hd, P._cheby, norms)
     if ball is None:
         try:
-            ball = HPolytope._built(Hd, hd).chebyshev_center()
+            ball = HPolytope(Hd, hd).chebyshev_center()
         except EmptyPolytopeError:
             return HPolytope.empty(P.dim)
     center, radius = ball
@@ -647,7 +638,7 @@ def remove_redundancy(P: HPolytope) -> HPolytope:
     if radius > _FLAT_RADIUS:
         out = None
         if P._incidence is not None:
-            out = _reduce_by_incidence(Hd, hd, P._incidence)
+            out = _reduce_by_incidence(Hd, hd, P._incidence, norms)
         if out is None:
             out = _reduce_dual_hull(Hd, hd, center, norms)
         if out is not None:
@@ -739,7 +730,7 @@ def project(P: HPolytope, keep: int) -> HPolytope:
         if H.shape[0] > ROW_CAP:
             raise BudgetExceededError(
                 f"Fourier-Motzkin exceeded the {ROW_CAP}-row cap")
-        fm = HPolytope._built(H, h)
+        fm = HPolytope(H, h)
         if ball is not None:
             fm._cheby = (np.concatenate((ball[0][:j], ball[0][j + 1:])),
                          ball[1])

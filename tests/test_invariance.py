@@ -358,8 +358,8 @@ def test_carried_incidence_reduces_like_the_hull(monkeypatch):
     warm = poly._reduce_by_incidence
     hits = []
 
-    def checked(H, h, incidence):
-        out = warm(H, h, incidence)
+    def checked(H, h, incidence, norms):
+        out = warm(H, h, incidence, norms)
         if out is not None:
             cold = poly.remove_redundancy(HPolytope(H, h))
             assert out[0].tobytes() == cold.H.tobytes()
@@ -382,7 +382,7 @@ def test_carried_incidence_reduces_like_the_hull(monkeypatch):
 
     C, conv, steps = run(checked)
     assert conv and len(hits) >= steps // 2
-    C_cold, conv_cold, steps_cold = run(lambda H, h, incidence: None)
+    C_cold, conv_cold, steps_cold = run(lambda H, h, incidence, norms: None)
     assert conv_cold and steps == steps_cold
     assert C.H.tobytes() == C_cold.H.tobytes()
     assert C.h.tobytes() == C_cold.h.tobytes()
