@@ -9,6 +9,7 @@ import numpy as np
 
 from .invariance import pre_k, rcis_violation_witness
 from .polytope import (
+    _FLAT_RADIUS,
     BudgetExceededError,
     HPolytope,
     UnboundedError,
@@ -230,12 +231,28 @@ def mpc_step(sys: LinearSystem, cfg: MpcConfig, x0, preview):
 
 
 def sample_disturbances(D: HPolytope, T: int, rng) -> np.ndarray:
-    """T samples uniform over D by rejection from its bounding box."""
+    """T samples uniform over D by rejection from its bounding box.
+
+    Rejection ends only if D, with the coordinates the box pins fixed, has
+    an interior. A D with a vertex list has one (flat sets get no list);
+    otherwise its Chebyshev radius must exceed _FLAT_RADIUS. A D that
+    fails raises ValueError instead of drawing forever.
+    """
     box = bounding_box(D)
+    wide = box.upper > box.lower
+    if D._verts is None and wide.sum() > 1:
+        free = D if wide.all() else HPolytope(
+            D.H[:, wide], D.h - D.H[:, ~wide] @ box.lower[~wide])
+        if free.chebyshev_center()[1] <= _FLAT_RADIUS:
+            raise ValueError("the disturbance set has no interior to sample "
+                             "from; give the streams in a scenario file")
     out = np.empty((T, D.dim))
     count = 0
     while count < T:
-        cand = rng.uniform(box.lower, box.upper, size=(4 * (T - count), D.dim))
+        # + 0.0 turns an upper bound of -0.0 into 0.0: uniform rejects
+        # high - low = -0.0 as negative
+        cand = rng.uniform(box.lower, box.upper + 0.0,
+                           size=(4 * (T - count), D.dim))
         for c in cand:
             if D.contains_point(c):
                 out[count] = c

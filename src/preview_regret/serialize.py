@@ -254,7 +254,8 @@ def load_scenario(path, D, T, count, seed):
     The file may list explicit streams ({"streams": [[[..], ..], ..]}) or
     request sampling ({"seed": .., "count": .., "T": ..}); CLI flags fill
     whatever the file omits. A stream shorter than T, a sampled length
-    below T, or a malformed document raises SchemaError.
+    below T, a malformed document, or a D that sample_disturbances cannot
+    sample raises SchemaError.
     """
     from .mpc import sample_disturbances
 
@@ -284,4 +285,7 @@ def load_scenario(path, D, T, count, seed):
         count = obj.get("count", count)
         T = obj.get("T", T)
     rng = np.random.default_rng(seed)
-    return [sample_disturbances(D, T, rng) for _ in range(count)]
+    try:
+        return [sample_disturbances(D, T, rng) for _ in range(count)]
+    except ValueError as exc:
+        raise SchemaError(f"D: {exc}") from exc

@@ -43,15 +43,10 @@ class LpSolution:
         return self.status == OPTIMAL
 
 
-def _scipy_lp(c, A_ub, b_ub, A_eq, b_eq, nonneg=None):
+def _scipy_lp(c, A_ub, b_ub):
     from scipy.optimize import linprog
 
-    if nonneg is None:
-        bounds = (None, None)
-    else:
-        bounds = [(0, None) if f else (None, None) for f in nonneg]
-    res = linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
-                  bounds=bounds, method="highs")
+    res = linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=(None, None), method="highs")
     if res.status == 0:
         return OPTIMAL, res.x, float(res.fun)
     if res.status == 2:
@@ -61,79 +56,49 @@ def _scipy_lp(c, A_ub, b_ub, A_eq, b_eq, nonneg=None):
     raise SolverError(f"LP backend failed: {res.message}")
 
 
-def _simplex(c, A_ub, b_ub, A_eq, b_eq, nonneg=None):
-    """Two-phase dense tableau simplex; free variables are split x = u - v.
+def _simplex(c, A, b):
+    """Two-phase dense tableau simplex for min c'x s.t. A x <= b, x free.
 
-    Dantzig pricing, switching to Bland's rule after a run of degenerate
-    pivots. Returns (status, x, objective); status "stall" requests the
-    scipy fallback.
+    The tableau is [A | -A | I | artificials]: x = u - v with u, v >= 0, one
+    slack per row, and one artificial per row with b < 0, which is negated
+    first. Dantzig pricing, switching to Bland's rule after a run of
+    degenerate pivots. Returns (status, x, objective); status "stall"
+    requests the scipy fallback.
     """
     n = c.shape[0]
-    if nonneg is None:
-        nonneg = np.zeros(n, dtype=bool)
-    blocks_A, blocks_b, is_eq = [], [], []
-    if A_ub is not None and A_ub.shape[0]:
-        blocks_A.append(A_ub)
-        blocks_b.append(b_ub)
-        is_eq.append(np.zeros(A_ub.shape[0], dtype=bool))
-    if A_eq is not None and A_eq.shape[0]:
-        blocks_A.append(A_eq)
-        blocks_b.append(b_eq)
-        is_eq.append(np.ones(A_eq.shape[0], dtype=bool))
-    if not blocks_A:
+    if A is None or not A.shape[0]:
         if np.any(np.abs(c) > _COSTTOL):
             return UNBOUNDED, None, np.nan
         return OPTIMAL, np.zeros(n), 0.0
-    A = np.vstack(blocks_A)
-    b = np.concatenate(blocks_b)
-    eq = np.concatenate(is_eq)
     m = A.shape[0]
-
-    # Columns: x (n), negative parts for free variables, slacks, artificials.
-    free_idx = np.flatnonzero(~nonneg)
-    n_free = free_idx.shape[0]
-    n_slack = int(np.sum(~eq))
-    nx = n + n_free
-    full = np.zeros((m, nx + n_slack))
-    full[:, :n] = A
-    full[:, n:nx] = -A[:, free_idx]
-    slack_col = {}
-    j = nx
-    for i in range(m):
-        if not eq[i]:
-            full[i, j] = 1.0
-            slack_col[i] = j
-            j += 1
-
-    flip = b < 0
-    full[flip] *= -1.0
-    b = np.abs(b)
-
-    need_art = eq | flip
-    n_art = int(np.sum(need_art))
-    ncols = nx + n_slack + n_art
+    flip = np.flatnonzero(b < 0)
+    n_real = 2 * n + m  # columns other than the artificials
+    ncols = n_real + flip.shape[0]
     T = np.zeros((m, ncols + 1))
-    T[:, :nx + n_slack] = full
+    T[:, :n] = A
+    T[:, n:2 * n] = -A
+    T[:, 2 * n:n_real] = np.eye(m)
+    T[flip, :n_real] *= -1.0
+    b = np.abs(b)
     T[:, -1] = b
-    basis = np.empty(m, dtype=np.intp)
-    j = nx + n_slack
-    art_cols = []
-    for i in range(m):
-        if need_art[i]:
-            T[i, j] = 1.0
-            basis[i] = j
-            art_cols.append(j)
-            j += 1
-        else:
-            basis[i] = slack_col[i]
-    art_cols = np.array(art_cols, dtype=np.intp)
+    art_cols = np.arange(n_real, ncols)
+    T[flip, art_cols] = 1.0
+    basis = np.arange(2 * n, n_real)
+    basis[flip] = art_cols
 
     cost2 = np.zeros(ncols)
     cost2[:n] = c
-    cost2[n:nx] = -c[free_idx]
+    cost2[n:2 * n] = -c
+
+    def pivot(row, col):
+        nonlocal T
+        T[row] /= T[row, col]
+        coefs = T[:, col].copy()
+        coefs[row] = 0.0
+        T -= np.outer(coefs, T[row])
+        basis[row] = col
 
     def run_phase(cost, allowed, bound_scale):
-        nonlocal T, basis
         # Reduced-cost row kept explicitly and updated with each pivot.
         red = cost - cost[basis] @ T[:, :-1]
         obj = float(cost[basis] @ T[:, -1])
@@ -166,20 +131,16 @@ def _simplex(c, A_ub, b_ub, A_eq, b_eq, nonneg=None):
                     bland = True
             else:
                 stall = 0
-            piv = T[leave, enter]
-            T[leave] /= piv
-            coefs = T[:, enter].copy()
-            coefs[leave] = 0.0
-            T -= np.outer(coefs, T[leave])
+            pivot(leave, enter)
             red = red - red[enter] * T[leave, :-1]
-            basis[leave] = enter
             obj = float(cost[basis] @ T[:, -1])
             if abs(obj) > bound_scale:
                 return "stall", red, obj
         return "stall", red, obj
 
-    scale = 1e14 * (1.0 + float(np.max(np.abs(b), initial=0.0)))
-    if n_art:
+    b_max = float(np.max(b))
+    scale = 1e14 * (1.0 + b_max)
+    if flip.size:
         cost1 = np.zeros(ncols)
         cost1[art_cols] = 1.0
         allowed1 = np.ones(ncols, dtype=bool)
@@ -187,32 +148,14 @@ def _simplex(c, A_ub, b_ub, A_eq, b_eq, nonneg=None):
         if status == "stall":
             return "stall", None, np.nan
         phase1 = float(cost1[basis] @ T[:, -1])
-        if phase1 > 1e-7 * (1.0 + float(np.max(b, initial=0.0))):
+        if phase1 > 1e-7 * (1.0 + b_max):
             return INFEASIBLE, None, np.nan
-        # Pivot remaining artificials out of the basis where possible.
-        art_set = set(int(a) for a in art_cols)
-        drop_rows = []
-        for i in range(m):
-            if int(basis[i]) in art_set:
-                row = T[i, :-1]
-                row_cand = np.flatnonzero(np.abs(row) > 1e-9)
-                row_cand = [jc for jc in row_cand if int(jc) not in art_set]
-                if row_cand:
-                    enter = int(row_cand[0])
-                    piv = T[i, enter]
-                    T[i] /= piv
-                    coefs = T[:, enter].copy()
-                    coefs[i] = 0.0
-                    T -= np.outer(coefs, T[i])
-                    basis[i] = enter
-                else:
-                    drop_rows.append(i)
-        if drop_rows:
-            keep = np.ones(m, dtype=bool)
-            keep[drop_rows] = False
-            T = T[keep]
-            basis = basis[keep]
-            m = T.shape[0]
+        # Pivot remaining artificials out of the basis on the first column
+        # outside the artificials with a nonzero entry. There always is one:
+        # row r's slack column stays the negative of its artificial column,
+        # so it reads -1 wherever that artificial is basic.
+        for i in np.flatnonzero(basis >= n_real):
+            pivot(i, int(np.flatnonzero(np.abs(T[i, :n_real]) > 1e-9)[0]))
 
     allowed2 = np.ones(ncols, dtype=bool)
     allowed2[art_cols] = False
@@ -223,51 +166,41 @@ def _simplex(c, A_ub, b_ub, A_eq, b_eq, nonneg=None):
         return UNBOUNDED, None, np.nan
     xfull = np.zeros(ncols)
     xfull[basis] = T[:, -1]
-    x = xfull[:n].copy()
-    x[free_idx] -= xfull[n:nx]
+    x = xfull[:n] - xfull[n:2 * n]
     return OPTIMAL, x, float(c @ x)
 
 
-def _lp_residual(x, A_ub, b_ub, A_eq, b_eq, nonneg):
-    """Largest violation at x of a row, an equality or a sign constraint,
-    each divided by 1 + |a|.|x| + |b|, the size of the terms whose rounding
-    it may show.
+def _lp_residual(x, A, b):
+    """Largest violation at x of a row of A x <= b, each divided by
+    1 + |a|.|x| + |b|, the size of the terms whose rounding it may show.
     """
-    worst = 0.0
-    ax = np.abs(x)
-    if A_ub is not None and A_ub.shape[0]:
-        res = (A_ub @ x - b_ub) / (1.0 + np.abs(A_ub) @ ax + np.abs(b_ub))
-        worst = max(worst, float(np.max(res)))
-    if A_eq is not None and A_eq.shape[0]:
-        res = np.abs(A_eq @ x - b_eq) / (1.0 + np.abs(A_eq) @ ax + np.abs(b_eq))
-        worst = max(worst, float(np.max(res)))
-    if nonneg is not None and np.any(nonneg):
-        worst = max(worst, float(np.max(-x[nonneg] / (1.0 + ax[nonneg]))))
-    return worst
+    if A is None or not A.shape[0]:
+        return 0.0
+    res = (A @ x - b) / (1.0 + np.abs(A) @ np.abs(x) + np.abs(b))
+    return max(0.0, float(np.max(res)))
 
 
-def solve_lp_fast(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None,
-                  nonneg=None) -> LpSolution:
-    """Solve min c'x s.t. A_ub x <= b_ub, A_eq x = b_eq; the one LP entry point.
+def solve_lp_fast(c, A_ub=None, b_ub=None) -> LpSolution:
+    """Solve min c'x s.t. A_ub x <= b_ub with x free; the one LP entry point.
 
-    Variables are free unless flagged in the boolean mask nonneg. Arrays
-    must be float and consistent in shape; they are not validated. Statuses
-    are reported, never silently collapsed. Small problems go through the
-    in-house two-phase simplex; large ones, and any solve the simplex flags
-    as numerically stuck or whose optimal point fails the residual check
-    (see _lp_residual), use HiGHS.
+    A caller substitutes any equalities away and writes any sign constraint
+    as a row (see systems.find_forced_equilibrium). Arrays must be float and
+    consistent in shape; they are not validated. Statuses are reported,
+    never silently collapsed. Small problems go through the in-house
+    two-phase simplex; large ones, and any solve the simplex flags as
+    numerically stuck or whose optimal point fails the residual check (see
+    _lp_residual), use HiGHS.
     """
     c = np.asarray(c, dtype=float)
     n = c.shape[0]
-    m = (0 if A_ub is None else A_ub.shape[0]) + (0 if A_eq is None else A_eq.shape[0])
+    m = 0 if A_ub is None else A_ub.shape[0]
     if n <= 60 and m <= 400:
-        status, x, obj = _simplex(c, A_ub, b_ub, A_eq, b_eq, nonneg=nonneg)
-        if status == OPTIMAL and _lp_residual(x, A_ub, b_ub, A_eq, b_eq,
-                                              nonneg) > 1e-9:
+        status, x, obj = _simplex(c, A_ub, b_ub)
+        if status == OPTIMAL and _lp_residual(x, A_ub, b_ub) > 1e-9:
             status = "stall"
         if status != "stall":
             return LpSolution(status, x, obj)
-    status, x, obj = _scipy_lp(c, A_ub, b_ub, A_eq, b_eq, nonneg=nonneg)
+    status, x, obj = _scipy_lp(c, A_ub, b_ub)
     return LpSolution(status, x, obj)
 
 

@@ -10,6 +10,7 @@ Coordinate conventions, fixed once for the whole package:
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .polytope import (
     HPolytope,
@@ -154,50 +155,36 @@ def find_forced_equilibrium(sys: LinearSystem, proj_c: HPolytope,
     Maximizes the margin eps of a sup-norm ball around (x_e, u_e, d_e) inside
     S_xu x D, with x_e + eps*B(n) inside proj_c (strict variant) or merely
     x_e in proj_c (relaxed variant). margin == 0 means the equilibrium only
-    exists on the boundary, so the interiority assumptions fail.
+    exists on the boundary, so the interiority assumptions fail. The
+    equilibria z = (x_e, u_e, d_e) are z = N w with N an orthonormal basis
+    of the null space of [A - I, B, E], so the LP runs over (w, eps) with
+    inequality rows only, and eps >= 0 is one of them.
     """
-    n, m, l = sys.n, sys.m, sys.l
-    nv = n + m + l + 1  # (x_e, u_e, d_e, eps)
-    A_eq = np.zeros((n, nv))
-    A_eq[:, :n] = sys.A - np.eye(n)
-    A_eq[:, n:n + m] = sys.B
-    A_eq[:, n + m:n + m + l] = sys.E
-    b_eq = np.zeros(n)
+    n, m = sys.n, sys.m
+    N = scipy.linalg.null_space(np.hstack([sys.A - np.eye(n), sys.B, sys.E]))
+    k = N.shape[1]
+    blocks = ((sys.S_xu, N[:n + m], True), (sys.D, N[n + m:], True),
+              (proj_c, N[:n], require_interior_projection))
+    rows, rhs = [], []
+    for P, Nz, ball in blocks:
+        r = np.zeros((P.num_rows, k + 1))
+        r[:, :k] = P.H @ Nz
+        if ball:
+            r[:, -1] = np.abs(P.H).sum(axis=1)
+        rows.append(r)
+        rhs.append(P.h)
+    rows.append(np.r_[np.zeros(k), -1.0][None])
+    rhs.append([0.0])
 
-    rows = []
-    rhs = []
-    Hs, hs = sys.S_xu.H, sys.S_xu.h
-    r = np.zeros((Hs.shape[0], nv))
-    r[:, :n + m] = Hs
-    r[:, -1] = np.abs(Hs).sum(axis=1)
-    rows.append(r)
-    rhs.append(hs)
-    HD, hD = sys.D.H, sys.D.h
-    r = np.zeros((HD.shape[0], nv))
-    r[:, n + m:n + m + l] = HD
-    r[:, -1] = np.abs(HD).sum(axis=1)
-    rows.append(r)
-    rhs.append(hD)
-    Hp, hp = proj_c.H, proj_c.h
-    r = np.zeros((Hp.shape[0], nv))
-    r[:, :n] = Hp
-    if require_interior_projection:
-        r[:, -1] = np.abs(Hp).sum(axis=1)
-    rows.append(r)
-    rhs.append(hp)
-
-    c = np.zeros(nv)
+    c = np.zeros(k + 1)
     c[-1] = -1.0
-    nonneg = np.zeros(nv, dtype=bool)
-    nonneg[-1] = True
-    sol = solve_lp_fast(c, np.vstack(rows), np.concatenate(rhs), A_eq, b_eq,
-                        nonneg=nonneg)
+    sol = solve_lp_fast(c, np.vstack(rows), np.concatenate(rhs))
     if sol.status == INFEASIBLE:
         raise AssumptionError("no forced equilibrium inside the constraint set")
     if not sol.optimal:
         raise AssumptionError(f"equilibrium LP ended with status {sol.status}")
-    z = sol.point
-    return Equilibrium(z[:n], z[n:n + m], z[n + m:n + m + l], float(z[-1]))
+    z = N @ sol.point[:k]
+    return Equilibrium(z[:n], z[n:n + m], z[n + m:], float(sol.point[-1]))
 
 
 def equilibrium_margin_at_zero(sys: LinearSystem, proj_c: HPolytope,

@@ -478,6 +478,36 @@ def test_scenario_loader(tmp_path):
     assert all(np.all(np.abs(s) <= 0.5) for s in sampled)
 
 
+def test_cli_mpc_on_a_disturbance_set_with_no_interior_exits_2(tmp_path):
+    # sampling streams from d1 = d2 used to loop forever; run it in a
+    # subprocess so that a regression fails at the timeout instead
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import preview_regret
+    from preview_regret.polytope import HPolytope
+    from preview_regret.systems import LinearSystem
+
+    base = build_2d_random(1)
+    D = HPolytope([[1.0, -1.0], [-1.0, 1.0], [1.0, 0.0], [-1.0, 0.0]],
+                  [0.0, 0.0, 0.1, 0.1])
+    flat = LinearSystem(base.A, base.B, np.c_[base.E, base.E], D, base.S_xu)
+    path = tmp_path / "flat.json"
+    path.write_text(json.dumps(system_to_json(flat)))
+    src = str(Path(preview_regret.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run(
+        [sys.executable, "-m", "preview_regret", "mpc", str(path),
+         "--simulate", "5", "--out", str(tmp_path / "flat_mpc")],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert run.returncode == 2
+    assert "no interior" in run.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["flat.json"]
+
+
 def test_cli_regret_alg1_writes_ellipsoid(system_file, tmp_path):
     out = tmp_path / "c.csv"
     rc = main(["regret", str(system_file), "--p0", "1", "--p-max", "3",

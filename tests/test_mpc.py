@@ -184,6 +184,26 @@ def test_simulate_stays_feasible(spine_1d):
         assert all(abs(rec["x"][0]) <= 10.0 + 1e-9 for rec in log)
 
 
+@pytest.mark.parametrize("H, h", [
+    ([[1.0], [-1.0]], [0.2, -0.2]),  # one point
+    ([[0.0, 1.0], [0.0, -1.0], [1.0, 0.0], [-1.0, 0.0]], [0.3, -0.3, 0.1, 0.1]),
+    ([[0.0, 1.0], [0.0, -1.0], [1.0, 0.0], [-1.0, 0.0]], [0.0, 0.0, 0.1, 0.1]),
+], ids=["point-1d", "segment-at-0.3", "segment-at-0"])
+def test_sampler_draws_from_a_set_flat_along_its_box(H, h):
+    D = HPolytope(H, h)
+    stream = sample_disturbances(D, 6, np.random.default_rng(0))
+    assert stream.shape == (6, D.dim)
+    assert all(D.contains_point(d) for d in stream)
+
+
+def test_sampler_rejects_a_set_with_no_interior_in_its_box():
+    # d1 = d2 has measure zero in its bounding box: rejection never accepts
+    D = HPolytope([[1.0, -1.0], [-1.0, 1.0], [1.0, 0.0], [-1.0, 0.0]],
+                  [0.0, 0.0, 0.1, 0.1])
+    with pytest.raises(ValueError, match="no interior"):
+        sample_disturbances(D, 5, np.random.default_rng(0))
+
+
 def test_simulate_zero_from_equilibrium(spine_1d):
     sys, _, C, _ = spine_1d
     cfg = MpcConfig(p=2, C=C)

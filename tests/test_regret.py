@@ -14,6 +14,7 @@ from preview_regret.polytope import (
     project,
     set_equal,
     support,
+    translate,
     unit_box,
 )
 from preview_regret.regret import (
@@ -28,6 +29,7 @@ from preview_regret.regret import (
     preview_sweep,
     proj_cmax_p,
     refine_certificate,
+    regret_curve,
     true_dp,
 )
 from preview_regret.systems import (
@@ -468,6 +470,29 @@ def test_row_order_changes_no_result(which):
         assert C_co.num_rows == C_ref.num_rows
         assert set_equal(C_co, C_ref)
         assert np.max(np.abs(np.subtract(dp, dp_ref))) <= 1e-12
+
+
+def test_translated_safe_set_moves_the_equilibrium_not_the_regret():
+    # S_xu moved by (3, -3) leaves the zero equilibrium outside it, so the
+    # certificates shift to an LP equilibrium; the exact regret and the
+    # ladder see the same sets moved by x_e and read the same
+    sys, _ = build_1d()
+    moved = LinearSystem(sys.A, sys.B, sys.E, sys.D,
+                         translate(sys.S_xu, np.array([3.0, -3.0])))
+    base = regret_curve(sys, p0=1, p_max=4)
+    curve = regret_curve(moved, p0=1, p_max=4)
+    assert not curve.failures
+    for row, ref in zip(curve.rows, base.rows, strict=True):
+        for col in ("true_dp", "bound_alg3"):
+            assert abs(row[col] - ref[col]) <= 1e-12
+        # the most-interior equilibrium is not unique, so the certified
+        # bounds may differ from the untranslated ones; they stay sound
+        for col in (c for c in row if c.startswith("bound_")):
+            assert row[col] >= row["true_dp"]
+    for cert in curve.certs.values():
+        assert cert.shift.margin == pytest.approx(0.5, abs=1e-9)
+        assert cert.shift.x_e == pytest.approx([2.5], abs=1e-9)
+        assert cert.shift.d_e == pytest.approx([0.0], abs=1e-12)
 
 
 @pytest.mark.parametrize("a", [0.5, 1.5])

@@ -60,14 +60,9 @@ def test_lp_feasibility_invariant(seed):
     A = rng.normal(size=(m, n))
     b = rng.normal(size=m) + 1.5
     c = rng.normal(size=n)
-    meq = int(rng.integers(0, 2)) if n > 1 else 0
-    Aeq = rng.normal(size=(meq, n)) if meq else None
-    beq = rng.normal(size=meq) * 0.1 if meq else None
-    sol = solve_lp_fast(c, A, b, Aeq, beq)
+    sol = solve_lp_fast(c, A, b)
     if sol.status == OPTIMAL:
         assert np.all(A @ sol.point <= b + 1e-8)
-        if meq:
-            assert np.max(np.abs(Aeq @ sol.point - beq)) <= 1e-8
 
 
 def test_project_point_interval():
@@ -215,7 +210,8 @@ def test_lp_over_400_rows_goes_through_highs_once(monkeypatch):
 def test_lp_answer_failing_its_residual_goes_through_highs_once(monkeypatch,
                                                                 shift):
     # min -x0 + x1 s.t. x0 <= 1, x2 = x0, x1 >= 0 has the optimum (1, 0, 1);
-    # an OPTIMAL simplex answer moved off it breaks one of the three
+    # an OPTIMAL simplex answer moved off it breaks one of the three, each
+    # written as rows of A x <= b
     from preview_regret import solver
 
     calls = []
@@ -232,13 +228,13 @@ def test_lp_answer_failing_its_residual_goes_through_highs_once(monkeypatch,
         return status, x, float(c @ x)
 
     monkeypatch.setattr(solver, "_scipy_lp", counting)
-    args = (np.array([-1.0, 1.0, 0.0]), np.array([[1.0, 0.0, 0.0]]),
-            np.array([1.0]), np.array([[-1.0, 0.0, 1.0]]), np.array([0.0]))
-    nonneg = np.array([False, True, False])
-    assert np.allclose(solve_lp_fast(*args, nonneg=nonneg).point, [1, 0, 1])
+    A = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 1.0], [1.0, 0.0, -1.0],
+                  [0.0, -1.0, 0.0]])
+    args = (np.array([-1.0, 1.0, 0.0]), A, np.array([1.0, 0.0, 0.0, 0.0]))
+    assert np.allclose(solve_lp_fast(*args).point, [1, 0, 1])
     assert not calls
     monkeypatch.setattr(solver, "_simplex", perturbed)
-    sol = solve_lp_fast(*args, nonneg=nonneg)
+    sol = solve_lp_fast(*args)
     assert len(calls) == 1
     assert sol.status == OPTIMAL
     assert np.allclose(sol.point, [1.0, 0.0, 1.0], atol=1e-9)

@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
 
+from preview_regret.models import build_1d, build_template
 from preview_regret.polytope import (
     Box,
     HPolytope,
+    bounding_box,
     interval,
     set_equal,
+    translate,
+    unit_box,
 )
 from preview_regret.systems import (
     AssumptionError,
@@ -139,6 +143,58 @@ def test_find_forced_equilibrium_infeasible():
                      HPolytope([[1.0], [-1.0]], [0.0, 0.0]), S)
     with pytest.raises(AssumptionError):
         find_forced_equilibrium(s, interval(1.0, 2.0))
+
+
+def _margin_with_equality_rows(s, proj, interior):
+    """The equilibrium LP over (x_e, u_e, d_e, eps), with the equilibrium
+    equations as equality rows and eps >= 0 as a bound, solved by HiGHS."""
+    from scipy.optimize import linprog
+
+    n, m, l = s.n, s.m, s.l
+    nv = n + m + l + 1
+    rows, rhs = [], []
+    for P, first, ball in ((s.S_xu, 0, True), (s.D, n + m, True),
+                           (proj, 0, interior)):
+        r = np.zeros((P.num_rows, nv))
+        r[:, first:first + P.dim] = P.H
+        if ball:
+            r[:, -1] = np.abs(P.H).sum(axis=1)
+        rows.append(r)
+        rhs.append(P.h)
+    c = np.zeros(nv)
+    c[-1] = -1.0
+    res = linprog(c, A_ub=np.vstack(rows), b_ub=np.concatenate(rhs),
+                  A_eq=np.hstack([s.A - np.eye(n), s.B, s.E, np.zeros((n, 1))]),
+                  b_eq=np.zeros(n), bounds=[(None, None)] * (nv - 1) + [(0, None)],
+                  method="highs")
+    assert res.status == 0
+    return -res.fun
+
+
+def _equilibrium_cases():
+    biped = build_template("biped")[0]  # A - I is singular
+    x_hi = bounding_box(biped.S_xu).upper[:biped.n]
+    one = build_1d()[0]
+    one = LinearSystem(one.A, one.B, one.E, one.D,
+                       translate(one.S_xu, np.array([3.0, -3.0])))
+    two_inputs = LinearSystem(
+        [[1.2, 0.5], [0.0, 0.8]], [[1.0, 0.0], [0.5, 1.0]], [[1.0], [0.0]],
+        interval(-0.1, 0.2), translate(unit_box(4), np.array([1.0, -1.0, 0.5, 0.2])))
+    return {"biped": (biped, Box(-0.1 * x_hi, 0.3 * x_hi).to_polytope()),
+            "1d-translated": (one, interval(2.0, 2.6)),
+            "two-inputs": (two_inputs, Box(np.array([0.0, -0.3]),
+                                           np.array([0.2, 0.0])).to_polytope())}
+
+
+@pytest.mark.parametrize("interior", [True, False])
+@pytest.mark.parametrize("case", ["biped", "1d-translated", "two-inputs"])
+def test_forced_equilibrium_matches_the_lp_with_equality_rows(case, interior):
+    s, proj = _equilibrium_cases()[case]
+    eq = find_forced_equilibrium(s, proj, require_interior_projection=interior)
+    assert abs(eq.margin - _margin_with_equality_rows(s, proj, interior)) <= 1e-9
+    z = np.r_[eq.x_e, eq.u_e, eq.d_e]
+    residual = (s.A - np.eye(s.n)) @ eq.x_e + s.B @ eq.u_e + s.E @ eq.d_e
+    assert np.max(np.abs(residual)) <= 1e-12 * (1.0 + np.max(np.abs(z)))
 
 
 def test_relaxed_variant_no_smaller():
