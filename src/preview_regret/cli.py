@@ -120,6 +120,7 @@ def cmd_mpc(args) -> int:
     from .serialize import (
         SCHEMA_VERSION,
         certificate_to_json,
+        load_json,
         load_scenario,
         load_system,
         polytope_from_json,
@@ -145,8 +146,7 @@ def cmd_mpc(args) -> int:
                   "approximation", file=_sys.stderr)
             return EXIT_BUDGET
     else:
-        with open(args.terminal) as fh:
-            C = polytope_from_json(json.load(fh), "terminal")
+        C = polytope_from_json(load_json(args.terminal), "terminal")
     try:
         dom = feasible_domain(system, C, p=args.p)
     except TerminalSetError as exc:
@@ -184,8 +184,7 @@ def cmd_mpc(args) -> int:
         for k, stream in enumerate(streams):
             x0, _ = project_point(
                 rng.uniform(-1.0, 1.0, size=system.n), C)
-            log = simulate_closed_loop(system, cfg, x0, stream,
-                                       T=args.simulate)
+            log = simulate_closed_loop(system, cfg, x0, stream, args.simulate)
             write_trajectory_csv(f"{prefix}_traj_{k:03d}.csv", log,
                                  system.n, system.m, system.l)
             bad += sum(0 if rec["feasible"] else 1 for rec in log)

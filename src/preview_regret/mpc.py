@@ -37,13 +37,16 @@ class TerminalSetError(ValueError):
 
 @dataclass
 class MpcConfig:
-    """Preview MPC setup: horizon and terminal set; the quadratic stage
-    weights are the identity.
+    """Preview MPC setup: horizon p and recursive-feasibility set C; the
+    quadratic stage weights are the identity.
 
-    rfc selects the recursive-feasibility constraint: "terminal_set" forces
-    the final predicted state into C; "max_rcis" keeps the successor
-    augmented state inside cmax_p for every next disturbance; None drops the
-    constraint (ablation only, recursive feasibility is then forfeit).
+    The dimension of C picks the recursive-feasibility constraint. With
+    dimension n, C is a terminal set and the final predicted state must lie
+    in it. With dimension n + p*l, C is a set of augmented states (x, d_1,
+    .., d_p), such as the maximal RCIS of augment(sys, p), and the successor
+    augmented state must lie in it for every next disturbance. The ablation
+    without a constraint is C = HPolytope.universe(n), which forfeits
+    recursive feasibility.
 
     The config and the system are treated as immutable values, as HPolytope
     is: mpc_step keeps the horizon QP built from them on the config and
@@ -53,8 +56,6 @@ class MpcConfig:
 
     p: int
     C: HPolytope
-    rfc: str | None = "terminal_set"
-    cmax_p: HPolytope | None = None
     _horizon: "_Horizon | None" = field(default=None, init=False,
                                         compare=False, repr=False)
 
@@ -73,8 +74,12 @@ def feasible_domain(sys: LinearSystem, C: HPolytope, p: int,
     under the collaborative dynamics, which never touches the augmented
     space; the full domain is the p-step backward set of C x D^p for the
     augmented system and is only built within the dimension budget. Raises
-    TerminalSetError unless C is nonempty, bounded and robustly invariant.
+    TerminalSetError unless C lives in the state space and is nonempty,
+    bounded and robustly invariant.
     """
+    if C.dim != sys.n:
+        raise TerminalSetError(f"terminal set has dimension {C.dim}, the "
+                               f"state space {sys.n}")
     if p < 1:
         raise ValueError("the preview horizon must be at least 1")
     if C.is_empty():
@@ -104,7 +109,7 @@ def feasible_domain(sys: LinearSystem, C: HPolytope, p: int,
 
 
 def terminal_set_certificate(sys: LinearSystem, C: HPolytope,
-                             C_max_co: HPolytope, N: int | None = None,
+                             C_max_co: HPolytope,
                              cmax_exact: bool = True) -> RegretCertificate:
     """Decay certificate for the gap between the feasible-domain projection
     and the infinite-preview limit, anchored on the terminal set.
@@ -115,7 +120,7 @@ def terminal_set_certificate(sys: LinearSystem, C: HPolytope,
     an outer approximation of it.
     """
     try:
-        return algorithm2(sys, C_max_co, C, N=N, cmax_exact=cmax_exact)
+        return algorithm2(sys, C_max_co, C, cmax_exact=cmax_exact)
     except NotControllableError:
         return algorithm1(sys, C_max_co, C, cmax_exact=cmax_exact)
 
@@ -138,7 +143,7 @@ class _Horizon(NamedTuple):
 
 
 def _horizon_key(sys: LinearSystem, cfg: MpcConfig) -> tuple:
-    return (sys, cfg.p, cfg.C, cfg.rfc, cfg.cmax_p)
+    return (sys, cfg.p, cfg.C)
 
 
 def _condensed_qp(sys: LinearSystem, cfg: MpcConfig) -> _Horizon:
@@ -149,11 +154,13 @@ def _condensed_qp(sys: LinearSystem, cfg: MpcConfig) -> _Horizon:
     F[t] z the free response to z = (x0, previews). Minimising the identity
     stage cost |x_1..x_p|^2 + |u|^2 is then  1/2 u'Gu + c'u  with
     G = 2(I + Gam'Gam) and c = 2 Gam'F z. The rows are S_xu on (x_t, u_t)
-    for t = 0..p-1, then the recursive-feasibility rows: C on x_p, or the
-    maximal augmented set on the successor state x_1 with the unseen
-    preview slot taken worst case. With G = LL' and u = L^-T y the Hessian
-    becomes the identity, the least-distance form solve_qp takes, so each
-    step only evaluates the affine maps in z and solves (see mpc_step).
+    for t = 0..p-1, then the recursive-feasibility rows, picked by the
+    dimension of C: C on x_p when it is n, or C on the successor augmented
+    state (x_1, d_1, .., d_{p-1}, d_next) with the unseen slot d_next taken
+    worst case when it is n + p*l. Any other dimension raises ValueError.
+    With G = LL' and u = L^-T y the Hessian becomes the identity, the
+    least-distance form solve_qp takes, so each step only evaluates the
+    affine maps in z and solves (see mpc_step).
     """
     n, m, l, p = sys.n, sys.m, sys.l, cfg.p
     nz = n + p * l
@@ -175,14 +182,12 @@ def _condensed_qp(sys: LinearSystem, cfg: MpcConfig) -> _Horizon:
     offsets = [np.tile(hs, p)]
     maps = [-(Hx @ F[:p]).reshape(-1, nz)]
 
-    if cfg.rfc == "terminal_set":
-        blocks.append(cfg.C.H @ Gam[p])
-        offsets.append(cfg.C.h)
-        maps.append(-cfg.C.H @ F[p])
-    elif cfg.rfc == "max_rcis":
-        if cfg.cmax_p is None:
-            raise ValueError("max_rcis mode needs the maximal augmented set")
-        Hc, hc = cfg.cmax_p.H, cfg.cmax_p.h
+    Hc, hc = cfg.C.H, cfg.C.h
+    if cfg.C.dim == n:
+        blocks.append(Hc @ Gam[p])
+        offsets.append(hc)
+        maps.append(-Hc @ F[p])
+    elif cfg.C.dim == nz:
         # successor augmented state: (x_1, d_1, .., d_{p-1}, d_next) with the
         # known previews filled in and the unseen slot taken worst case
         b_map = -Hc[:, :n] @ F[1]
@@ -193,8 +198,9 @@ def _condensed_qp(sys: LinearSystem, cfg: MpcConfig) -> _Horizon:
         blocks.append(Hc[:, :n] @ Gam[1])
         offsets.append(hc - worst)
         maps.append(b_map)
-    elif cfg.rfc is not None:
-        raise ValueError(f"unknown rfc mode {cfg.rfc!r}")
+    else:
+        raise ValueError(f"C has dimension {cfg.C.dim}; expected n = {n} "
+                         f"(terminal set) or n + p*l = {nz} (augmented set)")
 
     X = Gam[1:].reshape(p * n, p * m)
     F1 = F[1:].reshape(p * n, nz)
@@ -263,19 +269,17 @@ def sample_disturbances(D: HPolytope, T: int, rng) -> np.ndarray:
 
 
 def simulate_closed_loop(sys: LinearSystem, cfg: MpcConfig, x0, stream,
-                         T: int | None = None):
-    """Closed-loop run under the receding-horizon controller.
+                         T: int):
+    """T closed-loop steps under the receding-horizon controller.
 
     `stream` must cover T + p disturbance steps. Returns a list of records
     (t, x, u, d, feasible, cost); with a recursive-feasibility constraint and
     a feasible start, every step stays feasible. An infeasible step ends the
-    run (only reachable in the ablation mode).
+    run (only reachable in the ablation, C = HPolytope.universe(n)).
     """
     stream = np.atleast_2d(np.asarray(stream, dtype=float))
     if stream.shape[1] != sys.l:
         stream = stream.reshape(-1, sys.l)
-    if T is None:
-        T = stream.shape[0] - cfg.p
     if stream.shape[0] < T + cfg.p:
         raise ValueError("disturbance stream shorter than T + p")
     x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()

@@ -65,8 +65,8 @@ def polytope_from_json(obj, where="polytope") -> HPolytope:
                                     for i, v in enumerate(h)]))
 
 
-def system_to_json(sys: LinearSystem, provenance=None) -> dict:
-    doc = {
+def system_to_json(sys: LinearSystem) -> dict:
+    return {
         "schema": SCHEMA_VERSION,
         "A": sys.A.tolist(),
         "B": sys.B.tolist(),
@@ -74,9 +74,6 @@ def system_to_json(sys: LinearSystem, provenance=None) -> dict:
         "D": polytope_to_json(sys.D),
         "S_xu": polytope_to_json(sys.S_xu),
     }
-    if provenance:
-        doc["provenance"] = provenance
-    return doc
 
 
 def system_from_json(obj) -> LinearSystem:
@@ -98,15 +95,20 @@ def system_from_json(obj) -> LinearSystem:
     return LinearSystem(A, B, E, D, S)
 
 
-def load_system(path) -> LinearSystem:
+def load_json(path):
+    """The JSON document in the file at path; SchemaError with line and
+    column if it does not parse."""
     with open(path) as fh:
         try:
-            obj = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
             raise SchemaError(
                 f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: "
                 f"{exc.msg}") from exc
-    sys = system_from_json(obj)
+
+
+def load_system(path) -> LinearSystem:
+    sys = system_from_json(load_json(path))
     # compactness is a working assumption of every algorithm downstream
     from .polytope import (
         EmptyPolytopeError,
@@ -260,12 +262,7 @@ def load_scenario(path, D, T, count, seed):
     from .mpc import sample_disturbances
 
     if path is not None:
-        with open(path) as fh:
-            try:
-                obj = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise SchemaError(f"{path}: invalid JSON at line {exc.lineno}: "
-                                  f"{exc.msg}") from exc
+        obj = load_json(path)
         _require(isinstance(obj, dict), path, "expected a JSON object")
         if "streams" in obj:
             _require(isinstance(obj["streams"], list), "streams",

@@ -66,10 +66,6 @@ def _simplex(c, A, b):
     requests the scipy fallback.
     """
     n = c.shape[0]
-    if A is None or not A.shape[0]:
-        if np.any(np.abs(c) > _COSTTOL):
-            return UNBOUNDED, None, np.nan
-        return OPTIMAL, np.zeros(n), 0.0
     m = A.shape[0]
     flip = np.flatnonzero(b < 0)
     n_real = 2 * n + m  # columns other than the artificials
@@ -174,27 +170,25 @@ def _lp_residual(x, A, b):
     """Largest violation at x of a row of A x <= b, each divided by
     1 + |a|.|x| + |b|, the size of the terms whose rounding it may show.
     """
-    if A is None or not A.shape[0]:
-        return 0.0
     res = (A @ x - b) / (1.0 + np.abs(A) @ np.abs(x) + np.abs(b))
     return max(0.0, float(np.max(res)))
 
 
-def solve_lp_fast(c, A_ub=None, b_ub=None) -> LpSolution:
+def solve_lp_fast(c, A_ub, b_ub) -> LpSolution:
     """Solve min c'x s.t. A_ub x <= b_ub with x free; the one LP entry point.
 
-    A caller substitutes any equalities away and writes any sign constraint
-    as a row (see systems.find_forced_equilibrium). Arrays must be float and
-    consistent in shape; they are not validated. Statuses are reported,
-    never silently collapsed. Small problems go through the in-house
-    two-phase simplex; large ones, and any solve the simplex flags as
-    numerically stuck or whose optimal point fails the residual check (see
+    A_ub has at least one row: every caller passes the rows of an
+    HPolytope, possibly with more rows stacked on. A caller substitutes any
+    equalities away and writes any sign constraint as a row (see
+    systems.find_forced_equilibrium). Arrays must be float and consistent
+    in shape; they are not validated. Statuses are reported, never
+    silently collapsed. Small problems go through the in-house two-phase
+    simplex; large ones, and any solve the simplex flags as numerically
+    stuck or whose optimal point fails the residual check (see
     _lp_residual), use HiGHS.
     """
     c = np.asarray(c, dtype=float)
-    n = c.shape[0]
-    m = 0 if A_ub is None else A_ub.shape[0]
-    if n <= 60 and m <= 400:
+    if c.shape[0] <= 60 and A_ub.shape[0] <= 400:
         status, x, obj = _simplex(c, A_ub, b_ub)
         if status == OPTIMAL and _lp_residual(x, A_ub, b_ub) > 1e-9:
             status = "stall"
@@ -204,27 +198,24 @@ def solve_lp_fast(c, A_ub=None, b_ub=None) -> LpSolution:
     return LpSolution(status, x, obj)
 
 
-def solve_qp(c, A_ub=None, b_ub=None):
+def solve_qp(c, A_ub, b_ub):
     """Least-distance QP  min 1/2 |x|^2 + c'x  s.t. A_ub x <= b_ub.
 
-    Inequalities only, and the Hessian is the identity: a caller
-    substitutes any equalities away and whitens any other positive definite
-    Hessian G = LL' first (x = L^-T y, c -> L^-1 c, A -> A L^-T). Dual
-    active-set method (Goldfarb & Idnani, Math. Prog. 27, 1983), no LP
-    inside: from the unconstrained minimiser x = -c it adds the most
-    violated row (a_i x - b_i > 1e-12 * max(|a_i|, 1)) one at a time and
-    drops an active row whose multiplier would turn negative. Returns (x,
-    OPTIMAL), or (None, INFEASIBLE) when a violated row depends on active
-    rows none of which can be dropped. A failed residual check or the
-    iteration cap raise SolverError.
+    Inequalities only (A_ub may have no rows), and the Hessian is the
+    identity: a caller substitutes any equalities away and whitens any
+    other positive definite Hessian G = LL' first (x = L^-T y,
+    c -> L^-1 c, A -> A L^-T). Dual active-set method (Goldfarb & Idnani,
+    Math. Prog. 27, 1983), no LP inside: from the unconstrained minimiser
+    x = -c it adds the most violated row (a_i x - b_i > 1e-12 *
+    max(|a_i|, 1)) one at a time and drops an active row whose multiplier
+    would turn negative. Returns (x, OPTIMAL), or (None, INFEASIBLE) when
+    a violated row depends on active rows none of which can be dropped. A
+    failed residual check or the iteration cap raise SolverError.
     """
     c = np.atleast_1d(np.asarray(c, dtype=float))
     n = c.shape[0]
-    if A_ub is None:
-        A, b = np.zeros((0, n)), np.zeros(0)
-    else:
-        A = np.atleast_2d(np.asarray(A_ub, dtype=float))
-        b = np.atleast_1d(np.asarray(b_ub, dtype=float))
+    A = np.atleast_2d(np.asarray(A_ub, dtype=float))
+    b = np.atleast_1d(np.asarray(b_ub, dtype=float))
     scale = np.maximum(np.linalg.norm(A, axis=1), 1.0)
     W = []  # active rows
     x = -c

@@ -436,6 +436,38 @@ def test_cli_mpc_rejects_unbounded_terminal(system_file, tmp_path, capsys):
     assert not (tmp_path / "m_cert.json").exists()
 
 
+def test_cli_mpc_rejects_a_terminal_set_of_another_dimension(
+        system_file, tmp_path, capsys):
+    planar = tmp_path / "terminal.json"
+    planar.write_text(json.dumps(polytope_to_json(unit_box(2))))
+    rc = main(["mpc", str(system_file), "--terminal", str(planar),
+               "--p", "1", "--out", str(tmp_path / "m")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "terminal set has dimension 2, the state space 1" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "m_domain.json").exists()
+
+
+@pytest.mark.parametrize("which", ["system", "scenario", "terminal"])
+def test_cli_mpc_reports_malformed_json_with_line_and_column(
+        which, system_file, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"H": [[1.0], [-1.0]],\n "h": [0.5 0.5]}')
+    files = {"system": str(system_file), "scenario": None, "terminal": "auto"}
+    files[which] = str(bad)
+    argv = ["mpc", files["system"], "--terminal", files["terminal"],
+            "--p", "1", "--out", str(tmp_path / "m")]
+    if files["scenario"]:
+        argv += ["--simulate", "5", "--scenario", files["scenario"]]
+    rc = main(argv)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"input error: {bad}: invalid JSON at line 2, column 12" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "m_domain.json").exists()
+
+
 def test_cli_demo(monkeypatch, capsys):
     # one regret_curve run: the limit set plus one fixed point per horizon
     # p = 1..6, and no contractive-ellipsoid method

@@ -109,7 +109,7 @@ def test_domain_grows_with_p(spine_1d):
 
 def test_terminal_certificate_1d(spine_1d):
     sys, oracle, C, C_co = spine_1d
-    cert = terminal_set_certificate(sys, C, N=1, C_max_co=C_co)
+    cert = terminal_set_certificate(sys, C, C_max_co=C_co)
     assert cert.method == "alg2"
     assert cert.lambda0 == pytest.approx(1.0 / 3.0, abs=1e-9)
     assert cert.gamma == pytest.approx(0.5, abs=1e-9)
@@ -123,7 +123,7 @@ def test_terminal_certificate_1d(spine_1d):
 
 def test_terminal_certificate_limit_set(spine_1d):
     sys, _, C, C_co = spine_1d
-    cert = terminal_set_certificate(sys, C_co, N=1, C_max_co=C_co)
+    cert = terminal_set_certificate(sys, C_co, C_max_co=C_co)
     assert cert.lambda0 == pytest.approx(1.0, abs=1e-7)
     assert bound_dp(cert, 0) == pytest.approx(0.0, abs=1e-7)
 
@@ -217,12 +217,12 @@ def test_ablation_without_rfc_can_fail(spine_1d):
     # start outside the infinite-preview limit set: no controller can keep
     # the state bounded, and without the terminal constraint the horizon-p
     # problem happily accepts the doomed start
-    cfg = MpcConfig(p=1, C=C, rfc=None)
+    cfg = MpcConfig(p=1, C=HPolytope.universe(1))
     stream = np.full((30, 1), 0.5)
     log = simulate_closed_loop(sys, cfg, [2.0], stream, T=25)
     assert log[0]["feasible"]
     assert not log[-1]["feasible"]
-    with_rfc = MpcConfig(p=1, C=C, rfc="terminal_set")
+    with_rfc = MpcConfig(p=1, C=C)
     _, _, feasible = mpc_step(sys, with_rfc, [2.0], [[0.5]])
     assert not feasible  # the RFC rejects the doomed start up front
 
@@ -232,7 +232,7 @@ def test_max_rcis_mode(spine_1d):
     p = 2
     Cp, conv = max_invariant_set(augment(sys, p), tol=1e-10)
     assert conv
-    cfg = MpcConfig(p=p, C=C, rfc="max_rcis", cmax_p=Cp)
+    cfg = MpcConfig(p=p, C=Cp)
     dom_proj = project(Cp, 1)
     edge = support(dom_proj, [1.0]) - 1e-6
     # the +edge of the projection is only feasible with all-favorable previews
@@ -240,6 +240,14 @@ def test_max_rcis_mode(spine_1d):
     assert feasible
     _, _, feasible = mpc_step(sys, cfg, [edge + 0.2], [[-0.5], [-0.5]])
     assert not feasible
+
+
+@pytest.mark.parametrize("dim", [1, 3, 5])
+def test_config_set_of_another_dimension_is_rejected(setup_2d, dim):
+    sys, _, _ = setup_2d  # n = 2 and l = 1: C lives in dimension 2 or 4
+    cfg = MpcConfig(p=2, C=HPolytope.universe(dim))
+    with pytest.raises(ValueError, match=r"n = 2 .*n \+ p\*l = 4"):
+        mpc_step(sys, cfg, np.zeros(2), np.zeros((2, 1)))
 
 
 def test_full_domain_is_invariant_for_augmented_system(spine_1d):
@@ -269,11 +277,11 @@ def _stacked_mpc_step(sys, cfg, x0, preview):
     Hx, Hu = Hs[:, :n], Hs[:, n:]
     rows = [Hx @ X[t] + Hu @ U[t] for t in range(p)]
     rhs = [hs - Hx @ off[t] for t in range(p)]
-    if cfg.rfc == "terminal_set":
+    if cfg.C.dim == n:
         rows.append(cfg.C.H @ X[p])
         rhs.append(cfg.C.h)
-    elif cfg.rfc == "max_rcis":
-        Hc, r = cfg.cmax_p.H, cfg.cmax_p.h.copy()
+    else:
+        Hc, r = cfg.C.H, cfg.C.h.copy()
         for i in range(1, p):
             r = r - Hc[:, n + (i - 1) * l:n + i * l] @ preview[i]
         r = r - np.array([support(sys.D, a) if np.any(a) else 0.0
@@ -294,8 +302,10 @@ def _stacked_mpc_step(sys, cfg, x0, preview):
 
 
 def _oracle_cases():
-    """(system, cfg) for every rfc mode on the 1-D model (p = 1, 2),
-    build_2d_random(1) (p = 2) and wind turbine (p = 4)."""
+    """(system, terminal set, mode, cfg) for each recursive-feasibility
+    mode on the 1-D model (p = 1, 2), build_2d_random(1) (p = 2) and wind
+    turbine (p = 4): the terminal set, the maximal augmented set, and no
+    constraint."""
     for sys, ps in ((build_1d()[0], (1, 2)), (build_2d_random(1), (2,)),
                     (build_template("wind_turbine")[0], (4,))):
         C, conv = max_invariant_set(sys, tol=1e-9)
@@ -303,9 +313,9 @@ def _oracle_cases():
         for p in ps:
             Cp, conv = max_invariant_set(augment(sys, p), tol=1e-9)
             assert conv
-            yield sys, MpcConfig(p=p, C=C)
-            yield sys, MpcConfig(p=p, C=C, rfc="max_rcis", cmax_p=Cp)
-            yield sys, MpcConfig(p=p, C=C, rfc=None)
+            yield sys, C, "terminal_set", MpcConfig(p=p, C=C)
+            yield sys, C, "max_rcis", MpcConfig(p=p, C=Cp)
+            yield sys, C, "none", MpcConfig(p=p, C=HPolytope.universe(sys.n))
 
 
 def test_condensed_step_matches_the_stacked_qp(monkeypatch):
@@ -319,8 +329,8 @@ def test_condensed_step_matches_the_stacked_qp(monkeypatch):
     monkeypatch.setattr(mpc, "solve_qp", inequalities_only)
     rng = np.random.default_rng(13)
     outcomes = {}
-    for sys, cfg in _oracle_cases():
-        box = bounding_box(cfg.C)
+    for sys, C, mode, cfg in _oracle_cases():
+        box = bounding_box(C)
         for k in range(40):
             # every other start is drawn from three times the terminal
             # set's box, where many are infeasible
@@ -330,7 +340,7 @@ def test_condensed_step_matches_the_stacked_qp(monkeypatch):
             u0, pred, feasible = mpc_step(sys, cfg, x0, preview)
             e_u0, e_pred, e_feasible = _stacked_mpc_step(sys, cfg, x0, preview)
             assert feasible == e_feasible
-            outcomes.setdefault(cfg.rfc, []).append(feasible)
+            outcomes.setdefault(mode, []).append(feasible)
             if feasible:
                 assert np.max(np.abs(u0 - e_u0)) <= 1e-9
                 assert np.max(np.abs(pred[0] - e_pred[0])) <= 1e-9
@@ -343,16 +353,16 @@ def test_condensed_step_matches_the_stacked_qp(monkeypatch):
 @pytest.fixture(scope="module")
 def closed_loop_cases():
     """The oracle cases on build_2d_random(1) (p = 2) and wind turbine
-    (p = 4), one per rfc mode."""
-    return [(sys, cfg) for sys, cfg in _oracle_cases() if sys.n > 1]
+    (p = 4), one per mode: (system, terminal set, cfg)."""
+    return [(sys, C, cfg) for sys, C, _, cfg in _oracle_cases() if sys.n > 1]
 
 
 def test_closed_loop_matches_fresh_configs(closed_loop_cases):
     # one config serves every step of two runs; each reference step solves
     # with a config of its own
     rng = np.random.default_rng(5)
-    for sys, cfg in closed_loop_cases:
-        inner = scale(cfg.C, 0.98)
+    for sys, C, cfg in closed_loop_cases:
+        inner = scale(C, 0.98)
         box = bounding_box(inner)
         for _ in range(2):
             x0 = rng.uniform(box.lower, box.upper)
@@ -364,8 +374,7 @@ def test_closed_loop_matches_fresh_configs(closed_loop_cases):
             x = x0
             for rec in log:
                 t = rec["t"]
-                fresh = MpcConfig(p=cfg.p, C=cfg.C, rfc=cfg.rfc,
-                                  cmax_p=cfg.cmax_p)
+                fresh = MpcConfig(p=cfg.p, C=cfg.C)
                 u0, _, feasible = mpc_step(sys, fresh, x, stream[t:t + cfg.p])
                 assert rec["feasible"] == feasible
                 assert np.max(np.abs(rec["x"] - x)) <= 1e-12
@@ -392,23 +401,22 @@ def _same_answers(a, b):
                for (fa, va), (fb, vb) in zip(a, b))
 
 
-@pytest.mark.parametrize("name", ["sys", "p", "C", "rfc", "cmax_p"])
+@pytest.mark.parametrize("name", ["sys", "p", "C", "C-augmented"])
 def test_rebound_field_rebuilds_the_horizon(setup_2d, name):
     sys, C, _ = setup_2d
-    Cp, conv = max_invariant_set(augment(sys, 2), tol=1e-9)
-    assert conv
-    rfc = "max_rcis" if name == "cmax_p" else "terminal_set"
-    cfg = MpcConfig(p=2, C=C, rfc=rfc, cmax_p=Cp)
+    cfg = MpcConfig(p=2, C=C)
     starts = vertices(C)
     before = _answers(sys, cfg, starts)
     if name == "sys":
         sys = LinearSystem(sys.A, 0.5 * sys.B, sys.E, sys.D, sys.S_xu)
+    elif name == "C-augmented":  # same field, other constraint rows
+        Cp, conv = max_invariant_set(augment(sys, 2), tol=1e-9)
+        assert conv
+        cfg.C = Cp
     else:
-        setattr(cfg, name, {"p": 3, "C": scale(C, 0.5), "rfc": None,
-                            "cmax_p": scale(Cp, 0.8)}[name])
+        setattr(cfg, name, {"p": 3, "C": scale(C, 0.5)}[name])
     after = _answers(sys, cfg, starts)
-    fresh = _answers(sys, MpcConfig(p=cfg.p, C=cfg.C, rfc=cfg.rfc,
-                                    cmax_p=cfg.cmax_p), starts)
+    fresh = _answers(sys, MpcConfig(p=cfg.p, C=cfg.C), starts)
     assert not _same_answers(before, fresh)  # the starts see the change
     assert _same_answers(after, fresh)
 
