@@ -10,6 +10,7 @@ import numpy as np
 from .polytope import (
     HPolytope,
     _row_norms,
+    _vertex_band,
     cartesian_product,
     contains,
     erode_rows,
@@ -94,21 +95,48 @@ def _violation(Q: HPolytope, P: HPolytope, tol):
     return first_violation(Q, P.H, P.h + tol * _row_norms(P.H))
 
 
+def _bracketed(X: HPolytope, L: HPolytope, tol) -> bool:
+    """Whether the projection of X onto L's coordinates, the first L.dim,
+    lies in L widened by tol per row norm, read off X's vertex list alone.
+
+    One matrix product, and no LP: an X without a list, or a row whose
+    support lies within the list's round-off band of its bound (see
+    first_violation), says no.
+    """
+    if X._verts is None:
+        return False
+    V = X._verts[:, :L.dim]
+    norms = _row_norms(L.H)
+    support = (V @ L.H.T).max(axis=0)
+    return bool((support < L.h + tol * norms - _vertex_band(V, norms)).all())
+
+
 class Prefix:
-    """A known iterate of a fixed-point run, and the one the run hands on.
+    """A known iterate of a fixed-point run, the one the run hands on, and
+    a bracket that may stop the run early.
 
     On entry, X is the run's k-th iterate and `stopped` says whether the
     run stops there; X None means nothing is known, and the run starts at
     X_0. max_invariant_set resumes at X and leaves in the prefix its own
     iterate at index `upto`, or the one it stops at if that comes first
     (regret.preview_sweep hands it from each preview horizon to the next).
+    `stopped` records the inclusion test alone, never the bracket.
+
+    `inner`, if given, is a set L in the first L.dim coordinates that is
+    known to lie inside the projection of the run's limit onto them. Every
+    iterate contains the limit, so once an iterate's projection lies in L
+    widened by tol, that projection P satisfies L ⊆ P ⊆ L + tol and the
+    run stops. This is not the inclusion test: P is within tol of L, and
+    so of the limit's projection, while the lifted iterate itself may
+    still be far from the lifted limit.
     """
 
-    __slots__ = ("upto", "k", "X", "stopped")
+    __slots__ = ("upto", "k", "X", "stopped", "inner")
 
     def __init__(self, upto: int, k: int = 0, X: HPolytope | None = None,
-                 stopped: bool = False):
+                 stopped: bool = False, inner: HPolytope | None = None):
         self.upto, self.k, self.X, self.stopped = upto, k, X, stopped
+        self.inner = inner
 
 
 def max_invariant_set(sys, max_iter: int = 200, tol: float = TAU_SET,
@@ -123,7 +151,11 @@ def max_invariant_set(sys, max_iter: int = 200, tol: float = TAU_SET,
     set, so a non-converged result is a certified outer approximation.
     A prefix (see Prefix) resumes the run at a known iterate and takes
     back one of the run's own (see regret.preview_sweep); max_iter still
-    counts the steps from X_0. A tol that is not finite or is negative
+    counts the steps from X_0. A prefix with a bracket set (Prefix.inner)
+    also stops the run at the first iterate whose vertex list puts its
+    projection inside the bracket widened by tol; such a run returns
+    converged=True, and the prefix keeps stopped=False, so a run that
+    resumes from it iterates on. A tol that is not finite or is negative
     raises ValueError, because an infinite or NaN one passes every
     inclusion test and a negative one passes none; so does a negative
     max_iter.
@@ -132,6 +164,7 @@ def max_invariant_set(sys, max_iter: int = 200, tol: float = TAU_SET,
         raise ValueError(f"tol must be finite and nonnegative, got {tol}")
     if max_iter < 0:
         raise ValueError(f"max_iter must be nonnegative, got {max_iter}")
+    inner = None if prefix is None else prefix.inner
     if prefix is not None and prefix.X is not None:
         if prefix.X.dim != sys.n:
             raise ValueError("the prefix must live in the state space")
@@ -147,6 +180,8 @@ def max_invariant_set(sys, max_iter: int = 200, tol: float = TAU_SET,
         converged = _violation(X_prev, X, tol) is None
         if prefix is not None and k <= prefix.upto:
             prefix.k, prefix.X, prefix.stopped = k, X, converged
+        if inner is not None and not converged:
+            converged = _bracketed(X, inner, tol)
     return X, converged
 
 

@@ -75,7 +75,7 @@ def feasible_domain(sys: LinearSystem, C: HPolytope, p: int,
     space; the full domain is the p-step backward set of C x D^p for the
     augmented system and is only built within the dimension budget. Raises
     TerminalSetError unless C lives in the state space and is nonempty,
-    bounded and robustly invariant.
+    bounded and robustly invariant to 1e-7.
     """
     if C.dim != sys.n:
         raise TerminalSetError(f"terminal set has dimension {C.dim}, the "
@@ -91,9 +91,11 @@ def feasible_domain(sys: LinearSystem, C: HPolytope, p: int,
     w = rcis_violation_witness(sys, C, tol=1e-7)
     if w is not None:
         raise TerminalSetError(
-            "terminal set is not robustly invariant; a state of C "
-            f"escapes in one step: {np.array2string(w, precision=6)}",
-            witness=w)
+            "terminal set is not robustly invariant at the check tolerance "
+            "1e-7; a state of C escapes in one step: "
+            f"{np.array2string(w, precision=6)}. A set from `rcis` at its "
+            "default --tol 1e-6 may stop short of that; write it with "
+            "`rcis --tol 1e-8`", witness=w)
     co = collaborative(sys)
     projection = pre_k(co, C, k=p)
     full = None

@@ -269,6 +269,12 @@ def _support_lp(P: HPolytope, d) -> float:
     return -sol.objective
 
 
+def _vertex_band(V, norms):
+    """Round-off of the products of vertex list V with rows of these norms:
+    a support within this band of a bound decides nothing."""
+    return _VERT_TOL * norms * max(1.0, abs(V).max())
+
+
 def first_violation(Q: HPolytope, H, bound):
     """None if sup over Q of H_i x <= bound_i for every row i of H, else a
     point of Q that breaks one of these bounds.
@@ -284,7 +290,7 @@ def first_violation(Q: HPolytope, H, bound):
     if Q._verts is not None:
         vals = Q._verts @ H.T
         s = vals.max(axis=0)
-        slack = _VERT_TOL * _row_norms(H) * max(1.0, abs(Q._verts).max())
+        slack = _vertex_band(Q._verts, _row_norms(H))
         bad = np.flatnonzero(s > bound + slack)
         if bad.size:
             return Q._verts[np.argmax(vals[:, bad[0]])].copy()

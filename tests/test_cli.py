@@ -449,6 +449,33 @@ def test_cli_mpc_rejects_a_terminal_set_of_another_dimension(
     assert not (tmp_path / "m_domain.json").exists()
 
 
+def test_cli_mpc_names_the_check_tolerance_of_a_terminal_file(
+        tmp_path, capsys):
+    # rcis stops at its --tol 1e-6, looser than mpc's invariance check at
+    # 1e-7; the message names the check and the remedy, which passes it
+    system = tmp_path / "planar.json"
+    system.write_text(json.dumps(system_to_json(build_2d_random(1))))
+    for tol in ("1e-6", "1e-8"):
+        out = tmp_path / f"rcis_{tol}.json"
+        assert main(["rcis", str(system), "--tol", tol,
+                     "--out", str(out)]) == 0
+        terminal = tmp_path / f"terminal_{tol}.json"
+        doc = json.loads(out.read_text())
+        terminal.write_text(json.dumps(doc["polytope"]))
+        capsys.readouterr()
+        rc = main(["mpc", str(system), "--terminal", str(terminal), "--p", "2",
+                   "--curve-max", "2", "--out", str(tmp_path / f"m_{tol}")])
+        err = capsys.readouterr().err
+        if tol == "1e-6":
+            assert rc == 2
+            assert ("terminal set is not robustly invariant at the check "
+                    "tolerance 1e-7") in err
+            assert "rcis --tol 1e-8" in err
+            assert not (tmp_path / f"m_{tol}_domain.json").exists()
+        else:
+            assert rc == 0, err
+
+
 @pytest.mark.parametrize("which", ["system", "scenario", "terminal"])
 def test_cli_mpc_reports_malformed_json_with_line_and_column(
         which, system_file, tmp_path, capsys):

@@ -3,13 +3,16 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, seed, settings, strategies as st
 
 from preview_regret.invariance import max_invariant_set, pre_k
 from preview_regret.models import build_1d, build_2d_random
 from preview_regret.polytope import (
     Box,
+    TAU_SET,
     HPolytope,
     containment_ratio,
+    contains,
     interval,
     project,
     set_equal,
@@ -19,6 +22,7 @@ from preview_regret.polytope import (
 )
 from preview_regret.regret import (
     NotControllableError,
+    _preview_gap,
     algorithm1,
     algorithm2,
     algorithm3,
@@ -525,3 +529,129 @@ def test_a_prefix_chain_gives_each_horizon_its_own_set(a, monkeypatch):
         assert len(calls) == (0 if a < 1 else steps_alone - (p - 1))
         assert chained.H.tobytes() == alone.H.tobytes()
         assert chained.h.tobytes() == alone.h.tobytes()
+
+
+def _bracket_spies(monkeypatch):
+    """Record, for every run the sweep drives, the prefix on entry, the
+    pre calls of the run and each bracket test's answer; and the
+    projection regret_curve measures at each horizon."""
+    import preview_regret.invariance as inv
+    import preview_regret.regret as regret
+
+    runs, pres, seen = [], [], {}
+    real_run, real_pre, real_test, real_gap = (
+        regret.max_invariant_set, inv.pre, inv._bracketed, regret._preview_gap)
+
+    def run(sys, max_iter=200, tol=TAU_SET, prefix=None):
+        if prefix is None:
+            return real_run(sys, max_iter, tol)
+        entry = {"k": prefix.k, "stopped": prefix.stopped,
+                 "inner": prefix.inner, "brackets": []}
+        runs.append(entry)
+        del pres[:]
+        out = real_run(sys, max_iter, tol, prefix)
+        entry["pres"], entry["handed_on"] = len(pres), prefix.stopped
+        return out
+
+    def counting(*args):
+        pres.append(1)
+        return real_pre(*args)
+
+    def test(X, L, tol):
+        hit = real_test(X, L, tol)
+        runs[-1]["brackets"].append(hit)
+        return hit
+
+    def gap(p, proj, C_max_co):
+        seen[p] = proj
+        return real_gap(p, proj, C_max_co)
+
+    monkeypatch.setattr(regret, "max_invariant_set", run)
+    monkeypatch.setattr(inv, "pre", counting)
+    monkeypatch.setattr(inv, "_bracketed", test)
+    monkeypatch.setattr(regret, "_preview_gap", gap)
+    return runs, seen
+
+
+def test_bracket_stops_2d_1_one_step_after_its_prefix(monkeypatch):
+    # d_p = 0 from p = 3 on: each of those horizons takes one lifted step
+    # past the iterate it resumes at, with algorithm3's rung as L_p and no
+    # pre of its own, and its projection P lies between L_p and L_p + tol;
+    # the gap is the one of the run from X_0, bit for bit
+    s, tol = build_2d_random(1), 1e-8
+    runs, seen = _bracket_spies(monkeypatch)
+    curve = regret_curve(s, p0=1, p_max=6, tol=tol)
+    monkeypatch.undo()
+    ladder = curve.report.ladder
+    assert runs[0]["inner"] is None
+    for p, run in enumerate(runs[1:], start=2):
+        assert run["inner"] is ladder[p - 1]
+        assert run["k"] == p - 1 and not run["stopped"]
+        if p == 2:
+            assert not any(run["brackets"]) and run["pres"] > 1
+            continue
+        assert run["brackets"] == [True] and run["pres"] == 1
+        assert not run["handed_on"]
+        P = seen[p]
+        assert contains(P, ladder[p - 1]) and contains(ladder[p - 1], P, tol)
+        alone = proj_cmax_p(s, p, tol)
+        assert curve.rows[p - 1]["true_dp"] == \
+            _preview_gap(p, alone, curve.C_max_co)
+    assert len(runs) == 6
+
+
+def test_bracket_never_stops_a_1d_horizon(monkeypatch):
+    runs, _ = _bracket_spies(monkeypatch)
+    curve = regret_curve(build_1d()[0], p0=1, p_max=6)
+    assert [run["inner"] is not None for run in runs] == [False] + [True] * 5
+    assert all(run["brackets"] and not any(run["brackets"])
+               for run in runs[1:])
+    assert all(row["true_dp"] is not None for row in curve.rows)
+
+
+def _random_system(rng):
+    """n in {1, 2}, one input and one disturbance, A uniform in +-1.5, B
+    and E in +-1, D = [-delta, delta] with delta in [0.1, 0.6], and the
+    unit box as the safe set."""
+    n = int(rng.integers(1, 3))
+    delta = rng.uniform(0.1, 0.6)
+    return LinearSystem(rng.uniform(-1.5, 1.5, (n, n)),
+                        rng.uniform(-1.0, 1.0, (n, 1)),
+                        rng.uniform(-1.0, 1.0, (n, 1)),
+                        interval(-delta, delta), unit_box(n + 1))
+
+
+@seed(5)
+@settings(max_examples=12, deadline=None)
+@given(st.integers(min_value=0, max_value=100_000))
+def test_bracketed_sweep_matches_runs_from_x0_on_random_systems(draw):
+    # the bracket stops horizons of three of the twelve draws of this seed
+    # early; each projection is still the one of the run from X_0 to
+    # TAU_SET, its gap the same to 1e-8, and every certified bound stays
+    # above the regret
+    from unittest import mock
+
+    import preview_regret.regret as regret
+
+    s, tol = _random_system(np.random.default_rng(draw)), 1e-8
+    seen, real_gap = {}, regret._preview_gap
+
+    def gap(p, proj, C_max_co):
+        seen[p] = proj
+        return real_gap(p, proj, C_max_co)
+
+    with mock.patch.object(regret, "_preview_gap", gap):
+        try:
+            curve = regret_curve(s, p0=1, p_max=4, tol=tol,
+                                 dim_budget=s.n + 4)
+        except AssumptionError:
+            assume(False)  # an empty limit set or p0 set
+    assert sorted(seen) == [1, 2, 3, 4]
+    for row in curve.rows:
+        p = row["p"]
+        alone = proj_cmax_p(s, p, tol)
+        assert set_equal(seen[p], alone, TAU_SET)
+        assert abs(row["true_dp"] - _preview_gap(p, alone, curve.C_max_co)) \
+            <= 1e-8
+        for col in (c for c in row if c.startswith("bound_")):
+            assert row[col] >= row["true_dp"] - 1e-6
