@@ -354,49 +354,34 @@ def preview_sweep(sys: LinearSystem, p0: int = 0, tol: float = 1e-8):
     Horizon p costs a run in dimension n + p l, so a consumer checks its
     own limits before it pulls the next horizon.
 
-    Each run stops only by the inclusion test. regret_curve, which also
-    has the collaborative ladder from proj_p0, stops a run earlier once
-    its projection is bracketed (see _sweep).
+    A consumer that holds the collaborative ladder from proj_p0, whose
+    rung k is Pre_co^k(proj_p0) (algorithm3's report.ladder), may send it
+    right after the first item; the send computes nothing and returns
+    None. If the p0 run converged, each later run then also stops once its
+    projection is bracketed by the rung L_p at k = p - p0 (see Prefix), or
+    by the last rung past the end of the list (a ladder that closed or
+    repeated): by the sandwich C_{p-1} x D ⊆ C_p, rung k lies in
+    proj_{p0+k}, and the projections grow with p. Such a run yields a
+    projection P with L_p ⊆ P ⊆ L_p + tol and converged=True, although
+    its lifted iterate has not passed the inclusion test, and the next
+    horizon resumes below it as usual. L_p lies in the true proj_p only
+    given an exact proj_p0: the p0 projection is itself an outer
+    approximation within the stopping tol, and its error, carried through
+    p - p0 pre steps, can put L_p outside proj_p. Without a ladder, each
+    run stops by the inclusion test only.
     """
-    return _sweep(sys, p0, tol, None)
-
-
-def _sweep(sys: LinearSystem, p0: int, tol: float, ladder: list | None):
-    """preview_sweep, with each run past p0 also stopped by a bracket read
-    from `ladder` (None: no bracket), the collaborative ladder from
-    proj_p0, whose rung k is Pre_co^k(proj_p0).
-
-    By the sandwich C_{p-1} x D ⊆ C_p, the rung L_p of horizon p lies in
-    proj_p. So a run whose projection lies in L_p + tol yields a
-    projection P with L_p ⊆ P ⊆ L_p + tol, given an exact proj_p0 (see
-    Prefix), and converged=True, although its lifted iterate has not
-    passed the inclusion test; the next horizon resumes below it as
-    usual. The bracket is read only when the p0 run converged, and only
-    by a run that iterates. The list may be filled between the first item
-    and the second, as regret_curve does with algorithm3's ladder. If it
-    is still empty then, the sweep walks the ladder into it, one pre in
-    dimension n per rung until a rung repeats; otherwise the list is the
-    whole ladder, and past its end (a ladder that closed or repeated) its
-    last rung serves: the projections grow with p, so an earlier rung
-    lies inside every later projection too.
-    """
-    prefix, walk = Prefix(upto=p0), None
+    prefix, ladder = Prefix(upto=p0), None
     for p in count(p0):
         C, converged = max_invariant_set(augment(sys, p) if p else sys,
                                          max_iter=400, tol=tol, prefix=prefix)
-        proj = project(C, sys.n)
-        yield p, proj, converged
-        if p == p0:
-            if not converged:
-                ladder = None
-            elif ladder == []:
-                walk = backward_reach(collaborative(sys), proj)
+        sent = yield p, project(C, sys.n), converged
+        if sent is not None:  # the ladder, sent after the first item
+            if p == p0 and converged:
+                ladder = sent
+            yield
         inner = None
-        if ladder is not None and not prefix.stopped:
-            k = p + 1 - p0
-            while walk is not None and len(ladder) <= k:
-                ladder.append(next(walk))
-            inner = ladder[min(k, len(ladder) - 1)]
+        if ladder and not prefix.stopped:
+            inner = ladder[min(p + 1 - p0, len(ladder) - 1)]
         X = None if prefix.X is None else cartesian_product(prefix.X, sys.D)
         prefix = Prefix(p + 1, prefix.k, X, prefix.stopped, inner)
 
@@ -422,23 +407,28 @@ def regret_curve(sys: LinearSystem, p0: int = 1, p_max: int = 8,
     One fixed point gives the limit set; preview_sweep from p0 gives the
     certificates' p0 projection and the true_dp column, which stops at
     p_max or at the last horizon within dim_budget and is blank where a
-    fixed point did not converge. Past p0, each horizon's fixed point also
-    stops once its projection is bracketed by the collaborative ladder
-    (see _sweep): algorithm3's, so the bracket costs no pre when alg3
-    runs, else one the sweep walks. The certificates carry cmax_exact
-    only when both the limit set and the p0 fixed point converged. methods
-    runs in order; alg1_refined re-anchors alg1 (computed on demand) and
-    shares its failure. A method that raises AssumptionError or ValueError is
-    recorded in failures and leaves its column blank. bound_alg3 reads the
-    ladder distance at p - p0 and is 0 past the end of a closed ladder.
+    fixed point did not converge. When alg3 runs, its ladder is sent to
+    the sweep, so past p0 each horizon's fixed point also stops once its
+    projection is bracketed by a rung, at no extra pre (see
+    preview_sweep). A true_dp cell read from such a run measures a set
+    between the rung and the rung widened by tol. That brackets proj_p
+    only given an exact p0 projection: the p0 projection is itself an
+    outer approximation within tol, so the cell can carry the p0 error
+    grown through p - p0 pre steps, an error the inclusion test does not
+    add. Without alg3, every run stops by the inclusion test only. The
+    certificates carry cmax_exact only when both the limit set and the p0
+    fixed point converged. methods runs in order; alg1_refined re-anchors
+    alg1 (computed on demand) and shares its failure. A method that raises
+    AssumptionError or ValueError is recorded in failures and leaves its
+    column blank. bound_alg3 reads the ladder distance at p - p0 and is 0
+    past the end of a closed ladder.
     An empty limit set or p0 projection raises AssumptionError.
     """
     C_co, conv_co = max_invariant_set(collaborative(sys), tol=tol)
     if C_co.is_empty():
         raise AssumptionError("the collaborative system has an empty maximal "
                               "invariant set; nothing to certify")
-    ladder = []  # algorithm3's rungs, read by the sweep as its brackets
-    sweep = _sweep(sys, p0, tol, ladder)
+    sweep = preview_sweep(sys, p0, tol)
     first = _, proj, conv_p0 = next(sweep)
     if proj.is_empty():
         raise AssumptionError(f"the {p0}-preview system has an empty maximal "
@@ -465,9 +455,10 @@ def regret_curve(sys: LinearSystem, p0: int = 1, p_max: int = 8,
                                          cmax_exact=exact)
             elif name == "alg3":
                 report = algorithm3(sys, C_co, proj, p0=p0, k_max=k_max)
-                ladder.extend(report.ladder)
         except (AssumptionError, ValueError) as exc:
             failures[name] = str(exc)
+    if report is not None:
+        sweep.send(report.ladder)  # the sweep's brackets
 
     # pull no horizon past p_max or over the dimension budget
     last = min(p_max, (dim_budget - sys.n) // sys.l)

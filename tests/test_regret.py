@@ -655,3 +655,22 @@ def test_bracketed_sweep_matches_runs_from_x0_on_random_systems(draw):
             <= 1e-8
         for col in (c for c in row if c.startswith("bound_")):
             assert row[col] >= row["true_dp"] - 1e-6
+
+
+def test_without_alg3_no_horizon_reads_a_bracket(monkeypatch):
+    # the sweep reads only a ladder that is sent to it, and sending one
+    # computes nothing; regret_curve sends algorithm3's, so without alg3
+    # every run stops by the inclusion test alone, as from X_0
+    s = build_2d_random(1)
+    runs, _ = _bracket_spies(monkeypatch)
+    sweep = preview_sweep(s, 1, 1e-8)
+    next(sweep)
+    assert sweep.send([unit_box(2)]) is None and len(runs) == 1
+    runs.clear()
+    curve = regret_curve(s, p0=1, p_max=6, methods=("alg1", "alg2"))
+    assert len(runs) == 6
+    assert all(run["inner"] is None and not run["brackets"] for run in runs)
+    monkeypatch.undo()
+    full = regret_curve(s, p0=1, p_max=6)
+    assert [row["true_dp"] for row in curve.rows] == \
+        [row["true_dp"] for row in full.rows]
