@@ -20,7 +20,7 @@ from .polytope import (
     support,
 )
 from .regret import NotControllableError, RegretCertificate, algorithm1, algorithm2
-from .solver import solve_qp
+from .solver import _row_scales, solve_qp
 from .systems import LinearSystem, augment, collaborative
 
 FULL_DOMAIN_DIM_BUDGET = 8
@@ -131,21 +131,21 @@ class _Horizon(NamedTuple):
     """The horizon-p least-distance QP of one (system, config), in whitened
     coordinates y, with z = (x0, d_0, .., d_{p-1}): minimise 1/2 |y|^2 +
     (c_map z)'y s.t. A y <= b0 + b_map z; then u = u_map y and the
-    predicted states are x_map y + f_map z. key holds its inputs.
+    predicted states are x_map y + f_map z. scale holds the row scales
+    max(|A_i|, 1) that solve_qp divides by: the rows are fixed, so they
+    are computed here and not on every step. key holds its inputs
+    (sys, p, C), which mpc_step compares by identity.
     """
 
     key: tuple
     c_map: np.ndarray
     A: np.ndarray
+    scale: np.ndarray
     b0: np.ndarray
     b_map: np.ndarray
     u_map: np.ndarray
     x_map: np.ndarray
     f_map: np.ndarray
-
-
-def _horizon_key(sys: LinearSystem, cfg: MpcConfig) -> tuple:
-    return (sys, cfg.p, cfg.C)
 
 
 def _condensed_qp(sys: LinearSystem, cfg: MpcConfig) -> _Horizon:
@@ -161,8 +161,9 @@ def _condensed_qp(sys: LinearSystem, cfg: MpcConfig) -> _Horizon:
     state (x_1, d_1, .., d_{p-1}, d_next) with the unseen slot d_next taken
     worst case when it is n + p*l. Any other dimension raises ValueError.
     With G = LL' and u = L^-T y the Hessian becomes the identity, the
-    least-distance form solve_qp takes, so each step only evaluates the
-    affine maps in z and solves (see mpc_step).
+    least-distance form solve_qp takes, and the row scales of A are taken
+    here too, so each step only evaluates the affine maps in z and solves
+    (see mpc_step).
     """
     n, m, l, p = sys.n, sys.m, sys.l, cfg.p
     nz = n + p * l
@@ -208,29 +209,32 @@ def _condensed_qp(sys: LinearSystem, cfg: MpcConfig) -> _Horizon:
     F1 = F[1:].reshape(p * n, nz)
     L = np.linalg.cholesky(2.0 * (np.eye(p * m) + X.T @ X))
     J = np.linalg.inv(L).T
+    A = np.vstack(blocks) @ J
     return _Horizon(
-        key=_horizon_key(sys, cfg), c_map=2.0 * (J.T @ (X.T @ F1)),
-        A=np.vstack(blocks) @ J, b0=np.concatenate(offsets),
+        key=(sys, cfg.p, cfg.C), c_map=2.0 * (J.T @ (X.T @ F1)),
+        A=A, scale=_row_scales(A), b0=np.concatenate(offsets),
         b_map=np.vstack(maps), u_map=J, x_map=X @ J, f_map=F1)
 
 
 def mpc_step(sys: LinearSystem, cfg: MpcConfig, x0, preview):
     """One receding-horizon solve of the condensed QP (no equality rows).
 
-    The QP's fixed part comes from `_condensed_qp`, kept on cfg and rebuilt
-    only when sys or a field of cfg is rebound; a step evaluates its affine
-    maps in (x0, preview) and makes one least-distance solve_qp call.
+    The QP's fixed part, its rows and their scales included, comes from
+    `_condensed_qp`, kept on cfg and rebuilt only when sys or a field of
+    cfg is rebound; a step evaluates its affine maps in (x0, preview) and
+    makes one least-distance solve_qp call.
     Returns (u0, predicted (xs, us), feasible), with xs = x_1..x_p.
     Infeasibility of the quadratic program is reported through the flag,
     never as an exception; genuine solver failures still raise.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    preview = np.atleast_2d(np.asarray(preview, dtype=float).reshape(cfg.p, sys.l))
-    qp, key = cfg._horizon, _horizon_key(sys, cfg)
-    if qp is None or any(a is not b for a, b in zip(qp.key, key)):
+    preview = np.asarray(preview, dtype=float).reshape(cfg.p, sys.l)
+    qp = cfg._horizon
+    if (qp is None or qp.key[0] is not sys or qp.key[1] is not cfg.p
+            or qp.key[2] is not cfg.C):
         qp = cfg._horizon = _condensed_qp(sys, cfg)
     z = np.concatenate([x0, preview.ravel()])
-    y, _ = solve_qp(qp.c_map @ z, qp.A, qp.b0 + qp.b_map @ z)
+    y, _ = solve_qp(qp.c_map @ z, qp.A, qp.b0 + qp.b_map @ z, qp.scale)
     if y is None:
         return None, None, False
     xs = (qp.x_map @ y + qp.f_map @ z).reshape(cfg.p, sys.n)
@@ -274,17 +278,29 @@ def simulate_closed_loop(sys: LinearSystem, cfg: MpcConfig, x0, stream,
                          T: int):
     """T closed-loop steps under the receding-horizon controller.
 
-    `stream` must cover T + p disturbance steps. Returns a list of records
-    (t, x, u, d, feasible, cost); with a recursive-feasibility constraint and
-    a feasible start, every step stays feasible. An infeasible step ends the
+    `stream` holds T + p or more disturbance steps, one row of l each; a
+    flat stream whose length is a multiple of l is read row by row. x0 has
+    n entries and T is at least 0; inputs of any other shape raise
+    ValueError before the first step. Returns a list of records (t, x, u,
+    d, feasible, cost); with a recursive-feasibility constraint and a
+    feasible start, every step stays feasible. An infeasible step ends the
     run (only reachable in the ablation, C = HPolytope.universe(n)).
     """
-    stream = np.atleast_2d(np.asarray(stream, dtype=float))
-    if stream.shape[1] != sys.l:
+    stream = np.asarray(stream, dtype=float)
+    if stream.ndim <= 1 and stream.size % sys.l == 0:
         stream = stream.reshape(-1, sys.l)
+    if stream.ndim != 2 or stream.shape[1] != sys.l:
+        raise ValueError(f"disturbance stream has shape {stream.shape}; "
+                         f"expected (steps, l) with l = {sys.l}, or a flat "
+                         f"stream whose length is a multiple of {sys.l}")
+    if T < 0:
+        raise ValueError(f"T = {T} steps; expected at least 0")
     if stream.shape[0] < T + cfg.p:
-        raise ValueError("disturbance stream shorter than T + p")
+        raise ValueError(f"disturbance stream has {stream.shape[0]} steps, "
+                         f"fewer than T + p = {T + cfg.p}")
     x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
+    if x.shape != (sys.n,):
+        raise ValueError(f"x0 has shape {x.shape}; expected ({sys.n},)")
     log = []
     for t in range(T):
         window = stream[t:t + cfg.p]

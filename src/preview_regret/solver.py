@@ -198,37 +198,47 @@ def solve_lp_fast(c, A_ub, b_ub) -> LpSolution:
     return LpSolution(status, x, obj)
 
 
-def solve_qp(c, A_ub, b_ub):
+def _row_scales(A) -> np.ndarray:
+    """max(|a_i|, 1) for each row a_i of A: what solve_qp divides a row's
+    violation and its residual by."""
+    return np.maximum(np.linalg.norm(A, axis=1), 1.0)
+
+
+def solve_qp(c, A_ub, b_ub, scale):
     """Least-distance QP  min 1/2 |x|^2 + c'x  s.t. A_ub x <= b_ub.
 
     Inequalities only (A_ub may have no rows), and the Hessian is the
     identity: a caller substitutes any equalities away and whitens any
     other positive definite Hessian G = LL' first (x = L^-T y,
-    c -> L^-1 c, A -> A L^-T). Dual active-set method (Goldfarb & Idnani,
-    Math. Prog. 27, 1983), no LP inside: from the unconstrained minimiser
-    x = -c it adds the most violated row (a_i x - b_i > 1e-12 *
-    max(|a_i|, 1)) one at a time and drops an active row whose multiplier
-    would turn negative. Returns (x, OPTIMAL), or (None, INFEASIBLE) when
-    a violated row depends on active rows none of which can be dropped. A
-    failed residual check or the iteration cap raise SolverError.
+    c -> L^-1 c, A -> A L^-T). scale holds the row scales
+    max(|a_i|, 1) of A_ub, as _row_scales computes them; a caller whose
+    rows are fixed computes them once (mpc._condensed_qp). Dual active-set
+    method (Goldfarb & Idnani, Math. Prog. 27, 1983), no LP inside: from
+    the unconstrained minimiser x = -c it adds the most violated row
+    (a_i x - b_i > 1e-12 * scale_i) one at a time and drops an active row
+    whose multiplier would turn negative. Returns (x, OPTIMAL), or (None,
+    INFEASIBLE) when a violated row depends on active rows none of which
+    can be dropped. A failed residual check or the iteration cap raise
+    SolverError.
     """
     c = np.atleast_1d(np.asarray(c, dtype=float))
     n = c.shape[0]
     A = np.atleast_2d(np.asarray(A_ub, dtype=float))
     b = np.atleast_1d(np.asarray(b_ub, dtype=float))
-    scale = np.maximum(np.linalg.norm(A, axis=1), 1.0)
     W = []  # active rows
     x = -c
     mu = np.zeros(0)  # multipliers of the active rows
     for _ in range(50 * (n + b.shape[0] + 1)):
         res = (A @ x - b) / scale
-        viol = res.copy()
-        viol[W] = -np.inf
-        q = int(np.argmax(viol)) if viol.size else -1
+        viol = res
+        if W:
+            viol = res.copy()
+            viol[W] = -np.inf
+        q = int(viol.argmax()) if viol.size else -1
         if q < 0 or viol[q] <= 1e-12:
             # active rows may miss by the rounding of their own terms
             slack = 1e-12 * (1.0 + (np.abs(A) @ np.abs(x) + np.abs(b)) / scale)
-            if np.any(res > slack):
+            if (res > slack).any():
                 raise SolverError("QP solution fails its residual check")
             return x, OPTIMAL
         t_q = 0.0
@@ -262,15 +272,17 @@ def project_point(point, P):
 
     Returns (closest, distance). A point that violates no row by more than
     1e-12 * max(|H_i|, 1), solve_qp's own test, is its own projection at
-    distance exactly 0, returned as a copy without calling solve_qp.
+    distance exactly 0, returned as a copy without calling solve_qp. The
+    row scales of that test are computed once and passed to solve_qp, so
+    both tests divide by the same array.
     """
     from .polytope import EmptyPolytopeError
 
     point = np.atleast_1d(np.asarray(point, dtype=float))
-    scale = np.maximum(np.linalg.norm(P.H, axis=1), 1.0)
+    scale = _row_scales(P.H)
     if np.all((P.H @ point - P.h) / scale <= 1e-12):
         return point.copy(), 0.0
-    x, status = solve_qp(-point, P.H, P.h)
+    x, status = solve_qp(-point, P.H, P.h, scale)
     if x is None:
         raise EmptyPolytopeError("cannot project onto an empty polytope")
     return x, float(np.linalg.norm(x - point))

@@ -25,10 +25,11 @@ from preview_regret.polytope import (
     scale,
     set_equal,
     support,
+    unit_box,
     vertices,
 )
 from preview_regret.regret import bound_dp
-from preview_regret.solver import solve_qp
+from preview_regret.solver import _row_scales, solve_qp
 from preview_regret.systems import LinearSystem, augment, collaborative
 
 
@@ -212,6 +213,42 @@ def test_simulate_zero_from_equilibrium(spine_1d):
     assert all(np.allclose(rec["u"], 0.0, atol=1e-7) for rec in log)
 
 
+@pytest.fixture(scope="module")
+def two_disturbances():
+    """build_2d_random(1) driven by two disturbance channels (l = 2) with
+    no recursive-feasibility constraint, C = HPolytope.universe(2)."""
+    base = build_2d_random(1)
+    sys = LinearSystem(base.A, base.B, 0.5 * np.hstack([base.E, base.E]),
+                       scale(unit_box(2), 0.1), base.S_xu)
+    return sys, MpcConfig(p=2, C=HPolytope.universe(2))
+
+
+@pytest.mark.parametrize("x0, stream, T, message", [
+    # 36 numbers would reshape to 18 rows of l = 2
+    (np.zeros(2), np.zeros((12, 3)), 5, r"stream has shape \(12, 3\)"),
+    (np.zeros(2), np.zeros((12, 2)), -1, "T = -1"),
+    (np.zeros(3), np.zeros((12, 2)), 5, r"x0 has shape \(3,\)"),
+], ids=["stream-width", "negative-T", "x0-length"])
+def test_simulate_rejects_inputs_of_another_shape(two_disturbances, x0,
+                                                  stream, T, message):
+    sys, cfg = two_disturbances
+    with pytest.raises(ValueError, match=message):
+        simulate_closed_loop(sys, cfg, x0, stream, T)
+
+
+def test_simulate_reads_a_flat_stream_row_by_row(two_disturbances):
+    sys, cfg = two_disturbances
+    stream = sample_disturbances(sys.D, 7, np.random.default_rng(4))
+    flat = simulate_closed_loop(sys, cfg, np.zeros(2), stream.ravel(), T=5)
+    rows = simulate_closed_loop(sys, cfg, np.zeros(2), stream, T=5)
+    assert len(flat) == len(rows) == 5
+    for a, b in zip(flat, rows):
+        assert a["feasible"] and b["feasible"]
+        assert np.array_equal(a["d"], b["d"])
+        assert np.array_equal(a["x"], b["x"])
+        assert np.array_equal(a["u"], b["u"])
+
+
 def test_ablation_without_rfc_can_fail(spine_1d):
     sys, _, C, _ = spine_1d
     # start outside the infinite-preview limit set: no controller can keep
@@ -292,8 +329,9 @@ def _stacked_mpc_step(sys, cfg, x0, preview):
     z0 = np.linalg.lstsq(A_eq, b_eq, rcond=None)[0]
     N = scipy.linalg.null_space(A_eq)
     Linv = np.linalg.inv(np.linalg.cholesky(2.0 * N.T @ N))
-    y, _ = solve_qp(Linv @ (2.0 * N.T @ z0), A_ub @ N @ Linv.T,
-                    b_ub - A_ub @ z0)
+    A_y = A_ub @ N @ Linv.T
+    y, _ = solve_qp(Linv @ (2.0 * N.T @ z0), A_y, b_ub - A_ub @ z0,
+                    _row_scales(A_y))
     if y is None:
         return None, None, False
     z = z0 + N @ (Linv.T @ y)
@@ -322,7 +360,7 @@ def test_condensed_step_matches_the_stacked_qp(monkeypatch):
     passed = []
 
     def inequalities_only(*args, **kwargs):
-        assert len(args) == 3 and not kwargs  # c, A_ub, b_ub
+        assert len(args) == 4 and not kwargs  # c, A_ub, b_ub, scale
         passed.append(1)
         return solve_qp(*args)
 
@@ -377,10 +415,10 @@ def test_closed_loop_matches_fresh_configs(closed_loop_cases):
                 fresh = MpcConfig(p=cfg.p, C=cfg.C)
                 u0, _, feasible = mpc_step(sys, fresh, x, stream[t:t + cfg.p])
                 assert rec["feasible"] == feasible
-                assert np.max(np.abs(rec["x"] - x)) <= 1e-12
+                assert np.array_equal(rec["x"], x)
                 if not feasible:
                     break
-                assert np.max(np.abs(rec["u"] - u0)) <= 1e-12
+                assert np.array_equal(rec["u"], u0)
                 x = sys.step(x, u0, stream[t])
 
 
@@ -436,3 +474,36 @@ def test_closed_loop_builds_the_horizon_once(monkeypatch, setup_2d):
                                stream, T=20)
     assert len(log) == 20 and all(rec["feasible"] for rec in log)
     assert len(builds) == 1
+
+
+def test_closed_loop_makes_one_step_and_one_qp_per_step(monkeypatch,
+                                                        closed_loop_cases):
+    # the per-step contract the benchmark's trace counts: one public
+    # mpc_step call and one solve_qp call for each closed-loop step
+    calls = {"mpc_step": 0, "solve_qp": 0}
+
+    def counted(name, real):
+        def spy(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return spy
+
+    monkeypatch.setattr(mpc, "mpc_step", counted("mpc_step", mpc.mpc_step))
+    monkeypatch.setattr(mpc, "solve_qp", counted("solve_qp", mpc.solve_qp))
+    rng = np.random.default_rng(8)
+    runs = 0
+    for sys, C, cfg in closed_loop_cases:
+        if cfg.C is not C:  # the terminal-set mode keeps every step feasible
+            continue
+        inner = scale(C, 0.98)
+        box = bounding_box(inner)
+        x0 = rng.uniform(box.lower, box.upper)
+        while not inner.contains_point(x0):
+            x0 = rng.uniform(box.lower, box.upper)
+        stream = sample_disturbances(sys.D, 20 + cfg.p, rng)
+        calls.update(mpc_step=0, solve_qp=0)
+        log = simulate_closed_loop(sys, cfg, x0, stream, 20)
+        assert len(log) == 20 and all(rec["feasible"] for rec in log)
+        assert calls == {"mpc_step": 20, "solve_qp": 20}
+        runs += 1
+    assert runs == 2  # build_2d_random(1) at p = 2, wind turbine at p = 4

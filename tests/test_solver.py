@@ -9,6 +9,7 @@ from preview_regret.solver import (
     UNBOUNDED,
     NotPositiveDefiniteError,
     NotStabilizableError,
+    _row_scales,
     cholesky,
     dare_residual,
     is_controllable,
@@ -133,7 +134,7 @@ def test_project_point_at_zero_distance_sets_up_no_qp(monkeypatch):
     rng = np.random.default_rng(11)
     dirs = rng.normal(size=(12, 3)) * 10.0 ** rng.integers(-2, 3, size=(12, 1))
     P = HPolytope(dirs, rng.uniform(0.5, 2.0, size=12))
-    scale = np.maximum(np.linalg.norm(P.H, axis=1), 1.0)
+    scale = _row_scales(P.H)
     points = [np.zeros(3), P.chebyshev_center()[0]]
     for i in range(3):  # on a facet, then just inside solve_qp's tolerance
         on = P.h[i] / (P.H[i] @ P.H[i]) * P.H[i]
@@ -141,7 +142,7 @@ def test_project_point_at_zero_distance_sets_up_no_qp(monkeypatch):
             points += [on, on + 5e-13 * scale[i] * P.H[i] / (P.H[i] @ P.H[i])]
     assert len(points) > 2
     # the QP solver returns such a start point bit for bit
-    expect = [solve_qp(-pt, P.H, P.h)[0] for pt in points]
+    expect = [solve_qp(-pt, P.H, P.h, scale)[0] for pt in points]
 
     def no_qp(*args, **kwargs):
         raise AssertionError("a zero-distance projection set up a QP")
@@ -244,8 +245,9 @@ def test_lp_answer_failing_its_residual_goes_through_highs_once(monkeypatch,
 def test_qp_rejects_what_it_cannot_solve():
     # x <= -1 and -x <= -1: the second row depends on the first, whose
     # multiplier cannot be dropped
-    x, status = solve_qp(np.zeros(1), np.array([[1.0], [-1.0]]),
-                         np.array([-1.0, -1.0]))
+    A = np.array([[1.0], [-1.0]])
+    x, status = solve_qp(np.zeros(1), A, np.array([-1.0, -1.0]),
+                         _row_scales(A))
     assert (x, status) == (None, INFEASIBLE)
 
 
@@ -283,7 +285,8 @@ def test_qp_matches_active_set_enumeration():
         expect = _brute_force_qp(G, c, A, b)
         # whiten G = LL': x = L^-T y turns the QP into a least-distance one
         Linv = np.linalg.inv(np.linalg.cholesky(G))
-        y, status = solve_qp(Linv @ c, A @ Linv.T, b)
+        AL = A @ Linv.T
+        y, status = solve_qp(Linv @ c, AL, b, _row_scales(AL))
         statuses.append(status)
         if expect is None:
             assert status == INFEASIBLE and y is None
@@ -308,10 +311,10 @@ def _random_qp(seed):
 @given(st.integers(min_value=0, max_value=100_000))
 def test_qp_kkt_and_invariance_under_row_scaling_and_order(seed):
     rng, c, A, b = _random_qp(seed)
-    x, status = solve_qp(c, A, b)
+    scale = _row_scales(A)
+    x, status = solve_qp(c, A, b, scale)
     if status == OPTIMAL:
         # solve_qp's own residual check, with the rounding of each row
-        scale = np.maximum(np.linalg.norm(A, axis=1), 1.0)
         slack = 1e-12 * (1.0 + (np.abs(A) @ np.abs(x) + np.abs(b)) / scale)
         assert np.all((A @ x - b) / scale <= slack)
         # stationarity x + c = -A_W' mu on the active rows, each entry
@@ -327,7 +330,8 @@ def test_qp_kkt_and_invariance_under_row_scaling_and_order(seed):
     # each row and its offset scaled by 10^k, then the rows permuted
     s = 10.0 ** rng.integers(-3, 4, size=A.shape[0])
     perm = rng.permutation(A.shape[0])
-    x2, status2 = solve_qp(c, (s[:, None] * A)[perm], (s * b)[perm])
+    A2 = (s[:, None] * A)[perm]
+    x2, status2 = solve_qp(c, A2, (s * b)[perm], _row_scales(A2))
     assert status2 == status
     if status == OPTIMAL:
         assert np.max(np.abs(x2 - x)) <= 1e-9 * max(1.0, np.max(np.abs(x)))
@@ -341,7 +345,7 @@ def test_qp_feasible_start_comes_back_bit_for_bit(seed):
     A *= 10.0 ** rng.integers(-3, 4, size=(m, 1))
     # -c satisfies every row, some of them with equality
     b = A @ -c + rng.uniform(0.0, 1.0, size=m) * (rng.random(m) < 0.7)
-    x, status = solve_qp(c, A, b)
+    x, status = solve_qp(c, A, b, _row_scales(A))
     assert status == OPTIMAL
     assert np.array_equal(x, -c)
 
