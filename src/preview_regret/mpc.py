@@ -10,20 +10,14 @@ import numpy as np
 from .invariance import pre_k, rcis_violation_witness
 from .polytope import (
     _FLAT_RADIUS,
-    BudgetExceededError,
     HPolytope,
     UnboundedError,
     bounding_box,
-    cartesian_product,
-    power_product,
-    project,
     support,
 )
 from .regret import NotControllableError, RegretCertificate, algorithm1, algorithm2
 from .solver import _row_scales, solve_qp
-from .systems import LinearSystem, augment, collaborative
-
-FULL_DOMAIN_DIM_BUDGET = 8
+from .systems import LinearSystem, collaborative
 
 
 class TerminalSetError(ValueError):
@@ -63,17 +57,14 @@ class MpcConfig:
 @dataclass
 class FeasibleDomain:
     projection: HPolytope
-    full: HPolytope | None = None
 
 
-def feasible_domain(sys: LinearSystem, C: HPolytope, p: int,
-                    want_full: bool = False) -> FeasibleDomain:
-    """Initial conditions (x0, previews) admitting a feasible MPC solution.
+def feasible_domain(sys: LinearSystem, C: HPolytope, p: int) -> FeasibleDomain:
+    """States x0 from which some preview admits a feasible MPC solution.
 
-    The state-space projection is the p-step backward reachable set of C
-    under the collaborative dynamics, which never touches the augmented
-    space; the full domain is the p-step backward set of C x D^p for the
-    augmented system and is only built within the dimension budget. Raises
+    This is the projection onto the state space of the feasible domain of
+    (x0, previews): the p-step backward reachable set of C under the
+    collaborative dynamics, which never touches the augmented space. Raises
     TerminalSetError unless C lives in the state space and is nonempty,
     bounded and robustly invariant to 1e-7.
     """
@@ -96,18 +87,7 @@ def feasible_domain(sys: LinearSystem, C: HPolytope, p: int,
             f"{np.array2string(w, precision=6)}. A set from `rcis` at its "
             "default --tol 1e-6 may stop short of that; write it with "
             "`rcis --tol 1e-8`", witness=w)
-    co = collaborative(sys)
-    projection = pre_k(co, C, k=p)
-    full = None
-    if want_full:
-        n_aug = sys.n + p * sys.l
-        if n_aug > FULL_DOMAIN_DIM_BUDGET:
-            raise BudgetExceededError(
-                f"full feasible domain needs dimension {n_aug}")
-        sys_p = augment(sys, p)
-        target = cartesian_product(C, power_product(sys.D, p))
-        full = pre_k(sys_p, target, k=p)
-    return FeasibleDomain(projection=projection, full=full)
+    return FeasibleDomain(projection=pre_k(collaborative(sys), C, k=p))
 
 
 def terminal_set_certificate(sys: LinearSystem, C: HPolytope,
@@ -130,11 +110,10 @@ def terminal_set_certificate(sys: LinearSystem, C: HPolytope,
 class _Horizon(NamedTuple):
     """The horizon-p least-distance QP of one (system, config), in whitened
     coordinates y, with z = (x0, d_0, .., d_{p-1}): minimise 1/2 |y|^2 +
-    (c_map z)'y s.t. A y <= b0 + b_map z; then u = u_map y and the
-    predicted states are x_map y + f_map z. scale holds the row scales
-    max(|A_i|, 1) that solve_qp divides by: the rows are fixed, so they
-    are computed here and not on every step. key holds its inputs
-    (sys, p, C), which mpc_step compares by identity.
+    (c_map z)'y s.t. A y <= b0 + b_map z; then u = u_map y. scale holds
+    the row scales max(|A_i|, 1) that solve_qp divides by: the rows are
+    fixed, so they are computed here and not on every step. key holds its
+    inputs (sys, p, C), which mpc_step compares by identity.
     """
 
     key: tuple
@@ -144,8 +123,6 @@ class _Horizon(NamedTuple):
     b0: np.ndarray
     b_map: np.ndarray
     u_map: np.ndarray
-    x_map: np.ndarray
-    f_map: np.ndarray
 
 
 def _condensed_qp(sys: LinearSystem, cfg: MpcConfig) -> _Horizon:
@@ -213,7 +190,7 @@ def _condensed_qp(sys: LinearSystem, cfg: MpcConfig) -> _Horizon:
     return _Horizon(
         key=(sys, cfg.p, cfg.C), c_map=2.0 * (J.T @ (X.T @ F1)),
         A=A, scale=_row_scales(A), b0=np.concatenate(offsets),
-        b_map=np.vstack(maps), u_map=J, x_map=X @ J, f_map=F1)
+        b_map=np.vstack(maps), u_map=J)
 
 
 def mpc_step(sys: LinearSystem, cfg: MpcConfig, x0, preview):
@@ -223,9 +200,12 @@ def mpc_step(sys: LinearSystem, cfg: MpcConfig, x0, preview):
     `_condensed_qp`, kept on cfg and rebuilt only when sys or a field of
     cfg is rebound; a step evaluates its affine maps in (x0, preview) and
     makes one least-distance solve_qp call.
-    Returns (u0, predicted (xs, us), feasible), with xs = x_1..x_p.
-    Infeasibility of the quadratic program is reported through the flag,
-    never as an exception; genuine solver failures still raise.
+    Returns (u0, us, feasible): us is the (p, m) planned input sequence
+    and u0 its first row. The predicted states are not built; a caller
+    that wants them rolls the plan out, x_{t+1} = A x_t + B us[t] + E
+    preview[t] from x0. Infeasibility of the quadratic program is reported
+    as (None, None, False), never as an exception; genuine solver failures
+    still raise.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     preview = np.asarray(preview, dtype=float).reshape(cfg.p, sys.l)
@@ -234,12 +214,13 @@ def mpc_step(sys: LinearSystem, cfg: MpcConfig, x0, preview):
             or qp.key[2] is not cfg.C):
         qp = cfg._horizon = _condensed_qp(sys, cfg)
     z = np.concatenate([x0, preview.ravel()])
-    y, _ = solve_qp(qp.c_map @ z, qp.A, qp.b0 + qp.b_map @ z, qp.scale)
+    b = qp.b_map @ z
+    b += qp.b0
+    y, _ = solve_qp(qp.c_map @ z, qp.A, b, qp.scale)
     if y is None:
         return None, None, False
-    xs = (qp.x_map @ y + qp.f_map @ z).reshape(cfg.p, sys.n)
     us = (qp.u_map @ y).reshape(cfg.p, sys.m)
-    return us[0], (xs, us), True
+    return us[0], us, True
 
 
 def sample_disturbances(D: HPolytope, T: int, rng) -> np.ndarray:
@@ -284,7 +265,10 @@ def simulate_closed_loop(sys: LinearSystem, cfg: MpcConfig, x0, stream,
     ValueError before the first step. Returns a list of records (t, x, u,
     d, feasible, cost); with a recursive-feasibility constraint and a
     feasible start, every step stays feasible. An infeasible step ends the
-    run (only reachable in the ablation, C = HPolytope.universe(n)).
+    run (only reachable in the ablation, C = HPolytope.universe(n)). Each
+    step makes one mpc_step call and reads only its u0. A record's x and u
+    are arrays that nothing else holds, so they are logged as they are;
+    its d is copied out of the stream.
     """
     stream = np.asarray(stream, dtype=float)
     if stream.ndim <= 1 and stream.size % sys.l == 0:
@@ -306,11 +290,11 @@ def simulate_closed_loop(sys: LinearSystem, cfg: MpcConfig, x0, stream,
         window = stream[t:t + cfg.p]
         u0, _, feasible = mpc_step(sys, cfg, x, window)
         if not feasible:
-            log.append({"t": t, "x": x.copy(), "u": None, "d": stream[t].copy(),
+            log.append({"t": t, "x": x, "u": None, "d": stream[t].copy(),
                         "feasible": False, "cost": np.nan})
             break
         cost = float(x @ x + u0 @ u0)
-        log.append({"t": t, "x": x.copy(), "u": u0.copy(),
-                    "d": stream[t].copy(), "feasible": True, "cost": cost})
+        log.append({"t": t, "x": x, "u": u0, "d": stream[t].copy(),
+                    "feasible": True, "cost": cost})
         x = sys.step(x, u0, stream[t])
     return log

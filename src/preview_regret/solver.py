@@ -220,6 +220,12 @@ def solve_qp(c, A_ub, b_ub, scale):
     INFEASIBLE) when a violated row depends on active rows none of which
     can be dropped. A failed residual check or the iteration cap raise
     SolverError.
+
+    The residual check lets a row miss by the rounding of its own terms,
+    1e-12 * (1 + (|a_i|.|x| + |b_i|) / scale_i), which is never below
+    1e-12. So a row whose scaled residual is at most 1e-12 cannot fail it,
+    and the slack is built only when some row is above 1e-12: at the
+    unconstrained minimiser, where most MPC steps end, no row is.
     """
     c = np.atleast_1d(np.asarray(c, dtype=float))
     n = c.shape[0]
@@ -229,7 +235,9 @@ def solve_qp(c, A_ub, b_ub, scale):
     x = -c
     mu = np.zeros(0)  # multipliers of the active rows
     for _ in range(50 * (n + b.shape[0] + 1)):
-        res = (A @ x - b) / scale
+        res = A @ x
+        res -= b
+        res /= scale
         viol = res
         if W:
             viol = res.copy()
@@ -237,9 +245,11 @@ def solve_qp(c, A_ub, b_ub, scale):
         q = int(viol.argmax()) if viol.size else -1
         if q < 0 or viol[q] <= 1e-12:
             # active rows may miss by the rounding of their own terms
-            slack = 1e-12 * (1.0 + (np.abs(A) @ np.abs(x) + np.abs(b)) / scale)
-            if (res > slack).any():
-                raise SolverError("QP solution fails its residual check")
+            if (res > 1e-12).any():
+                slack = 1e-12 * (1.0 + (np.abs(A) @ np.abs(x) + np.abs(b))
+                                 / scale)
+                if (res > slack).any():
+                    raise SolverError("QP solution fails its residual check")
             return x, OPTIMAL
         t_q = 0.0
         while True:

@@ -271,10 +271,14 @@ def test_criterion_6_mpc():
         C, conv = max_invariant_set(sys, tol=1e-9)
         assert conv and not C.is_empty()
 
-        # both routes to the feasible-domain projection agree
+        # both routes to the feasible-domain projection agree: the full
+        # domain of (x0, previews) is the p-step backward set of C x D^p
+        # for the augmented system
         for p in (1, 2):
-            dom = feasible_domain(sys, C, p=p, want_full=True)
-            proj_full = project(dom.full, sys.n)
+            dom = feasible_domain(sys, C, p=p)
+            full = pre_k(augment(sys, p),
+                         cartesian_product(C, power_product(sys.D, p)), k=p)
+            proj_full = project(full, sys.n)
             assert set_equal(proj_full, dom.projection, tol=1e-6)
             Cp, conv = max_invariant_set(augment(sys, p), tol=1e-9)
             assert conv

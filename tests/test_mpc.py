@@ -6,7 +6,6 @@ from preview_regret import mpc
 from preview_regret.invariance import max_invariant_set, pre_k
 from preview_regret.models import build_1d, build_2d_random, build_template
 from preview_regret.mpc import (
-    FULL_DOMAIN_DIM_BUDGET,
     MpcConfig,
     TerminalSetError,
     feasible_domain,
@@ -18,9 +17,11 @@ from preview_regret.mpc import (
 from preview_regret.polytope import (
     HPolytope,
     bounding_box,
+    cartesian_product,
     contains,
     hausdorff_nested,
     interval,
+    power_product,
     project,
     scale,
     set_equal,
@@ -53,6 +54,23 @@ def setup_2d():
     return sys, C, C_co
 
 
+def _full_domain(sys, C, p):
+    """Oracle: the feasible domain of (x0, previews), the p-step backward
+    set of C x D^p for the augmented system."""
+    return pre_k(augment(sys, p),
+                 cartesian_product(C, power_product(sys.D, p)), k=p)
+
+
+def _rollout(sys, x0, us, preview):
+    """The predicted states x_1..x_p of a plan: its nominal rollout from
+    x0 under the previewed disturbances."""
+    x, xs = np.atleast_1d(np.asarray(x0, dtype=float)), []
+    for u, d in zip(us, np.asarray(preview, dtype=float).reshape(len(us), -1)):
+        x = sys.step(x, u, d)
+        xs.append(x)
+    return np.array(xs)
+
+
 def test_feasible_domain_1d(spine_1d):
     sys, oracle, C, C_co = spine_1d
     dom = feasible_domain(sys, C, p=1)
@@ -74,18 +92,9 @@ def test_feasible_domain_rejects_non_invariant(spine_1d):
 def test_full_domain_projection_identity(setup_2d):
     sys, C, C_co = setup_2d
     for p in (1, 2):
-        dom = feasible_domain(sys, C, p=p, want_full=True)
-        assert dom.full is not None
-        proj_of_full = project(dom.full, sys.n)
+        dom = feasible_domain(sys, C, p=p)
+        proj_of_full = project(_full_domain(sys, C, p), sys.n)
         assert set_equal(proj_of_full, dom.projection, tol=1e-7)
-
-
-def test_feasible_domain_budget(spine_1d):
-    from preview_regret.polytope import BudgetExceededError
-
-    sys, _, C, _ = spine_1d
-    with pytest.raises(BudgetExceededError):
-        feasible_domain(sys, C, p=FULL_DOMAIN_DIM_BUDGET + 2, want_full=True)
 
 
 def test_domain_sandwich(setup_2d):
@@ -132,9 +141,15 @@ def test_terminal_certificate_limit_set(spine_1d):
 def test_mpc_step_equilibrium(spine_1d):
     sys, _, C, _ = spine_1d
     cfg = MpcConfig(p=2, C=C)
-    u0, (xs, us), feasible = mpc_step(sys, cfg, [0.0], [[0.0], [0.0]])
-    assert feasible
-    assert np.allclose(u0, 0.0, atol=1e-8)
+    result = mpc_step(sys, cfg, [0.0], [[0.0], [0.0]])
+    assert isinstance(result, tuple) and len(result) == 3
+    u0, us, feasible = result
+    assert feasible is True
+    assert us.shape == (cfg.p, sys.m) and u0.shape == (sys.m,)
+    assert np.array_equal(u0, us[0])
+    assert np.allclose(us, 0.0, atol=1e-8)
+    xs = _rollout(sys, [0.0], us, [[0.0], [0.0]])
+    assert xs.shape == (cfg.p, sys.n)
     assert np.allclose(xs, 0.0, atol=1e-8)
 
 
@@ -142,16 +157,16 @@ def test_mpc_feasibility_matches_domain(spine_1d):
     sys, _, C, _ = spine_1d
     p = 2
     cfg = MpcConfig(p=p, C=C)
-    dom = feasible_domain(sys, C, p=p, want_full=True)
+    full = _full_domain(sys, C, p)
     rng = np.random.default_rng(7)
     agree = 0
     for _ in range(200):
         x0 = rng.uniform(-2.0, 2.0)
         dws = rng.uniform(-0.5, 0.5, size=p)
-        member = dom.full.contains_point(np.r_[x0, dws], tol=1e-9)
+        member = full.contains_point(np.r_[x0, dws], tol=1e-9)
         _, _, feasible = mpc_step(sys, cfg, [x0], dws.reshape(p, 1))
         # skip knife-edge points where membership is numerically marginal
-        margin = np.max(dom.full.H @ np.r_[x0, dws] - dom.full.h)
+        margin = np.max(full.H @ np.r_[x0, dws] - full.h)
         if abs(margin) < 1e-7:
             continue
         assert feasible == member
@@ -167,8 +182,9 @@ def test_mpc_terminal_constraint_binds(spine_1d):
     cfg = MpcConfig(p=p, C=C)
     # at the far edge of the domain only the most favorable preview works,
     # and it forces the predicted final state onto the terminal boundary
-    u0, (xs, _), feasible = mpc_step(sys, cfg, [edge], [[-0.5]])
+    _, us, feasible = mpc_step(sys, cfg, [edge], [[-0.5]])
     assert feasible
+    xs = _rollout(sys, [edge], us, [[-0.5]])
     assert support(C, [1.0]) == pytest.approx(xs[-1][0], abs=1e-7)
 
 
@@ -292,8 +308,7 @@ def test_full_domain_is_invariant_for_augmented_system(spine_1d):
 
     sys, _, C, _ = spine_1d
     for p in (1, 2):
-        dom = feasible_domain(sys, C, p=p, want_full=True)
-        assert rcis_violation_witness(augment(sys, p), dom.full,
+        assert rcis_violation_witness(augment(sys, p), _full_domain(sys, C, p),
                                       tol=1e-7) is None
 
 
@@ -301,7 +316,7 @@ def _stacked_mpc_step(sys, cfg, x0, preview):
     """Oracle: the QP over z = (x_1..x_p, u_0..u_{p-1}) with the dynamics
     as p*n equality rows, which a null-space basis eliminates; the reduced
     Hessian is whitened before solve_qp. Returns (u0, (xs, us), feasible)
-    like mpc_step."""
+    with xs = x_1..x_p."""
     n, m, l, p = sys.n, sys.m, sys.l, cfg.p
     I = np.eye(p * (n + m))
     # x_t = X[t] z + off[t] and u_t = U[t] z
@@ -375,14 +390,16 @@ def test_condensed_step_matches_the_stacked_qp(monkeypatch):
             w = (1.0, 3.0)[k % 2]
             x0 = rng.uniform(w * box.lower, w * box.upper)
             preview = sample_disturbances(sys.D, cfg.p, rng)
-            u0, pred, feasible = mpc_step(sys, cfg, x0, preview)
+            u0, us, feasible = mpc_step(sys, cfg, x0, preview)
             e_u0, e_pred, e_feasible = _stacked_mpc_step(sys, cfg, x0, preview)
             assert feasible == e_feasible
             outcomes.setdefault(mode, []).append(feasible)
             if feasible:
+                xs = _rollout(sys, x0, us, preview)
+                assert np.array_equal(u0, us[0])
                 assert np.max(np.abs(u0 - e_u0)) <= 1e-9
-                assert np.max(np.abs(pred[0] - e_pred[0])) <= 1e-9
-                assert np.max(np.abs(pred[1] - e_pred[1])) <= 1e-9
+                assert np.max(np.abs(xs - e_pred[0])) <= 1e-9
+                assert np.max(np.abs(us - e_pred[1])) <= 1e-9
     assert len(passed) == 12 * 40
     for flags in outcomes.values():  # each mode sees both outcomes
         assert 0.2 * len(flags) <= sum(flags) <= 0.9 * len(flags)
@@ -423,13 +440,14 @@ def test_closed_loop_matches_fresh_configs(closed_loop_cases):
 
 
 def _answers(sys, cfg, starts):
-    """(feasible, u0 and the prediction) of mpc_step from each start."""
+    """(feasible, u0, the predicted states and the plan) of mpc_step from
+    each start."""
     preview = np.full((cfg.p, sys.l), 0.1)
     out = []
     for x0 in starts:
-        u0, pred, feasible = mpc_step(sys, cfg, x0, preview)
-        out.append((feasible, None if not feasible else
-                    np.concatenate([u0, pred[0].ravel(), pred[1].ravel()])))
+        u0, us, feasible = mpc_step(sys, cfg, x0, preview)
+        out.append((feasible, None if not feasible else np.concatenate(
+            [u0, _rollout(sys, x0, us, preview).ravel(), us.ravel()])))
     return out
 
 
@@ -507,3 +525,77 @@ def test_closed_loop_makes_one_step_and_one_qp_per_step(monkeypatch,
         assert calls == {"mpc_step": 20, "solve_qp": 20}
         runs += 1
     assert runs == 2  # build_2d_random(1) at p = 2, wind turbine at p = 4
+
+
+# Closed-loop logs of simulate_closed_loop, one float.hex string per step:
+# x, then u, then cost. The terminal set is max_invariant_set(sys,
+# tol=1e-9), the start is 0.98 times a vertex of it picked by the seeded
+# rng, and the stream is the next 20 + p draws of sample_disturbances. Each
+# run has steps where a constraint is active (4 on 2d-1, 2 on wind
+# turbine), so solve_qp's active-set path is covered as well as its
+# unconstrained return.
+_GOLDEN_CLOSED_LOOP = {
+    "2d-1": [
+        "0x1.d1f9bbe971272p-3 -0x1.c82a49f884937p+0 0x1.1eada5dd8b19bp+1 0x1.07c7269aa6d20p+3",
+        "-0x1.417ebd402247cp+0 0x1.db7f9c32ec2fbp-2 0x1.8a61f32b57130p-2 0x1.f0eb5c8d7b83ep+0",
+        "-0x1.690394ad638eep+0 0x1.cf6c69643d788p-1 0x1.db26e099e9b8ap-4 0x1.6923abb8d1b15p+1",
+        "-0x1.56b5cc3a62991p+0 0x1.f75ba5ca4270ep-1 -0x1.49dae90fe11f6p-6 0x1.612990506ba38p+1",
+        "-0x1.4ae7080575d24p+0 0x1.965a74565d5c1p-1 -0x1.a226a1fde281ep-5 0x1.26d1f9fb9fd83p+1",
+        "-0x1.37177126a429cp+0 0x1.810670df111e0p-1 0x1.c4f184b965013p-6 0x1.058092abc6ee5p+1",
+        "-0x1.202eec2c15f3cp+0 0x1.9990ac24a70dap-1 0x1.96ca6b65ff778p-3 0x1.f2531ca38e90ap+0",
+        "-0x1.29568df652deep+0 0x1.9c872174c649ap-1 -0x1.23d987cb4e267p-4 0x1.006bbcd6eb92ep+1",
+        "-0x1.350dd5d419019p+0 0x1.16ad83cd0a428p-1 -0x1.24da1fc97445ep-2 0x1.d5e1e00e7858ap+0",
+        "-0x1.ef232f14463e4p-1 0x1.3977694afedd8p-1 -0x1.632eea51094ffp-3 0x1.5712bf9e87b41p+0",
+        "-0x1.7e6e91edfca14p-1 0x1.2ed337d6dd7e5p-1 -0x1.a8e9ac9466751p-5 0x1.d2233c147de46p-1",
+        "-0x1.60619aaf9d5f4p-1 0x1.c1fbef9cc1098p-2 -0x1.7198aae17d1a3p-3 0x1.6611c9d88246cp-1",
+        "-0x1.43905efbe8095p-1 0x1.0e37549c5ccbep-2 -0x1.6820824c8aa16p-2 0x1.2f75572e41dd3p-1",
+        "-0x1.9922be49ecc79p-2 0x1.c8e6c9a693f52p-3 -0x1.8671c2ddf2e1ep-2 0x1.6b4f262951522p-2",
+        "-0x1.19d6e2318b326p-3 0x1.a4bd016861f22p-4 -0x1.f7a7a8d5d7688p-3 0x1.70833990099ecp-4",
+        "0x1.a533cc28358dcp-4 0x1.2d7c079b9885cp-4 -0x1.3f7f5db74bc30p-4 0x1.69b3be37dae56p-6",
+        "0x1.4e6e4c061c3c4p-3 -0x1.f894ee494256ap-5 -0x1.171f43dfc694ep-4 0x1.1f90fa323e1f7p-5",
+        "0x1.6eed71b843e44p-3 -0x1.1ee4f5029e9c6p-3 0x1.9cdfaf49827ddp-5 0x1.bc871ccc26612p-5",
+        "0x1.e09cdf96930b0p-3 0x1.30087b7917800p-9 0x1.17721978f8883p-3 0x1.2ddb478e28aafp-4",
+        "0x1.73f7d835df124p-4 -0x1.fe07599f881ecp-4 0x1.d76185c346909p-4 0x1.2f1232a8fda35p-5",
+    ],
+    "wind_turbine": [
+        "0x1.648e2ee8349d9p-1 -0x1.846da16bfbf72p+6 0x1.4856d5cfaacd9p+3 -0x1.4000000000001p+2 0x1.2ac45e9b4b9cbp+13",
+        "-0x1.3ce81995e5038p-3 -0x1.83df0226057bbp+6 0x1.50adab9f559b1p+2 -0x1.4000000000001p+2 0x1.277b9697bd72bp+13",
+        "-0x1.8268da84d7df9p-2 -0x1.83feb2f56145dp+6 0x1.0adab9f559b00p-2 -0x1.159c7ff21e8a7p+1 0x1.262d57742373cp+13",
+        "-0x1.1810423f7f92ap-1 -0x1.844bfb2115710p+6 -0x1.e8825166e6a8ep+0 -0x1.9b5cbd3770636p-1 0x1.269fe43a6e0ddp+13",
+        "-0x1.4bd327b0e9b1bp-2 -0x1.84bc01a1fba40p+6 -0x1.5b1858014f6d4p+1 -0x1.1892de08a1a8cp-2 0x1.27617bb17941ap+13",
+        "-0x1.1f5e1d7ed4d00p-3 -0x1.84fe5f1052392p+6 -0x1.7e2ab3c263a26p+1 -0x1.2eacd2536faaep-4 0x1.27d18a657a28fp+13",
+        "0x1.cf7de19fc6554p-3 -0x1.851b1bacdee80p+6 -0x1.87a01a54ff1fbp+1 0x1.72ecfb4bba22dp-7 0x1.2800fef3ee401p+13",
+        "0x1.517c44748010bp-2 -0x1.84ecc2498220fp+6 -0x1.862d2d59b3659p+1 0x1.32d53673b0061p-5 0x1.27ba7afc4c96bp+13",
+        "0x1.6945e00afb8eep-1 -0x1.84a943089e075p+6 -0x1.8161d87fe4a57p+1 0x1.61ee0524974eep-5 0x1.275545fb1a3aep+13",
+        "0x1.db87e30ee521cp-1 -0x1.8418c0af00091p+6 -0x1.7bda206b52483p+1 0x1.6d94cf7cff6dap-5 0x1.267ae3e58ceabp+13",
+        "0x1.47d71d116bfebp+0 -0x1.835a8a542d470p+6 -0x1.7623cd2d5e4a8p+1 0x1.b2fb00e9bf2f9p-5 0x1.255eed344fe0ap+13",
+        "0x1.70f89e93ac859p+0 -0x1.825444a3528a3p+6 -0x1.6f57e129b74dcp+1 0x1.af4b354c9ca11p-5 0x1.23d3a50a90d53p+13",
+        "0x1.922e2bbac388dp+0 -0x1.812d1757a9336p+6 -0x1.689ab45484db4p+1 0x1.bb1713d5ed802p-5 0x1.22179728a5689p+13",
+        "0x1.d55b2e0871c62p+0 -0x1.7feb58ce46fd6p+6 -0x1.61ae58052d254p+1 0x1.c51af97518763p-5 0x1.203904d10a51fp+13",
+        "0x1.1406fcf56b08dp+1 -0x1.7e73dca9736f2p+6 -0x1.5a99ec1f58c36p+1 0x1.910dbf0165498p-5 0x1.1e0eded57ff5bp+13",
+        "0x1.1b48b3d13dac2p+1 -0x1.7cba37e1845d8p+6 -0x1.5455b523532e4p+1 0x1.499e9632683ccp-5 0x1.1b7c6fb1342b0p+13",
+        "0x1.405b1eecd4d60p+1 -0x1.7af4f6c1cf2e0p+6 -0x1.4f2f3aca898d5p+1 0x1.252113bd2e113p-5 0x1.18e5243f67806p+13",
+        "0x1.611e7a514eb89p+1 -0x1.78f464f6baa64p+6 -0x1.4a9ab67b94d51p+1 0x1.6df6e71758774p-5 0x1.15f9ae12a2aa8p+13",
+        "0x1.5968c87fb9fcep+1 -0x1.76bf6766388ebp+6 -0x1.44e2dadf37733p+1 0x1.874860cfc2a64p-5 0x1.12b7b89c781dfp+13",
+        "0x1.67b3f3cd215d3p+1 -0x1.7496bfbf05cb8p+6 -0x1.3ec5b95bf8689p+1 0x1.33ab18a0e0e38p-5 0x1.0f9409286db63p+13",
+    ],
+}
+
+
+@pytest.mark.parametrize("name, p, seed", [("2d-1", 2, 5),
+                                           ("wind_turbine", 4, 4)])
+def test_closed_loop_is_bit_identical_to_its_recorded_log(name, p, seed):
+    sys = (build_2d_random(1) if name == "2d-1"
+           else build_template("wind_turbine")[0])
+    C, conv = max_invariant_set(sys, tol=1e-9)
+    assert conv
+    V = vertices(C)
+    rng = np.random.default_rng(seed)
+    x0 = 0.98 * V[rng.integers(len(V))]
+    stream = sample_disturbances(sys.D, 20 + p, rng)
+    log = simulate_closed_loop(sys, MpcConfig(p=p, C=C), x0, stream, 20)
+    got = [" ".join([float(v).hex() for v in rec["x"]]
+                    + [float(v).hex() for v in rec["u"]]
+                    + [rec["cost"].hex()]) for rec in log]
+    assert all(rec["feasible"] for rec in log)
+    assert got == _GOLDEN_CLOSED_LOOP[name]

@@ -9,6 +9,7 @@ from preview_regret.solver import (
     UNBOUNDED,
     NotPositiveDefiniteError,
     NotStabilizableError,
+    SolverError,
     _row_scales,
     cholesky,
     dare_residual,
@@ -175,13 +176,13 @@ def test_qp_paths_solve_no_lp(monkeypatch):
     test_project_point_inside()
     test_project_point_corner()
     test_project_point_empty()
-    _, (xs, us), feasible = mpc_step(sys, MpcConfig(p=4, C=C), center, preview)
-    assert feasible
+    u0, us, feasible = mpc_step(sys, MpcConfig(p=4, C=C), center, preview)
+    assert feasible and us.shape == (4, sys.m)
+    assert np.array_equal(u0, us[0])
     x = center
-    for t in range(4):
+    for t in range(4):  # the plan's nominal rollout ends in the terminal set
         x = sys.step(x, us[t], preview[t])
-        assert np.allclose(xs[t], x, atol=1e-9)
-    assert np.all(C.H @ xs[-1] <= C.h + 1e-9)
+    assert np.all(C.H @ x <= C.h + 1e-9)
 
 
 def test_lp_over_400_rows_goes_through_highs_once(monkeypatch):
@@ -249,6 +250,33 @@ def test_qp_rejects_what_it_cannot_solve():
     x, status = solve_qp(np.zeros(1), A, np.array([-1.0, -1.0]),
                          _row_scales(A))
     assert (x, status) == (None, INFEASIBLE)
+
+
+@pytest.mark.parametrize("drift, fails", [(1e-2, True), (1e-11, True),
+                                           (2e-12, False)])
+def test_qp_residual_check_catches_a_drifting_active_row(monkeypatch, drift,
+                                                         fails):
+    # a QR factor whose second column leans on the first by `drift`: adding
+    # row 2 then moves x off row 1, which was active. Its residual is about
+    # drift, and the check allows 1e-12 * (1 + (|a|.|x| + |b|) / scale) =
+    # 3e-12 here: 1e-11 fails it, 2e-12 is above 1e-12 and still passes
+    real = np.linalg.qr
+
+    def leaning_qr(a, mode="reduced"):
+        Q, R = real(a, mode=mode)
+        Q = Q.copy()
+        Q[:, 1] -= drift * Q[:, 0]
+        return Q, R
+
+    monkeypatch.setattr(np.linalg, "qr", leaning_qr)
+    A = np.eye(2)
+    if fails:
+        with pytest.raises(SolverError, match="fails its residual check"):
+            solve_qp(np.zeros(2), A, [-1.0, -1.0], _row_scales(A))
+    else:
+        x, status = solve_qp(np.zeros(2), A, [-1.0, -1.0], _row_scales(A))
+        assert status == OPTIMAL
+        assert 1e-12 < x[0] + 1.0 <= 3e-12
 
 
 def _brute_force_qp(G, c, A, b):
