@@ -196,10 +196,14 @@ def _condensed_qp(sys: LinearSystem, cfg: MpcConfig) -> _Horizon:
 def mpc_step(sys: LinearSystem, cfg: MpcConfig, x0, preview):
     """One receding-horizon solve of the condensed QP (no equality rows).
 
-    The QP's fixed part, its rows and their scales included, comes from
-    `_condensed_qp`, kept on cfg and rebuilt only when sys or a field of
-    cfg is rebound; a step evaluates its affine maps in (x0, preview) and
-    makes one least-distance solve_qp call.
+    x0 holds the n entries of the state (a scalar will do when n = 1) and
+    preview the p*l entries of d_0, .., d_{p-1}, flat or as p rows of l;
+    both are read in order into one vector z = (x0, previews), and any
+    other count of entries raises ValueError. The QP's fixed part, its
+    rows and their scales included, comes from `_condensed_qp`, kept on
+    cfg and rebuilt only when sys or a field of cfg is rebound; a step
+    evaluates its affine maps in z and makes one least-distance solve_qp
+    call.
     Returns (u0, us, feasible): us is the (p, m) planned input sequence
     and u0 its first row. The predicted states are not built; a caller
     that wants them rolls the plan out, x_{t+1} = A x_t + B us[t] + E
@@ -207,19 +211,22 @@ def mpc_step(sys: LinearSystem, cfg: MpcConfig, x0, preview):
     as (None, None, False), never as an exception; genuine solver failures
     still raise.
     """
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    preview = np.asarray(preview, dtype=float).reshape(cfg.p, sys.l)
+    z = np.concatenate((x0, preview), axis=None, dtype=float)
+    if z.shape[0] != sys.n + cfg.p * sys.l or np.size(x0) != sys.n:
+        raise ValueError(f"x0 and the preview have {np.size(x0)} and "
+                         f"{np.size(preview)} entries; expected n = {sys.n} "
+                         f"and p*l = {cfg.p * sys.l}")
     qp = cfg._horizon
     if (qp is None or qp.key[0] is not sys or qp.key[1] is not cfg.p
             or qp.key[2] is not cfg.C):
         qp = cfg._horizon = _condensed_qp(sys, cfg)
-    z = np.concatenate([x0, preview.ravel()])
-    b = qp.b_map @ z
+    # ndarray.dot makes the same BLAS call as @ with less dispatch
+    b = qp.b_map.dot(z)
     b += qp.b0
-    y, _ = solve_qp(qp.c_map @ z, qp.A, b, qp.scale)
+    y, _ = solve_qp(qp.c_map.dot(z), qp.A, b, qp.scale)
     if y is None:
         return None, None, False
-    us = (qp.u_map @ y).reshape(cfg.p, sys.m)
+    us = qp.u_map.dot(y).reshape(cfg.p, sys.m)
     return us[0], us, True
 
 

@@ -3,6 +3,7 @@
 All routines are pure functions of their inputs.
 """
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -207,43 +208,55 @@ def _row_scales(A) -> np.ndarray:
 def solve_qp(c, A_ub, b_ub, scale):
     """Least-distance QP  min 1/2 |x|^2 + c'x  s.t. A_ub x <= b_ub.
 
-    Inequalities only (A_ub may have no rows), and the Hessian is the
-    identity: a caller substitutes any equalities away and whitens any
-    other positive definite Hessian G = LL' first (x = L^-T y,
-    c -> L^-1 c, A -> A L^-T). scale holds the row scales
+    Inequalities only, and the Hessian is the identity: a caller
+    substitutes any equalities away and whitens any other positive definite
+    Hessian G = LL' first (x = L^-T y, c -> L^-1 c, A -> A L^-T). c and
+    b_ub are 1-D and A_ub is 2-D, possibly with no rows; lists are
+    converted, but a scalar c is not widened. scale holds the row scales
     max(|a_i|, 1) of A_ub, as _row_scales computes them; a caller whose
     rows are fixed computes them once (mpc._condensed_qp). Dual active-set
     method (Goldfarb & Idnani, Math. Prog. 27, 1983), no LP inside: from
     the unconstrained minimiser x = -c it adds the most violated row
     (a_i x - b_i > 1e-12 * scale_i) one at a time and drops an active row
-    whose multiplier would turn negative. Returns (x, OPTIMAL), or (None,
-    INFEASIBLE) when a violated row depends on active rows none of which
-    can be dropped. A failed residual check or the iteration cap raise
-    SolverError.
+    whose multiplier would turn negative.
+
+    There are two exits. When x = -c violates no row by more than
+    1e-12 * scale_i, or there are no rows, it is returned at once, before
+    any active set exists: most MPC steps and every zero-distance
+    projection end there. Otherwise the loop ends at an x that violates no
+    row, returned as (x, OPTIMAL), or with (None, INFEASIBLE) when a
+    violated row depends on active rows none of which can be dropped. A
+    failed residual check or the iteration cap raise SolverError.
+
+    A row joining an active set of k > 0 rows takes the QR factors of
+    those rows. With k = 0 the factor Q would be the identity, so the step
+    is taken along the row a itself: w = a, there is no multiplier to
+    drop, and the row is dependent exactly when a = 0. The numbers are the
+    same as the QR step's, bit for bit, up to the sign of a zero.
 
     The residual check lets a row miss by the rounding of its own terms,
     1e-12 * (1 + (|a_i|.|x| + |b_i|) / scale_i), which is never below
     1e-12. So a row whose scaled residual is at most 1e-12 cannot fail it,
-    and the slack is built only when some row is above 1e-12: at the
-    unconstrained minimiser, where most MPC steps end, no row is.
+    and the slack is built only when some row is above 1e-12.
     """
-    c = np.atleast_1d(np.asarray(c, dtype=float))
-    n = c.shape[0]
-    A = np.atleast_2d(np.asarray(A_ub, dtype=float))
-    b = np.atleast_1d(np.asarray(b_ub, dtype=float))
+    x = -np.asarray(c, dtype=float)
+    A = np.asarray(A_ub, dtype=float)
+    b = np.asarray(b_ub, dtype=float)
+    res = A.dot(x)
+    res -= b
+    res /= scale
+    # res[res.argmax()] is res.max(), a NaN included, for a third of its cost
+    if not res.size or res[res.argmax()] <= 1e-12:
+        return x, OPTIMAL
     W = []  # active rows
-    x = -c
-    mu = np.zeros(0)  # multipliers of the active rows
-    for _ in range(50 * (n + b.shape[0] + 1)):
-        res = A @ x
-        res -= b
-        res /= scale
+    mu = []  # multipliers of the active rows
+    for _ in range(50 * (x.shape[0] + b.shape[0] + 1)):
         viol = res
         if W:
             viol = res.copy()
             viol[W] = -np.inf
-        q = int(viol.argmax()) if viol.size else -1
-        if q < 0 or viol[q] <= 1e-12:
+        q = int(viol.argmax())
+        if viol[q] <= 1e-12:
             # active rows may miss by the rounding of their own terms
             if (res > 1e-12).any():
                 slack = 1e-12 * (1.0 + (np.abs(A) @ np.abs(x) + np.abs(b))
@@ -251,48 +264,53 @@ def solve_qp(c, A_ub, b_ub, scale):
                 if (res > slack).any():
                     raise SolverError("QP solution fails its residual check")
             return x, OPTIMAL
+        a = A[q]
+        tiny = 1e-12 * math.sqrt(a @ a)
         t_q = 0.0
         while True:
             k = len(W)
-            Q, R = np.linalg.qr(A[W].T, mode="complete")
-            w = Q.T @ A[q]
-            r = -np.linalg.solve(R[:k], w[:k])
-            dependent = np.linalg.norm(w[k:]) <= 1e-12 * np.linalg.norm(A[q])
-            t_add = np.inf if dependent else (A[q] @ x - b[q]) / (w[k:] @ w[k:])
-            t_drop, j = min(((-mu[i] / r[i], i) for i in range(k) if r[i] < 0),
-                            default=(np.inf, -1))
+            if k:
+                Q, R = np.linalg.qr(A[W].T, mode="complete")
+                w = Q.T @ a
+                r = -np.linalg.solve(R[:k], w[:k])
+                w = w[k:]
+                t_drop, j = min(((-mu[i] / r[i], i) for i in range(k)
+                                 if r[i] < 0), default=(np.inf, -1))
+            else:  # Q = I: step along a, with nothing to drop
+                w, r, t_drop, j = a, (), np.inf, -1
+            ww = w @ w
+            dependent = math.sqrt(ww) <= tiny
             if dependent and j < 0:
                 return None, INFEASIBLE
+            t_add = np.inf if dependent else (a @ x - b[q]) / ww
             t = min(t_add, t_drop)
-            x = x - t * (Q[:, k:] @ w[k:])
-            mu = mu + t * r
+            x = x - t * (Q[:, k:] @ w if k else w)
+            mu = [m_i + t * r_i for m_i, r_i in zip(mu, r)]
             t_q += t
             if t_add <= t_drop:
                 W.append(q)
-                mu = np.append(mu, t_q)
+                mu.append(t_q)
                 break
-            W.pop(j)
-            mu = np.delete(mu, j)
+            del W[j], mu[j]
+        res = A.dot(x)
+        res -= b
+        res /= scale
     raise SolverError("dual active-set QP did not converge")
 
 
 def project_point(point, P):
     """Euclidean projection of a point onto a polytope: solve_qp with
-    c = -point.
+    c = -point and the row scales of P.H.
 
     Returns (closest, distance). A point that violates no row by more than
-    1e-12 * max(|H_i|, 1), solve_qp's own test, is its own projection at
-    distance exactly 0, returned as a copy without calling solve_qp. The
-    row scales of that test are computed once and passed to solve_qp, so
-    both tests divide by the same array.
+    1e-12 * max(|H_i|, 1) leaves through solve_qp's first exit, before any
+    active set: it comes back as a new array equal to it bit for bit, at
+    distance exactly 0.
     """
     from .polytope import EmptyPolytopeError
 
     point = np.atleast_1d(np.asarray(point, dtype=float))
-    scale = _row_scales(P.H)
-    if np.all((P.H @ point - P.h) / scale <= 1e-12):
-        return point.copy(), 0.0
-    x, status = solve_qp(-point, P.H, P.h, scale)
+    x, _ = solve_qp(-point, P.H, P.h, _row_scales(P.H))
     if x is None:
         raise EmptyPolytopeError("cannot project onto an empty polytope")
     return x, float(np.linalg.norm(x - point))

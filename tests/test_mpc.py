@@ -531,9 +531,10 @@ def test_closed_loop_makes_one_step_and_one_qp_per_step(monkeypatch,
 # x, then u, then cost. The terminal set is max_invariant_set(sys,
 # tol=1e-9), the start is 0.98 times a vertex of it picked by the seeded
 # rng, and the stream is the next 20 + p draws of sample_disturbances. Each
-# run has steps where a constraint is active (4 on 2d-1, 2 on wind
-# turbine), so solve_qp's active-set path is covered as well as its
-# unconstrained return.
+# run has steps where a constraint is active (_ACTIVE_STEPS), so solve_qp's
+# active-set path is covered as well as its unconstrained return; on 2d-2
+# at p = 1 most steps have one.
+_ACTIVE_STEPS = {"2d-1": 4, "wind_turbine": 2, "2d-2": 18}
 _GOLDEN_CLOSED_LOOP = {
     "2d-1": [
         "0x1.d1f9bbe971272p-3 -0x1.c82a49f884937p+0 0x1.1eada5dd8b19bp+1 0x1.07c7269aa6d20p+3",
@@ -579,23 +580,128 @@ _GOLDEN_CLOSED_LOOP = {
         "0x1.5968c87fb9fcep+1 -0x1.76bf6766388ebp+6 -0x1.44e2dadf37733p+1 0x1.874860cfc2a64p-5 0x1.12b7b89c781dfp+13",
         "0x1.67b3f3cd215d3p+1 -0x1.7496bfbf05cb8p+6 -0x1.3ec5b95bf8689p+1 0x1.33ab18a0e0e38p-5 0x1.0f9409286db63p+13",
     ],
+    "2d-2": [
+        "0x1.7356833662b8bp-4 0x1.b40bcbd5cf0a2p+0 -0x1.b739750979c88p+1 0x1.d5e5687d09326p+3",
+        "0x1.0e066e16948b5p+1 -0x1.499b629d823aap+0 0x1.a139898009e61p-1 0x1.b16988c16e6afp+2",
+        "0x1.a9cfb106a7283p+0 -0x1.a139898009e62p-1 -0x1.adfc26eee2914p-2 0x1.cdb2e996ec387p+1",
+        "0x1.f30461ffa763ep+0 -0x1.0c0eab593faebp+0 0x1.fb8ad1adef618p-2 0x1.49133005312c2p+2",
+        "0x1.c390d10661af3p+0 -0x1.89c2a3c6ae3f8p-1 0x1.71b43c56b5180p-6 0x1.da095e576257fp+1",
+        "0x1.d4b0fa69c0e28p+0 -0x1.bd231ff0cbd96p-1 -0x1.e4fc703b26b98p-2 0x1.1541439dfd6ebp+2",
+        "0x1.0966d8fc1914ap+1 -0x1.3bbca34e0fd6ep+0 0x1.1be34653eedfdp-1 0x1.882d8c385a13ap+2",
+        "0x1.d285783a62e05p+0 -0x1.b6a09962b1d32p-1 -0x1.2087b13ffed48p-4 0x1.03d47752395d2p+2",
+        "0x1.e816020e37e4ep+0 -0x1.f75236de30e08p-1 0x1.5d64bfdc27501p-1 0x1.444bfafb34b5fp+2",
+        "0x1.97e6c5f77bc5bp+0 -0x1.5d64bfdc27502p-1 -0x1.41ca0dbad1741p-2 0x1.8d372ac876f1cp+1",
+        "0x1.dc185387aaf4dp+0 -0x1.d3592b4a8a100p-1 0x1.1486706971340p-7 0x1.12aeb01e4c66fp+2",
+        "0x1.e653c2cfef4d6p+0 -0x1.f20b7923571a2p-1 0x1.8c4b3ea06112ap-2 0x1.2d1d7681e3b60p+2",
+        "0x1.c650aefcb8fa2p+0 -0x1.92023da9b4206p-1 -0x1.03c5a164ea853p-1 0x1.017ed9f2ad36ep+2",
+        "0x1.0662b105a6ddfp+1 -0x1.32b02b6ab932cp+0 0x1.596456d830107p-1 0x1.85e88a3bb5ffap+2",
+        "0x1.c23d35ef1b3c8p+0 -0x1.85c7d280dae78p-1 -0x1.ffe06e0211ff0p-6 0x1.d63cb8641e45ep+1",
+        "0x1.d9535e13e81d0p+0 -0x1.cb0a4aef41890p-1 0x1.318825a7d19f8p-1 0x1.250584e709bd2p+2",
+        "0x1.a841d6c104a7bp+0 -0x1.37d5b4f697290p-1 -0x1.f853b905dc11cp-4 0x1.90f8f70bbdc5bp+1",
+        "0x1.d196270976477p+0 -0x1.b3d2a5cfec083p-1 0x1.c55dc25f8a84ap-2 0x1.0e9ba116cdedfp+2",
+        "0x1.b2eb4a5c5fd66p+0 -0x1.57d20fc8a8b50p-1 0x1.411c3f2f24f6ep-3 0x1.ae4f7239bf93cp+1",
+        "0x1.bbf5af64888cap+0 -0x1.72f13ee122d7dp-1 -0x1.08b63b74d77f8p-1 0x1.e65cef9609a61p+1",
+    ],
 }
 
 
+def _counting_active_steps(monkeypatch):
+    """Count the solve_qp calls of mpc_step that leave -c."""
+    active = []
+    real = mpc.solve_qp
+
+    def spy(c, *args):
+        y, status = real(c, *args)
+        active.append(y is not None and not np.array_equal(y, -c))
+        return y, status
+
+    monkeypatch.setattr(mpc, "solve_qp", spy)
+    return active
+
+
 @pytest.mark.parametrize("name, p, seed", [("2d-1", 2, 5),
-                                           ("wind_turbine", 4, 4)])
-def test_closed_loop_is_bit_identical_to_its_recorded_log(name, p, seed):
-    sys = (build_2d_random(1) if name == "2d-1"
-           else build_template("wind_turbine")[0])
+                                           ("wind_turbine", 4, 4),
+                                           ("2d-2", 1, 1)])
+def test_closed_loop_is_bit_identical_to_its_recorded_log(monkeypatch, name,
+                                                          p, seed):
+    sys = (build_template("wind_turbine")[0] if name == "wind_turbine"
+           else build_2d_random(int(name[-1])))
     C, conv = max_invariant_set(sys, tol=1e-9)
     assert conv
     V = vertices(C)
     rng = np.random.default_rng(seed)
     x0 = 0.98 * V[rng.integers(len(V))]
     stream = sample_disturbances(sys.D, 20 + p, rng)
+    active = _counting_active_steps(monkeypatch)
     log = simulate_closed_loop(sys, MpcConfig(p=p, C=C), x0, stream, 20)
     got = [" ".join([float(v).hex() for v in rec["x"]]
                     + [float(v).hex() for v in rec["u"]]
                     + [rec["cost"].hex()]) for rec in log]
     assert all(rec["feasible"] for rec in log)
     assert got == _GOLDEN_CLOSED_LOOP[name]
+    assert sum(active) == _ACTIVE_STEPS[name]
+
+
+def test_closed_loop_factors_rows_only_for_an_active_set_that_is_not_empty(
+        monkeypatch):
+    # streams as the benchmark's mpc-loop draws them: solve_qp takes the
+    # first active row of a step without a QR factorisation
+    widths = []
+    real = np.linalg.qr
+
+    def counting_qr(a, mode="reduced"):
+        widths.append(a.shape[1])
+        return real(a, mode=mode)
+
+    monkeypatch.setattr(np.linalg, "qr", counting_qr)
+    active = _counting_active_steps(monkeypatch)
+    rng = np.random.default_rng([27, 2])
+    for sys, p, runs in ((build_2d_random(1), 2, 6),
+                         (build_template("wind_turbine")[0], 4, 3)):
+        C, conv = max_invariant_set(sys, tol=1e-9)
+        assert conv
+        inner = scale(C, 0.98)
+        box = bounding_box(inner)
+        cfg = MpcConfig(p=p, C=C)
+        for _ in range(runs):
+            stream = sample_disturbances(sys.D, 20 + p, rng)
+            x0 = rng.uniform(box.lower, box.upper)
+            while not inner.contains_point(x0):
+                x0 = rng.uniform(box.lower, box.upper)
+            log = simulate_closed_loop(sys, cfg, x0, stream, 20)
+            assert len(log) == 20 and all(rec["feasible"] for rec in log)
+    assert len(active) == 180 and sum(active) > 0
+    assert all(k >= 1 for k in widths)
+
+
+def test_mpc_step_input_contract(spine_1d, setup_2d):
+    sys1, _, C1, _ = spine_1d
+    cfg1 = MpcConfig(p=2, C=C1)
+    u0, us, feasible = mpc_step(sys1, cfg1, np.array([0.3]), [[0.1], [-0.2]])
+    assert feasible
+    for x0 in (0.3, [0.3], np.float64(0.3)):  # n = 1: a scalar will do
+        for preview in ([0.1, -0.2], [[0.1], [-0.2]], np.array([0.1, -0.2])):
+            got = mpc_step(sys1, cfg1, x0, preview)
+            assert got[2] and np.array_equal(got[1], us)
+            assert np.array_equal(got[0], u0)
+    sys2, C2, _ = setup_2d
+    cfg2 = MpcConfig(p=2, C=C2)
+    x0 = 0.5 * C2.chebyshev_center()[0]
+    flat = np.full(2 * sys2.l, 0.05)
+    rows = mpc_step(sys2, cfg2, x0, flat.reshape(2, sys2.l))
+    assert rows[2] and np.array_equal(rows[1],
+                                      mpc_step(sys2, cfg2, x0, flat)[1])
+    assert np.array_equal(rows[1],
+                          mpc_step(sys2, cfg2, list(x0), flat.tolist())[1])
+    for bad_x0, bad_preview in ((np.zeros(3), flat), (np.zeros(1), flat),
+                                (x0, flat[:-1]), (x0, np.r_[flat, 0.0]),
+                                (np.zeros(3), flat[:-1])):
+        with pytest.raises(ValueError):
+            mpc_step(sys2, cfg2, bad_x0, bad_preview)
+    # a rebound field rebuilds the horizon; an unchanged config keeps it
+    kept = cfg2._horizon
+    mpc_step(sys2, cfg2, x0, flat)
+    assert cfg2._horizon is kept
+    cfg2.C = scale(C2, 0.5)
+    mpc_step(sys2, cfg2, x0, flat)
+    assert cfg2._horizon is not kept and cfg2._horizon.key[2] is cfg2.C

@@ -130,8 +130,6 @@ def test_project_point_supporting_hyperplane(seed):
 
 
 def test_project_point_at_zero_distance_sets_up_no_qp(monkeypatch):
-    from preview_regret import solver
-
     rng = np.random.default_rng(11)
     dirs = rng.normal(size=(12, 3)) * 10.0 ** rng.integers(-2, 3, size=(12, 1))
     P = HPolytope(dirs, rng.uniform(0.5, 2.0, size=12))
@@ -142,18 +140,18 @@ def test_project_point_at_zero_distance_sets_up_no_qp(monkeypatch):
         if np.all((P.H @ on - P.h) / scale <= 1e-12):
             points += [on, on + 5e-13 * scale[i] * P.H[i] / (P.H[i] @ P.H[i])]
     assert len(points) > 2
-    # the QP solver returns such a start point bit for bit
-    expect = [solve_qp(-pt, P.H, P.h, scale)[0] for pt in points]
 
-    def no_qp(*args, **kwargs):
-        raise AssertionError("a zero-distance projection set up a QP")
+    def no_qr(*args, **kwargs):
+        raise AssertionError("a zero-distance projection factored rows")
 
-    monkeypatch.setattr(solver, "solve_qp", no_qp)
-    for pt, x in zip(points, expect):
+    # solve_qp leaves at its first exit: no QR, and the point comes back
+    # as a new array equal to it bit for bit, which an added row would move
+    monkeypatch.setattr(np.linalg, "qr", no_qr)
+    for pt in points:
         closest, dist = project_point(pt, P)
         assert dist == 0.0
         assert closest is not pt
-        assert np.array_equal(closest, pt) and np.array_equal(closest, x)
+        assert [v.hex() for v in closest] == [v.hex() for v in pt]
 
 
 def test_qp_paths_solve_no_lp(monkeypatch):
@@ -376,6 +374,127 @@ def test_qp_feasible_start_comes_back_bit_for_bit(seed):
     x, status = solve_qp(c, A, b, _row_scales(A))
     assert status == OPTIMAL
     assert np.array_equal(x, -c)
+
+
+def _reference_qp(c, A_ub, b_ub, scale):
+    """solve_qp's loop as it stood before its early exit and its QR-free
+    first row: every step, the first included, takes the QR factors of the
+    active rows. The bit-for-bit reference of test_qp_matches_its_reference_loop."""
+    c = np.atleast_1d(np.asarray(c, dtype=float))
+    n = c.shape[0]
+    A = np.atleast_2d(np.asarray(A_ub, dtype=float))
+    b = np.atleast_1d(np.asarray(b_ub, dtype=float))
+    W = []  # active rows
+    x = -c
+    mu = np.zeros(0)  # multipliers of the active rows
+    for _ in range(50 * (n + b.shape[0] + 1)):
+        res = A @ x
+        res -= b
+        res /= scale
+        viol = res
+        if W:
+            viol = res.copy()
+            viol[W] = -np.inf
+        q = int(viol.argmax()) if viol.size else -1
+        if q < 0 or viol[q] <= 1e-12:
+            if (res > 1e-12).any():
+                slack = 1e-12 * (1.0 + (np.abs(A) @ np.abs(x) + np.abs(b))
+                                 / scale)
+                if (res > slack).any():
+                    raise SolverError("QP solution fails its residual check")
+            return x, OPTIMAL
+        t_q = 0.0
+        while True:
+            k = len(W)
+            Q, R = np.linalg.qr(A[W].T, mode="complete")
+            w = Q.T @ A[q]
+            r = -np.linalg.solve(R[:k], w[:k])
+            dependent = np.linalg.norm(w[k:]) <= 1e-12 * np.linalg.norm(A[q])
+            t_add = np.inf if dependent else (A[q] @ x - b[q]) / (w[k:] @ w[k:])
+            t_drop, j = min(((-mu[i] / r[i], i) for i in range(k) if r[i] < 0),
+                            default=(np.inf, -1))
+            if dependent and j < 0:
+                return None, INFEASIBLE
+            t = min(t_add, t_drop)
+            x = x - t * (Q[:, k:] @ w[k:])
+            mu = mu + t * r
+            t_q += t
+            if t_add <= t_drop:
+                W.append(q)
+                mu = np.append(mu, t_q)
+                break
+            W.pop(j)
+            mu = np.delete(mu, j)
+    raise SolverError("dual active-set QP did not converge")
+
+
+def _reference_cases():
+    """Seeded least-distance QPs with n <= 6 and m <= 12, in four kinds:
+    general, a satisfied start (-c meets every row, some with equality),
+    duplicate rows, and a zero row with a negative offset, which no x
+    meets. Every fifth case with rows is passed as lists."""
+    for seed in range(240):
+        rng = np.random.default_rng([27, seed])
+        kind = seed % 4
+        n = int(rng.integers(1, 7))
+        m = int(rng.integers(0, 10 if kind == 2 else 13))
+        A = rng.normal(size=(m, n)) * 10.0 ** rng.integers(-2, 3, size=(m, 1))
+        c = 2.0 * rng.normal(size=n)
+        b = rng.normal(size=m) + rng.uniform(-1.0, 2.0)
+        if kind == 1:
+            b = A @ -c + rng.uniform(0.0, 1.0, size=m) * (rng.random(m) < 0.7)
+        elif kind == 2 and m:
+            dup = rng.integers(0, m, size=int(rng.integers(1, 4)))
+            A, b = np.vstack([A, A[dup]]), np.r_[b, b[dup]]
+        elif kind == 3:
+            A = np.vstack([A, np.zeros((1, n))])
+            b = np.r_[b, -rng.uniform(0.1, 2.0)]
+        scale = _row_scales(A)
+        if seed % 5 == 0 and A.shape[0]:
+            c, A, b = c.tolist(), A.tolist(), b.tolist()
+        yield kind, c, A, b, scale
+
+
+def test_qp_matches_its_reference_loop():
+    outcomes = {"empty": 0, "start": 0, "moved": 0, INFEASIBLE: 0}
+    lists = 0
+    for kind, c, A, b, scale in _reference_cases():
+        lists += isinstance(A, list)
+        expect, expect_status = _reference_qp(c, A, b, scale)
+        x, status = solve_qp(c, A, b, scale)
+        assert status == expect_status
+        if expect is None:
+            assert x is None
+            outcomes[INFEASIBLE] += 1
+            continue
+        assert np.array_equal(x, expect)
+        if kind == 3:
+            raise AssertionError("a zero row with a negative offset was met")
+        outcomes["empty" if not len(b) else
+                 "start" if np.array_equal(x, -np.asarray(c)) else "moved"] += 1
+    assert outcomes["empty"] >= 10 and outcomes["start"] >= 60
+    assert outcomes["moved"] >= 60 and outcomes[INFEASIBLE] >= 60
+    assert lists >= 40
+
+
+def test_qp_factors_rows_only_for_an_active_set_that_is_not_empty(monkeypatch):
+    # the first active row is a step along the row itself; the second one
+    # takes the QR factors of the first
+    real = np.linalg.qr
+    widths = []
+
+    def counting_qr(a, mode="reduced"):
+        widths.append(a.shape[1])
+        return real(a, mode=mode)
+
+    monkeypatch.setattr(np.linalg, "qr", counting_qr)
+    A = np.eye(2)
+    x, status = solve_qp(np.zeros(2), A, [-1.0, 1.0], _row_scales(A))
+    assert status == OPTIMAL and np.array_equal(x, [-1.0, 0.0])
+    assert widths == []
+    x, status = solve_qp(np.zeros(2), A, [-1.0, -1.0], _row_scales(A))
+    assert status == OPTIMAL and np.array_equal(x, [-1.0, -1.0])
+    assert widths == [1]
 
 
 def test_dare_zero_dynamics():
