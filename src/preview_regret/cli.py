@@ -27,7 +27,7 @@ def _write_json(path, doc):
 def cmd_rcis(args) -> int:
     from .invariance import max_invariant_set
     from .serialize import SCHEMA_VERSION, load_system, polytope_to_json
-    from .systems import augment, collaborative, collaborative_augmented
+    from .systems import augment, collaborative_augmented
 
     system = load_system(args.system)
     n_aug = system.n + args.preview * system.l
@@ -36,11 +36,10 @@ def cmd_rcis(args) -> int:
               f"budget {args.dim_budget}", file=_sys.stderr)
         return EXIT_BUDGET
     if args.collaborative:
-        target = collaborative_augmented(system, args.preview) \
-            if args.preview else collaborative(system)
+        target = collaborative_augmented(system, args.preview)
         label = f"maximal CIS of the collaborative {args.preview}-preview system"
     else:
-        target = augment(system, args.preview) if args.preview else system
+        target = augment(system, args.preview)
         label = f"maximal RCIS at preview {args.preview}"
     C, converged = max_invariant_set(target, tol=args.tol,
                                      max_iter=args.max_iter)
@@ -68,11 +67,12 @@ def cmd_rcis(args) -> int:
 def cmd_regret(args) -> int:
     from .regret import regret_curve
     from .serialize import (
+        REGRET_FIELDS,
         certificate_to_json,
         ellipsoid_to_json,
         load_system,
         report_to_json,
-        write_regret_csv,
+        write_rows_csv,
     )
 
     system = load_system(args.system)
@@ -84,7 +84,7 @@ def cmd_regret(args) -> int:
                          tol=args.tol, dim_budget=args.dim_budget)
     certs, report, failures = curve.certs, curve.report, curve.failures
 
-    write_regret_csv(args.out, curve.rows)
+    write_rows_csv(args.out, REGRET_FIELDS, curve.rows)
     stem = args.out[:-4] if args.out.endswith(".csv") else args.out
     for name, cert in certs.items():
         path = f"{stem}_{name}.cert.json"
@@ -118,6 +118,7 @@ def cmd_mpc(args) -> int:
     )
     from .regret import algorithm3, bound_dp
     from .serialize import (
+        BOUND_CURVE_FIELDS,
         SCHEMA_VERSION,
         certificate_to_json,
         load_json,
@@ -125,7 +126,7 @@ def cmd_mpc(args) -> int:
         load_system,
         polytope_from_json,
         polytope_to_json,
-        write_bound_curve_csv,
+        write_rows_csv,
         write_trajectory_csv,
     )
     from .systems import AssumptionError, collaborative
@@ -175,7 +176,7 @@ def cmd_mpc(args) -> int:
     curve = [{"p": p, "bound_dp": bound_dp(cert, p),
               "measured_gap": gaps[p] if p < len(gaps) else 0.0}
              for p in range(0, p_max + 1)]
-    write_bound_curve_csv(f"{prefix}_bounds.csv", curve)
+    write_rows_csv(f"{prefix}_bounds.csv", BOUND_CURVE_FIELDS, curve)
 
     if args.simulate > 0:
         rng = np.random.default_rng(args.seed)

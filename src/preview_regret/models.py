@@ -1,5 +1,5 @@
 """Example systems: the closed-form 1D family, a seeded 2D instance with a
-random polytopic safe set, and parameterized application templates.
+random polytopic safe set, and fixed application templates.
 
 The 1D oracle is the package's ground-truth spine: every set computation can
 be checked against its closed forms to high precision.
@@ -81,15 +81,15 @@ def build_1d(a: float = 2.0, xbar: float = 10.0, ubar: float = 1.0,
     return sys, OneDimOracle(a=a, xbar=xbar, ubar=ubar, dbar=dbar)
 
 
-def build_2d_random(seed: int, k: int = 10, u_max: float = 5.0,
-                    state_cap: float = 6.0) -> LinearSystem:
+def build_2d_random(seed: int) -> LinearSystem:
     """Planar system with one unstable coupling block and a seeded random
     polytopic safe set.
 
-    The state rows are k uniformly random outer normals whose offsets keep
-    the unit box inside, plus a fixed outer cap guaranteeing compactness;
-    inputs are boxed at |u| <= u_max. Deterministic per seed.
+    The state rows are 10 uniformly random outer normals whose offsets keep
+    the unit box inside, plus a fixed outer cap |x_i| <= 6 guaranteeing
+    compactness; inputs are boxed at |u| <= 5. Deterministic per seed.
     """
+    k = 10
     rng = np.random.default_rng(seed)
     ang = rng.uniform(0.0, 2.0 * np.pi, size=k)
     dirs = np.c_[np.cos(ang), np.sin(ang)]
@@ -100,81 +100,65 @@ def build_2d_random(seed: int, k: int = 10, u_max: float = 5.0,
     H[:k, :2] = dirs
     h[:k] = offs
     H[k:k + 4, :2] = np.vstack([np.eye(2), -np.eye(2)])
-    h[k:k + 4] = state_cap
+    h[k:k + 4] = 6.0
     H[k + 4, 2] = 1.0
     H[k + 5, 2] = -1.0
-    h[k + 4:] = u_max
+    h[k + 4:] = 5.0
     S = HPolytope(H, h)
     return LinearSystem([[1.5, 1.0], [0.0, 1.1]], [[0.0], [1.0]],
                         [[1.0], [1.0]], interval(-0.3, 0.3), S)
 
 
-_TEMPLATES = ("lane_keeping", "biped", "wind_turbine")
-
-
-def _lane_keeping(params):
+def _lane_keeping():
     """Linearized lateral dynamics with previewed road curvature.
 
-    Safe-set bounds are fixed (|y|<=0.9, |v|<=1.2, |yaw|<=0.05, |r|<=0.3,
-    |steer|<=pi/2, |curvature|<=0.05); the dynamics matrices come from the
-    caller or from explicitly non-calibrated placeholders.
+    Safe-set bounds are published (|y|<=0.9, |v|<=1.2, |yaw|<=0.05,
+    |r|<=0.3, |steer|<=pi/2, |curvature|<=0.05); the dynamics are a
+    non-calibrated placeholder: a bicycle model at 30 m/s, forward-Euler
+    discretized at 0.05 s.
     """
-    defaults = {
-        "vx": 30.0, "Ts": 0.05, "mass": 1500.0, "Iz": 2500.0,
-        "caf": 80_000.0, "car": 80_000.0, "lf": 1.2, "lr": 1.6,
-    }
-    p = {**defaults, **params}
-    provenance = {"bounds": "published", "dynamics": "user/placeholder"}
-    if "A" in p and "B" in p and "E" in p:
-        A, B, E = np.asarray(p["A"]), np.asarray(p["B"]), np.asarray(p["E"])
-        provenance["dynamics"] = "user"
-    else:
-        vx, m, Iz = p["vx"], p["mass"], p["Iz"]
-        caf, car, lf, lr = p["caf"], p["car"], p["lf"], p["lr"]
-        a22 = -(caf + car) / (m * vx)
-        a24 = -vx - (caf * lf - car * lr) / (m * vx)
-        a42 = -(caf * lf - car * lr) / (Iz * vx)
-        a44 = -(caf * lf ** 2 + car * lr ** 2) / (Iz * vx)
-        Ac = np.array([
-            [0.0, 1.0, vx, 0.0],
-            [0.0, a22, 0.0, a24],
-            [0.0, 0.0, 0.0, 1.0],
-            [0.0, a42, 0.0, a44],
-        ])
-        Bc = np.array([[0.0], [caf / m], [0.0], [caf * lf / Iz]])
-        Ec = np.array([[0.0], [0.0], [-vx], [0.0]])
-        Ts = p["Ts"]
-        A = np.eye(4) + Ts * Ac  # forward-Euler placeholder discretization
-        B = Ts * Bc
-        E = Ts * Ec
+    vx, m, Iz = 30.0, 1500.0, 2500.0
+    caf, car, lf, lr = 80_000.0, 80_000.0, 1.2, 1.6
+    a22 = -(caf + car) / (m * vx)
+    a24 = -vx - (caf * lf - car * lr) / (m * vx)
+    a42 = -(caf * lf - car * lr) / (Iz * vx)
+    a44 = -(caf * lf ** 2 + car * lr ** 2) / (Iz * vx)
+    Ac = np.array([
+        [0.0, 1.0, vx, 0.0],
+        [0.0, a22, 0.0, a24],
+        [0.0, 0.0, 0.0, 1.0],
+        [0.0, a42, 0.0, a44],
+    ])
+    Bc = np.array([[0.0], [caf / m], [0.0], [caf * lf / Iz]])
+    Ec = np.array([[0.0], [0.0], [-vx], [0.0]])
+    Ts = 0.05
+    A = np.eye(4) + Ts * Ac
+    B = Ts * Bc
+    E = Ts * Ec
     bounds = np.array([0.9, 1.2, 0.05, 0.3])
     S = Box(np.r_[-bounds, -np.pi / 2], np.r_[bounds, np.pi / 2]).to_polytope()
     D = interval(-0.05, 0.05)
-    return LinearSystem(A, B, E, D, S), provenance
+    return (LinearSystem(A, B, E, D, S),
+            {"bounds": "published", "dynamics": "placeholder"})
 
 
-def _biped(params):
+def _biped():
     """Lateral center-of-mass dynamics coupled with an uncertain tracking
     reference; the previewed disturbance drives the reference.
 
     Published rows: the tracking-error row |x + (h/g)*acc - ref| <= 0.1,
     the reference dynamics ref+ = 0.15 ref + d with |d| <= 0.085, and the
-    state/input boxes. The triple-integrator discretization uses placeholder
-    h, g, T unless overridden.
+    state/input boxes. The triple-integrator discretization uses the
+    placeholder values h = 0.8, g = 9.81 and T = 0.1.
     """
-    defaults = {"h_com": 0.8, "g": 9.81, "T": 0.1}
-    p = {**defaults, **params}
-    provenance = {"safe_rows": "published", "reference_dynamics": "published",
-                  "integrator_params": "user/placeholder"}
-    T = p["T"]
+    T = 0.1
     A = np.zeros((4, 4))
     A[:3, :3] = [[1.0, T, T * T / 2.0], [0.0, 1.0, T], [0.0, 0.0, 1.0]]
     A[3, 3] = 0.15
     B = np.array([[T ** 3 / 6.0], [T * T / 2.0], [T], [0.0]])
     E = np.array([[0.0], [0.0], [0.0], [1.0]])
     D = interval(-0.085, 0.085)
-    ratio = p["h_com"] / p["g"]
-    zmp = np.array([1.0, 0.0, ratio, -1.0, 0.0])
+    zmp = np.array([1.0, 0.0, 0.8 / 9.81, -1.0, 0.0])
     H = [zmp, -zmp]
     h = [0.1, 0.1]
     caps = [(0, 0.1), (1, 10.0), (2, 10.0), (3, 0.1), (4, 100.0)]
@@ -184,52 +168,41 @@ def _biped(params):
         H.extend([e, -e])
         h.extend([cap, cap])
     S = HPolytope(np.array(H), np.array(h))
-    return LinearSystem(A, B, E, D, S), provenance
+    return (LinearSystem(A, B, E, D, S),
+            {"safe_rows": "published", "reference_dynamics": "published",
+             "integrator_params": "placeholder"})
 
 
-def _wind_turbine(params):
+def _wind_turbine():
     """Rotor-speed regulation with previewed wind deviations.
 
     Published state caps: |speed dev| <= 5, |integral| <= 100,
-    pitch in [-4.53, 10.47]. Dynamics and any coupled constraint rows
-    (J x + E u <= l) are caller-supplied, with placeholder defaults.
+    pitch in [-4.53, 10.47]. The dynamics (sample time 0.2), the input cap
+    |u| <= 5 and the wind-deviation bound |d| <= 1 are placeholders.
     """
-    defaults = {"T": 0.2, "u_max": 5.0}
-    p = {**defaults, **params}
-    provenance = {"state_caps": "published", "dynamics": "user/placeholder"}
-    if "A" in p and "B" in p and "E" in p:
-        A, B, E = np.asarray(p["A"]), np.asarray(p["B"]), np.asarray(p["E"])
-        provenance["dynamics"] = "user"
-    else:
-        T = p["T"]
-        A = np.array([[0.95, 0.0, -0.08], [T, 1.0, 0.0], [0.0, 0.0, 1.0]])
-        B = np.array([[0.0], [0.0], [1.0]])
-        E = np.array([[0.2], [0.0], [0.0]])
-    lo = np.array([-5.0, -100.0, -4.53, -p["u_max"]])
-    hi = np.array([5.0, 100.0, 10.47, p["u_max"]])
+    T = 0.2
+    A = np.array([[0.95, 0.0, -0.08], [T, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    B = np.array([[0.0], [0.0], [1.0]])
+    E = np.array([[0.2], [0.0], [0.0]])
+    lo = np.array([-5.0, -100.0, -4.53, -5.0])
+    hi = np.array([5.0, 100.0, 10.47, 5.0])
     S = Box(lo, hi).to_polytope()
-    if "J" in p:
-        J = np.atleast_2d(np.asarray(p["J"], dtype=float))
-        Eu = np.atleast_2d(np.asarray(p["E_rows"], dtype=float))
-        l = np.atleast_1d(np.asarray(p["l"], dtype=float))
-        rows = np.hstack([J, Eu])
-        S = HPolytope(np.vstack([S.H, rows]), np.r_[S.h, l])
-        provenance["coupled_rows"] = "user"
-    D = interval(-p.get("dv_max", 1.0), p.get("dv_max", 1.0))
-    return LinearSystem(A, B, E, D, S), provenance
+    D = interval(-1.0, 1.0)
+    return (LinearSystem(A, B, E, D, S),
+            {"state_caps": "published", "dynamics": "placeholder"})
 
 
-def build_template(name: str, params: dict | None = None):
+_TEMPLATES = {"lane_keeping": _lane_keeping, "biped": _biped,
+              "wind_turbine": _wind_turbine}
+
+
+def build_template(name: str):
     """Named application template; returns (system, provenance).
 
     Provenance marks which ingredients are published constraint rows and
-    which are user-supplied or placeholder dynamics.
+    which are placeholder dynamics.
     """
-    params = dict(params or {})
-    if name == "lane_keeping":
-        return _lane_keeping(params)
-    if name == "biped":
-        return _biped(params)
-    if name == "wind_turbine":
-        return _wind_turbine(params)
-    raise ValueError(f"unknown template {name!r}; choose from {_TEMPLATES}")
+    if name not in _TEMPLATES:
+        raise ValueError(
+            f"unknown template {name!r}; choose from {tuple(_TEMPLATES)}")
+    return _TEMPLATES[name]()

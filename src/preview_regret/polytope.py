@@ -11,8 +11,9 @@ import numpy as np
 from .solver import (
     INFEASIBLE,
     UNBOUNDED,
+    _row_scales,
     solve_lp_fast,
-    project_point as _project_point,
+    solve_qp,
 )
 
 TAU_SET = 1e-6
@@ -878,9 +879,20 @@ def hausdorff_nested(X: HPolytope, Y: HPolytope) -> float:
         raise ValueError("dimension mismatch")
     if not contains(Y, X, tol=1e-7):
         raise ValueError("hausdorff_nested requires X ⊆ Y")
+    return _max_distance(vertices(Y), X)
+
+
+def _max_distance(points, P: HPolytope) -> float:
+    """Largest Euclidean distance from a row of points to P, and 0.0 for no
+    rows. Each distance is solver.project_point's, bit for bit, but P's row
+    scales are computed once. An empty P raises EmptyPolytopeError."""
+    scale = _row_scales(P.H)
     best = 0.0
-    for v in vertices(Y):
-        _, dist = _project_point(v, X)
+    for v in points:
+        x, _ = solve_qp(-v, P.H, P.h, scale)
+        if x is None:
+            raise EmptyPolytopeError("cannot project onto an empty polytope")
+        dist = float(np.linalg.norm(x - v))
         if dist > best:
             best = dist
-    return float(best)
+    return best

@@ -18,6 +18,7 @@ from .polytope import (
     BudgetExceededError,
     HPolytope,
     NormalFormError,
+    _max_distance,
     cartesian_product,
     containment_ratio,
     contains,
@@ -25,9 +26,10 @@ from .polytope import (
     project,
     radius_from_origin,
     scale,
+    translate,
     vertices,
 )
-from .solver import is_controllable, project_point
+from .solver import is_controllable
 from .systems import (
     AssumptionError,
     Equilibrium,
@@ -37,7 +39,6 @@ from .systems import (
     equilibrium_margin_at_zero,
     find_forced_equilibrium,
     shift_origin,
-    shift_polytope,
 )
 
 TRUE_DP_DIM_BUDGET = 8
@@ -142,8 +143,8 @@ def _shift_problem(sys, proj, C_max_co, require_interior_projection):
                 "forced equilibrium exists only on the constraint boundary; "
                 "the interiority assumptions cannot be verified")
         sys_s = shift_origin(sys, eq)
-        proj_s = shift_polytope(proj, eq.x_e)
-    C_co_s = shift_polytope(C_max_co, eq.x_e)
+        proj_s = translate(proj, -eq.x_e)
+    C_co_s = translate(C_max_co, -eq.x_e)
     if not C_co_s.in_normal_form:
         raise AssumptionError("equilibrium is not interior to the limit set")
     return sys_s, proj_s, C_co_s, eq
@@ -193,7 +194,7 @@ def refine_certificate(sys: LinearSystem, C_max_co: HPolytope,
     if not cert.cmax_exact:
         raise AssumptionError("refinement needs an exact limit set")
     co_s = collaborative(shift_origin(sys, cert.shift))
-    C_co_s = shift_polytope(C_max_co, cert.shift.x_e)
+    C_co_s = translate(C_max_co, -cert.shift.x_e)
     C_N = pre_k(co_s, scale(C_co_s, cert.lam * cert.gamma), k=cert.N)
     gamma = float(min(1.0, 1.0 / containment_ratio(C_co_s, C_N)))
     lam = cert.lam * cert.gamma / gamma
@@ -293,8 +294,7 @@ def algorithm3(sys: LinearSystem, C_max_co: HPolytope,
             p_bar = p0 + k
             break
     anchors = vertices(C_max_co)
-    distances = [max(float(project_point(v, C_k)[1]) for v in anchors)
-                 for C_k in ladder]
+    distances = [_max_distance(anchors, C_k) for C_k in ladder]
     pad = k_max + 1 - len(ladder) if math.isinf(p_bar) else 0
     return ConvergenceReport(p_bar=p_bar, ladder=ladder + ladder[-1:] * pad,
                              distances=distances + distances[-1:] * pad,
@@ -372,7 +372,7 @@ def preview_sweep(sys: LinearSystem, p0: int = 0, tol: float = 1e-8):
     """
     prefix, ladder = Prefix(upto=p0), None
     for p in count(p0):
-        C, converged = max_invariant_set(augment(sys, p) if p else sys,
+        C, converged = max_invariant_set(augment(sys, p),
                                          max_iter=400, tol=tol, prefix=prefix)
         sent = yield p, project(C, sys.n), converged
         if sent is not None:  # the ladder, sent after the first item
@@ -395,7 +395,7 @@ class RegretCurve:
     certs: dict  # method name -> RegretCertificate
     report: ConvergenceReport | None  # the alg3 ladder, when asked for
     failures: dict  # method name -> why it was not certified
-    rows: list  # one dict per p in p0..p_max (see write_regret_csv)
+    rows: list  # one dict per p in p0..p_max (see serialize.REGRET_FIELDS)
 
 
 def regret_curve(sys: LinearSystem, p0: int = 1, p_max: int = 8,

@@ -213,11 +213,15 @@ def _cell(v):
     return str(v)
 
 
-def write_regret_csv(path, rows):
-    """rows: dicts with keys p, true_dp, bound_alg1, bound_alg1_refined,
-    bound_alg2, bound_alg3, p_bar (missing values -> empty cells)."""
-    fields = ["p", "true_dp", "bound_alg1", "bound_alg1_refined",
-              "bound_alg2", "bound_alg3", "p_bar"]
+REGRET_FIELDS = ("p", "true_dp", "bound_alg1", "bound_alg1_refined",
+                 "bound_alg2", "bound_alg3", "p_bar")
+BOUND_CURVE_FIELDS = ("p", "bound_dp", "measured_gap")
+
+
+def write_rows_csv(path, fields, rows):
+    """One header of fields, then one line per row dict: each cell is
+    row.get(field), with missing values as empty cells. regret writes
+    REGRET_FIELDS and mpc's bound curve BOUND_CURVE_FIELDS."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(fields)
@@ -240,47 +244,30 @@ def write_trajectory_csv(path, log, n, m, l):
             w.writerow(row)
 
 
-def write_bound_curve_csv(path, rows):
-    fields = ["p", "bound_dp", "measured_gap"]
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(fields)
-        for row in rows:
-            w.writerow([_cell(row.get(f)) for f in fields])
-
-
 def load_scenario(path, D, T, count, seed):
-    """Disturbance streams of at least T steps from a scenario file, or a
-    seeded sampler.
+    """Disturbance streams of at least T steps: the explicit streams of a
+    scenario file ({"streams": [[[..], ..], ..]}), or with no file, count
+    streams from a sampler seeded with seed.
 
-    The file may list explicit streams ({"streams": [[[..], ..], ..]}) or
-    request sampling ({"seed": .., "count": .., "T": ..}); CLI flags fill
-    whatever the file omits. A stream shorter than T, a sampled length
-    below T, a malformed document, or a D that sample_disturbances cannot
-    sample raises SchemaError.
+    A file without "streams", a stream shorter than T, a malformed
+    document, or a D that sample_disturbances cannot sample raises
+    SchemaError.
     """
     from .mpc import sample_disturbances
 
     if path is not None:
         obj = load_json(path)
         _require(isinstance(obj, dict), path, "expected a JSON object")
-        if "streams" in obj:
-            _require(isinstance(obj["streams"], list), "streams",
-                     "expected an array of streams")
-            streams = []
-            for i, s in enumerate(obj["streams"]):
-                arr = _matrix(s, f"streams[{i}]", width=D.dim)
-                _require(len(arr) >= T, f"streams[{i}]",
-                         f"has {len(arr)} steps, needs at least {T}")
-                streams.append(arr)
-            return streams
-        for key, least in (("seed", 0), ("count", 0), ("T", T)):
-            _require(key not in obj or (type(obj[key]) is int
-                                        and obj[key] >= least), key,
-                     f"expected an integer of at least {least}")
-        seed = obj.get("seed", seed)
-        count = obj.get("count", count)
-        T = obj.get("T", T)
+        _require("streams" in obj, path, "missing field 'streams'")
+        _require(isinstance(obj["streams"], list), "streams",
+                 "expected an array of streams")
+        streams = []
+        for i, s in enumerate(obj["streams"]):
+            arr = _matrix(s, f"streams[{i}]", width=D.dim)
+            _require(len(arr) >= T, f"streams[{i}]",
+                     f"has {len(arr)} steps, needs at least {T}")
+            streams.append(arr)
+        return streams
     rng = np.random.default_rng(seed)
     try:
         return [sample_disturbances(D, T, rng) for _ in range(count)]

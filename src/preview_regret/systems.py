@@ -89,9 +89,6 @@ class DeterministicSystem:
     def m(self) -> int:
         return self.B.shape[1]
 
-    def step(self, x, u):
-        return self.A @ x + self.B @ u
-
 
 @dataclass
 class Equilibrium:
@@ -207,9 +204,3 @@ def shift_origin(sys: LinearSystem, eq: Equilibrium) -> LinearSystem:
     return LinearSystem(sys.A, sys.B, sys.E,
                         translate(sys.D, -eq.d_e),
                         translate(sys.S_xu, -t_xu))
-
-
-def shift_polytope(P: HPolytope, x_e) -> HPolytope:
-    """Shift a state-space set by -x_e (companion to shift_origin)."""
-    return translate(P, -np.asarray(x_e, dtype=float))
-

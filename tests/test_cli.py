@@ -802,11 +802,7 @@ def test_cli_rejects_a_malformed_number(field, value, where, tmp_path,
     ({"streams": [[[0.1], [0.2]]]}, "streams[0]: has 2 steps, needs at "
                                     "least 7"),
     ({"streams": [[[0.1], ["x"]]]}, "streams[0][1][0]: expected a finite"),
-    ({"seed": -1}, "seed: expected an integer of at least 0"),
-    ({"seed": None}, "seed: expected an integer of at least 0"),
-    ({"count": 1.5}, "count: expected an integer of at least 0"),
-    ({"T": True}, "T: expected an integer of at least 7"),
-    ({"T": 3}, "T: expected an integer of at least 7"),
+    ({"seed": 0, "count": 1, "T": 7}, "missing field 'streams'"),
 ])
 def test_cli_mpc_rejects_a_bad_scenario_before_any_output(
         scenario, where, system_file, tmp_path, capsys):
@@ -824,7 +820,7 @@ def test_cli_mpc_rejects_a_bad_scenario_before_any_output(
 @pytest.mark.parametrize("which", ["1d", "2d-1"])
 def test_regret_curve_rows_are_the_regret_csv(which, tmp_path):
     from preview_regret.regret import regret_curve
-    from preview_regret.serialize import write_regret_csv
+    from preview_regret.serialize import REGRET_FIELDS, write_rows_csv
 
     system = build_1d()[0] if which == "1d" else build_2d_random(1)
     path = tmp_path / "system.json"
@@ -832,7 +828,8 @@ def test_regret_curve_rows_are_the_regret_csv(which, tmp_path):
     cli_csv, own_csv = tmp_path / "cli.csv", tmp_path / "own.csv"
     assert main(["regret", str(path), "--p0", "1", "--p-max", "4",
                  "--out", str(cli_csv)]) == 0
-    write_regret_csv(own_csv, regret_curve(system, p0=1, p_max=4).rows)
+    write_rows_csv(own_csv, REGRET_FIELDS,
+                   regret_curve(system, p0=1, p_max=4).rows)
     with open(cli_csv, newline="") as fh:
         want = list(csv.reader(fh))
     with open(own_csv, newline="") as fh:

@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -5,6 +8,7 @@ from preview_regret.invariance import max_invariant_set
 from preview_regret.models import build_1d, build_2d_random, build_template
 from preview_regret.polytope import set_equal, support
 from preview_regret.regret import algorithm2, algorithm3, bound_dp, true_dp
+from preview_regret.serialize import system_to_json
 from preview_regret.solver import is_stabilizable
 from preview_regret.systems import collaborative
 from preview_regret.mpc import feasible_domain
@@ -102,8 +106,36 @@ def test_templates_well_formed():
         assert any("placeholder" in v or "user" in v for v in provenance.values())
 
 
+def _hex_mismatches(got, want, where):
+    """Paths at which got, with every float as float.hex, differs from want."""
+    if isinstance(want, dict):
+        if not isinstance(got, dict) or got.keys() != want.keys():
+            return [where]
+        return [m for k in want
+                for m in _hex_mismatches(got[k], want[k], f"{where}.{k}")]
+    if isinstance(want, list):
+        if not isinstance(got, list) or len(got) != len(want):
+            return [where]
+        return [m for i, (g, w) in enumerate(zip(got, want))
+                for m in _hex_mismatches(g, w, f"{where}[{i}]")]
+    value = got.hex() if isinstance(got, float) else got
+    return [] if value == want else [f"{where}: {value} != {want}"]
+
+
+def test_system_documents_are_pinned_bit_for_bit():
+    # every entry of system_to_json, recorded as float.hex in
+    # systems_hex.json, so a builder edit that moves any number fails here
+    want = json.loads((Path(__file__).parent / "systems_hex.json").read_text())
+    systems = {name: build_template(name)[0]
+               for name in ("lane_keeping", "biped", "wind_turbine")}
+    systems.update({f"2d-{seed}": build_2d_random(seed) for seed in range(4)})
+    assert systems.keys() == want.keys()
+    for name, system in systems.items():
+        assert _hex_mismatches(system_to_json(system), want[name], name) == []
+
+
 def test_biped_tracking_row():
-    sys, _ = build_template("biped", {"h_com": 0.8, "g": 9.81})
+    sys, _ = build_template("biped")
     ratio = 0.8 / 9.81
     target = np.array([1.0, 0.0, ratio, -1.0, 0.0])
     found = any(np.allclose(row, target) and h == pytest.approx(0.1)

@@ -719,6 +719,20 @@ def test_hausdorff_examples():
     assert hausdorff_nested(X, Y) == pytest.approx(np.sqrt(0.5), abs=1e-9)
 
 
+def test_hausdorff_is_the_largest_projection_distance_bit_for_bit():
+    from preview_regret.solver import project_point
+
+    rng = np.random.default_rng(5)
+    for X, Y in ((unit_box(2), scale(unit_box(2), 1.5)),
+                 (interval(-1, 1), interval(-1.5, 1.5)),
+                 (translate(unit_box(3), rng.uniform(-0.1, 0.1, 3)),
+                  scale(unit_box(3), 2.0))):
+        want = max(project_point(v, X)[1] for v in vertices(Y))
+        assert hausdorff_nested(X, Y).hex() == want.hex()
+    with pytest.raises(EmptyPolytopeError):
+        hausdorff_nested(HPolytope.empty(2), unit_box(2))
+
+
 def test_hausdorff_requires_nesting():
     with pytest.raises(ValueError):
         hausdorff_nested(interval(-2, 2), interval(-1, 1))
