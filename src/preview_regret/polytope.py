@@ -11,9 +11,8 @@ import numpy as np
 from .solver import (
     INFEASIBLE,
     UNBOUNDED,
-    _row_scales,
     solve_lp_fast,
-    solve_qp,
+    project_point as _project_point,
 )
 
 TAU_SET = 1e-6
@@ -883,16 +882,6 @@ def hausdorff_nested(X: HPolytope, Y: HPolytope) -> float:
 
 
 def _max_distance(points, P: HPolytope) -> float:
-    """Largest Euclidean distance from a row of points to P, and 0.0 for no
-    rows. Each distance is solver.project_point's, bit for bit, but P's row
-    scales are computed once. An empty P raises EmptyPolytopeError."""
-    scale = _row_scales(P.H)
-    best = 0.0
-    for v in points:
-        x, _ = solve_qp(-v, P.H, P.h, scale)
-        if x is None:
-            raise EmptyPolytopeError("cannot project onto an empty polytope")
-        dist = float(np.linalg.norm(x - v))
-        if dist > best:
-            best = dist
-    return best
+    """Largest Euclidean distance from a row of points to P, one
+    project_point per point."""
+    return max(_project_point(v, P)[1] for v in points)

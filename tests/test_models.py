@@ -103,7 +103,7 @@ def test_templates_well_formed():
         bounding_box(sys.S_xu)  # raises if not compact
         bounding_box(sys.D)
         assert any("published" in v for v in provenance.values())
-        assert any("placeholder" in v or "user" in v for v in provenance.values())
+        assert any("placeholder" in v for v in provenance.values())
 
 
 def _hex_mismatches(got, want, where):
