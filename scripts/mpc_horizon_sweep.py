@@ -6,15 +6,7 @@ Usage: python scripts/mpc_horizon_sweep.py [--seed 1] [--p-max 8]
 
 import argparse
 
-from preview_regret import (
-    algorithm3,
-    bound_dp,
-    build_2d_random,
-    collaborative,
-    feasible_domain,
-    max_invariant_set,
-    terminal_set_certificate,
-)
+from preview_regret import build_2d_random, max_invariant_set, mpc_curve
 
 
 def main():
@@ -29,20 +21,17 @@ def main():
     if C.is_empty():
         raise SystemExit(f"seed {args.seed}: no robust invariant set without "
                          "preview; pick another seed")
-    C_co, conv = max_invariant_set(collaborative(system), tol=1e-9)
-    assert conv
-    feasible_domain(system, C, p=1)  # raises unless C is robustly invariant
-    cert = terminal_set_certificate(system, C, C_co)
+    # mpc_curve raises unless C is robustly invariant
+    curve = mpc_curve(system, C, 1, args.p_max, 1e-9)
+    cert = curve.cert
+    assert cert is not None and cert.cmax_exact, curve.failure
     print(f"terminal anchor: lambda0={cert.lambda0:.4f} "
           f"gamma={cert.gamma:.4f} N={cert.N}")
 
-    # the feasible-domain projection at horizon p is the p-th rung of the
-    # ladder from C; past its convergence the gap stays 0
-    report = algorithm3(system, C_co, C, p0=0, k_max=args.p_max)
     print(" p | measured gap | certified bound")
-    for p in range(1, args.p_max + 1):
-        gap = report.distances[p] if p < len(report.distances) else 0.0
-        print(f"{p:2d} | {gap:.8f}   | {bound_dp(cert, p):.8f}")
+    for row in curve.rows[1:args.p_max + 1]:
+        print(f"{row['p']:2d} | {row['measured_gap']:.8f}   | "
+              f"{row['bound_dp']:.8f}")
 
 
 if __name__ == "__main__":

@@ -60,7 +60,9 @@ from .regret import (
 from .mpc import (
     FeasibleDomain,
     MpcConfig,
+    MpcCurve,
     feasible_domain,
+    mpc_curve,
     mpc_step,
     simulate_closed_loop,
     terminal_set_certificate,
@@ -83,7 +85,7 @@ __all__ = [
     "algorithm2", "algorithm3", "bound_dp", "bound_marginal",
     "estimate_lambda0", "k0_of", "preview_sweep", "proj_cmax_p",
     "refine_certificate", "regret_curve", "true_dp",
-    "FeasibleDomain", "MpcConfig", "feasible_domain", "mpc_step",
-    "simulate_closed_loop", "terminal_set_certificate",
+    "FeasibleDomain", "MpcConfig", "MpcCurve", "feasible_domain", "mpc_curve",
+    "mpc_step", "simulate_closed_loop", "terminal_set_certificate",
     "build_1d", "build_2d_random", "build_template",
 ]

@@ -109,14 +109,7 @@ def cmd_regret(args) -> int:
 
 def cmd_mpc(args) -> int:
     from .invariance import max_invariant_set
-    from .mpc import (
-        MpcConfig,
-        TerminalSetError,
-        feasible_domain,
-        simulate_closed_loop,
-        terminal_set_certificate,
-    )
-    from .regret import algorithm3, bound_dp
+    from .mpc import MpcConfig, TerminalSetError, mpc_curve, simulate_closed_loop
     from .serialize import (
         BOUND_CURVE_FIELDS,
         SCHEMA_VERSION,
@@ -129,7 +122,6 @@ def cmd_mpc(args) -> int:
         write_rows_csv,
         write_trajectory_csv,
     )
-    from .systems import AssumptionError, collaborative
     from .solver import project_point
 
     system = load_system(args.system)
@@ -149,7 +141,7 @@ def cmd_mpc(args) -> int:
     else:
         C = polytope_from_json(load_json(args.terminal), "terminal")
     try:
-        dom = feasible_domain(system, C, p=args.p)
+        curve = mpc_curve(system, C, args.p, args.curve_max, args.tol)
     except TerminalSetError as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_INPUT
@@ -158,25 +150,14 @@ def cmd_mpc(args) -> int:
     _write_json(f"{prefix}_domain.json", {
         "schema": SCHEMA_VERSION,
         "p": args.p,
-        "projection": polytope_to_json(dom.projection),
+        "projection": polytope_to_json(curve.domain),
     })
-
-    C_co, conv_co = max_invariant_set(collaborative(system), tol=args.tol)
-    try:
-        cert = terminal_set_certificate(system, C, C_co, cmax_exact=conv_co)
-    except (AssumptionError, ValueError) as exc:
+    if curve.failure is not None:
         # as in regret, where these leave a method "not certified"
-        print(f"assumptions unverifiable: {exc}", file=_sys.stderr)
+        print(f"assumptions unverifiable: {curve.failure}", file=_sys.stderr)
         return EXIT_ASSUMPTION
-    _write_json(f"{prefix}_cert.json", certificate_to_json(cert))
-
-    p_max = max(args.p, args.curve_max)
-    gaps = algorithm3(system, C_co, C, p0=0, k_max=p_max).distances
-    # the ladder stops once it contains the limit set
-    curve = [{"p": p, "bound_dp": bound_dp(cert, p),
-              "measured_gap": gaps[p] if p < len(gaps) else 0.0}
-             for p in range(0, p_max + 1)]
-    write_rows_csv(f"{prefix}_bounds.csv", BOUND_CURVE_FIELDS, curve)
+    _write_json(f"{prefix}_cert.json", certificate_to_json(curve.cert))
+    write_rows_csv(f"{prefix}_bounds.csv", BOUND_CURVE_FIELDS, curve.rows)
 
     if args.simulate > 0:
         rng = np.random.default_rng(args.seed)
@@ -191,7 +172,7 @@ def cmd_mpc(args) -> int:
             bad += sum(0 if rec["feasible"] else 1 for rec in log)
         print(f"simulated {len(streams)} streams x {args.simulate} steps; "
               f"infeasible steps: {bad}")
-    print(f"feasible domain rows={dom.projection.num_rows} -> "
+    print(f"feasible domain rows={curve.domain.num_rows} -> "
           f"{prefix}_domain.json; certificate -> {prefix}_cert.json")
     return EXIT_OK
 

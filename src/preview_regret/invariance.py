@@ -23,10 +23,6 @@ from .polytope import (
 from .systems import DeterministicSystem, LinearSystem
 
 
-def _safe_set_of(sys) -> HPolytope:
-    return sys.S_xu if isinstance(sys, LinearSystem) else sys.S
-
-
 def pre(sys, X: HPolytope, S: HPolytope | None = None) -> HPolytope:
     """One-step backward reachable set of X constrained to the safe set.
 
@@ -41,7 +37,7 @@ def pre(sys, X: HPolytope, S: HPolytope | None = None) -> HPolytope:
     reduction without a hull.
     """
     if S is None:
-        S = _safe_set_of(sys)
+        S = sys.S_xu
     n = sys.n
     if X.dim != n:
         raise ValueError("target set must live in the state space")
@@ -170,7 +166,7 @@ def max_invariant_set(sys, max_iter: int = 200, tol: float = TAU_SET,
             raise ValueError("the prefix must live in the state space")
         k, X, converged = prefix.k, prefix.X, prefix.stopped
     else:
-        S = _safe_set_of(sys)
+        S = sys.S_xu
         k, X, converged = 0, project(HPolytope(S.H, S.h), sys.n), False
     iterates = backward_reach(sys, X)
     next(iterates)

@@ -1,5 +1,5 @@
 """Preview MPC: feasible domains under recursive-feasibility constraints,
-their convergence certificates, and a closed-loop simulator.
+their convergence certificates and gap curves, and a closed-loop simulator.
 """
 
 from dataclasses import dataclass, field
@@ -7,7 +7,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .invariance import pre_k, rcis_violation_witness
+from .invariance import max_invariant_set, pre_k, rcis_violation_witness
 from .polytope import (
     _FLAT_RADIUS,
     HPolytope,
@@ -15,9 +15,10 @@ from .polytope import (
     bounding_box,
     support,
 )
-from .regret import NotControllableError, RegretCertificate, algorithm1, algorithm2
+from .regret import (NotControllableError, RegretCertificate, algorithm1,
+                     algorithm2, algorithm3, bound_dp)
 from .solver import _row_scales, solve_qp
-from .systems import LinearSystem, collaborative
+from .systems import AssumptionError, LinearSystem, collaborative
 
 
 class TerminalSetError(ValueError):
@@ -59,15 +60,8 @@ class FeasibleDomain:
     projection: HPolytope
 
 
-def feasible_domain(sys: LinearSystem, C: HPolytope, p: int) -> FeasibleDomain:
-    """States x0 from which some preview admits a feasible MPC solution.
-
-    This is the projection onto the state space of the feasible domain of
-    (x0, previews): the p-step backward reachable set of C under the
-    collaborative dynamics, which never touches the augmented space. Raises
-    TerminalSetError unless C lives in the state space and is nonempty,
-    bounded and robustly invariant to 1e-7.
-    """
+def _check_terminal_set(sys: LinearSystem, C: HPolytope, p: int) -> None:
+    """feasible_domain's and mpc_curve's checks of C and p."""
     if C.dim != sys.n:
         raise TerminalSetError(f"terminal set has dimension {C.dim}, the "
                                f"state space {sys.n}")
@@ -87,6 +81,18 @@ def feasible_domain(sys: LinearSystem, C: HPolytope, p: int) -> FeasibleDomain:
             f"{np.array2string(w, precision=6)}. A set from `rcis` at its "
             "default --tol 1e-6 may stop short of that; write it with "
             "`rcis --tol 1e-8`", witness=w)
+
+
+def feasible_domain(sys: LinearSystem, C: HPolytope, p: int) -> FeasibleDomain:
+    """States x0 from which some preview admits a feasible MPC solution.
+
+    This is the projection onto the state space of the feasible domain of
+    (x0, previews): the p-step backward reachable set of C under the
+    collaborative dynamics, which never touches the augmented space. Raises
+    TerminalSetError unless C lives in the state space and is nonempty,
+    bounded and robustly invariant to 1e-7.
+    """
+    _check_terminal_set(sys, C, p)
     return FeasibleDomain(projection=pre_k(collaborative(sys), C, k=p))
 
 
@@ -105,6 +111,42 @@ def terminal_set_certificate(sys: LinearSystem, C: HPolytope,
         return algorithm2(sys, C_max_co, C, cmax_exact=cmax_exact)
     except NotControllableError:
         return algorithm1(sys, C_max_co, C, cmax_exact=cmax_exact)
+
+
+@dataclass
+class MpcCurve:
+    """mpc_curve's result; rows holds serialize.BOUND_CURVE_FIELDS."""
+
+    domain: HPolytope
+    cert: RegretCertificate | None
+    failure: str | None
+    rows: list
+
+
+def mpc_curve(sys: LinearSystem, C: HPolytope, p: int, curve_max: int,
+              tol: float) -> MpcCurve:
+    """feasible_domain(sys, C, p) and the gap curve for p = 0..max(p,
+    curve_max) from one algorithm3 ladder from C: the domain is rung p, or
+    the ladder continued by pre if it closed earlier, and the gap is 0 past
+    its closure. The limit set is a fixed point at tol. An AssumptionError
+    or ValueError from terminal_set_certificate becomes failure."""
+    _check_terminal_set(sys, C, p)
+    co = collaborative(sys)
+    C_co, conv_co = max_invariant_set(co, tol=tol)
+    p_max = max(p, curve_max)
+    report = algorithm3(sys, C_co, C, p0=0, k_max=p_max)
+    ladder, gaps = report.ladder, report.distances
+    domain = ladder[p] if p < len(ladder) else pre_k(
+        co, ladder[-1], p + 1 - len(ladder))
+    cert = failure = None
+    try:
+        cert = terminal_set_certificate(sys, C, C_co, cmax_exact=conv_co)
+    except (AssumptionError, ValueError) as exc:
+        failure = str(exc)
+    rows = [{"p": k, "bound_dp": None if cert is None else bound_dp(cert, k),
+             "measured_gap": gaps[k] if k < len(gaps) else 0.0}
+            for k in range(p_max + 1)]
+    return MpcCurve(domain, cert, failure, rows)
 
 
 class _Horizon(NamedTuple):

@@ -315,7 +315,7 @@ def _preview_gap(p: int, proj: HPolytope, C_max_co: HPolytope) -> float:
 
 
 def true_dp(sys: LinearSystem, p: int, C_max_co: HPolytope,
-            tol: float = 1e-8, dim_budget: int = TRUE_DP_DIM_BUDGET) -> float:
+            tol: float = 1e-8) -> float:
     """The actual safety regret at horizon p, by direct computation.
 
     Builds the maximal invariant set of the p-preview system (up to the
@@ -324,9 +324,9 @@ def true_dp(sys: LinearSystem, p: int, C_max_co: HPolytope,
     over p is cheaper through preview_sweep, which gives the same sets.
     """
     n_aug = sys.n + p * sys.l
-    if n_aug > dim_budget:
-        raise BudgetExceededError(
-            f"true regret at p={p} needs dimension {n_aug} > budget {dim_budget}")
+    if n_aug > TRUE_DP_DIM_BUDGET:
+        raise BudgetExceededError(f"true regret at p={p} needs dimension "
+                                  f"{n_aug} > budget {TRUE_DP_DIM_BUDGET}")
     return _preview_gap(p, proj_cmax_p(sys, p, tol), C_max_co)
 
 

@@ -230,18 +230,17 @@ def write_rows_csv(path, fields, rows):
 
 
 def write_trajectory_csv(path, log, n, m, l):
+    """simulate_closed_loop's log, one row per record; an infeasible step
+    leaves its u cells empty."""
     fields = (["t"] + [f"x{i}" for i in range(n)] + [f"u{i}" for i in range(m)]
               + [f"d{i}" for i in range(l)] + ["feasible", "cost"])
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(fields)
-        for rec in log:
-            u = rec["u"] if rec["u"] is not None else [None] * m
-            row = ([rec["t"]] + [_cell(float(v)) for v in rec["x"]]
-                   + [_cell(None if v is None else float(v)) for v in u]
-                   + [_cell(float(v)) for v in rec["d"]]
-                   + [int(rec["feasible"]), _cell(rec["cost"])])
-            w.writerow(row)
+    # Python floats, since NumPy 2 scalars repr as np.float64(...)
+    rows = [dict(zip(fields, [
+        rec["t"], *map(float, rec["x"]),
+        *([None] * m if rec["u"] is None else map(float, rec["u"])),
+        *map(float, rec["d"]), int(rec["feasible"]), rec["cost"]]))
+        for rec in log]
+    write_rows_csv(path, fields, rows)
 
 
 def load_scenario(path, D, T, count, seed):

@@ -69,16 +69,16 @@ class LinearSystem:
 
 @dataclass
 class DeterministicSystem:
-    """x(t+1) = A x + B u with no disturbance; S constrains (x, u)."""
+    """x(t+1) = A x + B u with no disturbance and safe set S_xu."""
 
     A: np.ndarray
     B: np.ndarray
-    S: HPolytope
+    S_xu: HPolytope
 
     def __post_init__(self):
         self.A = np.atleast_2d(np.asarray(self.A, dtype=float))
         self.B = np.atleast_2d(np.asarray(self.B, dtype=float))
-        if self.S.dim != self.A.shape[0] + self.B.shape[1]:
+        if self.S_xu.dim != self.A.shape[0] + self.B.shape[1]:
             raise ValueError("safe set must live in state-input space")
 
     @property

@@ -340,7 +340,7 @@ def test_criterion_7_contraction_inclusions(spine_1d):
         def as_interval(P):
             return -support(P, [-1.0]), support(P, [1.0])
 
-        S = co.S
+        S = co.S_xu
         for split in (0.3, 0.5, 0.7):
             whole = as_interval(pre(co, C_co, S))
             lo1, hi1 = as_interval(pre(co, scale(C_co, split), scale(S, split)))

@@ -370,8 +370,11 @@ def test_cli_mpc_gap_is_zero_past_convergence(tmp_path):
 
 
 def _unconverged(monkeypatch, kind):
-    """Make max_invariant_set report an iteration limit on systems of `kind`."""
+    """Make max_invariant_set report an iteration limit on systems of `kind`,
+    at invariance's binding (the auto terminal set) and at mpc's (the limit
+    set of mpc_curve)."""
     import preview_regret.invariance as invariance
+    import preview_regret.mpc as mpc
 
     real = invariance.max_invariant_set
 
@@ -379,7 +382,8 @@ def _unconverged(monkeypatch, kind):
         C, conv = real(sys, *args, **kwargs)
         return C, conv and not isinstance(sys, kind)
 
-    monkeypatch.setattr(invariance, "max_invariant_set", fake)
+    for mod in (invariance, mpc):
+        monkeypatch.setattr(mod, "max_invariant_set", fake)
 
 
 def test_cli_mpc_marks_unconverged_limit_set(system_file, tmp_path,
@@ -594,6 +598,69 @@ def test_trajectory_csv_header_is_stable(system_file, tmp_path):
           "--streams", "1", "--out", str(prefix)])
     header = (tmp_path / "m_traj_000.csv").read_text().splitlines()[0]
     assert header == "t,x0,u0,d0,feasible,cost"
+
+
+def test_trajectory_csv_cells_are_python_floats(tmp_path):
+    # NumPy scalars are written as repr(float); an infeasible step leaves
+    # its u cells empty
+    from preview_regret.serialize import write_trajectory_csv
+
+    x, d = np.array([0.1, -0.2]), np.array([0.05])
+    log = [{"t": 0, "x": x, "u": np.array([0.3]), "d": d, "feasible": True,
+            "cost": 0.14},
+           {"t": 1, "x": x, "u": None, "d": d, "feasible": False,
+            "cost": np.nan}]
+    path = tmp_path / "traj.csv"
+    write_trajectory_csv(path, log, 2, 1, 1)
+    assert path.read_bytes() == (b"t,x0,x1,u0,d0,feasible,cost\r\n"
+                                 b"0,0.1,-0.2,0.3,0.05,1,0.14\r\n"
+                                 b"1,0.1,-0.2,,0.05,0,nan\r\n")
+
+
+def test_cli_mpc_walks_the_collaborative_ladder_once(tmp_path, monkeypatch):
+    # the domain at --p 2 is rung 2 of the ladder that gives the gap curve;
+    # a second walk from the terminal set would add two pre calls
+    import preview_regret.invariance as inv
+
+    calls = []
+    real = inv.pre
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(inv, "pre", counting)
+    path = tmp_path / "planar_1.json"
+    path.write_text(json.dumps(system_to_json(build_2d_random(1))))
+    assert main(["mpc", str(path), "--p", "2",
+                 "--out", str(tmp_path / "m")]) == 0
+    assert len(calls) == 37
+
+
+def test_cli_mpc_writes_the_domain_of_a_closed_ladder_before_exit_3(
+        tmp_path, capsys):
+    # D = {0}: the ladder from [-0.5, 0.5] closes at rung 1, so the domain
+    # at p = 3 continues it, and the only forced equilibrium has no margin
+    from preview_regret.polytope import Box, HPolytope, interval
+    from preview_regret.systems import LinearSystem
+
+    S = Box(np.array([-2.0, -1.0]), np.array([2.0, 1.0])).to_polytope()
+    stable = LinearSystem([[0.5]], [[1.0]], [[0.0]],
+                          HPolytope([[1.0], [-1.0]], [0.0, 0.0]), S)
+    path = tmp_path / "stable.json"
+    path.write_text(json.dumps(system_to_json(stable)))
+    term = tmp_path / "terminal.json"
+    term.write_text(json.dumps(polytope_to_json(interval(-0.5, 0.5))))
+    rc = main(["mpc", str(path), "--terminal", str(term), "--p", "3",
+               "--out", str(tmp_path / "m")])
+    assert rc == 3
+    assert "forced equilibrium exists only on the constraint boundary" in \
+        capsys.readouterr().err
+    dom = json.loads((tmp_path / "m_domain.json").read_text())
+    assert dom["p"] == 3
+    assert dom["projection"] == {"H": [[1.0], [-1.0]], "h": [2.0, 2.0]}
+    assert not (tmp_path / "m_cert.json").exists()
+    assert not (tmp_path / "m_bounds.csv").exists()
 
 
 def test_cli_rejects_unbounded_safe_set(tmp_path):

@@ -427,7 +427,7 @@ def test_max_invariant_set_returns_pre_of_a_byte_repeat(monkeypatch):
     monkeypatch.undo()
     assert conv and len(steps) == 2
 
-    X = project(HPolytope(co.S.H, co.S.h), co.n)
+    X = project(HPolytope(co.S_xu.H, co.S_xu.h), co.n)
     while True:
         X_next = pre(co, X)
         bound = X_next.h + 1e-8 * np.linalg.norm(X_next.H, axis=1)

@@ -15,6 +15,7 @@ from preview_regret.mpc import (
     terminal_set_certificate,
 )
 from preview_regret.polytope import (
+    Box,
     HPolytope,
     bounding_box,
     cartesian_product,
@@ -115,6 +116,58 @@ def test_domain_grows_with_p(spine_1d):
         cur = feasible_domain(sys, C, p=p).projection
         assert contains(cur, prev, tol=1e-9)
         prev = cur
+
+
+def _same_bytes(P, Q):
+    return (P.H.shape, P.H.tobytes(), P.h.tobytes()) == \
+        (Q.H.shape, Q.H.tobytes(), Q.h.tobytes())
+
+
+@pytest.mark.parametrize("name", ["planar_1", "wind_turbine"])
+def test_mpc_curve_domain_is_the_feasible_domain_bit_for_bit(name):
+    # rung p of mpc_curve's ladder is feasible_domain's p steps of pre
+    sys = build_2d_random(1) if name == "planar_1" else build_template(name)[0]
+    C, conv = max_invariant_set(sys, tol=1e-8)
+    assert conv
+    for p in range(1, 5):
+        curve = mpc.mpc_curve(sys, C, p, 0, 1e-8)
+        assert _same_bytes(curve.domain, feasible_domain(sys, C, p).projection)
+        assert [row["p"] for row in curve.rows] == list(range(p + 1))
+
+
+def test_mpc_curve_continues_a_ladder_that_closed(monkeypatch):
+    # D = {0}: one backward step from [-0.5, 0.5] reaches the limit [-2, 2]
+    S = Box(np.array([-2.0, -1.0]), np.array([2.0, 1.0])).to_polytope()
+    sys = LinearSystem([[0.5]], [[1.0]], [[0.0]],
+                       HPolytope([[1.0], [-1.0]], [0.0, 0.0]), S)
+    C = interval(-0.5, 0.5)
+    steps = []
+    real = mpc.pre_k
+
+    def spy(co, X, k=1):
+        steps.append(k)
+        return real(co, X, k)
+
+    monkeypatch.setattr(mpc, "pre_k", spy)
+    curve = mpc.mpc_curve(sys, C, 3, 0, 1e-8)
+    assert steps == [2]  # rungs 2 and 3 continue the ladder closed at 1
+    assert _same_bytes(curve.domain, feasible_domain(sys, C, 3).projection)
+    gaps = [row["measured_gap"] for row in curve.rows]
+    assert gaps[0] == pytest.approx(1.5, abs=1e-9)
+    assert gaps[1:] == [0.0] * 3
+    # the forced equilibrium sits on the boundary of D: no certificate
+    assert curve.cert is None
+    assert "only on the constraint boundary" in curve.failure
+    assert all(row["bound_dp"] is None for row in curve.rows)
+
+
+def test_mpc_curve_raises_on_a_bad_terminal_set(spine_1d):
+    # a TerminalSetError is a ValueError, but it is raised, not kept as a
+    # certificate failure
+    sys, _, _, _ = spine_1d
+    with pytest.raises(TerminalSetError) as err:
+        mpc.mpc_curve(sys, interval(-3.0, 3.0), 1, 2, 1e-8)
+    assert err.value.witness is not None
 
 
 def test_terminal_certificate_1d(spine_1d):

@@ -70,3 +70,28 @@ def test_spine_1d_meets_the_closed_form(tmp_path, monkeypatch):
     for row in rows:
         assert float(row["true_dp"]) == pytest.approx(
             float(row["oracle_dp"]), abs=1e-8)
+
+
+def test_mpc_horizon_sweep_walks_one_ladder(monkeypatch, capsys):
+    # the p = 1 domain, the certificate and the gap column come from one
+    # mpc_curve run, so one ladder of p_max rungs is walked from C
+    script = _load("mpc_horizon_sweep")
+    calls = []
+    real = inv.pre
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(inv, "pre", counting)
+    monkeypatch.setattr(sys, "argv", ["mpc_horizon_sweep.py", "--p-max", "4"])
+    script.main()
+    assert capsys.readouterr().out.splitlines() == [
+        "terminal anchor: lambda0=0.4530 gamma=0.6239 N=2",
+        " p | measured gap | certified bound",
+        " 1 | 0.27294750   | 1.37130503",
+        " 2 | 0.07125701   | 0.51575670",
+        " 3 | 0.00000000   | 0.51575670",
+        " 4 | 0.00000000   | 0.19397943",
+    ]
+    assert len(calls) == 40

@@ -87,7 +87,7 @@ def test_preview_feedback_equivalence():
 def test_collaborative_1d():
     co = collaborative(sys_1d())
     assert np.allclose(co.B, [[1.0, 1.0]])
-    assert co.S.dim == 3
+    assert co.S_xu.dim == 3
     assert co.m == 2
 
 
@@ -95,8 +95,8 @@ def test_collaborative_zero_disturbance():
     s = sys_1d(dbar=0.0)
     co = collaborative(s)
     # dummy second input pinned to zero
-    assert co.S.contains_point([0.0, 0.0, 0.0])
-    assert not co.S.contains_point([0.0, 0.0, 0.1])
+    assert co.S_xu.contains_point([0.0, 0.0, 0.0])
+    assert not co.S_xu.contains_point([0.0, 0.0, 0.1])
 
 
 def test_collaborative_augmented_dims():
