@@ -20,17 +20,14 @@ from .systems import (
     LinearSystem,
     augment,
     collaborative,
-    collaborative_augmented,
     find_forced_equilibrium,
     shift_origin,
 )
 from .invariance import (
     check_contractive,
-    cmax_p_co,
     max_invariant_set,
     pre,
     pre_k,
-    sandwich_bounds,
 )
 from .ellipsoid import (
     ContractionParams,
@@ -48,14 +45,11 @@ from .regret import (
     algorithm2,
     algorithm3,
     bound_dp,
-    bound_marginal,
     estimate_lambda0,
     k0_of,
     preview_sweep,
-    proj_cmax_p,
     refine_certificate,
     regret_curve,
-    true_dp,
 )
 from .mpc import (
     FeasibleDomain,
@@ -75,16 +69,13 @@ __all__ = [
     "Box", "HPolytope", "containment_ratio", "hausdorff_nested", "interval",
     "project", "remove_redundancy", "unit_box", "vertices",
     "DeterministicSystem", "Equilibrium", "LinearSystem", "augment",
-    "collaborative", "collaborative_augmented", "find_forced_equilibrium",
-    "shift_origin",
-    "check_contractive", "cmax_p_co", "max_invariant_set", "pre", "pre_k",
-    "sandwich_bounds",
+    "collaborative", "find_forced_equilibrium", "shift_origin",
+    "check_contractive", "max_invariant_set", "pre", "pre_k",
     "ContractionParams", "ContractiveEllipsoid", "contraction_params",
     "find_contractive_ellipsoid", "max_c0", "min_c_out",
     "ConvergenceReport", "RegretCertificate", "RegretCurve", "algorithm1",
-    "algorithm2", "algorithm3", "bound_dp", "bound_marginal",
-    "estimate_lambda0", "k0_of", "preview_sweep", "proj_cmax_p",
-    "refine_certificate", "regret_curve", "true_dp",
+    "algorithm2", "algorithm3", "bound_dp", "estimate_lambda0", "k0_of",
+    "preview_sweep", "refine_certificate", "regret_curve",
     "FeasibleDomain", "MpcConfig", "MpcCurve", "feasible_domain", "mpc_curve",
     "mpc_step", "simulate_closed_loop", "terminal_set_certificate",
     "build_1d", "build_2d_random", "build_template",

@@ -27,7 +27,7 @@ def _write_json(path, doc):
 def cmd_rcis(args) -> int:
     from .invariance import max_invariant_set
     from .serialize import SCHEMA_VERSION, load_system, polytope_to_json
-    from .systems import augment, collaborative_augmented
+    from .systems import augment, collaborative
 
     system = load_system(args.system)
     n_aug = system.n + args.preview * system.l
@@ -36,7 +36,7 @@ def cmd_rcis(args) -> int:
               f"budget {args.dim_budget}", file=_sys.stderr)
         return EXIT_BUDGET
     if args.collaborative:
-        target = collaborative_augmented(system, args.preview)
+        target = collaborative(augment(system, args.preview))
         label = f"maximal CIS of the collaborative {args.preview}-preview system"
     else:
         target = augment(system, args.preview)
@@ -203,6 +203,8 @@ def cmd_demo_1d(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .regret import TRUE_DP_DIM_BUDGET
+
     ap = argparse.ArgumentParser(
         prog="preview-regret",
         description="Invariant sets and safety-regret certificates for "
@@ -230,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="step size for the controllable-system method")
     p_reg.add_argument("--kmax", type=int, default=50)
     p_reg.add_argument("--tol", type=float, default=1e-8)
-    p_reg.add_argument("--dim-budget", type=int, default=8)
+    p_reg.add_argument("--dim-budget", type=int, default=TRUE_DP_DIM_BUDGET)
     p_reg.add_argument("--out", default="regret.csv")
     p_reg.set_defaults(func=cmd_regret)
 

@@ -1,5 +1,5 @@
-"""Backward reachable sets, maximal (robust) controlled invariant sets,
-contractiveness checks and the preview sandwich bounds.
+"""Backward reachable sets, maximal (robust) controlled invariant sets and
+contractiveness checks.
 """
 
 import math
@@ -11,11 +11,9 @@ from .polytope import (
     HPolytope,
     _row_norms,
     _vertex_band,
-    cartesian_product,
     contains,
     erode_rows,
     first_violation,
-    power_product,
     project,
     scale,
     TAU_SET,
@@ -187,19 +185,6 @@ def rcis_violation_witness(sys, C: HPolytope, tol=TAU_SET):
     return _violation(C, pre(sys, C), tol)
 
 
-def cmax_p_co(sys: LinearSystem, p: int, C_max_co: HPolytope) -> HPolytope:
-    """Maximal CIS of the collaborative p-preview system, built from the
-    delay form: p backward steps from C_max_co x D^p inside the augmented
-    safe set."""
-    from .systems import collaborative_augmented
-
-    if p == 0:
-        return C_max_co
-    co_p = collaborative_augmented(sys, p)
-    target = cartesian_product(C_max_co, power_product(sys.D, p))
-    return pre_k(co_p, target, k=p)
-
-
 def check_contractive(sys: DeterministicSystem, X: HPolytope, N: int = 1,
                       lam: float = 1.0, tol=TAU_SET) -> bool:
     """X ⊆ Pre^N(lam * X): X can be steered into its lam-scaled copy in
@@ -210,20 +195,3 @@ def check_contractive(sys: DeterministicSystem, X: HPolytope, N: int = 1,
         raise ValueError("N must be positive")
     reach = pre_k(sys, scale(X, lam), k=N)
     return contains(reach, X, tol=tol)
-
-
-def sandwich_bounds(sys: LinearSystem, p: int, p_prime: int,
-                    C_max_p_prime: HPolytope, C_max_co: HPolytope):
-    """Inner and outer product bounds for the maximal RCIS at preview p.
-
-    inner = C_max_{p'} x D^{p-p'} (itself an RCIS of the p-preview system);
-    outer = C_max_{p',co} x D^{p-p'}, the tightest product outer bound.
-    """
-    if p_prime > p:
-        raise ValueError("p' must not exceed p")
-    tail = p - p_prime
-    inner = C_max_p_prime if tail == 0 else cartesian_product(
-        C_max_p_prime, power_product(sys.D, tail))
-    co = cmax_p_co(sys, p_prime, C_max_co)
-    outer = co if tail == 0 else cartesian_product(co, power_product(sys.D, tail))
-    return inner, outer

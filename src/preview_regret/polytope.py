@@ -240,14 +240,6 @@ def cartesian_product(P: HPolytope, Q: HPolytope) -> HPolytope:
     return out
 
 
-def power_product(P: HPolytope, k: int) -> HPolytope:
-    """P^k, the k-fold Cartesian product (k >= 1)."""
-    out = P
-    for _ in range(k - 1):
-        out = cartesian_product(out, P)
-    return out
-
-
 def support(P: HPolytope, direction) -> float:
     """sup over P of <direction, x>; raises on empty P or unbounded direction."""
     d = np.asarray(direction, dtype=float)

@@ -15,7 +15,6 @@ from .ellipsoid import contraction_params, find_contractive_ellipsoid, max_c0, m
 from .invariance import (Prefix, _pre_input, backward_reach,
                          check_contractive, max_invariant_set, pre_k)
 from .polytope import (
-    BudgetExceededError,
     HPolytope,
     NormalFormError,
     _max_distance,
@@ -260,16 +259,6 @@ def bound_dp(cert: RegretCertificate, p: int) -> float:
     return float(max(val, 0.0) * cert.r_co)
 
 
-def bound_marginal(cert: RegretCertificate, p: int) -> float:
-    """Upper bound on the marginal value of N more preview steps at p."""
-    if p < cert.p0:
-        raise ValueError("bound only valid for p >= p0")
-    j = (p - cert.p0) // cert.N
-    if math.isfinite(cert.k0) and j >= cert.k0 + 1:
-        return float(cert.c * (1.0 + cert.a) * cert.a ** j * cert.r_co)
-    return bound_dp(cert, p) + bound_dp(cert, p + cert.N)
-
-
 def algorithm3(sys: LinearSystem, C_max_co: HPolytope,
                proj: HPolytope, p0: int = 0, k_max: int = 50,
                eq_tol: float = 0.0) -> ConvergenceReport:
@@ -312,32 +301,6 @@ def _preview_gap(p: int, proj: HPolytope, C_max_co: HPolytope) -> float:
         raise AssumptionError(f"the {p}-preview system has an empty maximal "
                               "invariant set; its regret is not defined")
     return hausdorff_nested(proj, C_max_co)
-
-
-def true_dp(sys: LinearSystem, p: int, C_max_co: HPolytope,
-            tol: float = 1e-8) -> float:
-    """The actual safety regret at horizon p, by direct computation.
-
-    Builds the maximal invariant set of the p-preview system (up to the
-    fixed-point tolerance), projects it exactly (Fourier-Motzkin), then
-    measures the Hausdorff gap to the limit set (see _preview_gap). A sweep
-    over p is cheaper through preview_sweep, which gives the same sets.
-    """
-    n_aug = sys.n + p * sys.l
-    if n_aug > TRUE_DP_DIM_BUDGET:
-        raise BudgetExceededError(f"true regret at p={p} needs dimension "
-                                  f"{n_aug} > budget {TRUE_DP_DIM_BUDGET}")
-    return _preview_gap(p, proj_cmax_p(sys, p, tol), C_max_co)
-
-
-def proj_cmax_p(sys: LinearSystem, p: int, tol: float = 1e-8) -> HPolytope:
-    """State-space projection of the maximal p-preview invariant set: the
-    first item of preview_sweep(sys, p, tol). A fixed point that does not
-    converge raises BudgetExceededError."""
-    _, proj, converged = next(preview_sweep(sys, p, tol))
-    if not converged:
-        raise BudgetExceededError("fixed point did not converge")
-    return proj
 
 
 def preview_sweep(sys: LinearSystem, p0: int = 0, tol: float = 1e-8):

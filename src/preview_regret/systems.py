@@ -141,10 +141,6 @@ def collaborative(sys: LinearSystem) -> DeterministicSystem:
                                cartesian_product(sys.S_xu, sys.D))
 
 
-def collaborative_augmented(sys: LinearSystem, p: int) -> DeterministicSystem:
-    return collaborative(augment(sys, p))
-
-
 def find_forced_equilibrium(sys: LinearSystem, proj_c: HPolytope,
                             require_interior_projection=True) -> Equilibrium:
     """Most-interior forced equilibrium via an LP.

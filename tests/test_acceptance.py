@@ -17,11 +17,9 @@ import pytest
 
 from preview_regret.invariance import (
     check_contractive,
-    cmax_p_co,
     max_invariant_set,
     pre,
     pre_k,
-    sandwich_bounds,
 )
 from preview_regret.models import build_1d, build_2d_random
 from preview_regret.mpc import (
@@ -39,7 +37,6 @@ from preview_regret.polytope import (
     contains,
     hausdorff_nested,
     interval,
-    power_product,
     project,
     scale,
     set_equal,
@@ -51,14 +48,14 @@ from preview_regret.regret import (
     algorithm3,
     bound_dp,
     refine_certificate,
-    true_dp,
 )
 from preview_regret.systems import (
     LinearSystem,
     augment,
     collaborative,
-    collaborative_augmented,
 )
+
+from oracles import co_p, power, proj_p, regret_dp
 
 N_SEEDS = 20
 
@@ -125,7 +122,7 @@ def test_criterion_2_alg2_exactness(spine_1d):
             assert bound_dp(cert, p) == pytest.approx(exact, abs=1e-9)
         # the directly computed regret agrees wherever it fits the budget
         for p in (1, 4, 7):
-            assert true_dp(sys, p, C_co, tol=1e-11) == pytest.approx(
+            assert regret_dp(sys, p, C_co, tol=1e-11) == pytest.approx(
                 oracle.dp(p), abs=1e-9)
         assert time.time() - t0 < 5.0
 
@@ -155,7 +152,7 @@ def test_criterion_3_soundness_sweep():
                 assert bound_dp(refined, p) <= bound_dp(plain, p) + 1e-9, \
                     f"seed {seed}: refinement loosened the bound at p={p}"
             for p in range(1, 7):
-                actual = true_dp(sys, p, C_co, tol=1e-8)
+                actual = regret_dp(sys, p, C_co, tol=1e-8)
                 for cert in certs:
                     assert actual <= bound_dp(cert, p) + 1e-6, \
                         f"seed {seed} p={p} {cert.method} N={cert.N}: " \
@@ -190,18 +187,20 @@ def test_criterion_4_sandwiches(spine_1d, spine_2d):
                 assert conv
             for p in (1, 2):
                 for p_prime in range(p):
-                    inner, outer = sandwich_bounds(sys, p, p_prime,
-                                                   cmax[p_prime], C_co)
+                    # C_{p'} x D^{p-p'} ⊆ C_p ⊆ C_{p',co} x D^{p-p'}
+                    tail = power(sys.D, p - p_prime)
+                    inner = cartesian_product(cmax[p_prime], tail)
+                    outer = cartesian_product(co_p(sys, p_prime, C_co), tail)
                     _assert_contained(inner, cmax[p], f"inner p'={p_prime}")
                     _assert_contained(cmax[p], outer, f"outer p'={p_prime}")
                 # plain product outer bound with the limit set
-                wide = cartesian_product(C_co, power_product(sys.D, p))
+                wide = cartesian_product(C_co, power(sys.D, p))
                 _assert_contained(cmax[p], wide, "limit-product outer")
                 # delay-form identity and its product containment
                 co_direct, conv = max_invariant_set(
-                    collaborative_augmented(sys, p), tol=tol)
+                    collaborative(augment(sys, p)), tol=tol)
                 assert conv
-                via_formula = cmax_p_co(sys, p, C_co)
+                via_formula = co_p(sys, p, C_co)
                 assert set_equal(via_formula, co_direct, tol=1e-6)
                 _assert_contained(via_formula, wide, "delay-form outer")
                 _assert_contained(cmax[p], via_formula, "tightest outer")
@@ -214,11 +213,9 @@ def test_criterion_5_ladder_certification(spine_1d):
                       "stays open through k_max=50 with exact distances"):
         # 1D: identically-dyadic arithmetic keeps the whole chain exact, so
         # run the fixed points to float stationarity (tol = 0)
-        from preview_regret.regret import proj_cmax_p
-
         C_co_exact, conv = max_invariant_set(collaborative(sys), tol=0.0)
         assert conv
-        proj1 = proj_cmax_p(sys, 1, tol=0.0)
+        proj1 = proj_p(sys, 1, tol=0.0)
         report = algorithm3(sys, C_co_exact, proj1, p0=1, k_max=50)
         assert math.isinf(report.p_bar)
         assert len(report.ladder) == 51
@@ -254,7 +251,7 @@ def test_criterion_5_ladder_certification(spine_1d):
             # either way the distances upper-bound the measured regret
             for k in (0, 1, 2):
                 if k < len(rep2.distances):
-                    actual = true_dp(s2, 1 + k, cco2, tol=1e-8)
+                    actual = regret_dp(s2, 1 + k, cco2, tol=1e-8)
                     assert actual <= rep2.distances[k] + 1e-6
         print(f"  (finite-convergence instances among 6 seeds: {finite_found})")
 
@@ -277,7 +274,7 @@ def test_criterion_6_mpc():
         for p in (1, 2):
             dom = feasible_domain(sys, C, p=p)
             full = pre_k(augment(sys, p),
-                         cartesian_product(C, power_product(sys.D, p)), k=p)
+                         cartesian_product(C, power(sys.D, p)), k=p)
             proj_full = project(full, sys.n)
             assert set_equal(proj_full, dom.projection, tol=1e-6)
             Cp, conv = max_invariant_set(augment(sys, p), tol=1e-9)

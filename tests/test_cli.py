@@ -21,6 +21,8 @@ from preview_regret.polytope import set_equal, unit_box
 from preview_regret.regret import RegretCertificate, bound_dp
 from preview_regret.systems import Equilibrium
 
+from oracles import co_p, regret_dp
+
 
 @pytest.fixture()
 def system_file(tmp_path):
@@ -122,6 +124,29 @@ def test_cli_rcis_collaborative(system_file, tmp_path):
     from preview_regret.polytope import support
 
     assert support(P, [1.0]) == pytest.approx(1.5, abs=1e-9)
+
+
+@pytest.mark.parametrize("which", ["1d", "2d-1"])
+def test_cli_rcis_collaborative_with_preview(which, tmp_path):
+    # the maximal CIS of the collaborative 2-preview system is the delay
+    # form, 2 backward steps from C_co x D^2, and projects onto C_co
+    from preview_regret.invariance import max_invariant_set
+    from preview_regret.polytope import TAU_SET, project, support
+    from preview_regret.systems import collaborative
+
+    system = build_1d()[0] if which == "1d" else build_2d_random(1)
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(system_to_json(system)))
+    out = tmp_path / "co.json"
+    assert main(["rcis", str(path), "--collaborative", "--preview", "2",
+                 "--tol", "1e-10", "--out", str(out)]) == 0
+    P = polytope_from_json(json.loads(out.read_text())["polytope"])
+    C_co, conv = max_invariant_set(collaborative(system), tol=1e-10)
+    assert conv
+    assert set_equal(P, co_p(system, 2, C_co), TAU_SET)
+    assert set_equal(project(P, system.n), C_co, TAU_SET)
+    if which == "1d":
+        assert support(P, [1.0, 0.0, 0.0]) == pytest.approx(1.5, abs=1e-9)
 
 
 def test_cli_rcis_nonconvergence_exit_code(system_file_2d, tmp_path):
@@ -787,7 +812,6 @@ def test_cli_regret_sweep_matches_true_dp_per_horizon(which, tmp_path):
     # the sweep resumes each horizon's fixed point from the one below; a
     # true_dp run alone, and on 1-D the closed form, give the same column
     from preview_regret.invariance import max_invariant_set
-    from preview_regret.regret import true_dp
     from preview_regret.systems import collaborative
 
     system, oracle = build_1d() if which == "1d" else (build_2d_random(1),
@@ -803,7 +827,7 @@ def test_cli_regret_sweep_matches_true_dp_per_horizon(which, tmp_path):
     assert conv and [int(row["p"]) for row in rows] == [1, 2, 3, 4, 5]
     for row in rows:
         p, got = int(row["p"]), float(row["true_dp"])
-        assert abs(got - true_dp(system, p, C_co)) <= 1e-12
+        assert abs(got - regret_dp(system, p, C_co)) <= 1e-12
         if oracle is not None:
             assert abs(got - oracle.dp(p)) <= 1e-8
 

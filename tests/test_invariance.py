@@ -3,12 +3,10 @@ import pytest
 
 from preview_regret.invariance import (
     check_contractive,
-    cmax_p_co,
     max_invariant_set,
     pre,
     pre_k,
     rcis_violation_witness,
-    sandwich_bounds,
 )
 from preview_regret.polytope import (
     Box,
@@ -24,8 +22,9 @@ from preview_regret.systems import (
     LinearSystem,
     augment,
     collaborative,
-    collaborative_augmented,
 )
+
+from oracles import co_p, power, proj_p
 
 
 def sys_1d(a=2.0, xbar=10.0, ubar=1.0, dbar=0.5):
@@ -151,7 +150,7 @@ def test_rcis_witness_reads_the_vertex_list(monkeypatch):
 def test_cmax_p_co_1d_closed_form():
     s = sys_1d()
     C_co, _ = max_invariant_set(collaborative(s), tol=1e-10)
-    C1 = cmax_p_co(s, 1, C_co)
+    C1 = co_p(s, 1, C_co)
     # {|d| <= 0.5, |2x + d| <= 2.5}
     assert support(C1, [1.0, 0.0]) == pytest.approx(1.5, abs=1e-9)
     assert support(C1, [2.0, 1.0]) == pytest.approx(2.5, abs=1e-9)
@@ -162,8 +161,9 @@ def test_cmax_p_co_equals_direct_fixed_point():
     s = sys_1d()
     C_co, _ = max_invariant_set(collaborative(s), tol=1e-10)
     for p in (1, 2):
-        via_formula = cmax_p_co(s, p, C_co)
-        direct, conv = max_invariant_set(collaborative_augmented(s, p), tol=1e-10)
+        via_formula = co_p(s, p, C_co)
+        direct, conv = max_invariant_set(collaborative(augment(s, p)),
+                                         tol=1e-10)
         assert conv
         assert set_equal(via_formula, direct, tol=1e-8)
 
@@ -171,18 +171,10 @@ def test_cmax_p_co_equals_direct_fixed_point():
 def test_cmax_p_co_product_containment():
     s = sys_1d()
     C_co, _ = max_invariant_set(collaborative(s), tol=1e-10)
-    from preview_regret.polytope import power_product
-
     for p in (1, 2):
-        Cp = cmax_p_co(s, p, C_co)
-        outer = cartesian_product(C_co, power_product(s.D, p))
+        Cp = co_p(s, p, C_co)
+        outer = cartesian_product(C_co, power(s.D, p))
         assert contains(outer, Cp, tol=1e-8)
-
-
-def test_cmax_p_co_p0_identity():
-    s = sys_1d()
-    C_co, _ = max_invariant_set(collaborative(s), tol=1e-10)
-    assert cmax_p_co(s, 0, C_co) is C_co
 
 
 def test_check_contractive_cases():
@@ -203,7 +195,9 @@ def test_sandwich_1d():
     C1, conv1 = max_invariant_set(augment(s, 1), tol=1e-10)
     C2, conv2 = max_invariant_set(augment(s, 2), tol=1e-10)
     assert conv1 and conv2
-    inner, outer = sandwich_bounds(s, 2, 1, C1, C_co)
+    # C_1 x D ⊆ C_2 ⊆ C_{1,co} x D
+    inner = cartesian_product(C1, s.D)
+    outer = cartesian_product(co_p(s, 1, C_co), s.D)
     assert contains(C2, inner, tol=1e-8)
     assert contains(outer, C2, tol=1e-8)
     # inner product bound is itself an RCIS of the augmented system
@@ -444,10 +438,9 @@ def _chain(name):
     """The collaborative system and the p0 = 1 projection of build_1d() or
     build_2d_random(1): the start of algorithm3's ladder."""
     from preview_regret.models import build_1d, build_2d_random
-    from preview_regret.regret import proj_cmax_p
 
     s = build_1d()[0] if name == "1d" else build_2d_random(1)
-    return collaborative(s), proj_cmax_p(s, 1, 1e-8)
+    return collaborative(s), proj_p(s, 1, 1e-8)
 
 
 @pytest.mark.parametrize("name", ["1d", "2d-1"])

@@ -7,11 +7,13 @@ import pytest
 from preview_regret.invariance import max_invariant_set
 from preview_regret.models import build_1d, build_2d_random, build_template
 from preview_regret.polytope import set_equal, support
-from preview_regret.regret import algorithm2, algorithm3, bound_dp, true_dp
+from preview_regret.regret import algorithm2, algorithm3, bound_dp
 from preview_regret.serialize import system_to_json
 from preview_regret.solver import is_stabilizable
 from preview_regret.systems import collaborative
 from preview_regret.mpc import feasible_domain
+
+from oracles import regret_dp
 
 
 def test_build_1d_guards():
@@ -48,7 +50,7 @@ def test_oracle_is_ground_truth_for_computations():
     assert conv
     assert support(C_co, [1.0]) == pytest.approx(1.5, abs=1e-9)
     # cross-module spine: invariant sets, certificates, ladders, domains
-    assert true_dp(sys, 2, C_co, tol=1e-11) == pytest.approx(o.dp(2), abs=1e-9)
+    assert regret_dp(sys, 2, C_co, tol=1e-11) == pytest.approx(o.dp(2), abs=1e-9)
     cert = algorithm2(sys, C_co, proj=o.proj(1), p0=1, N=1)
     assert bound_dp(cert, 3) == pytest.approx(o.dp(3), abs=1e-9)
     report = algorithm3(sys, C_co, o.proj(1), p0=1, k_max=5)

@@ -22,7 +22,6 @@ from preview_regret.polytope import (
     contains,
     hausdorff_nested,
     interval,
-    power_product,
     project,
     scale,
     set_equal,
@@ -33,6 +32,8 @@ from preview_regret.polytope import (
 from preview_regret.regret import bound_dp
 from preview_regret.solver import _row_scales, solve_qp
 from preview_regret.systems import LinearSystem, augment, collaborative
+
+from oracles import power
 
 
 @pytest.fixture(scope="module")
@@ -59,7 +60,7 @@ def _full_domain(sys, C, p):
     """Oracle: the feasible domain of (x0, previews), the p-step backward
     set of C x D^p for the augmented system."""
     return pre_k(augment(sys, p),
-                 cartesian_product(C, power_product(sys.D, p)), k=p)
+                 cartesian_product(C, power(sys.D, p)), k=p)
 
 
 def _rollout(sys, x0, us, preview):

@@ -27,14 +27,11 @@ from preview_regret.regret import (
     algorithm2,
     algorithm3,
     bound_dp,
-    bound_marginal,
     estimate_lambda0,
     k0_of,
     preview_sweep,
-    proj_cmax_p,
     refine_certificate,
     regret_curve,
-    true_dp,
 )
 from preview_regret.systems import (
     AssumptionError,
@@ -43,6 +40,8 @@ from preview_regret.systems import (
     collaborative,
     equilibrium_margin_at_zero,
 )
+
+from oracles import co_p, power, proj_p, regret_dp
 
 
 @pytest.fixture(scope="module")
@@ -70,7 +69,7 @@ def test_lambda0_identical_sets(spine):
 
 def test_lambda0_1d_closed_form(spine):
     sys, oracle, C_co, _ = spine
-    proj1 = proj_cmax_p(sys, 1, tol=1e-11)
+    proj1 = proj_p(sys, 1, tol=1e-11)
     lam0 = estimate_lambda0(C_co, proj1)
     assert lam0 == pytest.approx(2.0 / 3.0, abs=1e-9)
 
@@ -207,21 +206,10 @@ def test_bound_dp_monotone_and_vanishing(spine):
             bound_dp(cert, 0)
 
 
-def test_bound_marginal(spine):
-    sys, oracle, C_co, proj1 = spine
-    cert = algorithm2(sys, C_co, proj1, p0=1, N=1)
-    # c = 1/3, a = 1/2, r_co = 1.5 at p = 2 -> c(1+a)a * r_co = 0.375
-    assert bound_marginal(cert, 2) == pytest.approx(0.375, abs=1e-9)
-    for p in range(1, 12):
-        assert bound_marginal(cert, p) <= (bound_dp(cert, p)
-                                           + bound_dp(cert, p + cert.N) + 1e-12)
-    assert bound_marginal(cert, 30) < 1e-6
-
-
 def test_true_dp_1d(spine):
     sys, oracle, C_co, _ = spine
     for p in (1, 2, 3):
-        assert true_dp(sys, p, C_co, tol=1e-11) == pytest.approx(
+        assert regret_dp(sys, p, C_co, tol=1e-11) == pytest.approx(
             oracle.dp(p), abs=1e-9)
 
 
@@ -232,22 +220,13 @@ def test_true_dp_2d_gap_is_exact_past_convergence():
     C_co, conv = max_invariant_set(collaborative(sys), tol=1e-9)
     assert conv
     for p in range(3, 7):
-        assert true_dp(sys, p, C_co) < 1e-15
-
-
-def test_true_dp_budget():
-    from preview_regret.polytope import BudgetExceededError
-
-    sys, _ = build_1d()
-    C_co, _ = max_invariant_set(collaborative(sys), tol=1e-9)
-    with pytest.raises(BudgetExceededError):
-        true_dp(sys, 12, C_co)
+        assert regret_dp(sys, p, C_co) < 1e-15
 
 
 def test_proj_matches_oracle(spine):
     sys, oracle, _, _ = spine
     for p in (1, 2, 3):
-        proj = proj_cmax_p(sys, p, tol=1e-11)
+        proj = proj_p(sys, p, tol=1e-11)
         assert support(proj, [1.0]) == pytest.approx(oracle.proj_radius(p),
                                                      abs=1e-9)
 
@@ -256,9 +235,9 @@ def test_projection_monotone_in_p(spine):
     sys, _, C_co, _ = spine
     from preview_regret.polytope import contains
 
-    prev = proj_cmax_p(sys, 1, tol=1e-10)
+    prev = proj_p(sys, 1, tol=1e-10)
     for p in (2, 3):
-        cur = proj_cmax_p(sys, p, tol=1e-10)
+        cur = proj_p(sys, p, tol=1e-10)
         assert contains(cur, prev, tol=1e-9)
         assert contains(C_co, cur, tol=1e-9)
         prev = cur
@@ -267,7 +246,7 @@ def test_projection_monotone_in_p(spine):
 def test_algorithm3_1d_ladder(spine):
     sys, oracle, C_co, _ = spine
     # scalar chains stay in dyadic floats, so the fixed point lands exactly
-    proj1 = proj_cmax_p(sys, 1, tol=0.0)
+    proj1 = proj_p(sys, 1, tol=0.0)
     report = algorithm3(sys, C_co, proj1, p0=1, k_max=50)
     assert math.isinf(report.p_bar)
     assert len(report.ladder) == 51
@@ -342,7 +321,7 @@ def test_algorithm3_replays_a_repeating_ladder(monkeypatch):
 
 def test_ladder_dominates_certificates(spine):
     sys, oracle, C_co, _ = spine
-    proj1 = proj_cmax_p(sys, 1, tol=1e-11)
+    proj1 = proj_p(sys, 1, tol=1e-11)
     report = algorithm3(sys, C_co, proj1, p0=1, k_max=10)
     a1 = algorithm1(sys, C_co, proj1, p0=1)
     a2 = algorithm2(sys, C_co, proj1, p0=1, N=1)
@@ -364,7 +343,7 @@ def test_soundness_2d_single_seed():
              refine_certificate(sys, C_co, plain),
              algorithm2(sys, C_co, proj1, p0=1, N=2)]
     for p in range(1, 5):
-        actual = true_dp(sys, p, C_co, tol=1e-8)
+        actual = regret_dp(sys, p, C_co, tol=1e-8)
         for cert in certs:
             assert actual <= bound_dp(cert, p) + 1e-6
 
@@ -405,17 +384,16 @@ def test_lemma2_ladder_2d():
 def test_outer_bounds_nest_with_anchor_horizon(spine):
     # longer-anchor product outer bounds are tighter (nested) in the
     # augmented space
-    from preview_regret.invariance import cmax_p_co
-    from preview_regret.polytope import cartesian_product, contains, power_product
+    from preview_regret.polytope import cartesian_product, contains
 
     sys, _, C_co, _ = spine
     p = 2
     outer = {}
     for p_prime in (0, 1, 2):
-        co_part = cmax_p_co(sys, p_prime, C_co)
+        co_part = co_p(sys, p_prime, C_co)
         tail = p - p_prime
         outer[p_prime] = co_part if tail == 0 else cartesian_product(
-            co_part, power_product(sys.D, tail))
+            co_part, power(sys.D, tail))
     assert contains(outer[0], outer[1], tol=1e-8)
     assert contains(outer[1], outer[2], tol=1e-8)
 
@@ -428,7 +406,7 @@ def test_true_dp_empty_preview_set_raises_assumption_error(p):
     assert conv and not C_co.is_empty()
     with pytest.raises(AssumptionError,
                        match=f"the {p}-preview system has an empty"):
-        true_dp(sys, p, C_co)
+        regret_dp(sys, p, C_co)
 
 
 def test_proj_cmax_p_builds_half_the_hulls(monkeypatch):
@@ -445,7 +423,7 @@ def test_proj_cmax_p_builds_half_the_hulls(monkeypatch):
             super().__init__(points)
 
     monkeypatch.setattr(scipy.spatial, "ConvexHull", Counting)
-    proj_cmax_p(build_2d_random(1), 6, 1e-8)
+    proj_p(build_2d_random(1), 6, 1e-8)
     assert 0 < len(hulls) <= 16
 
 
@@ -468,7 +446,7 @@ def test_row_order_changes_no_result(which):
     for s in [sys] + [_permuted(sys, rng) for _ in range(3)]:
         C_co, conv = max_invariant_set(collaborative(s), tol=1e-9)
         assert conv
-        runs.append((C_co, [true_dp(s, p, C_co) for p in (1, 2, 3)]))
+        runs.append((C_co, [regret_dp(s, p, C_co) for p in (1, 2, 3)]))
     C_ref, dp_ref = runs[0]
     for C_co, dp in runs[1:]:
         assert C_co.num_rows == C_ref.num_rows
@@ -521,7 +499,7 @@ def test_a_prefix_chain_gives_each_horizon_its_own_set(a, monkeypatch):
     assert next(sweep)[0] == 1
     for p in range(2, 5):
         del calls[:]
-        alone = proj_cmax_p(s, p, 1e-8)
+        alone = proj_p(s, p, 1e-8)
         steps_alone = len(calls)
         del calls[:]
         q, chained, converged = next(sweep)
@@ -594,7 +572,7 @@ def test_bracket_stops_2d_1_one_step_after_its_prefix(monkeypatch):
         assert not run["handed_on"]
         P = seen[p]
         assert contains(P, ladder[p - 1]) and contains(ladder[p - 1], P, tol)
-        alone = proj_cmax_p(s, p, tol)
+        alone = proj_p(s, p, tol)
         assert curve.rows[p - 1]["true_dp"] == \
             _preview_gap(p, alone, curve.C_max_co)
     assert len(runs) == 6
@@ -649,7 +627,7 @@ def test_bracketed_sweep_matches_runs_from_x0_on_random_systems(draw):
     assert sorted(seen) == [1, 2, 3, 4]
     for row in curve.rows:
         p = row["p"]
-        alone = proj_cmax_p(s, p, tol)
+        alone = proj_p(s, p, tol)
         assert set_equal(seen[p], alone, TAU_SET)
         assert abs(row["true_dp"] - _preview_gap(p, alone, curve.C_max_co)) \
             <= 1e-8

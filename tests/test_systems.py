@@ -17,7 +17,6 @@ from preview_regret.systems import (
     LinearSystem,
     augment,
     collaborative,
-    collaborative_augmented,
     equilibrium_margin_at_zero,
     find_forced_equilibrium,
     shift_origin,
@@ -100,9 +99,9 @@ def test_collaborative_zero_disturbance():
 
 
 def test_collaborative_augmented_dims():
-    co = collaborative_augmented(sys_1d(), 1)
+    co = collaborative(augment(sys_1d(), 1))
     assert co.n == 2 and co.m == 2
-    co0 = collaborative_augmented(sys_1d(), 0)
+    co0 = collaborative(augment(sys_1d(), 0))
     assert co0.n == 1 and co0.m == 2
 
 
