@@ -143,7 +143,16 @@ def cmd_mpc(args) -> int:
     try:
         curve = mpc_curve(system, C, args.p, args.curve_max, args.tol)
     except TerminalSetError as exc:
-        print(f"error: {exc}", file=_sys.stderr)
+        if exc.witness is None:  # empty, unbounded or of another dimension
+            advice = ""
+        elif args.terminal == "auto":
+            advice = (f". The automatic terminal set is a fixed point at this "
+                      f"command's --tol {args.tol:g}; rerun `mpc` with a "
+                      "--tol below the check tolerance")
+        else:
+            advice = (". A set from `rcis` at its default --tol 1e-6 may stop "
+                      "short of that; write it with `rcis --tol 1e-8`")
+        print(f"error: {exc}{advice}", file=_sys.stderr)
         return EXIT_INPUT
 
     prefix = args.out
@@ -181,11 +190,12 @@ def cmd_demo_1d(args) -> int:
     from .models import build_1d
     from .polytope import support
     from .regret import regret_curve
+    from .solver import TAU_DEMO
     from .systems import AssumptionError
 
     system, oracle = build_1d()
     curve = regret_curve(system, p0=1, p_max=6, methods=("alg2", "alg3"),
-                         N=1, k_max=10, tol=1e-10)
+                         N=1, k_max=10, tol=TAU_DEMO)
     if curve.failures:
         raise AssumptionError("; ".join(curve.failures.values()))
     r = support(curve.C_max_co, [1.0])
@@ -204,6 +214,7 @@ def cmd_demo_1d(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     from .regret import TRUE_DP_DIM_BUDGET
+    from .solver import FIXED_POINT_MAX_ITER, TAU_SET, TAU_SWEEP
 
     ap = argparse.ArgumentParser(
         prog="preview-regret",
@@ -216,8 +227,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_rcis.add_argument("--preview", type=int, default=0, metavar="P")
     p_rcis.add_argument("--collaborative", action="store_true",
                         help="treat the disturbance as a second input")
-    p_rcis.add_argument("--max-iter", type=int, default=200)
-    p_rcis.add_argument("--tol", type=float, default=1e-6)
+    p_rcis.add_argument("--max-iter", type=int, default=FIXED_POINT_MAX_ITER)
+    p_rcis.add_argument("--tol", type=float, default=TAU_SET)
     p_rcis.add_argument("--dim-budget", type=int, default=10)
     p_rcis.add_argument("--out", default="rcis.json")
     p_rcis.set_defaults(func=cmd_rcis)
@@ -231,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_reg.add_argument("--N", type=int, default=None,
                        help="step size for the controllable-system method")
     p_reg.add_argument("--kmax", type=int, default=50)
-    p_reg.add_argument("--tol", type=float, default=1e-8)
+    p_reg.add_argument("--tol", type=float, default=TAU_SWEEP)
     p_reg.add_argument("--dim-budget", type=int, default=TRUE_DP_DIM_BUDGET)
     p_reg.add_argument("--out", default="regret.csv")
     p_reg.set_defaults(func=cmd_regret)
@@ -247,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_mpc.add_argument("--scenario", default=None,
                        help="disturbance scenario JSON")
     p_mpc.add_argument("--seed", type=int, default=0)
-    p_mpc.add_argument("--tol", type=float, default=1e-8)
+    p_mpc.add_argument("--tol", type=float, default=TAU_SWEEP)
     p_mpc.add_argument("--out", default="mpc")
     p_mpc.set_defaults(func=cmd_mpc)
 

@@ -13,20 +13,12 @@ import numpy as np
 
 from .polytope import HPolytope, vertices
 from .solver import (
-    NotStabilizableError,
-    SolverError,
-    cholesky,
-    dare_gain,
-    is_stabilizable,
-    solve_dare,
-    solve_dlyap,
-    spectral_radius,
+    BISECTION_FLOOR, BISECTION_ITERS, CONTRACTION_MARGIN, ELLIPSOID_GAP_TOL,
+    RATE_TOL, UNIT_CIRCLE_TOL, ZERO_ROW_NORM, NotStabilizableError,
+    SolverError, cholesky, dare_gain, is_stabilizable, solve_dare,
+    solve_dlyap, spectral_radius,
 )
 from .systems import LinearSystem
-
-BISECTION_FLOOR = 1e-3
-BISECTION_ITERS = 40
-_MARGIN = 1e-3
 
 
 @dataclass
@@ -80,7 +72,7 @@ def find_contractive_ellipsoid(sys: LinearSystem) -> ContractiveEllipsoid:
     K_zero = np.zeros((Bc.shape[1], n))
 
     def try_rate(rho):
-        if rho_open < rho * (1.0 - 1e-12):
+        if rho_open < rho * (1.0 - RATE_TOL):
             return K_zero  # open loop already meets the rate
         At = A / rho
         Bt = Bc / rho
@@ -89,11 +81,11 @@ def find_contractive_ellipsoid(sys: LinearSystem) -> ContractiveEllipsoid:
         except (NotStabilizableError, SolverError, np.linalg.LinAlgError):
             return None
         K = dare_gain(At, Bt, np.eye(Bt.shape[1]), P)
-        if spectral_radius(A + Bc @ K) < rho * (1.0 - 1e-12):
+        if spectral_radius(A + Bc @ K) < rho * (1.0 - RATE_TOL):
             return K
         return None
 
-    hi = (1.0 - 1e-9) / np.sqrt(1.0 + _MARGIN)
+    hi = (1.0 - UNIT_CIRCLE_TOL) / np.sqrt(1.0 + CONTRACTION_MARGIN)
     K_best = try_rate(hi)
     if K_best is None:
         raise NotStabilizableError(
@@ -113,7 +105,7 @@ def find_contractive_ellipsoid(sys: LinearSystem) -> ContractiveEllipsoid:
                 lo = mid
 
     Ac = A + Bc @ K_best
-    lam_a = rho_best * np.sqrt(1.0 + _MARGIN)
+    lam_a = rho_best * np.sqrt(1.0 + CONTRACTION_MARGIN)
     M = Ac / lam_a
     P = solve_dlyap(M, np.eye(n) / (lam_a ** 2))
     cholesky(P)  # raises if the certificate is numerically invalid
@@ -122,7 +114,7 @@ def find_contractive_ellipsoid(sys: LinearSystem) -> ContractiveEllipsoid:
     K1, K2 = K_best[:m], K_best[m:]
     ell = ContractiveEllipsoid(Q=Q, R1=K1 @ Q, R2=K2 @ Q, lam_a=float(lam_a))
     gap = ell.certificate_gap(A, Bc[:, :m], Bc[:, m:])
-    if gap > 1e-8 * max(1.0, float(np.max(np.abs(P)))):
+    if gap > ELLIPSOID_GAP_TOL * max(1.0, float(np.max(np.abs(P)))):
         raise NotStabilizableError("contraction certificate failed numerically")
     return ell
 
@@ -143,12 +135,12 @@ def max_c0(ell: ContractiveEllipsoid, S_xu: HPolytope, D: HPolytope) -> float:
     norms = np.linalg.norm(W, axis=1)
     c0 = np.inf
     for nm, hi in zip(norms, S_xu.h):
-        if nm <= 1e-14:
+        if nm <= ZERO_ROW_NORM:
             continue
         c0 = min(c0, hi / nm)
     WD = D.H @ (Linv @ ell.R2.T).T
     for nm, hj in zip(np.linalg.norm(WD, axis=1), D.h):
-        if nm <= 1e-14:
+        if nm <= ZERO_ROW_NORM:
             continue
         c0 = min(c0, hj / nm)
     if not np.isfinite(c0):

@@ -16,8 +16,8 @@ from .polytope import (
     first_violation,
     project,
     scale,
-    TAU_SET,
 )
+from .solver import FIXED_POINT_MAX_ITER, TAU_SET
 from .systems import DeterministicSystem, LinearSystem
 
 
@@ -133,8 +133,8 @@ class Prefix:
         self.inner = inner
 
 
-def max_invariant_set(sys, max_iter: int = 200, tol: float = TAU_SET,
-                      prefix: Prefix | None = None):
+def max_invariant_set(sys, max_iter: int = FIXED_POINT_MAX_ITER,
+                      tol: float = TAU_SET, prefix: Prefix | None = None):
     """Maximal (robust) controlled invariant set by the outside-in iteration.
 
     Returns (C, converged). The iterates X_{k+1} = pre(X_k) of

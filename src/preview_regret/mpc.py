@@ -8,16 +8,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .invariance import max_invariant_set, pre_k, rcis_violation_witness
-from .polytope import (
-    _FLAT_RADIUS,
-    HPolytope,
-    UnboundedError,
-    bounding_box,
-    support,
-)
+from .polytope import HPolytope, UnboundedError, bounding_box, support
 from .regret import (NotControllableError, RegretCertificate, algorithm1,
                      algorithm2, algorithm3, bound_dp)
-from .solver import _row_scales, solve_qp
+from .solver import FLAT_RADIUS, TAU_CHECK, _row_scales, solve_qp
 from .systems import AssumptionError, LinearSystem, collaborative
 
 
@@ -73,14 +67,13 @@ def _check_terminal_set(sys: LinearSystem, C: HPolytope, p: int) -> None:
         bounding_box(C)
     except UnboundedError:
         raise TerminalSetError("terminal set is unbounded") from None
-    w = rcis_violation_witness(sys, C, tol=1e-7)
+    w = rcis_violation_witness(sys, C, tol=TAU_CHECK)
     if w is not None:
+        check = np.format_float_scientific(TAU_CHECK, trim="-", exp_digits=1)
         raise TerminalSetError(
             "terminal set is not robustly invariant at the check tolerance "
-            "1e-7; a state of C escapes in one step: "
-            f"{np.array2string(w, precision=6)}. A set from `rcis` at its "
-            "default --tol 1e-6 may stop short of that; write it with "
-            "`rcis --tol 1e-8`", witness=w)
+            f"{check}; a state of C escapes in one step: "
+            f"{np.array2string(w, precision=6)}", witness=w)
 
 
 def feasible_domain(sys: LinearSystem, C: HPolytope, p: int) -> FeasibleDomain:
@@ -90,7 +83,7 @@ def feasible_domain(sys: LinearSystem, C: HPolytope, p: int) -> FeasibleDomain:
     (x0, previews): the p-step backward reachable set of C under the
     collaborative dynamics, which never touches the augmented space. Raises
     TerminalSetError unless C lives in the state space and is nonempty,
-    bounded and robustly invariant to 1e-7.
+    bounded and robustly invariant to TAU_CHECK.
     """
     _check_terminal_set(sys, C, p)
     return FeasibleDomain(projection=pre_k(collaborative(sys), C, k=p))
@@ -277,7 +270,7 @@ def sample_disturbances(D: HPolytope, T: int, rng) -> np.ndarray:
 
     Rejection ends only if D, with the coordinates the box pins fixed, has
     an interior. A D with a vertex list has one (flat sets get no list);
-    otherwise its Chebyshev radius must exceed _FLAT_RADIUS. A D that
+    otherwise its Chebyshev radius must exceed FLAT_RADIUS. A D that
     fails raises ValueError instead of drawing forever.
     """
     box = bounding_box(D)
@@ -285,7 +278,7 @@ def sample_disturbances(D: HPolytope, T: int, rng) -> np.ndarray:
     if D._verts is None and wide.sum() > 1:
         free = D if wide.all() else HPolytope(
             D.H[:, wide], D.h - D.H[:, ~wide] @ box.lower[~wide])
-        if free.chebyshev_center()[1] <= _FLAT_RADIUS:
+        if free.chebyshev_center()[1] <= FLAT_RADIUS:
             raise ValueError("the disturbance set has no interior to sample "
                              "from; give the streams in a scenario file")
     out = np.empty((T, D.dim))

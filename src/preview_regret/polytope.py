@@ -9,23 +9,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .solver import (
-    INFEASIBLE,
-    UNBOUNDED,
-    solve_lp_fast,
-    project_point as _project_point,
+    ACTIVE_TOL, BASIC_VERTEX_TOL, CHEBY_RADIUS_CAP, FLAT_RADIUS, FM_ZERO,
+    HULL_INTERIOR_TOL, INFEASIBLE, INTERVAL_TOL, NORM_FLOOR, POINT_TOL,
+    REDUNDANT_TOL, ROW_CAP, SINGULAR_DET, TAU_CHECK, TAU_SET, TAU_VERT,
+    UNBOUNDED, VERT_TOL, ZERO_ROW_NORM, ZERO_ROW_OFFSET, _row_norms,
+    _row_scales, solve_lp_fast, project_point as _project_point,
 )
-
-TAU_SET = 1e-6
-TAU_VERT = 1e-9
-ROW_CAP = 10_000
-_VERT_TOL = 1e-12  # relative accuracy a cached vertex list is checked to
-_FLAT_RADIUS = 1e-9  # Chebyshev radii within +-_FLAT_RADIUS count as flat
-
-
-def _row_norms(H):
-    """The 2-norm of each row: np.linalg.norm(H, axis=1) bit for bit,
-    without its dispatch."""
-    return np.sqrt((H * H).sum(axis=1))
 
 
 class EmptyPolytopeError(ValueError):
@@ -42,6 +31,10 @@ class NormalFormError(ValueError):
 
 class BudgetExceededError(RuntimeError):
     """Row or dimension budget blown; results would be untrustworthy or slow."""
+
+
+class NotNestedError(ValueError):
+    """hausdorff_nested's inner set is not inside the outer one."""
 
 
 class HPolytope:
@@ -119,28 +112,27 @@ class HPolytope:
 
     def is_empty(self) -> bool:
         if self._empty is None:
-            degenerate = _row_norms(self.H) <= 1e-14
-            if (self.h[degenerate] < -1e-12).any():
+            if _zero_rows(_row_norms(self.H), self.h)[1]:
                 self._empty = True
             else:
                 sol = solve_lp_fast(np.zeros(self.dim), self.H, self.h)
                 self._empty = sol.status == INFEASIBLE
         return self._empty
 
-    def contains_point(self, x, tol=1e-9) -> bool:
+    def contains_point(self, x, tol=POINT_TOL) -> bool:
         x = np.asarray(x, dtype=float)
-        norms = np.maximum(np.linalg.norm(self.H, axis=1), 1.0)
-        return bool(np.all(self.H @ x - self.h <= tol * norms))
+        return bool(np.all(self.H @ x - self.h <= tol * _row_scales(self.H)))
 
     def chebyshev_center(self):
-        """(center, radius) of an inscribed ball; radius capped at 1e9.
+        """(center, radius) of an inscribed ball; radius capped at
+        CHEBY_RADIUS_CAP.
 
         The ball is a largest one when this call solves for it (one LP). A
         reduced set returns the checked ball its reduction used, which may
         be smaller (see remove_redundancy). Raises EmptyPolytopeError when
         the set is empty, including when the best radius is negative beyond
-        _FLAT_RADIUS. A flat set (radius near 0) returns normally; a radius
-        above _FLAT_RADIUS proves the set nonempty, and both verdicts are
+        FLAT_RADIUS. A flat set (radius near 0) returns normally; a radius
+        above FLAT_RADIUS proves the set nonempty, and both verdicts are
         cached for is_empty.
         """
         if self._empty:
@@ -150,14 +142,14 @@ class HPolytope:
             norms = _row_norms(self.H)
             A = np.hstack([self.H, norms[:, None]])
             A = np.vstack([A, np.r_[np.zeros(n), 1.0]])
-            b = np.r_[self.h, 1e9]
+            b = np.r_[self.h, CHEBY_RADIUS_CAP]
             c = np.r_[np.zeros(n), -1.0]
             sol = solve_lp_fast(c, A, b)
-            if not sol.optimal or sol.point[n] < -_FLAT_RADIUS:
+            if not sol.optimal or sol.point[n] < -FLAT_RADIUS:
                 self._empty = True
                 raise EmptyPolytopeError("no Chebyshev center: polytope is empty")
             self._cheby = (sol.point[:n], float(sol.point[n]))
-            if self._cheby[1] > _FLAT_RADIUS:
+            if self._cheby[1] > FLAT_RADIUS:
                 self._empty = False
         return self._cheby
 
@@ -264,7 +256,7 @@ def _support_lp(P: HPolytope, d) -> float:
 def _vertex_band(V, norms):
     """Round-off of the products of vertex list V with rows of these norms:
     a support within this band of a bound decides nothing."""
-    return _VERT_TOL * norms * max(1.0, abs(V).max())
+    return VERT_TOL * norms * max(1.0, abs(V).max())
 
 
 def first_violation(Q: HPolytope, H, bound):
@@ -322,8 +314,7 @@ def contains(P: HPolytope, Q: HPolytope, tol=TAU_SET) -> bool:
         raise ValueError("dimension mismatch in containment check")
     if Q.is_empty():
         return True
-    norms = _row_norms(P.H)
-    return first_violation(Q, P.H, P.h + tol * np.maximum(norms, 1.0)) is None
+    return first_violation(Q, P.H, P.h + tol * _row_scales(P.H)) is None
 
 
 def set_equal(P: HPolytope, Q: HPolytope, tol=TAU_SET) -> bool:
@@ -332,6 +323,14 @@ def set_equal(P: HPolytope, Q: HPolytope, tol=TAU_SET) -> bool:
 
 # ---------------------------------------------------------------------------
 # redundancy removal
+
+
+def _zero_rows(norms, h):
+    """(which rows are zero, whether one of them holds nowhere) for rows of
+    these norms and offsets h: a row of norm at most ZERO_ROW_NORM is zero,
+    and a zero row with an offset below -ZERO_ROW_OFFSET empties the set."""
+    zero = norms <= ZERO_ROW_NORM
+    return zero, bool((h[zero] < -ZERO_ROW_OFFSET).any())
 
 
 def _dedupe_rows(H, h):
@@ -345,11 +344,11 @@ def _dedupe_rows(H, h):
     norms = _row_norms(H)
     if not np.isfinite(norms).all():
         raise ValueError("polytope rows must be finite, with a finite norm")
-    work = norms > 1e-14
-    if not work.all():
-        if (h[~work] < -1e-12).any():
-            return None, None  # infeasible zero row
-        H, h, norms = H[work], h[work], norms[work]
+    zero, infeasible = _zero_rows(norms, h)
+    if infeasible:
+        return None, None
+    if zero.any():
+        H, h, norms = H[~zero], h[~zero], norms[~zero]
         if H.shape[0] == 0:
             return np.zeros((0, H.shape[1])), np.zeros(0)
     Hn = H / norms[:, None]
@@ -370,7 +369,7 @@ def _reduce_lp(H, h):
     """Keep irredundant rows, certifying each removal with an LP."""
     q = H.shape[0]
     alive = np.ones(q, dtype=bool)
-    norms = np.maximum(np.linalg.norm(H, axis=1), 1e-300)
+    scales = _row_scales(H)
     for i in range(q):
         others = np.flatnonzero(alive)
         others = others[others != i]
@@ -379,7 +378,7 @@ def _reduce_lp(H, h):
         sol = solve_lp_fast(-H[i], rows, rhs)
         if sol.status == INFEASIBLE:
             break
-        if sol.optimal and -sol.objective <= h[i] + 1e-9 * max(norms[i], 1.0):
+        if sol.optimal and -sol.objective <= h[i] + REDUNDANT_TOL * scales[i]:
             alive[i] = False
     keep = np.flatnonzero(alive)
     if keep.size == 0:
@@ -387,15 +386,18 @@ def _reduce_lp(H, h):
     return H[keep], h[keep]
 
 
-def _vertex_slack(V, H, h, norms):
-    """(H V' - h) / scale, with each row's scale its norm (norms, the row
-    norms of H) times max(1, max |V|): the relative slack of every row at
-    every vertex."""
+def _active_rows(V, H, h, norms):
+    """Which rows of (H, h) are active at each vertex of V, or None when a
+    row fails at a vertex. With each row's scale its norm (norms, the row
+    norms of H) times max(1, max |V|), a row fails past VERT_TOL times its
+    scale, and is active within ACTIVE_TOL times its scale."""
     scale = norms * max(1.0, abs(V).max())
     slack = V @ H.T
     slack -= h
     slack /= scale
-    return slack
+    if slack.max() > VERT_TOL:
+        return None
+    return slack >= -ACTIVE_TOL
 
 
 def _hull_vertices(equations, center, H, h, norms):
@@ -404,9 +406,9 @@ def _hull_vertices(equations, center, H, h, norms):
     Facet a.y + b <= 0 of the hull is the vertex center - a / b. Qhull
     triangulates, so a degenerate vertex appears once per simplex, with
     the same hyperplane; those copies are dropped, in Qhull's order. The
-    list is kept only if every vertex satisfies every row within
-    1e-12*scale and is active on at least n rows within 1e-9*scale: a
-    point off the boundary would make supports too small.
+    list is kept only if every vertex satisfies every row and is active on
+    at least n rows (see _active_rows): a point off the boundary would make
+    supports too small.
     """
     # copies are bitwise equal; a bytewise unique costs about a quarter of
     # np.unique(axis=0) on these small arrays, which runs once per reduction
@@ -414,10 +416,8 @@ def _hull_vertices(equations, center, H, h, norms):
     rows = equations.view(np.dtype((np.void, equations[0].nbytes)))
     equations = equations[np.sort(np.unique(rows, return_index=True)[1])]
     V = center - equations[:, :-1] / equations[:, -1:]
-    slack = _vertex_slack(V, H, h, norms)
-    if slack.max() > _VERT_TOL:
-        return None
-    if np.count_nonzero(slack >= -1e-9, axis=1).min() < H.shape[1]:
+    active = _active_rows(V, H, h, norms)
+    if active is None or np.count_nonzero(active, axis=1).min() < H.shape[1]:
         return None
     return V
 
@@ -440,7 +440,7 @@ def _reduce_dual_hull(H, h, center, norms):
     if H.shape[0] <= H.shape[1]:
         return None  # at most n halfspaces never bound a set in R^n
     d = h - H @ center
-    if (d <= 1e-12 * np.maximum(norms, 1.0)).any():
+    if (d <= HULL_INTERIOR_TOL * _row_scales(H)).any():
         return None
     pts = H / d[:, None]
     try:
@@ -504,10 +504,8 @@ def _reduce_by_incidence(H, h, incidence, norms):
     Each active set is solved for its candidate vertex. The record holds
     when, cheapest check first:
     1. H has the record's shape;
-    2. every row holds at every candidate within 1e-12*scale (as in
-       _hull_vertices);
-    3. at each candidate exactly its n rows are active, every other row
-       having a slack below -1e-9*scale;
+    2. every row holds at every candidate (see _active_rows);
+    3. at each candidate exactly its n rows are active;
     4. the record is closed under adjacency (see _Incidence).
     Every candidate is then a simple vertex and every edge leaving one ends
     at another. The graph of a polyhedron is connected (Balinski 1961), so
@@ -522,11 +520,8 @@ def _reduce_by_incidence(H, h, incidence, norms):
         V = np.linalg.solve(H[active], h[active][:, :, None])[:, :, 0]
     except np.linalg.LinAlgError:
         return None
-    slack = _vertex_slack(V, H, h, norms)
-    if slack.max() > _VERT_TOL:
-        return None
-    tight = slack >= -1e-9
-    if (np.count_nonzero(tight) != active.size
+    tight = _active_rows(V, H, h, norms)
+    if (tight is None or np.count_nonzero(tight) != active.size
             or not tight[np.arange(len(active))[:, None], active].all()):
         return None
     keep = incidence.keep()
@@ -536,17 +531,17 @@ def _reduce_by_incidence(H, h, incidence, norms):
 
 
 def _reduce_1d(H, h):
-    a = H[:, 0]
+    """The interval of 1-D rows (H, h) as at most two rows, or (None, None)
+    when it is empty. The rows come from _dedupe_rows: there is at least
+    one, and none is zero."""
     ub = np.inf
     lb = -np.inf
-    for ai, hi in zip(a, h):
-        if ai > 1e-14:
+    for ai, hi in zip(H[:, 0], h):
+        if ai > 0.0:
             ub = min(ub, hi / ai)
-        elif ai < -1e-14:
+        else:
             lb = max(lb, hi / ai)
-        elif hi < -1e-12:
-            return None, None
-    if lb > ub + 1e-15 * max(1.0, abs(lb), abs(ub)):
+    if lb > ub + INTERVAL_TOL * max(1.0, abs(lb), abs(ub)):
         return None, None
     rows, rhs = [], []
     if np.isfinite(ub):
@@ -555,8 +550,6 @@ def _reduce_1d(H, h):
     if np.isfinite(lb):
         rows.append([-1.0])
         rhs.append(-lb)
-    if not rows:
-        return np.zeros((1, 1)), np.array([1.0])
     return np.array(rows), np.array(rhs)
 
 
@@ -565,7 +558,7 @@ def _carried_ball(H, h, ball, norms):
     norms, or None.
 
     The new radius is the distance from the center to the nearest row. The
-    ball is kept when that radius exceeds _FLAT_RADIUS, which puts the
+    ball is kept when that radius exceeds FLAT_RADIUS, which puts the
     center strictly inside, and is at least half the recorded one, so the
     dual hull around it stays about as well conditioned as around the
     Chebyshev center.
@@ -574,7 +567,7 @@ def _carried_ball(H, h, ball, norms):
         return None
     center, radius = ball
     r = float(((h - H @ center) / norms).min())
-    if r > _FLAT_RADIUS and r >= 0.5 * radius:
+    if r > FLAT_RADIUS and r >= 0.5 * radius:
         return center, r
     return None
 
@@ -631,9 +624,9 @@ def remove_redundancy(P: HPolytope) -> HPolytope:
         except EmptyPolytopeError:
             return HPolytope.empty(P.dim)
     center, radius = ball
-    if radius <= _FLAT_RADIUS and P.is_empty():
+    if radius <= FLAT_RADIUS and P.is_empty():
         return HPolytope.empty(P.dim)
-    if radius > _FLAT_RADIUS:
+    if radius > FLAT_RADIUS:
         out = None
         if P._incidence is not None:
             out = _reduce_by_incidence(Hd, hd, P._incidence, norms)
@@ -656,12 +649,18 @@ def cache_vertex_list(P: HPolytope) -> None:
 # projection (Fourier-Motzkin)
 
 
-def _fm_eliminate(H, h, j):
-    """Eliminate coordinate j by pairwise combination; column j is dropped."""
+def _fm_zero(H, keep):
+    """Which coefficients of the columns keep.. of H Fourier-Motzkin takes as
+    zero: those at most FM_ZERO times the largest of their row."""
     absH = np.abs(H)
-    scale_row = np.maximum(absH.max(axis=1), 1e-300)
+    scale_row = np.maximum(absH.max(axis=1), NORM_FLOOR)
+    return absH[:, keep:] <= FM_ZERO * scale_row[:, None]
+
+
+def _fm_eliminate(H, h, j, zero):
+    """Eliminate coordinate j by pairwise combination; column j is dropped.
+    zero says which rows have a zero coefficient there (see _fm_zero)."""
     coef = H[:, j]
-    zero = absH[:, j] <= 1e-12 * scale_row
     pos = ~zero & (coef > 0)
     neg = ~zero & (coef < 0)
     rest = np.concatenate((H[:, :j], H[:, j + 1:]), axis=1)
@@ -715,16 +714,14 @@ def project(P: HPolytope, keep: int) -> HPolytope:
     offers, records, gone = P._offer or {}, {}, []
     while remaining:
         # Eliminate the coordinate with the fewest pairwise combinations.
-        j = keep
+        j, zero = keep, _fm_zero(H, keep)
         if len(remaining) > 1:
             coef = H[:, keep:]
-            scale_row = np.maximum(np.abs(H).max(axis=1), 1e-300)
-            nz = np.abs(coef) > 1e-12 * scale_row[:, None]
-            pos = (nz & (coef > 0)).sum(axis=0)
-            neg = (nz & (coef < 0)).sum(axis=0)
+            pos = (~zero & (coef > 0)).sum(axis=0)
+            neg = (~zero & (coef < 0)).sum(axis=0)
             j += int((pos * neg - pos - neg).argmin())
         gone.append(remaining.pop(j - keep))
-        H, h = _fm_eliminate(H, h, j)
+        H, h = _fm_eliminate(H, h, j, zero[:, j - keep])
         if H.shape[0] > ROW_CAP:
             raise BudgetExceededError(
                 f"Fourier-Motzkin exceeded the {ROW_CAP}-row cap")
@@ -771,17 +768,12 @@ def max_inscribed_ball_at(P: HPolytope, center) -> float:
     center = np.asarray(center, dtype=float)
     rowsum = np.sum(np.abs(P.H), axis=1)
     slack = P.h - P.H @ center
-    vals = []
-    for rs, sl in zip(rowsum, slack):
-        if rs <= 1e-14:
-            if sl < -1e-12:
-                return 0.0
-            continue
-        vals.append(sl / rs)
-    if not vals:
+    zero, infeasible = _zero_rows(rowsum, slack)
+    if infeasible:
+        return 0.0
+    if zero.all():
         return np.inf
-    eps = min(vals)
-    return float(max(eps, 0.0))
+    return float(max((slack[~zero] / rowsum[~zero]).min(), 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -807,16 +799,16 @@ def _vertices_combinatorial(P):
 
     H, h = P.H, P.h
     n = P.dim
-    norms = np.maximum(np.linalg.norm(H, axis=1), 1e-300)
+    norms = np.maximum(np.linalg.norm(H, axis=1), NORM_FLOOR)
     if H.shape[0] > 60:
         raise BudgetExceededError("too many rows for combinatorial vertex search")
     verts = []
     for idx in combinations(range(H.shape[0]), n):
         A = H[list(idx)]
-        if abs(np.linalg.det(A)) < 1e-12:
+        if abs(np.linalg.det(A)) < SINGULAR_DET:
             continue
         v = np.linalg.solve(A, h[list(idx)])
-        if np.all(H @ v - h <= 1e-7 * norms):
+        if np.all(H @ v - h <= BASIC_VERTEX_TOL * norms):
             verts.append(v)
     return np.array(verts) if verts else np.zeros((0, n))
 
@@ -860,16 +852,17 @@ def radius_from_origin(P: HPolytope) -> float:
     return float(np.max(np.linalg.norm(vertices(P), axis=1)))
 
 
-def hausdorff_nested(X: HPolytope, Y: HPolytope) -> float:
+def hausdorff_nested(X: HPolytope, Y: HPolytope, tol=TAU_CHECK) -> float:
     """Hausdorff distance for nested polytopes X ⊆ Y (2-norm, exact).
 
     Equals the largest distance from a vertex of the outer set to the inner
-    set; verified containment is a precondition.
+    set; containment, checked by contains at tol, is a precondition, and
+    NotNestedError reports its failure.
     """
     if X.dim != Y.dim:
         raise ValueError("dimension mismatch")
-    if not contains(Y, X, tol=1e-7):
-        raise ValueError("hausdorff_nested requires X ⊆ Y")
+    if not contains(Y, X, tol=tol):
+        raise NotNestedError("hausdorff_nested requires X ⊆ Y")
     return _max_distance(vertices(Y), X)
 
 

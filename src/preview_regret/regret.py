@@ -17,6 +17,7 @@ from .invariance import (Prefix, _pre_input, backward_reach,
 from .polytope import (
     HPolytope,
     NormalFormError,
+    NotNestedError,
     _max_distance,
     cartesian_product,
     containment_ratio,
@@ -28,7 +29,7 @@ from .polytope import (
     translate,
     vertices,
 )
-from .solver import is_controllable
+from .solver import EQ_MARGIN_TOL, TAU_CHECK, TAU_SWEEP, is_controllable
 from .systems import (
     AssumptionError,
     Equilibrium,
@@ -137,7 +138,7 @@ def _shift_problem(sys, proj, C_max_co, require_interior_projection):
         sys_s, proj_s = sys, proj
     else:
         eq = find_forced_equilibrium(sys, proj, require_interior_projection)
-        if eq.margin <= 1e-12:
+        if eq.margin <= EQ_MARGIN_TOL:
             raise AssumptionError(
                 "forced equilibrium exists only on the constraint boundary; "
                 "the interiority assumptions cannot be verified")
@@ -170,7 +171,7 @@ def algorithm1(sys: LinearSystem, C_max_co: HPolytope, proj: HPolytope,
     params = contraction_params(c0, min_c_out(C_co_s, ell.Q), ell.lam_a)
     verified = check_contractive(collaborative(sys_s),
                                  scale(C_co_s, params.gamma), N=params.N,
-                                 lam=params.lam, tol=1e-7)
+                                 lam=params.lam, tol=TAU_CHECK)
     return RegretCertificate(
         method="alg1", lambda0=float(lambda0), gamma=params.gamma,
         N=params.N, lam=params.lam, r_co=float(radius_from_origin(C_co_s)),
@@ -198,7 +199,7 @@ def refine_certificate(sys: LinearSystem, C_max_co: HPolytope,
     gamma = float(min(1.0, 1.0 / containment_ratio(C_co_s, C_N)))
     lam = cert.lam * cert.gamma / gamma
     verified = check_contractive(co_s, scale(C_co_s, gamma), N=cert.N,
-                                 lam=lam, tol=1e-7)
+                                 lam=lam, tol=TAU_CHECK)
     return replace(cert, method="alg1_refined", gamma=gamma, lam=lam,
                    contractive_verified=verified)
 
@@ -290,20 +291,32 @@ def algorithm3(sys: LinearSystem, C_max_co: HPolytope,
                              k_max=k_max)
 
 
-def _preview_gap(p: int, proj: HPolytope, C_max_co: HPolytope) -> float:
+def _preview_gap(p: int, proj: HPolytope, C_max_co: HPolytope,
+                 tol: float) -> float:
     """Hausdorff gap between proj, the state-space projection of the maximal
-    p-preview invariant set, and the limit set.
+    p-preview invariant set computed at the fixed-point tol, and the limit
+    set.
 
     The gap is the largest distance from a vertex of the limit set to proj.
-    An empty proj has no gap to measure and raises AssumptionError.
+    proj must lie in the limit set within the larger of TAU_CHECK and tol:
+    an outer approximation within tol, such as a projection bracketed by a
+    ladder rung (see preview_sweep), may stick out of it by about tol. An
+    empty proj, or one that sticks out further, has no gap to measure and
+    raises AssumptionError.
     """
     if proj.is_empty():
         raise AssumptionError(f"the {p}-preview system has an empty maximal "
                               "invariant set; its regret is not defined")
-    return hausdorff_nested(proj, C_max_co)
+    tol = max(TAU_CHECK, tol)
+    try:
+        return hausdorff_nested(proj, C_max_co, tol)
+    except NotNestedError:
+        raise AssumptionError(
+            f"the {p}-preview projection is not inside the limit set within "
+            f"{tol:g}; its regret is not defined") from None
 
 
-def preview_sweep(sys: LinearSystem, p0: int = 0, tol: float = 1e-8):
+def preview_sweep(sys: LinearSystem, p0: int = 0, tol: float = TAU_SWEEP):
     """Yield (p, projection, converged) for p = p0, p0 + 1, ...: the
     state-space projection of the maximal p-preview invariant set, from
     one max_invariant_set run of at most 400 steps, and whether that run
@@ -363,7 +376,8 @@ class RegretCurve:
 
 def regret_curve(sys: LinearSystem, p0: int = 1, p_max: int = 8,
                  methods=("alg1", "alg1_refined", "alg2", "alg3"),
-                 N: int | None = None, k_max: int = 50, tol: float = 1e-8,
+                 N: int | None = None, k_max: int = 50,
+                 tol: float = TAU_SWEEP,
                  dim_budget: int = TRUE_DP_DIM_BUDGET) -> RegretCurve:
     """Safety regret d_p next to the certified bounds, for p0 <= p <= p_max.
 
@@ -425,7 +439,7 @@ def regret_curve(sys: LinearSystem, p0: int = 1, p_max: int = 8,
 
     # pull no horizon past p_max or over the dimension budget
     last = min(p_max, (dim_budget - sys.n) // sys.l)
-    true = {p: _preview_gap(p, P, C_co) for p, P, converged in
+    true = {p: _preview_gap(p, P, C_co, tol) for p, P, converged in
             islice(chain([first], sweep), max(0, last - p0 + 1)) if converged}
 
     rows = []

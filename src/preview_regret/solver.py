@@ -1,6 +1,8 @@
 """Dense numeric kernel: LPs, least-distance QPs, Riccati/Lyapunov solves.
 
-All routines are pure functions of their inputs.
+All routines are pure functions of their inputs. The module also holds the
+package's tolerance budget, the one place where a tolerance or numeric cap
+of the kernel is set.
 """
 
 import math
@@ -10,11 +12,104 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-TAU_DARE = 1e-10
-DARE_MAX_ITER = 3000
+# ---------------------------------------------------------------------------
+# Tolerance budget: every tolerance and numeric cap of the kernel, named once.
+# The comment above each name says what it guarantees and where it is read.
+# A tolerance t on a row a_i x <= b_i lets a_i x - b_i reach t times the
+# row's norm |a_i| or, where it says scale, max(|a_i|, 1) (_row_scales).
+# Sites of one role share a name; another role has its own, at any value.
 
-_PIVTOL = 1e-9
-_COSTTOL = 1e-9
+# Fixed points and the checks on their results.
+# default tol of max_invariant_set (rcis --tol), its checks and contains
+TAU_SET = 1e-6
+# preview_sweep's and regret_curve's fixed-point tol (regret and mpc --tol)
+TAU_SWEEP = 1e-8
+# demo-1d's fixed-point tol, at which its true_dp meets the closed form
+TAU_DEMO = 1e-10
+# a result passes hausdorff_nested, mpc's terminal check, check_contractive
+TAU_CHECK = 1e-7
+# max_invariant_set's default step cap (rcis --max-iter)
+FIXED_POINT_MAX_ITER = 200
+# project raises BudgetExceededError past this many rows from one elimination
+ROW_CAP = 10_000
+
+# Rows and vertices of a polytope.
+# a row of norm at most this is zero (_zero_rows; max_c0 skips it)
+ZERO_ROW_NORM = 1e-14
+# a zero row whose offset is below -this holds nowhere (_zero_rows)
+ZERO_ROW_OFFSET = 1e-12
+# contains_point's default: a point within this, per row scale, is inside
+POINT_TOL = 1e-9
+# _reduce_lp drops a row its LP exceeds by at most this times its scale
+REDUNDANT_TOL = 1e-9
+# _reduce_1d keeps an interval whose ends cross by this times max(1, |end|)
+INTERVAL_TOL = 1e-15
+# Fourier-Motzkin coefficients within this of their row's largest are zero
+FM_ZERO = 1e-12
+# floor under a row's size in _fm_zero and _vertices_combinatorial
+NORM_FLOOR = 1e-300
+# _reduce_dual_hull's center must clear every row by this times its scale
+HULL_INTERIOR_TOL = 1e-12
+# a vertex list fails past this per norm times max(1, |V|) (_active_rows)
+VERT_TOL = 1e-12
+# a row within this per norm times max(1, |V|) is active (_active_rows)
+ACTIVE_TOL = 1e-9
+# _dedupe_points: p and q with |p - q| <= this times 1 + |q| are one vertex
+TAU_VERT = 1e-9
+# _vertices_combinatorial keeps basic solutions within this per row norm
+BASIC_VERTEX_TOL = 1e-7
+# _vertices_combinatorial skips a basis whose |determinant| is below this
+SINGULAR_DET = 1e-12
+# a Chebyshev radius within +-this is flat; a larger one proves an interior
+FLAT_RADIUS = 1e-9
+# chebyshev_center's radius cap, which keeps its LP bounded
+CHEBY_RADIUS_CAP = 1e9
+
+# The LP and QP solvers.
+# a simplex pivot exceeds this: the ratio test, and artificials leaving
+PIVOT_TOL = 1e-9
+# a column with a reduced cost below -this enters the simplex basis
+COST_TOL = 1e-9
+# simplex ratios within this tie; a least ratio at most this is degenerate
+RATIO_TOL = 1e-12
+# a phase-1 optimum above this times 1 + max |b| proves the LP infeasible
+PHASE1_TOL = 1e-7
+# a simplex objective past this times 1 + max |b| stalls, and HiGHS solves
+SIMPLEX_OBJ_CAP = 1e14
+# a simplex optimum whose _lp_residual exceeds this goes to HiGHS
+LP_RESIDUAL_TOL = 1e-9
+# solve_qp's row violation, per scale, and its residual check's rounding
+QP_TOL = 1e-12
+# solve_qp: a row off the active span by at most this times |a_i| depends
+QP_DEPENDENT = 1e-12
+
+# Matrix tests, Riccati and Lyapunov solves, contraction certificates.
+# cholesky's symmetry check, relative to 1 + max |Q|
+SYMMETRY_TOL = 1e-10
+# the matrix_rank tol of is_stabilizable (PBH) and is_controllable
+RANK_TOL = 1e-9
+# moduli below 1 - this are stable: PBH, and the ellipsoid bisection's top
+UNIT_CIRCLE_TOL = 1e-9
+# solve_dare's residual on scipy's P and its fallback's step, both relative
+TAU_DARE = 1e-10
+# the residual solve_dare's fallback must reach, relative as TAU_DARE's
+DARE_RESIDUAL_TOL = 1e-8
+# cap on the steps of solve_dare's fallback iteration
+DARE_MAX_ITER = 3000
+# find_contractive_ellipsoid bisects the rate over [this, 1) ...
+BISECTION_FLOOR = 1e-3
+# ... in this many steps
+BISECTION_ITERS = 40
+# the certified rate is the bisection's times sqrt(1 + this)
+CONTRACTION_MARGIN = 1e-3
+# a gain meets the rate rho when its spectral radius is below rho(1 - this)
+RATE_TOL = 1e-12
+# an ellipsoid whose certificate_gap exceeds this times max(1, |P|) fails
+ELLIPSOID_GAP_TOL = 1e-8
+# a forced equilibrium whose margin is at most this lies on the boundary
+EQ_MARGIN_TOL = 1e-12
+# end of the tolerance budget
+# ---------------------------------------------------------------------------
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -104,25 +199,25 @@ def _simplex(c, A, b):
         for _ in range(100 * (m + ncols)):
             r = np.where(allowed, red, np.inf)
             if bland:
-                cand = np.flatnonzero(r < -_COSTTOL)
+                cand = np.flatnonzero(r < -COST_TOL)
                 if cand.size == 0:
                     return OPTIMAL, red, obj
                 enter = int(cand[0])
             else:
                 enter = int(np.argmin(r))
-                if r[enter] >= -_COSTTOL:
+                if r[enter] >= -COST_TOL:
                     return OPTIMAL, red, obj
             col = T[:, enter]
-            pos = col > _PIVTOL
+            pos = col > PIVOT_TOL
             if not np.any(pos):
                 return UNBOUNDED, red, obj
             ratios = np.full(m, np.inf)
             ratios[pos] = T[pos, -1] / col[pos]
             leave = int(np.argmin(ratios))
-            tie = np.flatnonzero(np.abs(ratios - ratios[leave]) <= 1e-12)
+            tie = np.flatnonzero(np.abs(ratios - ratios[leave]) <= RATIO_TOL)
             if tie.size > 1:
                 leave = int(tie[np.argmin(basis[tie])])
-            if ratios[leave] <= 1e-12:
+            if ratios[leave] <= RATIO_TOL:
                 stall += 1
                 if stall > 40:
                     bland = True
@@ -136,7 +231,7 @@ def _simplex(c, A, b):
         return "stall", red, obj
 
     b_max = float(np.max(b))
-    scale = 1e14 * (1.0 + b_max)
+    scale = SIMPLEX_OBJ_CAP * (1.0 + b_max)
     if flip.size:
         cost1 = np.zeros(ncols)
         cost1[art_cols] = 1.0
@@ -145,14 +240,14 @@ def _simplex(c, A, b):
         if status == "stall":
             return "stall", None, np.nan
         phase1 = float(cost1[basis] @ T[:, -1])
-        if phase1 > 1e-7 * (1.0 + b_max):
+        if phase1 > PHASE1_TOL * (1.0 + b_max):
             return INFEASIBLE, None, np.nan
         # Pivot remaining artificials out of the basis on the first column
         # outside the artificials with a nonzero entry. There always is one:
         # row r's slack column stays the negative of its artificial column,
         # so it reads -1 wherever that artificial is basic.
         for i in np.flatnonzero(basis >= n_real):
-            pivot(i, int(np.flatnonzero(np.abs(T[i, :n_real]) > 1e-9)[0]))
+            pivot(i, int(np.flatnonzero(np.abs(T[i, :n_real]) > PIVOT_TOL)[0]))
 
     allowed2 = np.ones(ncols, dtype=bool)
     allowed2[art_cols] = False
@@ -191,7 +286,7 @@ def solve_lp_fast(c, A_ub, b_ub) -> LpSolution:
     c = np.asarray(c, dtype=float)
     if c.shape[0] <= 60 and A_ub.shape[0] <= 400:
         status, x, obj = _simplex(c, A_ub, b_ub)
-        if status == OPTIMAL and _lp_residual(x, A_ub, b_ub) > 1e-9:
+        if status == OPTIMAL and _lp_residual(x, A_ub, b_ub) > LP_RESIDUAL_TOL:
             status = "stall"
         if status != "stall":
             return LpSolution(status, x, obj)
@@ -199,10 +294,16 @@ def solve_lp_fast(c, A_ub, b_ub) -> LpSolution:
     return LpSolution(status, x, obj)
 
 
+def _row_norms(H):
+    """The 2-norm of each row: np.linalg.norm(H, axis=1) bit for bit,
+    without its dispatch."""
+    return np.sqrt((H * H).sum(axis=1))
+
+
 def _row_scales(A) -> np.ndarray:
-    """max(|a_i|, 1) for each row a_i of A: what solve_qp divides a row's
-    violation and its residual by."""
-    return np.maximum(np.linalg.norm(A, axis=1), 1.0)
+    """max(|a_i|, 1) for each row a_i of A: the scale of a row's tolerance
+    (solve_qp, contains, contains_point and the reductions)."""
+    return np.maximum(_row_norms(A), 1.0)
 
 
 def solve_qp(c, A_ub, b_ub, scale):
@@ -217,11 +318,11 @@ def solve_qp(c, A_ub, b_ub, scale):
     rows are fixed computes them once (mpc._condensed_qp). Dual active-set
     method (Goldfarb & Idnani, Math. Prog. 27, 1983), no LP inside: from
     the unconstrained minimiser x = -c it adds the most violated row
-    (a_i x - b_i > 1e-12 * scale_i) one at a time and drops an active row
+    (a_i x - b_i > QP_TOL * scale_i) one at a time and drops an active row
     whose multiplier would turn negative.
 
     There are two exits. When x = -c violates no row by more than
-    1e-12 * scale_i, or there are no rows, it is returned at once, before
+    QP_TOL * scale_i, or there are no rows, it is returned at once, before
     any active set exists: most MPC steps and every zero-distance
     projection end there. Otherwise the loop ends at an x that violates no
     row, returned as (x, OPTIMAL), or with (None, INFEASIBLE) when a
@@ -235,9 +336,9 @@ def solve_qp(c, A_ub, b_ub, scale):
     same as the QR step's, bit for bit, up to the sign of a zero.
 
     The residual check lets a row miss by the rounding of its own terms,
-    1e-12 * (1 + (|a_i|.|x| + |b_i|) / scale_i), which is never below
-    1e-12. So a row whose scaled residual is at most 1e-12 cannot fail it,
-    and the slack is built only when some row is above 1e-12.
+    QP_TOL * (1 + (|a_i|.|x| + |b_i|) / scale_i), which is never below
+    QP_TOL. So a row whose scaled residual is at most QP_TOL cannot fail
+    it, and the slack is built only when some row is above QP_TOL.
     """
     x = -np.asarray(c, dtype=float)
     A = np.asarray(A_ub, dtype=float)
@@ -246,7 +347,7 @@ def solve_qp(c, A_ub, b_ub, scale):
     res -= b
     res /= scale
     # res[res.argmax()] is res.max(), a NaN included, for a third of its cost
-    if not res.size or res[res.argmax()] <= 1e-12:
+    if not res.size or res[res.argmax()] <= QP_TOL:
         return x, OPTIMAL
     W = []  # active rows
     mu = []  # multipliers of the active rows
@@ -256,16 +357,16 @@ def solve_qp(c, A_ub, b_ub, scale):
             viol = res.copy()
             viol[W] = -np.inf
         q = int(viol.argmax())
-        if viol[q] <= 1e-12:
+        if viol[q] <= QP_TOL:
             # active rows may miss by the rounding of their own terms
-            if (res > 1e-12).any():
-                slack = 1e-12 * (1.0 + (np.abs(A) @ np.abs(x) + np.abs(b))
-                                 / scale)
+            if (res > QP_TOL).any():
+                slack = QP_TOL * (1.0 + (np.abs(A) @ np.abs(x) + np.abs(b))
+                                  / scale)
                 if (res > slack).any():
                     raise SolverError("QP solution fails its residual check")
             return x, OPTIMAL
         a = A[q]
-        tiny = 1e-12 * math.sqrt(a @ a)
+        tiny = QP_DEPENDENT * math.sqrt(a @ a)
         t_q = 0.0
         while True:
             k = len(W)
@@ -303,7 +404,7 @@ def project_point(point, P):
     c = -point and the row scales of P.H.
 
     Returns (closest, distance). A point that violates no row by more than
-    1e-12 * max(|H_i|, 1) leaves through solve_qp's first exit, before any
+    QP_TOL * max(|H_i|, 1) leaves through solve_qp's first exit, before any
     active set: it comes back as a new array equal to it bit for bit, at
     distance exactly 0.
     """
@@ -328,7 +429,8 @@ def spectral_radius(A) -> float:
 def cholesky(Q) -> np.ndarray:
     """Lower-triangular factor of a symmetric PD matrix; raises otherwise."""
     Q = np.atleast_2d(np.asarray(Q, dtype=float))
-    if not np.allclose(Q, Q.T, atol=1e-10 * (1.0 + np.max(np.abs(Q)))):
+    atol = SYMMETRY_TOL * (1.0 + np.max(np.abs(Q)))
+    if not np.allclose(Q, Q.T, atol=atol):
         raise NotPositiveDefiniteError("matrix is not symmetric")
     try:
         return np.linalg.cholesky(Q)
@@ -342,9 +444,9 @@ def is_stabilizable(A, B) -> bool:
     B = np.atleast_2d(np.asarray(B, dtype=float))
     n = A.shape[0]
     for lam in np.linalg.eigvals(A):
-        if abs(lam) >= 1.0 - 1e-9:
+        if abs(lam) >= 1.0 - UNIT_CIRCLE_TOL:
             M = np.hstack([A - lam * np.eye(n), B])
-            if np.linalg.matrix_rank(M, tol=1e-9) < n:
+            if np.linalg.matrix_rank(M, tol=RANK_TOL) < n:
                 return False
     return True
 
@@ -356,7 +458,7 @@ def is_controllable(A, B) -> bool:
     blocks = [B]
     for _ in range(n - 1):
         blocks.append(A @ blocks[-1])
-    return np.linalg.matrix_rank(np.hstack(blocks), tol=1e-9) == n
+    return np.linalg.matrix_rank(np.hstack(blocks), tol=RANK_TOL) == n
 
 
 def dare_residual(A, B, Q, R, P) -> float:
@@ -405,7 +507,8 @@ def solve_dare(A, B, Q, R) -> np.ndarray:
                 raise SolverError("DARE iteration did not converge")
     except FloatingPointError as exc:
         raise SolverError("DARE iteration diverged") from exc
-    if dare_residual(A, B, Q, R, P) > 1e-8 * (scale + np.max(np.abs(P))):
+    res = dare_residual(A, B, Q, R, P)
+    if res > DARE_RESIDUAL_TOL * (scale + np.max(np.abs(P))):
         raise SolverError("DARE residual too large")
     return P
 

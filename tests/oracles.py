@@ -24,7 +24,7 @@ def proj_p(sys, p, tol=1e-8):
 
 def regret_dp(sys, p, C_co, tol=1e-8):
     """The safety regret d_p: the gap from proj_p to the limit set C_co."""
-    return _preview_gap(p, proj_p(sys, p, tol), C_co)
+    return _preview_gap(p, proj_p(sys, p, tol), C_co, tol)
 
 
 def co_p(sys, p, C_co):

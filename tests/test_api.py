@@ -63,3 +63,38 @@ def test_all_names_resolve_once():
     scope = {}
     exec("from preview_regret import *", scope)
     assert set(names) <= set(scope)
+
+
+def _tolerance_literal(node):
+    """A float literal at most 1e-3 or at least 1e9 in modulus: a tolerance
+    or a numeric cap."""
+    return (isinstance(node, ast.Constant) and type(node.value) is float
+            and (0.0 < abs(node.value) <= 1e-3 or abs(node.value) >= 1e9))
+
+
+def test_every_tolerance_is_named_once_in_the_budget():
+    # the budget is solver.py's module-level assignments of such literals;
+    # each has a comment right above it saying what it guarantees, and a
+    # reader elsewhere in the package
+    trees = {path: ast.parse(path.read_text())
+             for path in sorted(PACKAGE.glob("*.py"))}
+    solver = PACKAGE / "solver.py"
+    budget = [stmt for stmt in trees[solver].body
+              if isinstance(stmt, ast.Assign)
+              and any(map(_tolerance_literal, ast.walk(stmt.value)))]
+    inside = {id(node) for stmt in budget for node in ast.walk(stmt)}
+    stray = [f"{path.name}:{node.lineno} {node.value!r}"
+             for path, tree in trees.items() for node in ast.walk(tree)
+             if _tolerance_literal(node) and id(node) not in inside]
+    assert not stray, f"tolerance literals outside the budget: {stray}"
+
+    names = [target.id for stmt in budget for target in stmt.targets]
+    assert len(names) == len(set(names))
+    lines = solver.read_text().splitlines()
+    bare = [name for name, stmt in zip(names, budget)
+            if not lines[stmt.lineno - 2].lstrip().startswith("#")]
+    assert not bare, f"budget names without their guarantee: {bare}"
+    read = {node.id for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    unread = [name for name in names if name not in read]
+    assert not unread, f"budget names nothing reads: {unread}"

@@ -157,6 +157,31 @@ def test_cli_rcis_nonconvergence_exit_code(system_file_2d, tmp_path):
     assert json.loads(out.read_text())["converged"] is False
 
 
+def test_cli_rcis_over_the_dimension_budget_exits_4(system_file, tmp_path,
+                                                   capsys):
+    out = tmp_path / "rcis.json"
+    rc = main(["rcis", str(system_file), "--preview", "3", "--dim-budget",
+               "3", "--out", str(out)])
+    assert rc == 4
+    assert "preview 3 needs dimension 4 > budget 3" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_rcis_past_the_row_cap_exits_4(system_file_2d, tmp_path,
+                                           monkeypatch, capsys):
+    import preview_regret.polytope as poly
+
+    monkeypatch.setattr(poly, "ROW_CAP", 20)
+    out = tmp_path / "rcis.json"
+    rc = main(["rcis", str(system_file_2d), "--preview", "2",
+               "--out", str(out)])
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert "budget exceeded: Fourier-Motzkin exceeded the 20-row cap" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_cli_malformed_json(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -434,6 +459,33 @@ def test_cli_mpc_auto_terminal_unconverged(system_file, tmp_path, monkeypatch,
     assert rc == 4
     assert "iteration limit hit" in capsys.readouterr().err
     assert not (tmp_path / "m_cert.json").exists()
+
+
+def test_cli_mpc_exits_3_without_a_robust_invariant_set(system_file_2d,
+                                                       tmp_path, capsys):
+    # build_2d_random(0) has no RCIS at preview 0: no automatic terminal set
+    rc = main(["mpc", str(system_file_2d), "--out", str(tmp_path / "m")])
+    assert rc == 3
+    assert "no robust invariant set in the safe set" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "m_domain.json").exists()
+
+
+def test_cli_mpc_names_its_own_tol_for_the_automatic_terminal_set(
+        system_file, tmp_path, capsys):
+    # the automatic terminal set is a fixed point at mpc's --tol 1e-6, which
+    # fails the invariance check at 1e-7; no rcis file is involved
+    rc = main(["mpc", str(system_file), "--tol", "1e-6",
+               "--out", str(tmp_path / "m")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert ("terminal set is not robustly invariant at the check tolerance "
+            "1e-7") in err
+    assert ("automatic terminal set is a fixed point at this command's "
+            "--tol 1e-06; rerun `mpc` with a --tol below the check "
+            "tolerance") in err
+    assert "rcis" not in err
+    assert not (tmp_path / "m_domain.json").exists()
 
 
 def test_cli_mpc_rejects_bad_terminal(system_file, tmp_path):
@@ -805,6 +857,22 @@ def test_cli_rejects_a_tol_that_is_not_finite_and_nonnegative(
     assert "--tol must be a finite number at least 0" in err
     assert "Traceback" not in err
     assert [p.name for p in tmp_path.iterdir()] == [system_file.name]
+
+
+def test_cli_regret_at_a_loose_tol_checks_nesting_at_that_tol(tmp_path):
+    # at --tol 1e-6 the ladder bracket stops 2d-5's horizon 3 with a
+    # projection about 2.8e-7 outside the limit set, past the check
+    # tolerance 1e-7 but within the sweep's own tol
+    system = tmp_path / "planar_5.json"
+    system.write_text(json.dumps(system_to_json(build_2d_random(5))))
+    out = tmp_path / "regret.csv"
+    assert main(["regret", str(system), "--p-max", "4", "--tol", "1e-6",
+                 "--out", str(out)]) == 0
+    rows = list(csv.DictReader(out.open()))
+    assert [row["p"] for row in rows] == ["1", "2", "3", "4"]
+    for row in rows:
+        for col in (c for c in row if c.startswith("bound_")):
+            assert float(row[col]) >= float(row["true_dp"]) - 1e-6
 
 
 @pytest.mark.parametrize("which", ["1d", "2d-1"])

@@ -13,6 +13,7 @@ from preview_regret.polytope import (
     UnboundedError,
     _dedupe_rows,
     _fm_eliminate,
+    _fm_zero,
     _reduce_lp,
     _row_norms,
     _support_lp,
@@ -786,6 +787,11 @@ def _fm_eliminate_oracle(H, h, j):
     return H_out / expo[:, None], h_out / expo
 
 
+def _fm_kernel(H, h, j):
+    """_fm_eliminate with the zero mask of _fm_zero, as project calls it."""
+    return _fm_eliminate(H, h, j, _fm_zero(H, j)[:, 0])
+
+
 def _dedupe_rows_oracle(H, h):
     """Row deduplication as first written, with NumPy's wrappers."""
     norms = np.linalg.norm(H, axis=1)
@@ -860,7 +866,7 @@ def _same_bytes(got, want):
 @given(fm_inputs(min_dim=2))  # no elimination leaves zero columns
 def test_fm_eliminate_matches_its_first_formula(case):
     H, h, j = case
-    _same_bytes(_fm_eliminate(H, h, j), _fm_eliminate_oracle(H, h, j))
+    _same_bytes(_fm_kernel(H, h, j), _fm_eliminate_oracle(H, h, j))
 
 
 @seed(21)
@@ -876,11 +882,11 @@ def test_dedupe_rows_matches_its_first_formula(case):
 def test_fm_eliminate_oracle_cases():
     # one-signed column and no zero row: no pair, so the 0 <= 1 marker
     H, h = np.array([[1.0, 2.0], [3.0, -1.0]]), np.array([1.0, 2.0])
-    for got in (_fm_eliminate(H, h, 0), _fm_eliminate_oracle(H, h, 0)):
+    for got in (_fm_kernel(H, h, 0), _fm_eliminate_oracle(H, h, 0)):
         assert got[0].tolist() == [[0.0]] and got[1].tolist() == [1.0]
     # a pair that cancels to a zero row keeps its offset, scaled by one
     H, h = np.array([[1.0, 1.0], [-1.0, -1.0]]), np.array([1.0, 3.0])
-    got = _fm_eliminate(H, h, 0)
+    got = _fm_kernel(H, h, 0)
     _same_bytes(got, _fm_eliminate_oracle(H, h, 0))
     assert got[0].tolist() == [[0.0]] and got[1].tolist() == [4.0]
 

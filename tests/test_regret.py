@@ -409,6 +409,17 @@ def test_true_dp_empty_preview_set_raises_assumption_error(p):
         regret_dp(sys, p, C_co)
 
 
+def test_preview_gap_checks_nesting_at_the_larger_tolerance():
+    # a projection 5e-7 outside the limit set: within a sweep tol of 1e-6,
+    # but past the check tolerance 1e-7 when the sweep tol is below it
+    C_co, proj = interval(-1.0, 1.0), interval(-1.0, 1.0 + 5e-7)
+    assert _preview_gap(1, proj, C_co, 1e-6) == 0.0
+    with pytest.raises(AssumptionError,
+                       match="1-preview projection is not inside the limit "
+                             "set within 1e-07"):
+        _preview_gap(1, proj, C_co, 1e-8)
+
+
 def test_proj_cmax_p_builds_half_the_hulls(monkeypatch):
     # from the iterate where the fixed point keeps its vertex-facet
     # incidence, the carried record certifies each reduction instead of
@@ -540,9 +551,9 @@ def _bracket_spies(monkeypatch):
         runs[-1]["brackets"].append(hit)
         return hit
 
-    def gap(p, proj, C_max_co):
+    def gap(p, proj, C_max_co, tol):
         seen[p] = proj
-        return real_gap(p, proj, C_max_co)
+        return real_gap(p, proj, C_max_co, tol)
 
     monkeypatch.setattr(regret, "max_invariant_set", run)
     monkeypatch.setattr(inv, "pre", counting)
@@ -574,7 +585,7 @@ def test_bracket_stops_2d_1_one_step_after_its_prefix(monkeypatch):
         assert contains(P, ladder[p - 1]) and contains(ladder[p - 1], P, tol)
         alone = proj_p(s, p, tol)
         assert curve.rows[p - 1]["true_dp"] == \
-            _preview_gap(p, alone, curve.C_max_co)
+            _preview_gap(p, alone, curve.C_max_co, tol)
     assert len(runs) == 6
 
 
@@ -614,9 +625,9 @@ def test_bracketed_sweep_matches_runs_from_x0_on_random_systems(draw):
     s, tol = _random_system(np.random.default_rng(draw)), 1e-8
     seen, real_gap = {}, regret._preview_gap
 
-    def gap(p, proj, C_max_co):
+    def gap(p, proj, C_max_co, tol):
         seen[p] = proj
-        return real_gap(p, proj, C_max_co)
+        return real_gap(p, proj, C_max_co, tol)
 
     with mock.patch.object(regret, "_preview_gap", gap):
         try:
@@ -629,7 +640,8 @@ def test_bracketed_sweep_matches_runs_from_x0_on_random_systems(draw):
         p = row["p"]
         alone = proj_p(s, p, tol)
         assert set_equal(seen[p], alone, TAU_SET)
-        assert abs(row["true_dp"] - _preview_gap(p, alone, curve.C_max_co)) \
+        assert abs(row["true_dp"]
+                   - _preview_gap(p, alone, curve.C_max_co, tol)) \
             <= 1e-8
         for col in (c for c in row if c.startswith("bound_")):
             assert row[col] >= row["true_dp"] - 1e-6

@@ -204,6 +204,32 @@ def test_lp_over_400_rows_goes_through_highs_once(monkeypatch):
     assert np.max(np.abs(center)) <= 1e-9
 
 
+@pytest.mark.parametrize("status", [INFEASIBLE, UNBOUNDED])
+def test_lp_past_60_variables_reports_the_status_of_highs(monkeypatch,
+                                                          status):
+    # 61 variables are past the dense simplex, so HiGHS alone decides, and
+    # its statuses come back as they are
+    from preview_regret import solver
+
+    calls = []
+    real = solver._scipy_lp
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "_scipy_lp", counting)
+    n = 61
+    if status == INFEASIBLE:  # x <= -1 and x >= 0
+        A = np.vstack([np.eye(n), -np.eye(n)])
+        b, c = np.r_[-np.ones(n), np.zeros(n)], np.zeros(n)
+    else:  # min -sum(x) over x >= -1
+        A, b, c = -np.eye(n), np.ones(n), -np.ones(n)
+    sol = solve_lp_fast(c, A, b)
+    assert sol.status == status and sol.point is None
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("shift", [(1e-6, 0.0, 0.0), (0.0, -1e-6, 0.0),
                                    (0.0, 0.0, 1e-6)],
                          ids=["row", "sign", "equality"])
