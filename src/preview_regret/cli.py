@@ -122,14 +122,15 @@ def cmd_mpc(args) -> int:
         write_rows_csv,
         write_trajectory_csv,
     )
-    from .solver import project_point
+    from .solver import TAU_SWEEP, project_point
 
     system = load_system(args.system)
     # a bad scenario file fails before any output is written
     streams = load_scenario(args.scenario, system.D, args.simulate + args.p,
                             args.streams, args.seed) if args.simulate else []
     if args.terminal == "auto":
-        C, conv = max_invariant_set(system, tol=args.tol)
+        # at most TAU_SWEEP, so that the set passes the check at TAU_CHECK
+        C, conv = max_invariant_set(system, tol=min(args.tol, TAU_SWEEP))
         if C.is_empty():
             print("error: the system has no robust invariant set in the safe "
                   "set; cannot pick a terminal set", file=_sys.stderr)
@@ -143,13 +144,10 @@ def cmd_mpc(args) -> int:
     try:
         curve = mpc_curve(system, C, args.p, args.curve_max, args.tol)
     except TerminalSetError as exc:
-        if exc.witness is None:  # empty, unbounded or of another dimension
-            advice = ""
-        elif args.terminal == "auto":
-            advice = (f". The automatic terminal set is a fixed point at this "
-                      f"command's --tol {args.tol:g}; rerun `mpc` with a "
-                      "--tol below the check tolerance")
-        else:
+        advice = ""
+        if exc.witness is not None and args.terminal != "auto":
+            # a terminal file that is empty, bounded and of the right
+            # dimension, but not robustly invariant
             advice = (". A set from `rcis` at its default --tol 1e-6 may stop "
                       "short of that; write it with `rcis --tol 1e-8`")
         print(f"error: {exc}{advice}", file=_sys.stderr)
@@ -190,7 +188,7 @@ def cmd_demo_1d(args) -> int:
     from .models import build_1d
     from .polytope import support
     from .regret import regret_curve
-    from .solver import TAU_DEMO
+    from .solver import TAU_DEMO, TAU_DEMO_MATCH
     from .systems import AssumptionError
 
     system, oracle = build_1d()
@@ -199,6 +197,16 @@ def cmd_demo_1d(args) -> int:
     if curve.failures:
         raise AssumptionError("; ".join(curve.failures.values()))
     r = support(curve.C_max_co, [1.0])
+    checks = [("limit set radius", r, oracle.cmax_co_radius())]
+    for row in curve.rows:
+        want = oracle.dp(row["p"])
+        checks += [(f"p={row['p']} true d_p", row["true_dp"], want),
+                   (f"p={row['p']} certified bound", row["bound_alg2"], want)]
+    for what, got, want in checks:
+        if got is None or not abs(got - want) <= TAU_DEMO_MATCH:
+            raise AssumptionError(
+                f"demo-1d: {what} is {got!r}, the closed form {want!r}; "
+                f"they differ by more than {TAU_DEMO_MATCH:g}")
     print(f"limit set radius: computed {r:.12f}  closed form "
           f"{oracle.cmax_co_radius():.12f}")
     cert = curve.certs["alg2"]

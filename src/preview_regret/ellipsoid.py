@@ -52,8 +52,6 @@ class ContractionParams:
     gamma: float
     N: int
     lam: float
-    c0: float
-    c_out: float
 
 
 def find_contractive_ellipsoid(sys: LinearSystem) -> ContractiveEllipsoid:
@@ -169,5 +167,4 @@ def contraction_params(c0: float, c_out: float, lam_a: float) -> ContractionPara
     gamma = min(c0 / c_out, 1.0)
     N = int(np.floor(np.log(gamma) / np.log(lam_a))) + 1
     lam = lam_a ** N / gamma
-    return ContractionParams(gamma=float(gamma), N=N, lam=float(lam),
-                             c0=float(c0), c_out=float(c_out))
+    return ContractionParams(gamma=float(gamma), N=N, lam=float(lam))

@@ -21,7 +21,7 @@ from .solver import FIXED_POINT_MAX_ITER, TAU_SET
 from .systems import DeterministicSystem, LinearSystem
 
 
-def pre(sys, X: HPolytope, S: HPolytope | None = None) -> HPolytope:
+def pre(sys, X: HPolytope) -> HPolytope:
     """One-step backward reachable set of X constrained to the safe set.
 
     {x : exists u with (x,u) in S and A x + B u + E d in X for all d in D};
@@ -34,9 +34,7 @@ def pre(sys, X: HPolytope, S: HPolytope | None = None) -> HPolytope:
     keep their combinatorial structure each incidence certifies the next
     reduction without a hull.
     """
-    if S is None:
-        S = sys.S_xu
-    n = sys.n
+    S, n = sys.S_xu, sys.n
     if X.dim != n:
         raise ValueError("target set must live in the state space")
     if X.is_empty():

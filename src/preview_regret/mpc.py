@@ -9,8 +9,8 @@ import numpy as np
 
 from .invariance import max_invariant_set, pre_k, rcis_violation_witness
 from .polytope import HPolytope, UnboundedError, bounding_box, support
-from .regret import (NotControllableError, RegretCertificate, algorithm1,
-                     algorithm2, algorithm3, bound_dp)
+from .regret import (NotControllableError, RegretCertificate, _ladder_gap,
+                     algorithm1, algorithm2, algorithm3, bound_dp)
 from .solver import FLAT_RADIUS, TAU_CHECK, _row_scales, solve_qp
 from .systems import AssumptionError, LinearSystem, collaborative
 
@@ -128,7 +128,7 @@ def mpc_curve(sys: LinearSystem, C: HPolytope, p: int, curve_max: int,
     C_co, conv_co = max_invariant_set(co, tol=tol)
     p_max = max(p, curve_max)
     report = algorithm3(sys, C_co, C, p0=0, k_max=p_max)
-    ladder, gaps = report.ladder, report.distances
+    ladder = report.ladder
     domain = ladder[p] if p < len(ladder) else pre_k(
         co, ladder[-1], p + 1 - len(ladder))
     cert = failure = None
@@ -137,7 +137,7 @@ def mpc_curve(sys: LinearSystem, C: HPolytope, p: int, curve_max: int,
     except (AssumptionError, ValueError) as exc:
         failure = str(exc)
     rows = [{"p": k, "bound_dp": None if cert is None else bound_dp(cert, k),
-             "measured_gap": gaps[k] if k < len(gaps) else 0.0}
+             "measured_gap": _ladder_gap(report, k)}
             for k in range(p_max + 1)]
     return MpcCurve(domain, cert, failure, rows)
 

@@ -27,6 +27,7 @@ from .polytope import (
     radius_from_origin,
     scale,
     translate,
+    unit_box,
     vertices,
 )
 from .solver import EQ_MARGIN_TOL, TAU_CHECK, TAU_SWEEP, is_controllable
@@ -74,8 +75,16 @@ class RegretCertificate:
 
     @property
     def k0(self):
-        """Length of the initial phase (see k0_of)."""
-        return k0_of(self.lambda0, self.gamma, self.lam)
+        """Length of the initial phase. Zero-contraction schedules have no
+        initial phase at all; otherwise a vanishing initial factor pushes
+        the phase boundary to infinity."""
+        if self.lam <= 0.0:
+            return 0
+        if self.lambda0 <= 0.0:
+            return math.inf
+        val = ((math.log(self.lambda0) - math.log(self.gamma))
+               / math.log(self.lam) - 1.0)
+        return max(0, math.ceil(val))
 
     @property
     def a(self) -> float:
@@ -101,43 +110,24 @@ class ConvergenceReport:
     k_max: int
 
 
-def k0_of(lambda0: float, gamma: float, lam: float):
-    """Length of the initial bound phase.
+def _anchor(sys, proj, C_max_co, interior):
+    """The anchor shared by the certification methods: find a forced
+    equilibrium with the needed interiority, move the origin onto it, and
+    read lambda0 and r_co there.
 
-    Zero-contraction schedules have no initial phase at all; otherwise a
-    vanishing initial factor pushes the phase boundary to infinity.
+    Returns the shifted system, its collaborative system, the shifted limit
+    set, the equilibrium, lambda0 (the largest lambda <= 1 with lambda *
+    C_max_co inside the p0 projection) and r_co. With interior False the
+    equilibrium may sit on the projection's boundary, and lambda0 is then
+    0: the controllable-system decay survives a vanishing initial factor.
     """
-    if lam <= 0.0:
-        return 0
-    if lambda0 <= 0.0:
-        return math.inf
-    val = (math.log(lambda0) - math.log(gamma)) / math.log(lam) - 1.0
-    return max(0, math.ceil(val))
-
-
-def estimate_lambda0(C_max_co: HPolytope, proj: HPolytope) -> float:
-    """Largest lambda <= 1 with lambda * C_max_co inside the p0 projection.
-
-    The containment ratio of C_max_co into the projection, read off
-    C_max_co's vertex list; proj must contain the origin in its interior.
-    """
-    return float(min(1.0, 1.0 / containment_ratio(C_max_co, proj)))
-
-
-def _shift_problem(sys, proj, C_max_co, require_interior_projection):
-    """Steps shared by the certification methods: find a forced equilibrium
-    with the needed interiority, then move the origin onto it.
-
-    Returns the shifted system, p0 projection and limit set, and the
-    equilibrium.
-    """
-    eps0 = equilibrium_margin_at_zero(sys, proj, require_interior_projection)
+    eps0 = equilibrium_margin_at_zero(sys, proj, interior)
     if eps0 > 0.0:
         eq = Equilibrium(np.zeros(sys.n), np.zeros(sys.m), np.zeros(sys.l),
                          margin=eps0)
         sys_s, proj_s = sys, proj
     else:
-        eq = find_forced_equilibrium(sys, proj, require_interior_projection)
+        eq = find_forced_equilibrium(sys, proj, interior)
         if eq.margin <= EQ_MARGIN_TOL:
             raise AssumptionError(
                 "forced equilibrium exists only on the constraint boundary; "
@@ -147,7 +137,14 @@ def _shift_problem(sys, proj, C_max_co, require_interior_projection):
     C_co_s = translate(C_max_co, -eq.x_e)
     if not C_co_s.in_normal_form:
         raise AssumptionError("equilibrium is not interior to the limit set")
-    return sys_s, proj_s, C_co_s, eq
+    try:
+        lambda0 = float(min(1.0, 1.0 / containment_ratio(C_co_s, proj_s)))
+    except NormalFormError:
+        if interior:
+            raise
+        lambda0 = 0.0
+    return (sys_s, collaborative(sys_s), C_co_s, eq, lambda0,
+            float(radius_from_origin(C_co_s)))
 
 
 def algorithm1(sys: LinearSystem, C_max_co: HPolytope, proj: HPolytope,
@@ -159,22 +156,19 @@ def algorithm1(sys: LinearSystem, C_max_co: HPolytope, proj: HPolytope,
     lambda0 is then the containment ratio of the limit set into proj. See
     refine_certificate for the re-anchored schedule.
     """
-    sys_s, proj_s, C_co_s, eq = _shift_problem(
-        sys, proj, C_max_co, require_interior_projection=True)
-    lambda0 = estimate_lambda0(C_co_s, proj_s)
-
+    sys_s, co_s, C_co_s, eq, lambda0, r_co = _anchor(
+        sys, proj, C_max_co, interior=True)
     ell = find_contractive_ellipsoid(sys_s)
     c0 = max_c0(ell, sys_s.S_xu, sys_s.D)
     if c0 <= 0.0:
         raise AssumptionError("contractive ellipsoid has no room inside the "
                               "safe set at the chosen equilibrium")
     params = contraction_params(c0, min_c_out(C_co_s, ell.Q), ell.lam_a)
-    verified = check_contractive(collaborative(sys_s),
-                                 scale(C_co_s, params.gamma), N=params.N,
-                                 lam=params.lam, tol=TAU_CHECK)
+    verified = check_contractive(co_s, scale(C_co_s, params.gamma),
+                                 N=params.N, lam=params.lam, tol=TAU_CHECK)
     return RegretCertificate(
-        method="alg1", lambda0=float(lambda0), gamma=params.gamma,
-        N=params.N, lam=params.lam, r_co=float(radius_from_origin(C_co_s)),
+        method="alg1", lambda0=lambda0, gamma=params.gamma,
+        N=params.N, lam=params.lam, r_co=r_co,
         p0=int(p0), shift=eq, cmax_exact=cmax_exact,
         contractive_verified=verified, ellipsoid=ell)
 
@@ -198,8 +192,9 @@ def refine_certificate(sys: LinearSystem, C_max_co: HPolytope,
     C_N = pre_k(co_s, scale(C_co_s, cert.lam * cert.gamma), k=cert.N)
     gamma = float(min(1.0, 1.0 / containment_ratio(C_co_s, C_N)))
     lam = cert.lam * cert.gamma / gamma
-    verified = check_contractive(co_s, scale(C_co_s, gamma), N=cert.N,
-                                 lam=lam, tol=TAU_CHECK)
+    # lam * gamma is unchanged, so C_N is the N-step set that
+    # check_contractive would build for the new schedule
+    verified = contains(C_N, scale(C_co_s, gamma), tol=TAU_CHECK)
     return replace(cert, method="alg1_refined", gamma=gamma, lam=lam,
                    contractive_verified=verified)
 
@@ -223,18 +218,9 @@ def algorithm2(sys: LinearSystem, C_max_co: HPolytope, proj: HPolytope,
         N = sys.n
     if N < 1:
         raise ValueError("N must be positive")
-    sys_s, proj_s, C_co_s, eq = _shift_problem(
-        sys, proj, C_max_co, require_interior_projection=False)
-    try:
-        lambda0 = estimate_lambda0(C_co_s, proj_s)
-    except NormalFormError:
-        # the equilibrium may sit on the projection's boundary here; the
-        # decay survives a vanishing initial factor
-        lambda0 = 0.0
-    origin = HPolytope(np.vstack([np.eye(sys.n), -np.eye(sys.n)]),
-                       np.zeros(2 * sys.n))
-    co_s = collaborative(sys_s)
-    C_N = pre_k(co_s, origin, k=N)
+    _, co_s, C_co_s, eq, lambda0, r_co = _anchor(
+        sys, proj, C_max_co, interior=False)
+    C_N = pre_k(co_s, scale(unit_box(sys.n), 0.0), k=N)
     try:
         gamma_max = min(1.0, 1.0 / containment_ratio(C_co_s, C_N))
     except NormalFormError as exc:
@@ -242,8 +228,8 @@ def algorithm2(sys: LinearSystem, C_max_co: HPolytope, proj: HPolytope,
             "the N-step backward set of the origin is degenerate; "
             "choose N >= the state dimension") from exc
     return RegretCertificate(
-        method="alg2", lambda0=float(lambda0), gamma=float(gamma_max),
-        N=int(N), lam=0.0, r_co=float(radius_from_origin(C_co_s)),
+        method="alg2", lambda0=lambda0, gamma=float(gamma_max),
+        N=int(N), lam=0.0, r_co=r_co,
         p0=int(p0), shift=eq, cmax_exact=cmax_exact)
 
 
@@ -289,6 +275,15 @@ def algorithm3(sys: LinearSystem, C_max_co: HPolytope,
     return ConvergenceReport(p_bar=p_bar, ladder=ladder + ladder[-1:] * pad,
                              distances=distances + distances[-1:] * pad,
                              k_max=k_max)
+
+
+def _ladder_gap(report: ConvergenceReport, k: int) -> float | None:
+    """The regret bound a ladder gives k steps past its anchor: the distance
+    at rung k, 0 past a closed ladder (no gap from p_bar on) and None past
+    an open one, which says nothing there."""
+    if k < len(report.distances):
+        return report.distances[k]
+    return 0.0 if math.isfinite(report.p_bar) else None
 
 
 def _preview_gap(p: int, proj: HPolytope, C_max_co: HPolytope,
@@ -398,7 +393,7 @@ def regret_curve(sys: LinearSystem, p0: int = 1, p_max: int = 8,
     alg1 (computed on demand) and shares its failure. A method that raises
     AssumptionError or ValueError is recorded in failures and leaves its
     column blank. bound_alg3 reads the ladder distance at p - p0 and is 0
-    past the end of a closed ladder.
+    past the end of a closed ladder, blank past an open one (_ladder_gap).
     An empty limit set or p0 projection raises AssumptionError.
     """
     C_co, conv_co = max_invariant_set(collaborative(sys), tol=tol)
@@ -443,19 +438,12 @@ def regret_curve(sys: LinearSystem, p0: int = 1, p_max: int = 8,
             islice(chain([first], sweep), max(0, last - p0 + 1)) if converged}
 
     rows = []
-    p_bar = report.p_bar if report is not None else None
     for p in range(p0, p_max + 1):
         row = {"p": p, "true_dp": true.get(p)}
-        for name, col in (("alg1", "bound_alg1"),
-                          ("alg1_refined", "bound_alg1_refined"),
-                          ("alg2", "bound_alg2")):
-            if name in certs:
-                row[col] = bound_dp(certs[name], p)
-        if report is not None and p - p0 < len(report.distances):
-            row["bound_alg3"] = report.distances[p - p0]
-        elif report is not None and math.isfinite(p_bar):
-            row["bound_alg3"] = 0.0  # the ladder closed: no gap from p_bar on
-        if p_bar is not None:
-            row["p_bar"] = float(p_bar)
+        for name, cert in certs.items():
+            row[f"bound_{name}"] = bound_dp(cert, p)
+        if report is not None:
+            row["bound_alg3"] = _ladder_gap(report, p - p0)
+            row["p_bar"] = float(report.p_bar)
         rows.append(row)
     return RegretCurve(C_co, proj, certs, report, failures, rows)

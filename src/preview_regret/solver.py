@@ -22,11 +22,17 @@ import scipy.linalg
 # Fixed points and the checks on their results.
 # default tol of max_invariant_set (rcis --tol), its checks and contains
 TAU_SET = 1e-6
-# preview_sweep's and regret_curve's fixed-point tol (regret and mpc --tol)
+# preview_sweep's and regret_curve's fixed-point tol (regret and mpc --tol),
+# and the loosest tol of mpc's automatic terminal set, which keeps it in
+# TAU_CHECK's invariance check
 TAU_SWEEP = 1e-8
 # demo-1d's fixed-point tol, at which its true_dp meets the closed form
 TAU_DEMO = 1e-10
+# demo-1d's limit radius, true_dp and bound_alg2 meet the closed forms within
+# this, or it exits 3; at TAU_DEMO they are within 6.2e-11 of them
+TAU_DEMO_MATCH = 1e-9
 # a result passes hausdorff_nested, mpc's terminal check, check_contractive
+# and refine_certificate's contractiveness check
 TAU_CHECK = 1e-7
 # max_invariant_set's default step cap (rcis --max-iter)
 FIXED_POINT_MAX_ITER = 200

@@ -50,6 +50,7 @@ from preview_regret.regret import (
     refine_certificate,
 )
 from preview_regret.systems import (
+    DeterministicSystem,
     LinearSystem,
     augment,
     collaborative,
@@ -337,12 +338,14 @@ def test_criterion_7_contraction_inclusions(spine_1d):
         def as_interval(P):
             return -support(P, [-1.0]), support(P, [1.0])
 
-        S = co.S_xu
+        def split_off(share):  # the system with safe set share * S
+            return DeterministicSystem(co.A, co.B, scale(co.S_xu, share))
+
         for split in (0.3, 0.5, 0.7):
-            whole = as_interval(pre(co, C_co, S))
-            lo1, hi1 = as_interval(pre(co, scale(C_co, split), scale(S, split)))
-            lo2, hi2 = as_interval(pre(co, scale(C_co, 1.0 - split),
-                                       scale(S, 1.0 - split)))
+            whole = as_interval(pre(co, C_co))
+            lo1, hi1 = as_interval(pre(split_off(split), scale(C_co, split)))
+            lo2, hi2 = as_interval(pre(split_off(1.0 - split),
+                                       scale(C_co, 1.0 - split)))
             assert lo1 + lo2 >= whole[0] - 1e-12
             assert hi1 + hi2 <= whole[1] + 1e-12
         assert time.time() - t0 < 60.0

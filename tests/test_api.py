@@ -11,8 +11,6 @@ PACKAGE = ROOT / "src" / "preview_regret"
 
 # public names kept without a caller in src/, scripts/ or bench/
 ALLOWED = {
-    # an input constructor, like interval; the tests build boxes with it
-    "unit_box",
     # the reader of certificate_to_json's output, for a certificate check
     # that loads a written certificate back
     "certificate_from_json",

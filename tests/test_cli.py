@@ -471,21 +471,24 @@ def test_cli_mpc_exits_3_without_a_robust_invariant_set(system_file_2d,
     assert not (tmp_path / "m_domain.json").exists()
 
 
-def test_cli_mpc_names_its_own_tol_for_the_automatic_terminal_set(
-        system_file, tmp_path, capsys):
-    # the automatic terminal set is a fixed point at mpc's --tol 1e-6, which
-    # fails the invariance check at 1e-7; no rcis file is involved
-    rc = main(["mpc", str(system_file), "--tol", "1e-6",
-               "--out", str(tmp_path / "m")])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert ("terminal set is not robustly invariant at the check tolerance "
-            "1e-7") in err
-    assert ("automatic terminal set is a fixed point at this command's "
-            "--tol 1e-06; rerun `mpc` with a --tol below the check "
-            "tolerance") in err
-    assert "rcis" not in err
-    assert not (tmp_path / "m_domain.json").exists()
+@pytest.mark.parametrize("which", ["1d", "2d-1"])
+def test_cli_mpc_computes_the_automatic_terminal_set_below_the_check_tol(
+        which, tmp_path, capsys):
+    # at a --tol looser than the invariance check's 1e-7, the automatic
+    # terminal set is still a fixed point at TAU_SWEEP: it passes the check,
+    # and the feasible domain is the default run's
+    system = build_1d()[0] if which == "1d" else build_2d_random(1)
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(system_to_json(system)))
+    for tol, out in (("1e-6", "loose"), ("1e-8", "default")):
+        assert main(["mpc", str(path), "--tol", tol, "--p", "2",
+                     "--simulate", "20", "--streams", "3",
+                     "--out", str(tmp_path / out)]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out.count("infeasible steps: 0") == 2
+    assert ((tmp_path / "loose_domain.json").read_text()
+            == (tmp_path / "default_domain.json").read_text())
 
 
 def test_cli_mpc_rejects_bad_terminal(system_file, tmp_path):
@@ -599,6 +602,24 @@ def test_cli_demo(monkeypatch, capsys):
     assert len(calls) == 7
     out = capsys.readouterr().out
     assert "certified bound meets the exact regret" in out
+
+
+@pytest.mark.parametrize("quantity, row", [
+    ("dp", "p=1 true d_p"), ("cmax_co_radius", "limit set radius")])
+def test_cli_demo_exits_3_when_a_closed_form_is_missed(quantity, row,
+                                                       monkeypatch, capsys):
+    # demo-1d checks every number it prints against the closed forms; an
+    # oracle off by 1e-6 fails the first row it reads, before any output
+    from preview_regret.models import OneDimOracle
+
+    real = getattr(OneDimOracle, quantity)
+    monkeypatch.setattr(OneDimOracle, quantity,
+                        lambda self, *a: real(self, *a) + 1e-6)
+    assert main(["demo-1d"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"assumptions unverifiable: demo-1d: {row} is " in err
+    assert "they differ by more than 1e-09" in err
 
 
 def test_scenario_loader(tmp_path):

@@ -337,7 +337,7 @@ def test_pre_stays_inside_state_projection_of_safe_set():
             c = rng.uniform(-2.0, 2.0, size=s.n)
             w = rng.uniform(0.1, 4.0, size=s.n)
             X = Box(c - w, c + w).to_polytope()
-            assert contains(X0, pre(s, X, s.S_xu), tol=1e-9)
+            assert contains(X0, pre(s, X), tol=1e-9)
 
 
 def test_carried_incidence_reduces_like_the_hull(monkeypatch):

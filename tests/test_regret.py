@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, seed, settings, strategies as st
 
-from preview_regret.invariance import max_invariant_set, pre_k
-from preview_regret.models import build_1d, build_2d_random
+from preview_regret.invariance import check_contractive, max_invariant_set, pre_k
+from preview_regret.models import build_1d, build_2d_random, build_template
 from preview_regret.polytope import (
     Box,
     TAU_SET,
@@ -15,6 +15,7 @@ from preview_regret.polytope import (
     contains,
     interval,
     project,
+    scale,
     set_equal,
     support,
     translate,
@@ -22,23 +23,24 @@ from preview_regret.polytope import (
 )
 from preview_regret.regret import (
     NotControllableError,
+    RegretCertificate,
     _preview_gap,
     algorithm1,
     algorithm2,
     algorithm3,
     bound_dp,
-    estimate_lambda0,
-    k0_of,
     preview_sweep,
     refine_certificate,
     regret_curve,
 )
+from preview_regret.solver import TAU_CHECK
 from preview_regret.systems import (
     AssumptionError,
     LinearSystem,
     augment,
     collaborative,
     equilibrium_margin_at_zero,
+    shift_origin,
 )
 
 from oracles import co_p, power, proj_p, regret_dp
@@ -54,29 +56,37 @@ def spine():
     return sys, oracle, C_co, project(C_1, sys.n)
 
 
+def _k0(lambda0, gamma, lam):
+    return RegretCertificate(method="alg1", lambda0=lambda0, gamma=gamma,
+                             N=1, lam=lam, r_co=1.0, p0=0, shift=None).k0
+
+
 def test_k0_examples():
-    assert k0_of(0.6550, 0.0752, 5.737e-4) == 0
-    assert k0_of(0.1, 0.5, 0.5) == 2
-    assert k0_of(0.9, 0.5, 0.5) == 0  # lambda0 >= gamma clamps at zero
-    assert k0_of(0.0, 0.5, 0.5) == math.inf
-    assert k0_of(0.0, 0.5, 0.0) == 0  # zero-contraction schedules skip phase 1
+    assert _k0(0.6550, 0.0752, 5.737e-4) == 0
+    assert _k0(0.1, 0.5, 0.5) == 2
+    assert _k0(0.9, 0.5, 0.5) == 0  # lambda0 >= gamma clamps at zero
+    assert _k0(0.0, 0.5, 0.5) == math.inf
+    assert _k0(0.0, 0.5, 0.0) == 0  # zero-contraction schedules skip phase 1
 
 
 def test_lambda0_identical_sets(spine):
-    _, _, C_co, _ = spine
-    assert estimate_lambda0(C_co, C_co) == pytest.approx(1.0, abs=1e-9)
+    sys, _, C_co, _ = spine
+    cert = algorithm2(sys, C_co, C_co, p0=1, N=1)
+    assert cert.lambda0 == pytest.approx(1.0, abs=1e-9)
 
 
 def test_lambda0_1d_closed_form(spine):
     sys, oracle, C_co, _ = spine
     proj1 = proj_p(sys, 1, tol=1e-11)
-    lam0 = estimate_lambda0(C_co, proj1)
-    assert lam0 == pytest.approx(2.0 / 3.0, abs=1e-9)
+    for cert in (algorithm1(sys, C_co, proj1, p0=1),
+                 algorithm2(sys, C_co, proj1, p0=1, N=1)):
+        assert cert.lambda0 == pytest.approx(2.0 / 3.0, abs=1e-9)
 
 
 def test_lambda0_method_ordering(spine):
     # eps * B(n) lies inside the projection, so the containment LP into the
-    # projection is never below the margin bound eps / r(C_co, B(n))
+    # projection is never below the margin bound eps / r(C_co, B(n)); both
+    # methods read lambda0 at the same anchor
     sys_1d, _, C_co_1d, proj1_1d = spine
     cases = [(sys_1d, C_co_1d, proj1_1d)]
     for seed in (0, 1, 2):
@@ -89,9 +99,10 @@ def test_lambda0_method_ordering(spine):
     for sys, C_co, proj1 in cases:
         eps = equilibrium_margin_at_zero(sys, proj1)
         margin_bound = eps / containment_ratio(C_co, unit_box(sys.n))
-        lam0 = estimate_lambda0(C_co, proj1)
+        lam0 = algorithm1(sys, C_co, proj1, p0=1).lambda0
         assert lam0 >= margin_bound - 1e-9
         assert lam0 > 0.0
+        assert algorithm2(sys, C_co, proj1, p0=1).lambda0 == lam0
 
 
 def test_algorithm2_1d_exact(spine):
@@ -180,6 +191,27 @@ def test_refine_certificate_needs_an_exact_plain_certificate(spine):
         refine_certificate(sys, C_co, replace(plain, cmax_exact=False))
     with pytest.raises(ValueError, match="plain alg1"):
         refine_certificate(sys, C_co, refine_certificate(sys, C_co, plain))
+
+
+@pytest.mark.parametrize("which", ["1d", "2d-0", "2d-1", "2d-2", "2d-3",
+                                   "wind_turbine"])
+def test_refined_verification_matches_a_fresh_check_contractive(which):
+    # refine_certificate checks gamma * C_co against the N-step set it built
+    # for the new gamma; lam * gamma is unchanged, so check_contractive from
+    # scratch reads the same
+    if which == "1d":
+        sys = build_1d()[0]
+    elif which == "wind_turbine":
+        sys = build_template("wind_turbine")[0]
+    else:
+        sys = build_2d_random(int(which[3:]))
+    curve = regret_curve(sys, p0=1, p_max=1, methods=("alg1_refined",))
+    cert = curve.certs["alg1_refined"]
+    co_s = collaborative(shift_origin(sys, cert.shift))
+    C_co_s = translate(curve.C_max_co, -cert.shift.x_e)
+    fresh = check_contractive(co_s, scale(C_co_s, cert.gamma), N=cert.N,
+                              lam=cert.lam, tol=TAU_CHECK)
+    assert cert.contractive_verified is fresh
 
 
 def test_algorithm1_assumption_failure():
