@@ -7,11 +7,11 @@ Usage: python scripts/bounds_2d.py [--seed 0] [--p-max 6] [--N-coarse 8]
 """
 
 import argparse
-import csv
 import math
 import time
 
 from preview_regret import algorithm2, bound_dp, build_2d_random, regret_curve
+from preview_regret.serialize import write_rows_csv
 
 
 def main():
@@ -47,10 +47,7 @@ def main():
         assert row["true_dp"] is not None, \
             f"the fixed point at p={row['p']} did not converge"
         row[f"bound_{coarse}"] = bound_dp(certs[coarse], row["p"])
-    with open(args.out, "w", newline="") as fh:
-        w = csv.DictWriter(fh, fieldnames=list(rows[0]))
-        w.writeheader()
-        w.writerows(rows)
+    write_rows_csv(args.out, list(rows[0]), rows)
     print(f"wrote {args.out} in {time.time() - t0:.1f}s")
 
 

@@ -6,10 +6,10 @@ Usage: python scripts/spine_1d.py [--p-max 8] [--out spine_1d.csv]
 """
 
 import argparse
-import csv
 
 from preview_regret import build_1d, regret_curve
 from preview_regret.regret import TRUE_DP_DIM_BUDGET
+from preview_regret.serialize import write_rows_csv
 
 
 def main():
@@ -37,10 +37,7 @@ def main():
               f"{row['bound_alg1_refined']:.6f}      | "
               f"{row['bound_alg2']:.6f}   | {row['bound_alg3']:.10f}")
 
-    with open(args.out, "w", newline="") as fh:
-        w = csv.DictWriter(fh, fieldnames=list(rows[0]))
-        w.writeheader()
-        w.writerows(rows)
+    write_rows_csv(args.out, list(rows[0]), rows)
     print(f"wrote {args.out}")
 
 

@@ -45,7 +45,6 @@ from .regret import (
     algorithm2,
     algorithm3,
     bound_dp,
-    preview_sweep,
     refine_certificate,
     regret_curve,
 )
@@ -72,8 +71,8 @@ __all__ = [
     "ContractionParams", "ContractiveEllipsoid", "contraction_params",
     "find_contractive_ellipsoid", "max_c0", "min_c_out",
     "ConvergenceReport", "RegretCertificate", "RegretCurve", "algorithm1",
-    "algorithm2", "algorithm3", "bound_dp", "preview_sweep",
-    "refine_certificate", "regret_curve",
+    "algorithm2", "algorithm3", "bound_dp", "refine_certificate",
+    "regret_curve",
     "FeasibleDomain", "MpcConfig", "MpcCurve", "feasible_domain", "mpc_curve",
     "mpc_step", "simulate_closed_loop", "terminal_set_certificate",
     "build_1d", "build_2d_random", "build_template",

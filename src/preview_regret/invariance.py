@@ -15,6 +15,7 @@ from .polytope import (
     erode_rows,
     first_violation,
     project,
+    remove_redundancy,
     scale,
 )
 from .solver import FIXED_POINT_MAX_ITER, TAU_SET
@@ -47,6 +48,8 @@ def pre(sys, X: HPolytope) -> HPolytope:
     AB = np.concatenate((sys.A, sys.B), axis=1)
     stacked = HPolytope(np.concatenate((X.H @ AB, S.H)),
                         np.concatenate((X.h, S.h)))
+    if dim == n:  # no input to eliminate, so project would not reduce
+        return remove_redundancy(stacked)
     stacked._offer = offer
     return project(stacked, n)
 
@@ -111,7 +114,7 @@ class Prefix:
     run stops there; X None means nothing is known, and the run starts at
     X_0. max_invariant_set resumes at X and leaves in the prefix its own
     iterate at index `upto`, or the one it stops at if that comes first
-    (regret.preview_sweep hands it from each preview horizon to the next).
+    (regret.regret_curve hands it from each preview horizon to the next).
     `stopped` records the inclusion test alone, never the bracket.
 
     `inner`, if given, is a set L in the first L.dim coordinates that is
@@ -142,7 +145,7 @@ def max_invariant_set(sys, max_iter: int = FIXED_POINT_MAX_ITER,
     contains X_k within tol is returned. Every iterate contains the maximal
     set, so a non-converged result is a certified outer approximation.
     A prefix (see Prefix) resumes the run at a known iterate and takes
-    back one of the run's own (see regret.preview_sweep); max_iter still
+    back one of the run's own (see regret.regret_curve); max_iter still
     counts the steps from X_0. A prefix with a bracket set (Prefix.inner)
     also stops the run at the first iterate whose vertex list puts its
     projection inside the bracket widened by tol; such a run returns

@@ -193,7 +193,7 @@ def _condensed_qp(sys: LinearSystem, cfg: MpcConfig) -> _Horizon:
     rows = Hx @ Gam[:p]  # (x_t, u_t) in S_xu for t = 0..p-1
     for t in range(p):
         rows[t, :, t * m:(t + 1) * m] += Hu
-    blocks = [rows.reshape(-1, p * m)]
+    blocks = [rows.reshape(p * len(hs), p * m)]
     offsets = [np.tile(hs, p)]
     maps = [-(Hx @ F[:p]).reshape(-1, nz)]
 

@@ -7,7 +7,7 @@ computed regret over a range of preview horizons.
 
 import math
 from dataclasses import dataclass, field, replace
-from itertools import chain, count, islice
+from itertools import islice
 
 import numpy as np
 
@@ -295,7 +295,7 @@ def _preview_gap(p: int, proj: HPolytope, C_max_co: HPolytope,
     The gap is the largest distance from a vertex of the limit set to proj.
     proj must lie in the limit set within the larger of TAU_CHECK and tol:
     an outer approximation within tol, such as a projection bracketed by a
-    ladder rung (see preview_sweep), may stick out of it by about tol. An
+    ladder rung (see regret_curve), may stick out of it by about tol. An
     empty proj, or one that sticks out further, has no gap to measure and
     raises AssumptionError.
     """
@@ -311,50 +311,16 @@ def _preview_gap(p: int, proj: HPolytope, C_max_co: HPolytope,
             f"{tol:g}; its regret is not defined") from None
 
 
-def preview_sweep(sys: LinearSystem, p0: int = 0, tol: float = TAU_SWEEP):
-    """Yield (p, projection, converged) for p = p0, p0 + 1, ...: the
-    state-space projection of the maximal p-preview invariant set, from
-    one max_invariant_set run of at most 400 steps, and whether that run
-    converged (if not, the projection is an outer approximation).
-
-    The p-preview run's first p iterates are the (p-1)-preview run's times
-    D, X^(p)_k = X^(p-1)_k x D for k <= p - 1, because the last preview
-    slot enters no dynamics within p - 1 steps. So each run resumes at
-    iterate min(p - 1, K) of the run below, which stopped at step K, and
-    stops at once if K <= p - 1; its sets equal those of a run from X_0.
-    Horizon p costs a run in dimension n + p l, so a consumer checks its
-    own limits before it pulls the next horizon.
-
-    A consumer that holds the collaborative ladder from proj_p0, whose
-    rung k is Pre_co^k(proj_p0) (algorithm3's report.ladder), may send it
-    right after the first item; the send computes nothing and returns
-    None. If the p0 run converged, each later run then also stops once its
-    projection is bracketed by the rung L_p at k = p - p0 (see Prefix), or
-    by the last rung past the end of the list (a ladder that closed or
-    repeated): by the sandwich C_{p-1} x D ⊆ C_p, rung k lies in
-    proj_{p0+k}, and the projections grow with p. Such a run yields a
-    projection P with L_p ⊆ P ⊆ L_p + tol and converged=True, although
-    its lifted iterate has not passed the inclusion test, and the next
-    horizon resumes below it as usual. L_p lies in the true proj_p only
-    given an exact proj_p0: the p0 projection is itself an outer
-    approximation within the stopping tol, and its error, carried through
-    p - p0 pre steps, can put L_p outside proj_p. Without a ladder, each
-    run stops by the inclusion test only.
+def _preview_projection(sys: LinearSystem, p: int, prefix: Prefix,
+                        tol: float):
+    """(projection, converged): the state-space projection of the maximal
+    p-preview invariant set, from one max_invariant_set run of at most 400
+    steps that resumes at and hands on prefix (see Prefix), and whether
+    that run converged (if not, the projection is an outer approximation).
     """
-    prefix, ladder = Prefix(upto=p0), None
-    for p in count(p0):
-        C, converged = max_invariant_set(augment(sys, p),
-                                         max_iter=400, tol=tol, prefix=prefix)
-        sent = yield p, project(C, sys.n), converged
-        if sent is not None:  # the ladder, sent after the first item
-            if p == p0 and converged:
-                ladder = sent
-            yield
-        inner = None
-        if ladder and not prefix.stopped:
-            inner = ladder[min(p + 1 - p0, len(ladder) - 1)]
-        X = None if prefix.X is None else cartesian_product(prefix.X, sys.D)
-        prefix = Prefix(p + 1, prefix.k, X, prefix.stopped, inner)
+    C, converged = max_invariant_set(augment(sys, p), max_iter=400, tol=tol,
+                                     prefix=prefix)
+    return project(C, sys.n), converged
 
 
 @dataclass
@@ -376,32 +342,47 @@ def regret_curve(sys: LinearSystem, p0: int = 1, p_max: int = 8,
                  dim_budget: int = TRUE_DP_DIM_BUDGET) -> RegretCurve:
     """Safety regret d_p next to the certified bounds, for p0 <= p <= p_max.
 
-    One fixed point gives the limit set; preview_sweep from p0 gives the
-    certificates' p0 projection and the true_dp column, which stops at
-    p_max or at the last horizon within dim_budget and is blank where a
-    fixed point did not converge. When alg3 runs, its ladder is sent to
-    the sweep, so past p0 each horizon's fixed point also stops once its
-    projection is bracketed by a rung, at no extra pre (see
-    preview_sweep). A true_dp cell read from such a run measures a set
-    between the rung and the rung widened by tol. That brackets proj_p
-    only given an exact p0 projection: the p0 projection is itself an
-    outer approximation within tol, so the cell can carry the p0 error
-    grown through p - p0 pre steps, an error the inclusion test does not
-    add. Without alg3, every run stops by the inclusion test only. The
-    certificates carry cmax_exact only when both the limit set and the p0
-    fixed point converged. methods runs in order; alg1_refined re-anchors
-    alg1 (computed on demand) and shares its failure. A method that raises
-    AssumptionError or ValueError is recorded in failures and leaves its
-    column blank. bound_alg3 reads the ladder distance at p - p0 and is 0
-    past the end of a closed ladder, blank past an open one (_ladder_gap).
-    An empty limit set or p0 projection raises AssumptionError.
+    One fixed point gives the limit set, and one more the certificates' p0
+    projection (_preview_projection). After the methods, one loop gives the
+    true_dp column: it runs each horizon p0 <= p <= p_max with
+    n + p l <= dim_budget, and the cell is blank where a fixed point did
+    not converge. The p-preview run's first p iterates are the
+    (p-1)-preview run's times D, X^(p)_k = X^(p-1)_k x D for k <= p - 1,
+    because the last preview slot enters no dynamics within p - 1 steps.
+    So each horizon past p0 resumes at iterate min(p - 1, K) of the run
+    below, which stopped at step K, and stops at once if K <= p - 1; its
+    sets equal those of a run from X_0 (see Prefix).
+
+    When alg3 ran and the p0 run converged, each later run also stops
+    once its projection is bracketed by the rung L_p of algorithm3's
+    ladder at k = p - p0, or by the last rung past the end of the list (a
+    ladder that closed or repeated), at no extra pre: rung k is
+    Pre_co^k(proj_p0), by the sandwich C_{p-1} x D ⊆ C_p it lies in
+    proj_{p0+k}, and the projections grow with p. Such a run gives a
+    projection P with L_p ⊆ P ⊆ L_p + tol and converged=True, although its
+    lifted iterate has not passed the inclusion test, and the next horizon
+    resumes below it as usual. L_p lies in the true proj_p only given an
+    exact p0 projection: the p0 projection is itself an outer
+    approximation within tol, so a true_dp cell read from such a run can
+    carry the p0 error grown through p - p0 pre steps, an error the
+    inclusion test does not add. Without alg3, every run stops by the
+    inclusion test only.
+
+    The certificates carry cmax_exact only when both the limit set and the
+    p0 fixed point converged. methods runs in order; alg1_refined
+    re-anchors alg1 (computed on demand) and shares its failure. A method
+    that raises AssumptionError or ValueError is recorded in failures and
+    leaves its column blank. bound_alg3 reads the ladder distance at
+    p - p0 and is 0 past the end of a closed ladder, blank past an open one
+    (_ladder_gap). An empty limit set or p0 projection raises
+    AssumptionError.
     """
     C_co, conv_co = max_invariant_set(collaborative(sys), tol=tol)
     if C_co.is_empty():
         raise AssumptionError("the collaborative system has an empty maximal "
                               "invariant set; nothing to certify")
-    sweep = preview_sweep(sys, p0, tol)
-    first = _, proj, conv_p0 = next(sweep)
+    prefix = Prefix(upto=p0)
+    proj, conv_p0 = _preview_projection(sys, p0, prefix, tol)
     if proj.is_empty():
         raise AssumptionError(f"the {p0}-preview system has an empty maximal "
                               "invariant set; try a larger --p0")
@@ -429,13 +410,22 @@ def regret_curve(sys: LinearSystem, p0: int = 1, p_max: int = 8,
                 report = algorithm3(sys, C_co, proj, p0=p0, k_max=k_max)
         except (AssumptionError, ValueError) as exc:
             failures[name] = str(exc)
-    if report is not None:
-        sweep.send(report.ladder)  # the sweep's brackets
 
-    # pull no horizon past p_max or over the dimension budget
-    last = min(p_max, (dim_budget - sys.n) // sys.l)
-    true = {p: _preview_gap(p, P, C_co, tol) for p, P, converged in
-            islice(chain([first], sweep), max(0, last - p0 + 1)) if converged}
+    ladder = report.ladder if report is not None and conv_p0 else None
+    true, P, converged = {}, proj, conv_p0
+    for p in range(p0, p_max + 1):
+        if sys.n + p * sys.l > dim_budget:
+            break
+        if p > p0:  # resume below the run of horizon p - 1
+            inner = None
+            if ladder and not prefix.stopped:
+                inner = ladder[min(p - p0, len(ladder) - 1)]
+            X = None if prefix.X is None else cartesian_product(prefix.X,
+                                                                sys.D)
+            prefix = Prefix(p, prefix.k, X, prefix.stopped, inner)
+            P, converged = _preview_projection(sys, p, prefix, tol)
+        if converged:
+            true[p] = _preview_gap(p, P, C_co, tol)
 
     rows = []
     for p in range(p0, p_max + 1):

@@ -22,9 +22,9 @@ import scipy.linalg
 # Fixed points and the checks on their results.
 # default tol of max_invariant_set (rcis --tol), its checks and contains
 TAU_SET = 1e-6
-# preview_sweep's and regret_curve's fixed-point tol (regret and mpc --tol),
-# and the loosest tol of mpc's automatic terminal set, which keeps it in
-# TAU_CHECK's invariance check
+# regret_curve's fixed-point tol, for the limit set and every preview
+# horizon (regret and mpc --tol), and the loosest tol of mpc's automatic
+# terminal set, which keeps it in TAU_CHECK's invariance check
 TAU_SWEEP = 1e-8
 # demo-1d's fixed-point tol, at which its true_dp meets the closed form
 TAU_DEMO = 1e-10

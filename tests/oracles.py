@@ -1,11 +1,11 @@
 """Reference sets of the tests, built from the primitives the pipeline uses:
-the first item of preview_sweep, and pre_k on the delay form."""
+one max_invariant_set run from X_0, and pre_k on the delay form."""
 
 from functools import reduce
 
-from preview_regret.invariance import pre_k
-from preview_regret.polytope import cartesian_product
-from preview_regret.regret import _preview_gap, preview_sweep
+from preview_regret.invariance import max_invariant_set, pre_k
+from preview_regret.polytope import cartesian_product, project
+from preview_regret.regret import _preview_gap
 from preview_regret.systems import augment, collaborative
 
 
@@ -17,9 +17,9 @@ def power(D, k):
 def proj_p(sys, p, tol=1e-8):
     """State-space projection of the maximal p-preview RCIS, from a fixed
     point that converged."""
-    _, proj, converged = next(preview_sweep(sys, p, tol))
+    C, converged = max_invariant_set(augment(sys, p), max_iter=400, tol=tol)
     assert converged, f"the {p}-preview fixed point did not converge"
-    return proj
+    return project(C, sys.n)
 
 
 def regret_dp(sys, p, C_co, tol=1e-8):

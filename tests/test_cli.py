@@ -896,9 +896,38 @@ def test_cli_regret_at_a_loose_tol_checks_nesting_at_that_tol(tmp_path):
             assert float(row[col]) >= float(row["true_dp"]) - 1e-6
 
 
+def test_cli_regret_without_a_disturbance_channel(tmp_path):
+    # E has no column, so a horizon costs no dimension and every one is
+    # within the budget; previewing nothing has no value, so d_p = 0
+    doc = {"A": [[1.2]], "B": [[1.0]], "E": [[]],
+           "D": {"H": [[]], "h": [1.0]},
+           "S_xu": {"H": [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]],
+                    "h": [1.0, 1.0, 0.5, 0.5]}}
+    path, out = tmp_path / "sys.json", tmp_path / "r.csv"
+    path.write_text(json.dumps(doc))
+    assert main(["regret", str(path), "--p-max", "4", "--out", str(out)]) == 0
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [int(row["p"]) for row in rows] == [1, 2, 3, 4]
+    for row in rows:
+        cols = ["true_dp"] + [c for c in row if c.startswith("bound_")]
+        assert len(cols) == 5 and all(float(row[c]) == 0.0 for c in cols)
+
+
+def test_cli_mpc_simulates_a_system_without_input(tmp_path, capsys):
+    doc = {"A": [[0.5]], "B": [[]], "E": [[1.0]],
+           "D": {"H": [[1.0], [-1.0]], "h": [0.1, 0.1]},
+           "S_xu": {"H": [[1.0], [-1.0]], "h": [1.0, 1.0]}}
+    path = tmp_path / "sys.json"
+    path.write_text(json.dumps(doc))
+    assert main(["mpc", str(path), "--simulate", "3", "--streams", "1",
+                 "--out", str(tmp_path / "m")]) == 0
+    assert "infeasible steps: 0" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("which", ["1d", "2d-1"])
 def test_cli_regret_sweep_matches_true_dp_per_horizon(which, tmp_path):
-    # the sweep resumes each horizon's fixed point from the one below; a
+    # regret_curve resumes each horizon's fixed point from the one below; a
     # true_dp run alone, and on 1-D the closed form, give the same column
     from preview_regret.invariance import max_invariant_set
     from preview_regret.systems import collaborative

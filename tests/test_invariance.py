@@ -59,6 +59,17 @@ def test_pre_full_control_authority():
     assert set_equal(pre(s, X), X, tol=1e-9)
 
 
+def test_pre_reduces_when_no_input_is_eliminated():
+    # x+ = 0.5 x + d with no input: no coordinate is projected away, and
+    # the stacked rows of X and S_xu still reduce to an irredundant set
+    s = LinearSystem([[0.5]], np.zeros((1, 0)), [[1.0]],
+                     interval(-0.1, 0.1), interval(-1.0, 1.0))
+    out = pre(s, interval(-1.0, 1.0))
+    assert out.num_rows == 2 and set_equal(out, interval(-1.0, 1.0))
+    C, converged = max_invariant_set(augment(s, 2))
+    assert converged and C.num_rows == 6
+
+
 def test_pre_k_matches_interval_map():
     co = collaborative(sys_1d())
     zero = HPolytope([[1.0], [-1.0]], [0.0, 0.0])
@@ -511,8 +522,8 @@ def _iterates(s, k):
 @pytest.mark.parametrize("seed", [1, 2])
 @pytest.mark.parametrize("p", [3, 4])
 def test_preview_prefix_identity(seed, p, monkeypatch):
-    # X^(p)_k = X^(p-1)_k x D for k <= p - 1, and not at k = p; the sweep
-    # starts horizon p at the (p-1) run's iterate p - 1 times D
+    # X^(p)_k = X^(p-1)_k x D for k <= p - 1, and not at k = p;
+    # regret_curve starts horizon p at the (p-1) run's iterate p - 1 times D
     import preview_regret.regret as regret
     from preview_regret.models import build_2d_random
 
@@ -530,16 +541,19 @@ def test_preview_prefix_identity(seed, p, monkeypatch):
     class Resumed(Exception):
         pass
 
-    def spy(sys, max_iter, tol, prefix):
-        if prefix.X is not None:
+    converged = []
+
+    def spy(sys, prefix=None, **kwargs):
+        if prefix is not None and prefix.X is not None:
             raise Resumed(prefix.upto, prefix.k, prefix.X, prefix.stopped)
-        return max_invariant_set(sys, max_iter, tol, prefix)
+        out = max_invariant_set(sys, prefix=prefix, **kwargs)
+        converged.append(out[1])
+        return out
 
     monkeypatch.setattr(regret, "max_invariant_set", spy)
-    sweep = regret.preview_sweep(s, p - 1, 1e-8)
-    assert next(sweep)[2]
     with pytest.raises(Resumed) as resumed:
-        next(sweep)
+        regret.regret_curve(s, p0=p - 1, p_max=p, methods=(), tol=1e-8)
+    assert converged[-1]  # the (p-1)-preview run
     upto, k, X, stopped = resumed.value.args
     assert upto == p and k == p - 1 and not stopped
     assert set_equal(here[k], X)

@@ -29,7 +29,6 @@ from preview_regret.regret import (
     algorithm2,
     algorithm3,
     bound_dp,
-    preview_sweep,
     refine_certificate,
     regret_curve,
 )
@@ -527,33 +526,39 @@ def test_a_prefix_chain_gives_each_horizon_its_own_set(a, monkeypatch):
     # stops at step 1, the later ones call pre no more; the projections
     # are those of the runs from X_0, byte for byte
     import preview_regret.invariance as inv
+    import preview_regret.regret as regret
 
     S = Box(np.array([-10.0, -1.0]), np.array([10.0, 1.0])).to_polytope()
     s = LinearSystem([[a]], [[1.0]], [[1.0]], interval(-0.5, 0.5), S)
-    calls = []
-    real = inv.pre
+    calls, seen = [], {}
+    real, real_gap = inv.pre, regret._preview_gap
 
     def counting(*args):
         calls.append(1)
         return real(*args)
 
+    def gap(p, proj, C_max_co, tol):
+        # the projection of horizon p and the pre calls of its run
+        seen[p] = proj, len(calls)
+        out = real_gap(p, proj, C_max_co, tol)
+        del calls[:]
+        return out
+
     monkeypatch.setattr(inv, "pre", counting)
-    sweep = preview_sweep(s, 1, 1e-8)
-    assert next(sweep)[0] == 1
+    monkeypatch.setattr(regret, "_preview_gap", gap)
+    regret_curve(s, p0=1, p_max=4, methods=(), tol=1e-8)
+    assert sorted(seen) == [1, 2, 3, 4]  # every horizon converged
     for p in range(2, 5):
         del calls[:]
         alone = proj_p(s, p, 1e-8)
-        steps_alone = len(calls)
-        del calls[:]
-        q, chained, converged = next(sweep)
-        assert q == p and converged
-        assert len(calls) == (0 if a < 1 else steps_alone - (p - 1))
+        chained, steps = seen[p]
+        assert steps == (0 if a < 1 else len(calls) - (p - 1))
         assert chained.H.tobytes() == alone.H.tobytes()
         assert chained.h.tobytes() == alone.h.tobytes()
 
 
 def _bracket_spies(monkeypatch):
-    """Record, for every run the sweep drives, the prefix on entry, the
+    """Record, for every preview run of regret_curve, the prefix on entry, the
     pre calls of the run and each bracket test's answer; and the
     projection regret_curve measures at each horizon."""
     import preview_regret.invariance as inv
@@ -680,15 +685,10 @@ def test_bracketed_sweep_matches_runs_from_x0_on_random_systems(draw):
 
 
 def test_without_alg3_no_horizon_reads_a_bracket(monkeypatch):
-    # the sweep reads only a ladder that is sent to it, and sending one
-    # computes nothing; regret_curve sends algorithm3's, so without alg3
+    # the brackets are the rungs of algorithm3's ladder, so without alg3
     # every run stops by the inclusion test alone, as from X_0
     s = build_2d_random(1)
     runs, _ = _bracket_spies(monkeypatch)
-    sweep = preview_sweep(s, 1, 1e-8)
-    next(sweep)
-    assert sweep.send([unit_box(2)]) is None and len(runs) == 1
-    runs.clear()
     curve = regret_curve(s, p0=1, p_max=6, methods=("alg1", "alg2"))
     assert len(runs) == 6
     assert all(run["inner"] is None and not run["brackets"] for run in runs)
