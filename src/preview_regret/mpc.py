@@ -308,9 +308,12 @@ def simulate_closed_loop(sys: LinearSystem, cfg: MpcConfig, x0, stream,
     d, feasible, cost); with a recursive-feasibility constraint and a
     feasible start, every step stays feasible. An infeasible step ends the
     run (only reachable in the ablation, C = HPolytope.universe(n)). Each
-    step makes one mpc_step call and reads only its u0. A record's x and u
-    are arrays that nothing else holds, so they are logged as they are;
-    its d is copied out of the stream.
+    step makes one mpc_step call, which makes one solve_qp call, and reads
+    only its u0. The step's dynamics (LinearSystem.step) and its cost
+    x.x + u0.u0 use ndarray.dot, the same BLAS calls as @ without its
+    dispatch. A record's x and u are arrays that nothing else holds, so
+    they are logged as they are; its d is the step's one copy of its
+    stream row, which also drives the dynamics.
     """
     stream = np.asarray(stream, dtype=float)
     if stream.ndim <= 1 and stream.size % sys.l == 0:
@@ -329,14 +332,13 @@ def simulate_closed_loop(sys: LinearSystem, cfg: MpcConfig, x0, stream,
         raise ValueError(f"x0 has shape {x.shape}; expected ({sys.n},)")
     log = []
     for t in range(T):
-        window = stream[t:t + cfg.p]
-        u0, _, feasible = mpc_step(sys, cfg, x, window)
+        u0, _, feasible = mpc_step(sys, cfg, x, stream[t:t + cfg.p])
+        d = stream[t].copy()
         if not feasible:
-            log.append({"t": t, "x": x, "u": None, "d": stream[t].copy(),
+            log.append({"t": t, "x": x, "u": None, "d": d,
                         "feasible": False, "cost": np.nan})
             break
-        cost = float(x @ x + u0 @ u0)
-        log.append({"t": t, "x": x, "u": u0, "d": stream[t].copy(),
-                    "feasible": True, "cost": cost})
-        x = sys.step(x, u0, stream[t])
+        log.append({"t": t, "x": x, "u": u0, "d": d, "feasible": True,
+                    "cost": float(x.dot(x) + u0.dot(u0))})
+        x = sys.step(x, u0, d)
     return log

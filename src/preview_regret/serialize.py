@@ -208,7 +208,7 @@ def _cell(v):
         return ""
     if isinstance(v, float):
         if math.isinf(v):
-            return "inf"
+            return "-inf" if v < 0 else "inf"
         return repr(v)
     return str(v)
 

@@ -64,7 +64,7 @@ class LinearSystem:
         return self.E.shape[1]
 
     def step(self, x, u, d):
-        return self.A @ x + self.B @ u + self.E @ d
+        return self.A.dot(x) + self.B.dot(u) + self.E.dot(d)
 
 
 @dataclass

@@ -1045,3 +1045,13 @@ def test_regret_curve_rows_are_the_regret_csv(which, tmp_path):
         assert list(csv.reader(fh)) == want
     assert len(want) == 5 and all(all(row) for row in want)
 
+
+@pytest.mark.parametrize("value, cell", [(float("-inf"), "-inf"),
+                                         (float("inf"), "inf")])
+def test_an_infinite_cell_keeps_its_sign(value, cell, tmp_path):
+    from preview_regret.serialize import write_rows_csv
+
+    path = tmp_path / "rows.csv"
+    write_rows_csv(path, ["a"], [{"a": value}])
+    with open(path, newline="") as fh:
+        assert list(csv.reader(fh)) == [["a"], [cell]]

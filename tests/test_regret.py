@@ -684,6 +684,27 @@ def test_bracketed_sweep_matches_runs_from_x0_on_random_systems(draw):
             assert row[col] >= row["true_dp"] - 1e-6
 
 
+@seed(5)
+@settings(max_examples=12, deadline=None)
+@given(st.integers(min_value=0, max_value=100_000))
+def test_every_bound_holds_from_p0_zero_on_random_systems(draw):
+    # from p0 = 0 the certificates start at the system without preview;
+    # every filled bound stays above the regret, and the refined bound
+    # never exceeds the plain one
+    s = _random_system(np.random.default_rng(draw))
+    try:
+        curve = regret_curve(s, p0=0, p_max=4, tol=1e-8, dim_budget=s.n + 4)
+    except AssumptionError:
+        assume(False)  # an empty limit set or p0 set
+    for row in curve.rows:
+        for col in (c for c in row if c.startswith("bound_")):
+            if row[col] is not None and row["true_dp"] is not None:
+                assert row[col] >= row["true_dp"] - 1e-6
+        if row.get("bound_alg1_refined") is not None \
+                and row.get("bound_alg1") is not None:
+            assert row["bound_alg1_refined"] <= row["bound_alg1"]
+
+
 def test_without_alg3_no_horizon_reads_a_bracket(monkeypatch):
     # the brackets are the rungs of algorithm3's ladder, so without alg3
     # every run stops by the inclusion test alone, as from X_0

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from preview_regret.models import build_1d, build_template
+from preview_regret.models import build_1d, build_2d_random, build_template
 from preview_regret.polytope import (
     Box,
     HPolytope,
@@ -235,3 +235,23 @@ def test_linear_system_validation():
         LinearSystem([[1.0]], [[1.0]], [[1.0, 0.0]], D, S)  # E vs D dim
     with _pytest.raises(ValueError):
         LinearSystem([[1.0]], [[1.0]], [[1.0]], D, interval(-1, 1))  # S dim
+
+
+@pytest.mark.parametrize("name", ["1d", "2d-0", "2d-1", "2d-2", "2d-3",
+                                  "biped", "wind_turbine", "lane_keeping"])
+def test_step_is_the_matmul_sum_bit_for_bit(name):
+    # the closed loop steps with ndarray.dot; it must give the bytes of
+    # A @ x + B @ u + E @ d on every shipped system
+    if name == "1d":
+        s = build_1d()[0]
+    elif name.startswith("2d-"):
+        s = build_2d_random(int(name[3:]))
+    else:
+        s = build_template(name)[0]
+    rng = np.random.default_rng(34)
+    for _ in range(20):
+        x = rng.uniform(-2.0, 2.0, s.n)
+        u = rng.uniform(-2.0, 2.0, s.m)
+        d = rng.uniform(-2.0, 2.0, s.l)
+        assert s.step(x, u, d).tobytes() == \
+            (s.A @ x + s.B @ u + s.E @ d).tobytes()
