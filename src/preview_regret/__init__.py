@@ -15,7 +15,6 @@ from .polytope import (
     vertices,
 )
 from .systems import (
-    DeterministicSystem,
     Equilibrium,
     LinearSystem,
     augment,
@@ -65,8 +64,8 @@ __version__ = "0.1.0"
 __all__ = [
     "Box", "HPolytope", "containment_ratio", "hausdorff_nested", "interval",
     "project", "remove_redundancy", "unit_box", "vertices",
-    "DeterministicSystem", "Equilibrium", "LinearSystem", "augment",
-    "collaborative", "find_forced_equilibrium", "shift_origin",
+    "Equilibrium", "LinearSystem", "augment", "collaborative",
+    "find_forced_equilibrium", "shift_origin",
     "check_contractive", "max_invariant_set", "pre", "pre_k",
     "ContractionParams", "ContractiveEllipsoid", "contraction_params",
     "find_contractive_ellipsoid", "max_c0", "min_c_out",

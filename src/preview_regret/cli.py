@@ -125,9 +125,11 @@ def cmd_mpc(args) -> int:
     from .solver import TAU_SWEEP, project_point
 
     system = load_system(args.system)
-    # a bad scenario file fails before any output is written
+    # one generator: the streams are drawn first, the initial states after
+    rng = np.random.default_rng(args.seed)
+    # a bad scenario file fails before any output, with or without --simulate
     streams = load_scenario(args.scenario, system.D, args.simulate + args.p,
-                            args.streams, args.seed) if args.simulate else []
+                            args.streams if args.simulate else 0, rng)
     if args.terminal == "auto":
         # at most TAU_SWEEP, so that the set passes the check at TAU_CHECK
         C, conv = max_invariant_set(system, tol=min(args.tol, TAU_SWEEP))
@@ -167,7 +169,6 @@ def cmd_mpc(args) -> int:
     write_rows_csv(f"{prefix}_bounds.csv", BOUND_CURVE_FIELDS, curve.rows)
 
     if args.simulate > 0:
-        rng = np.random.default_rng(args.seed)
         cfg = MpcConfig(p=args.p, C=C)
         bad = 0
         for k, stream in enumerate(streams):
@@ -222,7 +223,7 @@ def cmd_demo_1d(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     from .regret import TRUE_DP_DIM_BUDGET
-    from .solver import FIXED_POINT_MAX_ITER, TAU_SET, TAU_SWEEP
+    from .solver import FIXED_POINT_MAX_ITER, LADDER_K_MAX, TAU_SET, TAU_SWEEP
 
     ap = argparse.ArgumentParser(
         prog="preview-regret",
@@ -249,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
                        default="all")
     p_reg.add_argument("--N", type=int, default=None,
                        help="step size for the controllable-system method")
-    p_reg.add_argument("--kmax", type=int, default=50)
+    p_reg.add_argument("--kmax", type=int, default=LADDER_K_MAX)
     p_reg.add_argument("--tol", type=float, default=TAU_SWEEP)
     p_reg.add_argument("--dim-budget", type=int, default=TRUE_DP_DIM_BUDGET)
     p_reg.add_argument("--out", default="regret.csv")

@@ -19,14 +19,15 @@ from .polytope import (
     scale,
 )
 from .solver import FIXED_POINT_MAX_ITER, TAU_SET
-from .systems import DeterministicSystem, LinearSystem
+from .systems import LinearSystem
 
 
 def pre(sys, X: HPolytope) -> HPolytope:
     """One-step backward reachable set of X constrained to the safe set.
 
     {x : exists u with (x,u) in S and A x + B u + E d in X for all d in D};
-    the disturbance erosion is skipped for deterministic systems. The result
+    the erosion by D is skipped for a system with l = 0, such as a
+    collaborative one (see systems.collaborative). The result
     is irredundant, whatever the state dimension. Every elimination is
     offered the ball and incidence of the matching reduction of X (see
     project): X's own for the last, and the pairs X keeps from its own
@@ -43,7 +44,7 @@ def pre(sys, X: HPolytope) -> HPolytope:
     dim = S.dim
     offer = {**(X._offer or {}),
              (dim, tuple(range(n, dim))): (X._cheby, X._incidence)}
-    if isinstance(sys, LinearSystem):
+    if sys.l:
         X = erode_rows(X, sys.E, sys.D)
     AB = np.concatenate((sys.A, sys.B), axis=1)
     stacked = HPolytope(np.concatenate((X.H @ AB, S.H)),
@@ -186,10 +187,12 @@ def rcis_violation_witness(sys, C: HPolytope, tol=TAU_SET):
     return _violation(C, pre(sys, C), tol)
 
 
-def check_contractive(sys: DeterministicSystem, X: HPolytope, N: int = 1,
+def check_contractive(sys: LinearSystem, X: HPolytope, N: int = 1,
                       lam: float = 1.0, tol=TAU_SET) -> bool:
     """X ⊆ Pre^N(lam * X): X can be steered into its lam-scaled copy in
-    N safe steps."""
+    N safe steps of sys. The certificates pass a collaborative system,
+    which has no disturbance channel (see systems.collaborative); a system
+    with one must be steered there against every d in D."""
     if not (0.0 <= lam <= 1.0):
         raise ValueError("contraction factor must be in [0, 1]")
     if N < 1:

@@ -30,7 +30,8 @@ from .polytope import (
     unit_box,
     vertices,
 )
-from .solver import EQ_MARGIN_TOL, TAU_CHECK, TAU_SWEEP, is_controllable
+from .solver import (EQ_MARGIN_TOL, LADDER_K_MAX, PREVIEW_MAX_ITER, TAU_CHECK,
+                     TAU_SWEEP, is_controllable)
 from .systems import (
     AssumptionError,
     Equilibrium,
@@ -247,7 +248,7 @@ def bound_dp(cert: RegretCertificate, p: int) -> float:
 
 
 def algorithm3(sys: LinearSystem, C_max_co: HPolytope,
-               proj: HPolytope, p0: int = 0, k_max: int = 50,
+               proj: HPolytope, p0: int = 0, k_max: int = LADDER_K_MAX,
                eq_tol: float = 0.0) -> ConvergenceReport:
     """Ladder detection of finite-time convergence of the projections.
 
@@ -314,11 +315,13 @@ def _preview_gap(p: int, proj: HPolytope, C_max_co: HPolytope,
 def _preview_projection(sys: LinearSystem, p: int, prefix: Prefix,
                         tol: float):
     """(projection, converged): the state-space projection of the maximal
-    p-preview invariant set, from one max_invariant_set run of at most 400
-    steps that resumes at and hands on prefix (see Prefix), and whether
-    that run converged (if not, the projection is an outer approximation).
+    p-preview invariant set, from one max_invariant_set run of at most
+    PREVIEW_MAX_ITER steps that resumes at and hands on prefix (see
+    Prefix), and whether that run converged (if not, the projection is an
+    outer approximation).
     """
-    C, converged = max_invariant_set(augment(sys, p), max_iter=400, tol=tol,
+    C, converged = max_invariant_set(augment(sys, p),
+                                     max_iter=PREVIEW_MAX_ITER, tol=tol,
                                      prefix=prefix)
     return project(C, sys.n), converged
 
@@ -337,7 +340,7 @@ class RegretCurve:
 
 def regret_curve(sys: LinearSystem, p0: int = 1, p_max: int = 8,
                  methods=("alg1", "alg1_refined", "alg2", "alg3"),
-                 N: int | None = None, k_max: int = 50,
+                 N: int | None = None, k_max: int = LADDER_K_MAX,
                  tol: float = TAU_SWEEP,
                  dim_budget: int = TRUE_DP_DIM_BUDGET) -> RegretCurve:
     """Safety regret d_p next to the certified bounds, for p0 <= p <= p_max.

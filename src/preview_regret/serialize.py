@@ -243,10 +243,10 @@ def write_trajectory_csv(path, log, n, m, l):
     write_rows_csv(path, fields, rows)
 
 
-def load_scenario(path, D, T, count, seed):
+def load_scenario(path, D, T, count, rng):
     """Disturbance streams of at least T steps: the explicit streams of a
-    scenario file ({"streams": [[[..], ..], ..]}), or with no file, count
-    streams from a sampler seeded with seed.
+    scenario file ({"streams": [[[..], ..], ..]}), which leaves rng
+    untouched, or with no file, count streams drawn from the generator rng.
 
     A file without "streams", a stream shorter than T, a malformed
     document, or a D that sample_disturbances cannot sample raises
@@ -267,7 +267,6 @@ def load_scenario(path, D, T, count, seed):
                      f"has {len(arr)} steps, needs at least {T}")
             streams.append(arr)
         return streams
-    rng = np.random.default_rng(seed)
     try:
         return [sample_disturbances(D, T, rng) for _ in range(count)]
     except ValueError as exc:

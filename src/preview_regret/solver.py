@@ -36,6 +36,12 @@ TAU_DEMO_MATCH = 1e-9
 TAU_CHECK = 1e-7
 # max_invariant_set's default step cap (rcis --max-iter)
 FIXED_POINT_MAX_ITER = 200
+# step cap of each preview horizon's fixed point in regret_curve; a horizon
+# whose run hits it gets a blank true_dp cell
+PREVIEW_MAX_ITER = 400
+# default steps of algorithm3's ladder (regret --kmax); a ladder still open
+# after them is padded to this many plus one rungs and gives p_bar = inf
+LADDER_K_MAX = 50
 # project raises BudgetExceededError past this many rows from one elimination
 ROW_CAP = 10_000
 

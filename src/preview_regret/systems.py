@@ -49,7 +49,8 @@ class LinearSystem:
             raise ValueError("disturbance set dimension does not match E")
         if self.S_xu.dim != n + self.B.shape[1]:
             raise ValueError("safe set must live in state-input space")
-        cache_vertex_list(self.D)  # every backward step erodes by D
+        if self.l:  # every backward step erodes by D
+            cache_vertex_list(self.D)
 
     @property
     def n(self) -> int:
@@ -65,29 +66,6 @@ class LinearSystem:
 
     def step(self, x, u, d):
         return self.A.dot(x) + self.B.dot(u) + self.E.dot(d)
-
-
-@dataclass
-class DeterministicSystem:
-    """x(t+1) = A x + B u with no disturbance and safe set S_xu."""
-
-    A: np.ndarray
-    B: np.ndarray
-    S_xu: HPolytope
-
-    def __post_init__(self):
-        self.A = np.atleast_2d(np.asarray(self.A, dtype=float))
-        self.B = np.atleast_2d(np.asarray(self.B, dtype=float))
-        if self.S_xu.dim != self.A.shape[0] + self.B.shape[1]:
-            raise ValueError("safe set must live in state-input space")
-
-    @property
-    def n(self) -> int:
-        return self.A.shape[0]
-
-    @property
-    def m(self) -> int:
-        return self.B.shape[1]
 
 
 @dataclass
@@ -135,10 +113,13 @@ def augment(sys: LinearSystem, p: int) -> LinearSystem:
     return LinearSystem(A_p, B_p, E_p, sys.D, HPolytope(rows, rhs))
 
 
-def collaborative(sys: LinearSystem) -> DeterministicSystem:
-    """Promote the disturbance to a second input; safe set becomes S_xu x D."""
-    return DeterministicSystem(sys.A, np.hstack([sys.B, sys.E]),
-                               cartesian_product(sys.S_xu, sys.D))
+def collaborative(sys: LinearSystem) -> LinearSystem:
+    """Promote the disturbance to a second input: inputs (u, u_d) through
+    [B E], safe set S_xu x D, and no disturbance channel (E with zero
+    columns, D = R^0), so pre skips the erosion."""
+    return LinearSystem(sys.A, np.hstack([sys.B, sys.E]),
+                        np.zeros((sys.n, 0)), HPolytope.universe(0),
+                        cartesian_product(sys.S_xu, sys.D))
 
 
 def find_forced_equilibrium(sys: LinearSystem, proj_c: HPolytope,

@@ -6,6 +6,7 @@ from functools import reduce
 from preview_regret.invariance import max_invariant_set, pre_k
 from preview_regret.polytope import cartesian_product, project
 from preview_regret.regret import _preview_gap
+from preview_regret.solver import PREVIEW_MAX_ITER
 from preview_regret.systems import augment, collaborative
 
 
@@ -17,7 +18,8 @@ def power(D, k):
 def proj_p(sys, p, tol=1e-8):
     """State-space projection of the maximal p-preview RCIS, from a fixed
     point that converged."""
-    C, converged = max_invariant_set(augment(sys, p), max_iter=400, tol=tol)
+    C, converged = max_invariant_set(augment(sys, p),
+                                     max_iter=PREVIEW_MAX_ITER, tol=tol)
     assert converged, f"the {p}-preview fixed point did not converge"
     return project(C, sys.n)
 

@@ -50,7 +50,6 @@ from preview_regret.regret import (
     refine_certificate,
 )
 from preview_regret.systems import (
-    DeterministicSystem,
     LinearSystem,
     augment,
     collaborative,
@@ -339,7 +338,7 @@ def test_criterion_7_contraction_inclusions(spine_1d):
             return -support(P, [-1.0]), support(P, [1.0])
 
         def split_off(share):  # the system with safe set share * S
-            return DeterministicSystem(co.A, co.B, scale(co.S_xu, share))
+            return LinearSystem(co.A, co.B, co.E, co.D, scale(co.S_xu, share))
 
         for split in (0.3, 0.5, 0.7):
             whole = as_interval(pre(co, C_co))

@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 
 from preview_regret.cli import main
-from preview_regret.models import build_1d, build_2d_random
+from preview_regret.models import build_1d, build_2d_random, build_template
 from preview_regret.serialize import (
     SchemaError,
     certificate_from_json,
     certificate_to_json,
     load_scenario,
+    load_system,
     polytope_from_json,
     polytope_to_json,
     system_from_json,
@@ -19,7 +20,7 @@ from preview_regret.serialize import (
 )
 from preview_regret.polytope import set_equal, unit_box
 from preview_regret.regret import RegretCertificate, bound_dp
-from preview_regret.systems import Equilibrium
+from preview_regret.systems import Equilibrium, augment, collaborative
 
 from oracles import co_p, regret_dp
 
@@ -317,8 +318,6 @@ def test_cli_regret_refined_certificate_is_one_path(system_file, tmp_path,
     from preview_regret.invariance import max_invariant_set
     from preview_regret.polytope import project
     from preview_regret.regret import algorithm1, refine_certificate
-    from preview_regret.serialize import load_system
-    from preview_regret.systems import augment, collaborative
 
     calls = []
     real = reg.find_contractive_ellipsoid
@@ -419,10 +418,10 @@ def test_cli_mpc_gap_is_zero_past_convergence(tmp_path):
     assert gaps[1:] == [0.0] * 10
 
 
-def _unconverged(monkeypatch, kind):
-    """Make max_invariant_set report an iteration limit on systems of `kind`,
-    at invariance's binding (the auto terminal set) and at mpc's (the limit
-    set of mpc_curve)."""
+def _unconverged(monkeypatch, which):
+    """Make max_invariant_set report an iteration limit on the systems that
+    `which` selects, at invariance's binding (the auto terminal set) and at
+    mpc's (the limit set of mpc_curve)."""
     import preview_regret.invariance as invariance
     import preview_regret.mpc as mpc
 
@@ -430,7 +429,7 @@ def _unconverged(monkeypatch, kind):
 
     def fake(sys, *args, **kwargs):
         C, conv = real(sys, *args, **kwargs)
-        return C, conv and not isinstance(sys, kind)
+        return C, conv and not which(sys)
 
     for mod in (invariance, mpc):
         monkeypatch.setattr(mod, "max_invariant_set", fake)
@@ -438,9 +437,8 @@ def _unconverged(monkeypatch, kind):
 
 def test_cli_mpc_marks_unconverged_limit_set(system_file, tmp_path,
                                              monkeypatch):
-    from preview_regret.systems import DeterministicSystem
-
-    _unconverged(monkeypatch, DeterministicSystem)
+    # the collaborative system has no disturbance channel
+    _unconverged(monkeypatch, lambda sys: sys.l == 0)
     rc = main(["mpc", str(system_file), "--p", "1", "--curve-max", "2",
                "--out", str(tmp_path / "m")])
     assert rc == 0
@@ -451,9 +449,7 @@ def test_cli_mpc_marks_unconverged_limit_set(system_file, tmp_path,
 
 def test_cli_mpc_auto_terminal_unconverged(system_file, tmp_path, monkeypatch,
                                            capsys):
-    from preview_regret.systems import LinearSystem
-
-    _unconverged(monkeypatch, LinearSystem)
+    _unconverged(monkeypatch, lambda sys: sys.l > 0)
     rc = main(["mpc", str(system_file), "--p", "1",
                "--out", str(tmp_path / "m")])
     assert rc == 4
@@ -629,11 +625,17 @@ def test_scenario_loader(tmp_path):
     explicit = tmp_path / "scenario.json"
     explicit.write_text(json.dumps(
         {"schema": 1, "streams": [[[0.1], [0.2]], [[0.0], [-0.3]]]}))
-    streams = load_scenario(str(explicit), D, T=2, count=5, seed=0)
+    rng = np.random.default_rng(0)
+    streams = load_scenario(str(explicit), D, T=2, count=5, rng=rng)
     assert len(streams) == 2
     assert streams[0].shape == (2, 1)
-    sampled = load_scenario(None, D, T=4, count=3, seed=9)
-    again = load_scenario(None, D, T=4, count=3, seed=9)
+    # a scenario file leaves the generator where it was
+    assert rng.bit_generator.state == \
+        np.random.default_rng(0).bit_generator.state
+    sampled = load_scenario(None, D, T=4, count=3,
+                            rng=np.random.default_rng(9))
+    again = load_scenario(None, D, T=4, count=3,
+                          rng=np.random.default_rng(9))
     assert len(sampled) == 3
     assert all(np.array_equal(a, b) for a, b in zip(sampled, again))
     assert all(np.all(np.abs(s) <= 0.5) for s in sampled)
@@ -1024,6 +1026,95 @@ def test_cli_mpc_rejects_a_bad_scenario_before_any_output(
     assert where in err
     assert "Traceback" not in err
     assert not (tmp_path / "m_domain.json").exists()
+
+
+@pytest.mark.parametrize("scenario, where", [
+    ([[[0.1]]], "expected a JSON object"),
+    ({"streams": [[[0.1]]]}, "streams[0]: has 1 steps, needs at least 2"),
+    ({"seed": 0, "count": 1, "T": 7}, "missing field 'streams'"),
+    (None, "No such file or directory"),
+])
+def test_cli_mpc_checks_a_scenario_without_simulate(
+        scenario, where, system_file, tmp_path, capsys):
+    # --scenario is read whenever it is given, with or without --simulate
+    path = tmp_path / "scenario.json"
+    if scenario is not None:
+        path.write_text(json.dumps(scenario))
+    rc = main(["mpc", str(system_file), "--p", "2", "--scenario", str(path),
+               "--out", str(tmp_path / "m")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert where in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "m_domain.json").exists()
+
+
+def test_cli_mpc_accepts_a_good_scenario_without_simulate(system_file,
+                                                          tmp_path):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"streams": [[[0.1], [-0.1]]]}))
+    rc = main(["mpc", str(system_file), "--p", "2", "--scenario", str(path),
+               "--out", str(tmp_path / "m")])
+    assert rc == 0
+    assert (tmp_path / "m_cert.json").exists()
+    assert not (tmp_path / "m_traj_000.csv").exists()
+
+
+def test_cli_mpc_initial_states_do_not_reuse_the_stream_draws(tmp_path,
+                                                              monkeypatch):
+    # on 2d-1, D = [-0.3, 0.3]: a second generator with the same seed drew
+    # the raw initial states of streams 0-2 as stream 0's first six
+    # disturbances divided by 0.3
+    import preview_regret.mpc as mpc
+    import preview_regret.solver as solver
+
+    system = build_2d_random(1)
+    assert np.array_equal(system.D.H, [[1.0], [-1.0]])
+    assert np.array_equal(system.D.h, [0.3, 0.3])
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(system_to_json(system)))
+    raw, streams = [], []
+    real_project, real_simulate = solver.project_point, mpc.simulate_closed_loop
+
+    def spy_project(x, P):
+        raw.append(np.array(x))
+        return real_project(x, P)
+
+    def spy_simulate(sys, cfg, x0, stream, T):
+        streams.append(np.array(stream))
+        return real_simulate(sys, cfg, x0, stream, T)
+
+    monkeypatch.setattr(solver, "project_point", spy_project)
+    monkeypatch.setattr(mpc, "simulate_closed_loop", spy_simulate)
+    assert main(["mpc", str(path), "--p", "2", "--simulate", "6",
+                 "--streams", "3", "--seed", "0",
+                 "--out", str(tmp_path / "m")]) == 0
+    assert len(raw) == 3 and len(streams) == 3
+    draws = np.concatenate(raw)
+    assert draws.shape == (6,)
+    assert not np.allclose(draws, streams[0][:6, 0] / 0.3)
+
+
+@pytest.mark.parametrize("which", ["2d-1", "wind_turbine"])
+@pytest.mark.parametrize("P", [0, 1, 2])
+def test_a_collaborative_system_is_a_system_file(which, P, tmp_path):
+    # rcis on the written collaborative P-preview system gives the set of
+    # rcis --collaborative --preview P on the system itself
+    system = (build_2d_random(1) if which == "2d-1"
+              else build_template(which)[0])
+    own, co = tmp_path / "system.json", tmp_path / "co.json"
+    own.write_text(json.dumps(system_to_json(system)))
+    co.write_text(json.dumps(system_to_json(collaborative(augment(system,
+                                                                  P)))))
+    loaded = load_system(co)
+    assert loaded.l == 0 and loaded.n == system.n + P * system.l
+    assert main(["rcis", str(co), "--tol", "1e-10",
+                 "--out", str(tmp_path / "file.json")]) == 0
+    assert main(["rcis", str(own), "--collaborative", "--preview", str(P),
+                 "--tol", "1e-10", "--out", str(tmp_path / "flag.json")]) == 0
+    file_doc = json.loads((tmp_path / "file.json").read_text())
+    flag_doc = json.loads((tmp_path / "flag.json").read_text())
+    assert file_doc["polytope"] == flag_doc["polytope"]
 
 
 @pytest.mark.parametrize("which", ["1d", "2d-1"])

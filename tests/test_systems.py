@@ -85,6 +85,9 @@ def test_preview_feedback_equivalence():
 
 def test_collaborative_1d():
     co = collaborative(sys_1d())
+    # a system with no disturbance channel: E has no columns, D = R^0
+    assert isinstance(co, LinearSystem)
+    assert co.E.shape == (1, 0) and co.l == 0 and co.D.dim == 0
     assert np.allclose(co.B, [[1.0, 1.0]])
     assert co.S_xu.dim == 3
     assert co.m == 2
